@@ -2,9 +2,10 @@
 
 Every unordered pair of complete-case nodes becomes one observation whose
 outcome is tie presence.  Discrete attributes contribute match indicators,
-numeric ones absolute differences (optionally on binned values).  Pairs are
-streamed in blocks so memory stays proportional to the block size rather
-than the full dyad count.
+numeric ones absolute differences (optionally on binned values).  Pairs with
+the same feature row are grouped into one binomial count (dyads, ties), so
+the logistic fit runs on at most 2^p rows for p match features instead of
+on every pair, with the same likelihood.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import stats
@@ -40,9 +41,6 @@ __all__ = [
     "sex_permutation_test",
     "degree_missingness_ttest",
 ]
-
-_DEFAULT_BLOCK = 1 << 18
-
 
 @dataclass(frozen=True)
 class FeatureEncoding:
@@ -106,99 +104,57 @@ def default_feature_spec(
     )
 
 
+@dataclass(frozen=True)
 class DyadDesign:
-    """All unordered complete-case node pairs with features and tie outcome.
+    """Unordered pairs of complete-case nodes, grouped by feature row.
 
-    Rows are enumerated lazily in lexicographic pair order; ``iter_blocks``
-    yields numpy blocks and ``rows`` yields individual tuples for small
-    designs.
+    Row ``r`` of ``X`` is one distinct feature vector: ``pairs[r]`` dyads
+    carry it and ``ties[r]`` of them are tied.  Rows are sorted
+    lexicographically and each holds at least one dyad.
     """
 
-    def __init__(
-        self,
-        node_index: np.ndarray,
-        feature_names: tuple[str, ...],
-        feature_kinds: tuple[str, ...],
-        node_features: tuple[np.ndarray, ...],
-        tie_keys: np.ndarray,
-    ) -> None:
-        self.node_index = node_index
-        self.feature_names = feature_names
-        self._kinds = feature_kinds
-        self._node_features = node_features
-        self._tie_keys = tie_keys
+    node_index: np.ndarray
+    feature_names: tuple[str, ...]
+    X: np.ndarray
+    pairs: np.ndarray
+    ties: np.ndarray
 
     @property
     def n_nodes(self) -> int:
         return int(self.node_index.size)
 
     @property
-    def n_rows(self) -> int:
-        k = self.n_nodes
-        return k * (k - 1) // 2
+    def n_dyads(self) -> int:
+        return int(self.pairs.sum())
 
     @property
     def n_ties(self) -> int:
-        return int(self._tie_keys.size)
+        return int(self.ties.sum())
 
-    def _materialize(self, ipos: np.ndarray, jpos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cols = []
-        for kind, values in zip(self._kinds, self._node_features):
-            if kind == "match":
-                cols.append((values[ipos] == values[jpos]).astype(float))
-            else:
-                cols.append(np.abs(values[ipos] - values[jpos]))
-        X = np.column_stack(cols) if cols else np.empty((ipos.size, 0))
-        keys = ipos * self.n_nodes + jpos
-        loc = np.searchsorted(self._tie_keys, keys)
-        loc_clipped = np.minimum(loc, max(self._tie_keys.size - 1, 0))
-        if self._tie_keys.size:
-            y = (self._tie_keys[loc_clipped] == keys) & (loc < self._tie_keys.size)
-        else:
-            y = np.zeros(keys.size, dtype=bool)
-        return X, y.astype(float)
+    def constant_features(self) -> dict[str, float]:
+        """Features that take one value on every dyad, mapped to that value."""
+        lo = self.X.min(axis=0)
+        hi = self.X.max(axis=0)
+        return {
+            name: float(lo[c]) for c, name in enumerate(self.feature_names) if lo[c] == hi[c]
+        }
 
-    def iter_blocks(
-        self, block_size: int = _DEFAULT_BLOCK
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield ``(i_positions, j_positions, X, y)`` blocks of at most ~block_size rows."""
-        k = self.n_nodes
-        buf_i: list[np.ndarray] = []
-        buf_j: list[np.ndarray] = []
-        count = 0
-        for i in range(k - 1):
-            j = np.arange(i + 1, k, dtype=np.int64)
-            buf_i.append(np.full(j.size, i, dtype=np.int64))
-            buf_j.append(j)
-            count += j.size
-            if count >= block_size:
-                ipos = np.concatenate(buf_i)
-                jpos = np.concatenate(buf_j)
-                X, y = self._materialize(ipos, jpos)
-                yield ipos, jpos, X, y
-                buf_i, buf_j, count = [], [], 0
-        if count:
-            ipos = np.concatenate(buf_i)
-            jpos = np.concatenate(buf_j)
-            X, y = self._materialize(ipos, jpos)
-            yield ipos, jpos, X, y
 
-    def rows(self) -> Iterator[tuple[int, int, float, tuple[float, ...]]]:
-        """Yield ``(i, j, y, features)`` with i, j in the original graph indexing."""
-        for ipos, jpos, X, y in self.iter_blocks():
-            orig_i = self.node_index[ipos]
-            orig_j = self.node_index[jpos]
-            for r in range(len(y)):
-                yield int(orig_i[r]), int(orig_j[r]), float(y[r]), tuple(X[r].tolist())
+def _pair_feature(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a == b).astype(float) if kind == "match" else np.abs(a - b)
 
 
 def build_dyad_design(
     graph: UndirectedGraph, table: AttributeTable, spec: FeatureSpec
 ) -> DyadDesign:
-    """Assemble the dyad design over complete-case nodes of ``graph``.
+    """Assemble the grouped dyad design over complete-case nodes of ``graph``.
 
-    Raises if fewer than two nodes are observed on every attribute in the
-    spec.
+    Nodes with identical feature values form a type.  Each unordered pair of
+    types (a type with itself included) holds n_a * n_b dyads, or
+    C(n_a, 2) within one type, and all of them share one feature row; type
+    pairs with equal rows are merged.  Ties are counted in one pass over the
+    edges.  Raises if fewer than two nodes are observed on every attribute
+    in the spec.
     """
     if table.n != graph.node_count:
         raise ValueError("attribute table does not align with the graph")
@@ -211,30 +167,58 @@ def build_dyad_design(
     if k < 2:
         raise ValueError(f"need at least 2 complete-case nodes, found {k}")
 
-    kinds = []
-    node_features = []
+    kinds = [spec.encodings[attr].kind for attr in names]
+    columns = []
     for attr in names:
         enc = spec.encodings[attr]
-        kinds.append(enc.kind)
-        if enc.kind == "match":
-            node_features.append(table.labels(attr, enc.bins)[node_index].astype(np.int64))
+        if enc.kind == "match" or enc.bins is not None:
+            values = table.labels(attr, enc.bins).astype(float)
         else:
-            values = (
-                table.labels(attr, enc.bins).astype(float)
-                if enc.bins is not None
-                else table.values(attr)
-            )
-            node_features.append(values[node_index])
+            values = table.values(attr)
+        columns.append(values[node_index])
+    types, node_type, type_size = np.unique(
+        np.column_stack(columns), axis=0, return_inverse=True, return_counts=True
+    )
+    n_types = type_size.size
+    ta, tb = np.triu_indices(n_types)
+    pairs = np.where(ta == tb, type_size[ta] * (type_size[ta] - 1) // 2, type_size[ta] * type_size[tb])
 
-    pos = np.full(graph.node_count, -1, dtype=np.int64)
-    pos[node_index] = np.arange(k)
-    pu = pos[graph.edge_u]
-    pv = pos[graph.edge_v]
-    keep = (pu >= 0) & (pv >= 0)
-    a = np.minimum(pu[keep], pv[keep])
-    b = np.maximum(pu[keep], pv[keep])
-    tie_keys = np.sort(a * k + b)
-    return DyadDesign(node_index, tuple(names), tuple(kinds), tuple(node_features), tie_keys)
+    # Mixed-radix key over per-column value codes: equal keys <=> equal rows,
+    # and key order is the rows' lexicographic order.
+    key = np.zeros(ta.size, dtype=np.int64)
+    radix = 1
+    for kind, col in zip(kinds, types.T):
+        feature = _pair_feature(kind, col[ta], col[tb])
+        if kind == "match":
+            n_levels, code = 2, feature.astype(np.int64)
+        else:
+            levels, code = np.unique(feature, return_inverse=True)
+            n_levels = levels.size
+        if radix * n_levels >= 2**62:  # re-rank so the key cannot overflow
+            _, key = np.unique(key, return_inverse=True)
+            radix = int(key.max()) + 1
+        key = key * n_levels + code
+        radix *= n_levels
+    _, first, row_of = np.unique(key, return_index=True, return_inverse=True)
+    row_pairs = np.bincount(row_of, weights=pairs).astype(np.int64)
+
+    type_of = np.full(graph.node_count, -1, dtype=np.int64)
+    type_of[node_index] = node_type.reshape(-1)
+    tu = type_of[graph.edge_u]
+    tv = type_of[graph.edge_v]
+    keep = (tu >= 0) & (tv >= 0)
+    lo = np.minimum(tu[keep], tv[keep])
+    hi = np.maximum(tu[keep], tv[keep])
+    # Position of type pair (lo, hi) in triu_indices order.
+    tri = lo * n_types - lo * (lo - 1) // 2 + (hi - lo)
+    row_ties = np.bincount(row_of[tri], minlength=first.size)
+
+    X = np.column_stack(
+        [_pair_feature(kind, col[ta[first]], col[tb[first]]) for kind, col in zip(kinds, types.T)]
+    )
+    # A type of one node paired with itself holds no dyad.
+    held = row_pairs > 0
+    return DyadDesign(node_index, tuple(names), X[held], row_pairs[held], row_ties[held])
 
 
 @dataclass(frozen=True)
@@ -243,7 +227,6 @@ class FitOptions:
 
     max_iter: int = 100
     tol: float = 1e-8
-    block_size: int = _DEFAULT_BLOCK
     divergence_bound: float = 30.0
 
 
@@ -266,51 +249,43 @@ class LogisticFit:
     diagnostic: str | None = None
 
 
-def _accumulate(design: DyadDesign, beta: np.ndarray, block_size: int) -> tuple[np.ndarray, np.ndarray]:
-    p1 = beta.size
-    H = np.zeros((p1, p1))
-    grad = np.zeros(p1)
-    for _, _, X, y in design.iter_blocks(block_size):
-        Xb = np.column_stack([np.ones(y.size), X])
-        mu = expit(Xb @ beta)
-        w = mu * (1.0 - mu)
-        grad += Xb.T @ (y - mu)
-        H += (Xb * w[:, None]).T @ Xb
+def _information(
+    design: DyadDesign, Xb: np.ndarray, beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Information matrix and score of the grouped-binomial log-likelihood."""
+    mu = expit(Xb @ beta)
+    w = design.pairs * mu * (1.0 - mu)
+    grad = Xb.T @ (design.ties - design.pairs * mu)
+    H = (Xb * w[:, None]).T @ Xb
     return H, grad
 
 
 def fit_logistic(design: DyadDesign, options: FitOptions = FitOptions()) -> LogisticFit:
     """Fit tie probability on dyad features by Newton-Raphson (IRLS).
 
-    Convergence means every coefficient moved by less than ``options.tol``
-    in the last step.  Runaway coefficients (complete separation) and a
-    singular information matrix return a fit flagged ``converged=False``
-    with a diagnostic rather than raising.  A constant feature column is an
-    error naming the attribute.
+    Each design row is a binomial count of ties among its dyads, so the
+    likelihood equals the one over individual dyads.  Convergence means
+    every coefficient moved by less than ``options.tol`` in the last step.
+    Runaway coefficients (complete separation) and a singular information
+    matrix return a fit flagged ``converged=False`` with a diagnostic rather
+    than raising.  A constant feature column is an error naming the
+    attribute.
     """
     p = len(design.feature_names)
-    if design.n_rows == 0:
-        raise ValueError("empty dyad design")
-    if design.n_ties == 0 or design.n_ties == design.n_rows:
+    if design.n_ties == 0 or design.n_ties == design.n_dyads:
         raise ValueError("dyad design needs both tied and untied pairs")
-
-    mins = np.full(p, np.inf)
-    maxs = np.full(p, -np.inf)
-    for _, _, X, _ in design.iter_blocks(options.block_size):
-        if p:
-            mins = np.minimum(mins, X.min(axis=0))
-            maxs = np.maximum(maxs, X.max(axis=0))
-    constant = np.flatnonzero(mins == maxs)
-    if constant.size:
-        bad = ", ".join(design.feature_names[i] for i in constant.tolist())
+    constant = design.constant_features()
+    if constant:
+        bad = ", ".join(constant)
         raise ValueError(f"constant dyad feature column for attribute(s): {bad}")
 
+    Xb = np.column_stack([np.ones(design.pairs.size), design.X])
     beta = np.zeros(p + 1)
     converged = False
     diagnostic: str | None = None
     iteration = 0
     for iteration in range(1, options.max_iter + 1):
-        H, grad = _accumulate(design, beta, options.block_size)
+        H, grad = _information(design, Xb, beta)
         try:
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
@@ -326,7 +301,7 @@ def fit_logistic(design: DyadDesign, options: FitOptions = FitOptions()) -> Logi
     else:
         diagnostic = f"no convergence within {options.max_iter} iterations"
 
-    H, _ = _accumulate(design, beta, options.block_size)
+    H, _ = _information(design, Xb, beta)
     try:
         covariance = np.linalg.inv(H)
         se = np.sqrt(np.diag(covariance))
@@ -349,7 +324,7 @@ def fit_logistic(design: DyadDesign, options: FitOptions = FitOptions()) -> Logi
         p_values=p_values[1:].copy(),
         converged=converged,
         n_iterations=iteration,
-        n_dyads=design.n_rows,
+        n_dyads=design.n_dyads,
         n_ties=design.n_ties,
         diagnostic=diagnostic,
     )
@@ -443,14 +418,15 @@ def sex_permutation_test(
     keep = (pu >= 0) & (pv >= 0)
     eu_o, ev_o = pu[keep], pv[keep]
 
-    def _tie_counts(male_vec: np.ndarray) -> tuple[int, int, int]:
-        a = male_vec[eu_o]
-        b = male_vec[ev_o]
-        mm = int((a & b).sum())
-        ff = int((~a & ~b).sum())
-        return mm, int(a.size - mm - ff), ff
+    def _tie_counts(male_rows: np.ndarray) -> np.ndarray:
+        """(mm, mf, ff) tie counts for each row of a (replicates, nodes) male mask."""
+        a = male_rows[:, eu_o]
+        b = male_rows[:, ev_o]
+        mm = (a & b).sum(axis=1)
+        ff = (~(a | b)).sum(axis=1)
+        return np.column_stack([mm, eu_o.size - mm - ff, ff])
 
-    observed = TieTriple(*_tie_counts(male))
+    observed = TieTriple(*(int(c) for c in _tie_counts(male[None, :])[0]))
 
     seed_entropy = int(seed) % (2**63)
     counts = np.empty((target_replicates, 3), dtype=np.int64)
@@ -474,13 +450,12 @@ def sex_permutation_test(
             & (fd <= female_bounds[1])
         )
         valid_total += int(valid.sum())
-        for row in np.flatnonzero(valid).tolist():
-            if collected == target_replicates:
-                break
-            counts[collected] = _tie_counts(male_mat[row])
-            md_arr[collected] = md[row]
-            fd_arr[collected] = fd[row]
-            collected += 1
+        rows = np.flatnonzero(valid)[: target_replicates - collected]
+        taken = slice(collected, collected + rows.size)
+        counts[taken] = _tie_counts(male_mat[rows])
+        md_arr[taken] = md[rows]
+        fd_arr[taken] = fd[rows]
+        collected += rows.size
         attempts += batch_size
         batch_index += 1
         if collected < target_replicates and attempts >= max_attempts:

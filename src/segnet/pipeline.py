@@ -247,38 +247,19 @@ def _derived_seed(base: int, village_id: str, salt: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _screen_constant_features(design_table, node_index: np.ndarray, spec: FeatureSpec, cfg: RunConfig):
-    """Split attributes into fittable ones and those whose dyad column is constant."""
-    kept: list[str] = []
+def _dropped_features(design, spec: FeatureSpec) -> dict[str, str]:
+    """Why each constant dyad feature of ``design`` cannot be fitted."""
     dropped: dict[str, str] = {}
-    k = int(node_index.size)
-    for attr in spec.names:
-        enc = spec.encodings[attr]
-        if enc.kind == "match":
-            codes = design_table.labels(attr, enc.bins)[node_index]
-            counts = np.bincount(codes)
-            distinct = int((counts > 0).sum())
-            if distinct <= 1:
-                dropped[attr] = "every pair matches (single observed value)"
-            elif counts.max() == 1 and k > 1:
-                dropped[attr] = "no pair matches (all values distinct)"
-            elif k == 2:
-                dropped[attr] = "only one dyad; feature is constant"
-            else:
-                kept.append(attr)
-        else:
-            values = (
-                design_table.labels(attr, enc.bins)[node_index].astype(float)
-                if enc.bins is not None
-                else design_table.values(attr)[node_index]
+    for attr, value in design.constant_features().items():
+        if spec.encodings[attr].kind == "match":
+            dropped[attr] = (
+                "every pair matches (single observed value)"
+                if value == 1.0
+                else "no pair matches (all values distinct)"
             )
-            if np.unique(values).size <= 1:
-                dropped[attr] = "all values equal"
-            elif k == 2:
-                dropped[attr] = "only one dyad; feature is constant"
-            else:
-                kept.append(attr)
-    return kept, dropped
+        else:
+            dropped[attr] = "all values equal" if value == 0.0 else "only one dyad; feature is constant"
+    return dropped
 
 
 def _fit_to_dict(fit, attr_order: Sequence[str]) -> dict[str, Any]:
@@ -350,19 +331,17 @@ def analyze_village(dataset: VillageDataset, cfg: RunConfig) -> dict[str, Any]:
     spec = _feature_spec(cfg)
     dyadic: dict[str, Any] = {"model": "joint" if cfg.joint_model else "single"}
     try:
-        mask = complete_case_mask(table, spec.names)
-        node_index = np.flatnonzero(mask)
-        dyadic["n_complete_case_nodes"] = int(node_index.size)
-        if node_index.size < 2:
-            raise ValueError(
-                f"need at least 2 complete-case nodes, found {int(node_index.size)}"
-            )
-        kept, dropped = _screen_constant_features(table, node_index, spec, cfg)
+        dyadic["n_complete_case_nodes"] = int(complete_case_mask(table, spec.names).sum())
+        design = build_dyad_design(lcc, table, spec)
+        dropped = _dropped_features(design, spec)
         dyadic["dropped"] = dropped
+        kept = [attr for attr in spec.names if attr not in dropped]
         if not kept:
             raise ValueError("every dyad feature is constant")
         if cfg.joint_model:
-            design = build_dyad_design(lcc, table, spec.restrict(kept))
+            if dropped:
+                # Nodes missing only a dropped attribute rejoin the fit.
+                design = build_dyad_design(lcc, table, spec.restrict(kept))
             fit = fit_logistic(design)
             dyadic.update(_fit_to_dict(fit, cfg.attributes))
         else:
@@ -547,18 +526,21 @@ def _load_village_dir(village_dir: Path, cfg: RunConfig) -> VillageDataset:
     )
 
 
-def _write_village_artifacts(bundle: dict[str, Any], cfg: RunConfig, config_hash: str) -> None:
+def _write_village_artifacts(bundle: dict[str, Any], cfg: RunConfig, config_hash: str) -> list[Path]:
+    """Write one village's bundle, partition and community networks; return their paths."""
     out = Path(cfg.output_dir)
     village_id = bundle["village_id"]
     assignment = bundle.pop("_partition_assignment")
     node_ids = bundle.pop("_lcc_node_ids")
-    _write_json(out / "bundles" / f"{village_id}.json", bundle)
+    bundle_path = out / "bundles" / f"{village_id}.json"
+    _write_json(bundle_path, bundle)
 
     partition_path = out / "partitions" / f"{village_id}.csv"
     rows = [
         {"node_id": nid, "community": comm} for nid, comm in zip(node_ids, assignment)
     ]
     _write_csv(partition_path, ("node_id", "community"), rows, config_hash)
+    written = [bundle_path, partition_path]
 
     for attr, net in bundle["community_networks"].items():
         if "error" in net:
@@ -584,22 +566,42 @@ def _write_village_artifacts(bundle: dict[str, Any], cfg: RunConfig, config_hash
             )
         lines.append("}")
         dot_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        written += [json_path, dot_path]
+    return written
 
 
 def _safe_dot(text: str) -> str:
     return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in text)
 
 
-def _process_village(args: tuple[str, RunConfig]) -> tuple[str, dict[str, Any] | None, str | None]:
+def _process_village(
+    args: tuple[str, RunConfig],
+) -> tuple[str, dict[str, Any] | None, str | None, list[Path]]:
     village_dir, cfg = args
     path = Path(village_dir)
     try:
         dataset = _load_village_dir(path, cfg)
         bundle = analyze_village(dataset, cfg)
-        _write_village_artifacts(bundle, cfg, bundle["config_sha256"])
-        return path.name, bundle, None
+        written = _write_village_artifacts(bundle, cfg, bundle["config_sha256"])
+        return path.name, bundle, None, written
     except Exception as exc:  # hard per-village failure lands in the errors manifest
-        return path.name, None, f"{type(exc).__name__}: {exc}"
+        return path.name, None, f"{type(exc).__name__}: {exc}", []
+
+
+_VILLAGE_ARTIFACT_GLOBS = (
+    "bundles/*.json",
+    "partitions/*.csv",
+    "community_networks/*.dot",
+    "community_networks/*.json",
+)
+
+
+def _remove_stale_artifacts(out: Path, written: set[Path]) -> None:
+    """Delete per-village files this run did not write, e.g. from a village that now fails."""
+    for pattern in _VILLAGE_ARTIFACT_GLOBS:
+        for path in out.glob(pattern):
+            if path not in written:
+                path.unlink()
 
 
 def _resolve_workers(cfg: RunConfig) -> int:
@@ -632,6 +634,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     config_hash = config_sha256(cfg)
     villages = _discover_villages(cfg)
     if not villages:
+        _remove_stale_artifacts(out, set())
         _write_json(out / "errors.json", {"corpus": "no villages found"})
         return RunResult(1, str(out), 0, 0, {"corpus": "no villages found"})
 
@@ -645,11 +648,14 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
 
     bundles = []
     failures: dict[str, str] = {}
-    for village_id, bundle, error in sorted(outcomes, key=lambda r: r[0]):
+    written: set[Path] = set()
+    for village_id, bundle, error, paths in sorted(outcomes, key=lambda r: r[0]):
         if error is not None:
             failures[village_id] = error
         else:
             bundles.append(bundle)
+        written.update(paths)
+    _remove_stale_artifacts(out, written)
 
     _write_corpus_tables(bundles, out, config_hash)
     tables = summarize_corpus(bundles) if bundles else {}

@@ -28,6 +28,14 @@ def make_table(node_ids, **columns):
     return AttributeTable(node_ids=tuple(str(v) for v in node_ids), **base)
 
 
+def design_groups(design):
+    """``{features: (pairs, ties)}`` view of a grouped dyad design."""
+    return {
+        tuple(row): (int(pairs), int(ties))
+        for row, pairs, ties in zip(design.X.tolist(), design.pairs, design.ties)
+    }
+
+
 def random_graph(rng, n, p):
     """Erdos-Renyi graph over integer node ids 0..n-1 (may be empty)."""
     iu, ju = np.triu_indices(n, k=1)

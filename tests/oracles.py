@@ -8,6 +8,7 @@ tolerances; none of this code shares logic with the package.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -222,18 +223,101 @@ def cross_product_odds_ratio(ties_match, n_match, ties_diff, n_diff):
     return (ties_match * (n_diff - ties_diff)) / ((n_match - ties_match) * ties_diff)
 
 
-def dyad_2x2_from_rows(rows):
-    """Sufficient statistics (ties_match, n_match, ties_diff, n_diff) from
-    (i, j, y, (x,)) row tuples of a single-feature design."""
+def dyad_2x2(groups):
+    """Sufficient statistics (ties_match, n_match, ties_diff, n_diff) from a
+    single-feature ``{(x,): (pairs, ties)}`` grouping."""
     ties_match = n_match = ties_diff = n_diff = 0
-    for _, _, y, features in rows:
-        if features[0] == 1.0:
-            n_match += 1
-            ties_match += int(y)
+    for (x,), (pairs, ties) in groups.items():
+        if x == 1.0:
+            n_match += pairs
+            ties_match += ties
         else:
-            n_diff += 1
-            ties_diff += int(y)
+            n_diff += pairs
+            ties_diff += ties
     return ties_match, n_match, ties_diff, n_diff
+
+
+def _bin_index(value, bins):
+    """Count of left bin edges at or below ``value`` (bin 0 lies below them all)."""
+    return bisect.bisect_right(list(bins), value)
+
+
+def enumerate_dyads(n, edges, columns):
+    """Every unordered pair of complete-case nodes as ``(i, j, tie, features)``.
+
+    ``columns`` lists ``(kind, values, bins)`` per feature, where ``values``
+    holds one entry per node with None for missing, ``kind`` is "match" or
+    "difference", and ``bins`` (or None) are left edges of the upper bins.
+    A match on unbinned values compares them rounded to integers.
+    """
+    tied = {(min(u, v), max(u, v)) for u, v in edges}
+    complete = [i for i in range(n) if all(values[i] is not None for _, values, _ in columns)]
+    coded = []
+    for kind, values, bins in columns:
+        if bins is not None:
+            coded.append([None if v is None else _bin_index(v, bins) for v in values])
+        elif kind == "match":
+            coded.append([None if v is None else round(v) for v in values])
+        else:
+            coded.append([None if v is None else float(v) for v in values])
+    rows = []
+    for a, i in enumerate(complete):
+        for j in complete[a + 1 :]:
+            features = []
+            for (kind, _, _), code in zip(columns, coded):
+                if kind == "match":
+                    features.append(1.0 if code[i] == code[j] else 0.0)
+                else:
+                    features.append(float(abs(code[i] - code[j])))
+            rows.append((i, j, (i, j) in tied, tuple(features)))
+    return rows
+
+
+def group_dyads(rows):
+    """``{features: (pairs, ties)}`` from enumerated ``(i, j, tie, features)`` rows."""
+    groups = {}
+    for _, _, tie, features in rows:
+        pairs, ties = groups.get(features, (0, 0))
+        groups[features] = (pairs + 1, ties + int(tie))
+    return groups
+
+
+def logistic_irls(rows, tol=1e-13, max_iter=100):
+    """Per-dyad logistic MLE by plain IRLS: (coefficients, standard errors),
+    intercept first."""
+    X = np.array([(1.0,) + features for _, _, _, features in rows])
+    y = np.array([float(tie) for _, _, tie, _ in rows])
+    beta = np.zeros(X.shape[1])
+    for _ in range(max_iter):
+        mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
+        info = X.T @ (X * (mu * (1.0 - mu))[:, None])
+        step = np.linalg.solve(info, X.T @ (y - mu))
+        beta = beta + step
+        if np.abs(step).max() < tol:
+            break
+    mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
+    info = X.T @ (X * (mu * (1.0 - mu))[:, None])
+    return beta, np.sqrt(np.diag(np.linalg.inv(info)))
+
+
+def constant_feature_screen(columns):
+    """``{attribute: reason}`` for dyad features that are constant over the
+    nodes given.  ``columns`` maps attribute -> (kind, values) with one
+    value per node (bin indices where the feature is binned)."""
+    dropped = {}
+    for attr, (kind, values) in columns.items():
+        k = len(values)
+        distinct = set(values)
+        if kind == "match":
+            if len(distinct) <= 1:
+                dropped[attr] = "every pair matches (single observed value)"
+            elif len(distinct) == k:
+                dropped[attr] = "no pair matches (all values distinct)"
+        elif len(distinct) <= 1:
+            dropped[attr] = "all values equal"
+        elif k == 2:
+            dropped[attr] = "only one dyad; feature is constant"
+    return dropped
 
 
 def welch_t_closed_form(x, y):

@@ -35,10 +35,10 @@ from segnet import (
     within_community_modularity,
 )
 
-from .conftest import random_graph
+from .conftest import design_groups, random_graph
 from .oracles import (
     cross_product_odds_ratio,
-    dyad_2x2_from_rows,
+    dyad_2x2,
     exhaustive_sex_permutation,
     naive_attribute_modularity,
     naive_partition_modularity,
@@ -135,11 +135,11 @@ def test_logistic_recovery_within_three_standard_errors():
             seed=seed,
         )
         design = build_dyad_design(dataset.graph, dataset.attributes, spec)
-        assert design.n_rows == 142 * 141 // 2
+        assert design.n_dyads == 142 * 141 // 2
         fit = fit_logistic(design)
         if fit.converged and abs(fit.beta[0] - true_slope) <= 3.0 * fit.std_errors[0]:
             hits += 1
-        table = dyad_2x2_from_rows(design.rows())
+        table = dyad_2x2(design_groups(design))
         assert math.isclose(
             fit.odds_ratios[0], cross_product_odds_ratio(*table), rel_tol=1e-6
         )

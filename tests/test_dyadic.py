@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segnet import (
     FeatureEncoding,
     FeatureSpec,
-    FitOptions,
     build_dyad_design,
     build_graph,
     default_feature_spec,
@@ -16,12 +17,15 @@ from segnet import (
     sex_permutation_test,
 )
 
-from .conftest import make_table
+from .conftest import design_groups, make_table, random_graph
 from .oracles import (
     cross_product_odds_ratio,
-    dyad_2x2_from_rows,
+    dyad_2x2,
+    enumerate_dyads,
     exhaustive_sex_permutation,
+    group_dyads,
     logistic_2x2,
+    logistic_irls,
     tie_triple_by_loop,
     welch_t_closed_form,
 )
@@ -39,26 +43,34 @@ def small_design():
     return build_dyad_design(graph, table, spec)
 
 
+def oracle_dyads(graph, table, spec):
+    """Enumerated dyads of ``graph`` from plain per-node values of ``table``."""
+    columns = []
+    for attr, enc in spec.encodings.items():
+        raw = getattr(table, attr).tolist()
+        if attr in ("age", "education"):
+            values = [None if math.isnan(v) else v for v in raw]
+        else:
+            values = [None if v < 0 else v for v in raw]
+        columns.append((enc.kind, values, enc.bins))
+    edges = zip(graph.edge_u.tolist(), graph.edge_v.tolist())
+    return enumerate_dyads(graph.node_count, list(edges), columns)
+
+
 class TestDyadDesign:
     def test_enumerates_every_unordered_pair_once(self):
         design = small_design()
-        rows = list(design.rows())
-        assert design.n_rows == 6
-        assert [(i, j) for i, j, _, _ in rows] == [
-            (0, 1),
-            (0, 2),
-            (0, 3),
-            (1, 2),
-            (1, 3),
-            (2, 3),
-        ]
+        assert design.n_dyads == 6
+        assert design.n_ties == 3
+        assert int(design.pairs.min()) >= 1
 
     def test_features_and_ties_are_correct(self):
-        rows = {(i, j): (y, x) for i, j, y, x in small_design().rows()}
-        assert rows[(0, 1)] == (1.0, (1.0, 15.0))
-        assert rows[(0, 2)] == (0.0, (0.0, 30.0))
-        assert rows[(2, 3)] == (1.0, (1.0, 0.0))
-        assert rows[(1, 3)] == (0.0, (0.0, 15.0))
+        design = small_design()
+        # (caste match, age difference): (0,1) -> (1, 15) tied, (0,2), (0,3)
+        # -> (0, 30), (1,2) -> (0, 15) tied, (1,3) -> (0, 15), (2,3) -> (1, 0) tied
+        assert design.X.tolist() == [[0.0, 15.0], [0.0, 30.0], [1.0, 0.0], [1.0, 15.0]]
+        assert design.pairs.tolist() == [2, 2, 1, 1]
+        assert design.ties.tolist() == [1, 0, 1, 1]
 
     def test_binned_difference_uses_bin_distance(self):
         graph, _ = build_graph([(0, 1)], node_ids=range(3))
@@ -66,19 +78,12 @@ class TestDyadDesign:
         spec = FeatureSpec(
             {"education": FeatureEncoding("difference", (1.0, 10.0, 14.0, 16.0))}
         )
-        rows = {(i, j): x for i, j, _, x in build_dyad_design(graph, table, spec).rows()}
-        # bins: 0 -> 0, 12 -> 2, 15 -> 3
-        assert rows[(0, 1)] == (2.0,)
-        assert rows[(0, 2)] == (3.0,)
-        assert rows[(1, 2)] == (1.0,)
-
-    def test_blocks_concatenate_to_the_same_rows(self):
-        design = small_design()
-        via_blocks = []
-        for ipos, jpos, X, y in design.iter_blocks(block_size=2):
-            via_blocks += list(zip(ipos.tolist(), jpos.tolist(), y.tolist()))
-        assert len(via_blocks) == design.n_rows
-        assert via_blocks == [(i, j, y) for i, j, y, _ in _positional_rows(design)]
+        # bins: 0 -> 0, 12 -> 2, 15 -> 3; pairs (1,2), (0,1) tied, (0,2)
+        assert design_groups(build_dyad_design(graph, table, spec)) == {
+            (1.0,): (1, 0),
+            (2.0,): (1, 1),
+            (3.0,): (1, 0),
+        }
 
     def test_only_complete_case_nodes_enter(self):
         graph, _ = build_graph([(0, 1), (1, 2)], node_ids=range(3))
@@ -95,10 +100,116 @@ class TestDyadDesign:
             build_dyad_design(graph, table, FeatureSpec({"caste": FeatureEncoding("match")}))
 
 
-def _positional_rows(design):
-    node_pos = {int(v): k for k, v in enumerate(design.node_index.tolist())}
-    for i, j, y, x in design.rows():
-        yield node_pos[i], node_pos[j], y, x
+SPECS = {
+    "match": FeatureSpec(
+        {
+            "caste": FeatureEncoding("match"),
+            "sex": FeatureEncoding("match"),
+            "age": FeatureEncoding("match", (18.0, 31.0, 41.0)),
+        }
+    ),
+    "binned_difference": FeatureSpec(
+        {
+            "religion": FeatureEncoding("match"),
+            "education": FeatureEncoding("difference", (1.0, 10.0, 14.0)),
+        }
+    ),
+    "raw_difference": FeatureSpec(
+        {
+            "caste": FeatureEncoding("match"),
+            "age": FeatureEncoding("difference"),
+            "education": FeatureEncoding("difference"),
+        }
+    ),
+    "unbinned_match": FeatureSpec({"age": FeatureEncoding("match")}),
+}
+
+
+def random_table(rng, n, missing):
+    """Every attribute drawn from a few values, each missing with probability ``missing``."""
+
+    def codes(k):
+        return np.where(rng.random(n) < missing, -1, rng.integers(0, k, n))
+
+    def numbers(values):
+        return np.where(rng.random(n) < missing, np.nan, rng.choice(values, n))
+
+    return make_table(
+        range(n),
+        sex=codes(2),
+        religion=codes(3),
+        caste=codes(4),
+        age=numbers([16.0, 18.0, 25.5, 30.0, 31.0, 47.0, 70.0]),
+        education=numbers([0.0, 0.5, 4.0, 10.0, 12.0, 17.0]),
+    )
+
+
+class TestGroupedDesignAgainstPairEnumeration:
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    @pytest.mark.parametrize("missing", [0.0, 0.3])
+    def test_grouped_rows_equal_enumerated_pairs(self, name, missing):
+        rng = np.random.default_rng(61)
+        # sparse enough to leave isolates
+        graph = random_graph(rng, 40, 0.04)
+        assert (graph.degrees == 0).any()
+        table = random_table(rng, 40, missing)
+        spec = SPECS[name]
+        design = build_dyad_design(graph, table, spec)
+        rows = oracle_dyads(graph, table, spec)
+        assert design_groups(design) == group_dyads(rows)
+        assert design.n_dyads == len(rows)
+        assert design.X.tolist() == sorted(design.X.tolist())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 14),
+        p=st.floats(0.0, 1.0),
+        missing=st.sampled_from([0.0, 0.2, 0.5]),
+        name=st.sampled_from(sorted(SPECS)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_small_graphs(self, n, p, missing, name, seed):
+        rng = np.random.default_rng(seed)
+        graph = random_graph(rng, n, p)
+        table = random_table(rng, n, missing)
+        spec = SPECS[name]
+        rows = oracle_dyads(graph, table, spec)
+        if not rows:  # fewer than two complete-case nodes
+            with pytest.raises(ValueError, match="complete-case"):
+                build_dyad_design(graph, table, spec)
+            return
+        assert design_groups(build_dyad_design(graph, table, spec)) == group_dyads(rows)
+
+    @pytest.mark.parametrize("name", ["match", "binned_difference", "raw_difference"])
+    def test_grouped_fit_matches_irls_on_enumerated_pairs(self, name):
+        spec = SPECS[name]
+        dataset = generate_dyad_sample(
+            beta0=-1.5,
+            betas={"caste": 0.9, "sex": 0.4},
+            feature_law={
+                "caste": {"general": 0.4, "obc": 0.3, "scheduled caste": 0.3},
+                "sex": {"male": 0.5, "female": 0.5},
+            },
+            n_nodes=90,
+            seed=67,
+        )
+        rng = np.random.default_rng(71)
+        filler = random_table(rng, 90, 0.1)
+        table = make_table(
+            range(90),
+            caste=dataset.attributes.caste,
+            sex=dataset.attributes.sex,
+            religion=filler.religion,
+            age=filler.age,
+            education=filler.education,
+        )
+        fit = fit_logistic(build_dyad_design(dataset.graph, table, spec))
+        assert fit.converged
+        beta, se = logistic_irls(oracle_dyads(dataset.graph, table, spec))
+        got_beta = np.concatenate([[fit.beta0], fit.beta])
+        got_se = np.concatenate([[fit.intercept_se], fit.std_errors])
+        np.testing.assert_allclose(got_beta, beta, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(got_se, se, rtol=1e-9, atol=0)
 
 
 def test_default_spec_covers_all_attributes_with_binned_numerics():
@@ -115,7 +226,7 @@ def test_difference_encoding_rejected_for_categoricals():
 
 
 class TestLogisticFit:
-    def sample_design(self, seed=5, n=80, beta0=-1.0, beta=1.2):
+    def sample(self, seed=5, n=80, beta0=-1.0, beta=1.2):
         dataset = generate_dyad_sample(
             beta0=beta0,
             betas={"caste": beta},
@@ -123,14 +234,16 @@ class TestLogisticFit:
             n_nodes=n,
             seed=seed,
         )
-        spec = FeatureSpec({"caste": FeatureEncoding("match")})
-        return build_dyad_design(dataset.graph, dataset.attributes, spec)
+        return dataset.graph, dataset.attributes, FeatureSpec({"caste": FeatureEncoding("match")})
+
+    def sample_design(self):
+        return build_dyad_design(*self.sample())
 
     def test_single_predictor_matches_closed_form(self):
-        design = self.sample_design()
-        fit = fit_logistic(design)
+        graph, table, spec = self.sample()
+        fit = fit_logistic(build_dyad_design(graph, table, spec))
         assert fit.converged
-        stats_2x2 = dyad_2x2_from_rows(design.rows())
+        stats_2x2 = dyad_2x2(group_dyads(oracle_dyads(graph, table, spec)))
         beta0, beta1, se1 = logistic_2x2(*stats_2x2)
         assert fit.beta0 == pytest.approx(beta0, abs=1e-6)
         assert fit.beta[0] == pytest.approx(beta1, abs=1e-6)
@@ -148,14 +261,6 @@ class TestLogisticFit:
 
         z = fit.beta[0] / fit.std_errors[0]
         assert fit.p_values[0] == pytest.approx(2 * sps.norm.sf(abs(z)), rel=1e-12)
-
-    def test_block_size_never_changes_the_estimate(self):
-        design = self.sample_design(seed=9)
-        full = fit_logistic(design, FitOptions(block_size=1 << 18))
-        tiny = fit_logistic(design, FitOptions(block_size=17))
-        assert full.beta0 == pytest.approx(tiny.beta0, abs=1e-12)
-        assert full.beta[0] == pytest.approx(tiny.beta[0], abs=1e-12)
-        assert full.std_errors[0] == pytest.approx(tiny.std_errors[0], abs=1e-12)
 
     def test_two_feature_recovery_within_three_se(self):
         dataset = generate_dyad_sample(
@@ -259,6 +364,40 @@ class TestSexPermutation:
         if result.p_values.mm < 0.05:
             assert result.verdicts.mm == "assortative"
         assert result.n_replicates == 400
+
+    def test_replicate_counts_match_per_row_computation(self):
+        rng = np.random.default_rng(73)
+        graph = random_graph(rng, 30, 0.15)
+        sex = np.where(rng.random(30) < 0.1, -1, rng.integers(0, 2, 30))
+        table = make_table(range(30), sex=sex)
+        seed, batch, target = 19, 64, 150
+        result = sex_permutation_test(
+            graph, table, tolerance=0.1, target_replicates=target, seed=seed, batch_size=batch
+        )
+        assert result.n_attempts > batch  # the replicates span several batches
+        # Replay the candidate stream: batch b permutes the sex-observed nodes
+        # by argsort of uniform keys drawn from SeedSequence([seed, b]).
+        observed_idx = np.flatnonzero(sex >= 0)
+        male = sex[observed_idx] == 0
+        deg = graph.degrees[observed_idx].astype(float)
+        lo, hi = result.male_degree_bounds
+        flo, fhi = result.female_degree_bounds
+        expected_counts, expected_md = [], []
+        for b in range(result.n_attempts // batch):
+            keys = np.random.default_rng(np.random.SeedSequence([seed, b])).random(
+                (batch, observed_idx.size)
+            )
+            for order in np.argsort(keys, axis=1):
+                male_perm = male[order]
+                md = deg[male_perm].sum() / male.sum()
+                fd = deg[~male_perm].sum() / (~male).sum()
+                if lo <= md <= hi and flo <= fd <= fhi and len(expected_md) < target:
+                    labels = np.full(30, -1)
+                    labels[observed_idx] = np.where(male_perm, 0, 1)
+                    expected_counts.append(tie_triple_by_loop(graph, labels))
+                    expected_md.append(md)
+        assert result.replicate_counts.tolist() == [list(c) for c in expected_counts]
+        np.testing.assert_allclose(result.replicate_male_mean_degrees, expected_md, rtol=1e-12)
 
     def test_single_sex_network_is_an_error(self):
         graph, _ = build_graph([(0, 1)], node_ids=range(2))

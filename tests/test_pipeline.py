@@ -7,8 +7,12 @@ import pytest
 
 from segnet import (
     AttributedSbmConfig,
+    FeatureEncoding,
+    FeatureSpec,
     RunConfig,
     analyze_village,
+    build_dyad_design,
+    build_graph,
     config_sha256,
     default_config_text,
     generate_attribute_sbm,
@@ -19,7 +23,10 @@ from segnet import (
     summarize_corpus,
     summarize_output_directory,
 )
-from segnet.pipeline import WORKERS_ENV_VAR, _json_safe
+from segnet.pipeline import WORKERS_ENV_VAR, _dropped_features, _json_safe
+
+from .conftest import make_table
+from .oracles import constant_feature_screen
 
 
 def small_config(corpus: Path, out: Path, **overrides) -> RunConfig:
@@ -251,6 +258,50 @@ class TestAnalyzeVillage:
         assert "error" in bundle["degree_missingness_ttests"]["caste"]
 
 
+# message -> (attribute -> (encoding kind, value per node; None = missing))
+SCREEN_CASES = {
+    "every pair matches (single observed value)": {
+        "caste": ("match", [1, 1, 1, 1]),
+        "sex": ("match", [0, 1, 0, 1]),
+    },
+    "no pair matches (all values distinct)": {
+        "religion": ("match", [0, 1, 2, None]),
+        "sex": ("match", [0, 0, 1, 1]),
+    },
+    "all values equal": {
+        "age": ("difference", [30.0, 30.0, 30.0, 30.0]),
+        "sex": ("match", [0, 1, 1, 0]),
+    },
+    "only one dyad; feature is constant": {
+        "age": ("difference", [20.0, 45.0, None, 50.0]),
+        "caste": ("match", [0, 3, 3, None]),
+    },
+}
+
+
+@pytest.mark.parametrize("message", sorted(SCREEN_CASES))
+def test_constant_feature_screen_matches_per_attribute_screen(message):
+    case = SCREEN_CASES[message]
+    missing = {"age": np.nan, "education": np.nan}
+    table = make_table(
+        range(4),
+        **{
+            attr: [missing.get(attr, -1) if v is None else v for v in values]
+            for attr, (_, values) in case.items()
+        },
+    )
+    graph, _ = build_graph([(0, 1), (1, 2), (2, 3)], node_ids=range(4))
+    spec = FeatureSpec({attr: FeatureEncoding(kind) for attr, (kind, _) in case.items()})
+    dropped = _dropped_features(build_dyad_design(graph, table, spec), spec)
+
+    complete = [i for i in range(4) if all(v[i] is not None for _, v in case.values())]
+    expected = constant_feature_screen(
+        {attr: (kind, [values[i] for i in complete]) for attr, (kind, values) in case.items()}
+    )
+    assert dropped == expected
+    assert message in dropped.values()
+
+
 class TestRunPipeline:
     def test_full_run_writes_all_artifacts(self, tmp_path):
         corpus = make_corpus(tmp_path)
@@ -313,6 +364,20 @@ class TestRunPipeline:
         assert "no relation layer files" in errors["vbad"]
         assert (out / "bundles" / "v00.json").is_file()
         assert (out / "bundles" / "v01.json").is_file()
+
+    def test_rerun_removes_artifacts_of_a_village_that_now_fails(self, tmp_path):
+        corpus = make_corpus(tmp_path)
+        out = tmp_path / "out"
+        cfg = small_config(corpus, out)
+        assert run_pipeline(cfg).exit_code == 0
+        assert list(out.rglob("v01*"))
+        (corpus / "v01" / "attributes.csv").write_text("not,a,header\n", encoding="utf-8")
+        result = run_pipeline(cfg)
+        assert set(result.failures) == {"v01"}
+        assert not list(out.rglob("v01*"))
+        assert (out / "bundles" / "v00.json").is_file()
+        tables = summarize_output_directory(out)
+        assert {row["n_villages"] for row in tables["network"]} == {2}
 
     def test_empty_corpus_exits_nonzero(self, tmp_path):
         corpus = tmp_path / "corpus"

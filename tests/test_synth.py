@@ -11,6 +11,9 @@ from segnet import (
 )
 from segnet.attributes import CASTE_CATEGORIES
 
+from .conftest import design_groups
+from .oracles import dyad_2x2
+
 
 def test_planted_partition_matches_block_sizes():
     config = AttributedSbmConfig(
@@ -164,14 +167,7 @@ class TestDyadSample:
             dataset.attributes,
             FeatureSpec({"caste": FeatureEncoding("match")}),
         )
-        match_ties = match_total = diff_ties = diff_total = 0
-        for _, _, y, x in design.rows():
-            if x[0] == 1.0:
-                match_total += 1
-                match_ties += int(y)
-            else:
-                diff_total += 1
-                diff_ties += int(y)
+        match_ties, match_total, diff_ties, diff_total = dyad_2x2(design_groups(design))
         # non-match odds 0.25 -> p = 0.2; match odds 0.75 -> p = 3/7
         assert diff_ties / diff_total == pytest.approx(0.2, abs=0.02)
         assert match_ties / match_total == pytest.approx(3.0 / 7.0, abs=0.02)
