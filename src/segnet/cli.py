@@ -9,6 +9,7 @@ Three subcommands:
 ``segnet summarize <output-dir>``
     Recompute and print the corpus summary tables from the JSON bundles in
     an existing output directory (rewrites the ``summary_*.csv`` files).
+    Refuses bundles that differ from the run manifest's analyzed villages.
 
 ``segnet synth --config synth.json``
     Generate a synthetic corpus in the canonical on-disk layout.  The JSON
@@ -85,9 +86,8 @@ def _print_table(title: str, rows: Sequence[Mapping[str, Any]]) -> None:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    tables = summarize_output_directory(args.directory)
-    for name in ("network", "dyadic", "permutation", "segregation", "community_networks"):
-        _print_table(name.replace("_", " "), tables.get(name, []))
+    for name, rows in summarize_output_directory(args.directory).items():
+        _print_table(name.replace("_", " "), rows)
     return 0
 
 

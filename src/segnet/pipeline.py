@@ -5,6 +5,13 @@ layout.  ``run_pipeline`` analyzes every village (optionally in parallel),
 writes one JSON bundle per village plus corpus-level CSVs, and finishes with
 min/median/max style summary tables.  Identical configuration reproduces
 every artifact byte for byte; the worker count never influences content.
+
+``analyze_village`` computes a village's largest connected component,
+attribute labels and Louvain partition once, then fills the bundle from the
+ordered section list ``_SECTIONS`` (network, degree_missingness_ttests,
+dyadic, sex_permutation, partition, nmi, segregation, community_networks).
+An analysis that cannot run becomes an ``"error"`` entry in its section.
+Each corpus CSV and summary table is one ``_Table``: name, columns, rows.
 """
 
 from __future__ import annotations
@@ -14,10 +21,10 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from concurrent.futures import Future, ProcessPoolExecutor
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,18 +33,22 @@ from .attributes import (
     CATEGORICAL_ATTRIBUTES,
     DEFAULT_AGE_BINS,
     DEFAULT_EDUCATION_BINS,
+    AttributeTable,
     complete_case_mask,
 )
-from .community import louvain, modularity_of_partition, nmi
+from .community import Partition, louvain, modularity_of_partition, nmi
 from .dyadic import (
     FeatureEncoding,
     FeatureSpec,
+    LogisticFit,
+    SexPermutationResult,
+    TieTriple,
     build_dyad_design,
     degree_missingness_ttest,
     fit_logistic,
     sex_permutation_test,
 )
-from .graph import largest_connected_component, network_stats
+from .graph import NetworkStats, UndirectedGraph, largest_connected_component, network_stats
 from .ingest import IngestConfig, VillageDataset, load_village
 from .segregation import (
     build_community_network,
@@ -63,7 +74,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 WORKERS_ENV_VAR = "SEGNET_WORKERS"
 
-_TIE_TYPES = ("mm", "mf", "ff")
+_TIE_TYPES = TieTriple._fields
 
 
 @dataclass(frozen=True)
@@ -232,14 +243,6 @@ def _feature_spec(cfg: RunConfig) -> FeatureSpec:
     return FeatureSpec(encodings)
 
 
-def _attribute_labels(table, attr: str, cfg: RunConfig) -> np.ndarray:
-    if attr == "age":
-        return table.labels(attr, tuple(cfg.age_bins) or None)
-    if attr == "education":
-        return table.labels(attr, tuple(cfg.education_bins) or None)
-    return table.labels(attr)
-
-
 def _derived_seed(base: int, village_id: str, salt: int) -> int:
     digest = hashlib.sha256(village_id.encode("utf-8")).digest()
     village_hash = int.from_bytes(digest[:8], "big")
@@ -262,186 +265,233 @@ def _dropped_features(design, spec: FeatureSpec) -> dict[str, str]:
     return dropped
 
 
-def _fit_to_dict(fit, attr_order: Sequence[str]) -> dict[str, Any]:
-    per_attribute = {}
-    for i, attr in enumerate(fit.feature_names):
-        per_attribute[attr] = {
-            "beta": float(fit.beta[i]),
-            "se": float(fit.std_errors[i]),
-            "odds_ratio": float(fit.odds_ratios[i]),
-            "ci_low": float(fit.ci95[i, 0]),
-            "ci_high": float(fit.ci95[i, 1]),
-            "p_value": float(fit.p_values[i]),
-        }
+_FIT_SCALARS = ("converged", "n_iterations", "n_dyads", "n_ties", "diagnostic")
+
+
+def _fit_to_dict(fit: LogisticFit, attr_order: Sequence[str]) -> dict[str, Any]:
+    columns = {
+        "beta": fit.beta,
+        "se": fit.std_errors,
+        "odds_ratio": fit.odds_ratios,
+        "ci_low": fit.ci95[:, 0],
+        "ci_high": fit.ci95[:, 1],
+        "p_value": fit.p_values,
+    }
+    per_attribute = {
+        attr: {key: float(column[i]) for key, column in columns.items()}
+        for i, attr in enumerate(fit.feature_names)
+    }
     return {
         "intercept": {"beta": fit.beta0, "se": fit.intercept_se},
-        "converged": fit.converged,
-        "n_iterations": fit.n_iterations,
-        "n_dyads": fit.n_dyads,
-        "n_ties": fit.n_ties,
-        "diagnostic": fit.diagnostic,
+        **{name: getattr(fit, name) for name in _FIT_SCALARS},
         "per_attribute": {a: per_attribute[a] for a in attr_order if a in per_attribute},
     }
 
 
-def _permutation_to_dict(result) -> dict[str, Any]:
+# bundle key -> SexPermutationResult field holding one value per tie type
+_PERMUTATION_TRIPLES = {
+    "observed": "observed",
+    "expected": "expected_mean",
+    "ratio": "ratio",
+    "p_values": "p_values",
+    "verdicts": "verdicts",
+}
+_PERMUTATION_SCALARS = (
+    "n_replicates",
+    "n_attempts",
+    "tolerance",
+    "male_mean_degree",
+    "female_mean_degree",
+)
+
+
+def _permutation_to_dict(result: SexPermutationResult) -> dict[str, Any]:
     return {
-        "observed": dict(zip(_TIE_TYPES, (int(v) for v in result.observed))),
-        "expected": dict(zip(_TIE_TYPES, (float(v) for v in result.expected_mean))),
-        "ratio": dict(zip(_TIE_TYPES, (float(v) for v in result.ratio))),
-        "p_values": dict(zip(_TIE_TYPES, (float(v) for v in result.p_values))),
-        "verdicts": dict(zip(_TIE_TYPES, result.verdicts)),
-        "n_replicates": result.n_replicates,
-        "n_attempts": result.n_attempts,
-        "tolerance": result.tolerance,
-        "male_mean_degree": result.male_mean_degree,
-        "female_mean_degree": result.female_mean_degree,
+        **{key: getattr(result, name)._asdict() for key, name in _PERMUTATION_TRIPLES.items()},
+        **{name: getattr(result, name) for name in _PERMUTATION_SCALARS},
     }
 
 
-def analyze_village(dataset: VillageDataset, cfg: RunConfig) -> dict[str, Any]:
-    """Full single-village analysis; returns the JSON-ready bundle."""
-    graph = dataset.graph
-    lcc, mapping = largest_connected_component(graph)
-    lcc_nodes = np.asarray(sorted(mapping, key=mapping.get), dtype=np.int64)
-    table = dataset.attributes.take(lcc_nodes)
+@dataclass(frozen=True)
+class _Village:
+    """What every bundle section of one village reads."""
 
-    bundle: dict[str, Any] = {
+    dataset: VillageDataset
+    cfg: RunConfig
+    lcc: UndirectedGraph
+    table: AttributeTable  # rows aligned with the LCC's nodes
+    labels: dict[str, np.ndarray]  # per attribute, binned as in the dyad features
+    partition: Partition
+    dot: dict[str, str] = field(default_factory=dict)  # DOT text of each community network built
+
+
+def _or_error(
+    compute: Callable[..., dict], *args: Any, partial: Mapping[str, Any] | None = None
+) -> dict:
+    """``compute(*args)``, or ``partial`` plus the message when it raises ``ValueError``."""
+    try:
+        return compute(*args)
+    except ValueError as exc:
+        return {**(partial or {}), "error": str(exc)}
+
+
+def _network_section(v: _Village) -> dict[str, Any]:
+    return {
+        "full": asdict(network_stats(v.dataset.graph, v.lcc)),
+        "lcc": asdict(network_stats(v.lcc, v.lcc)),
+    }
+
+
+def _ttests_section(v: _Village) -> dict[str, Any]:
+    def entry(attr: str) -> dict[str, Any]:
+        t, p = degree_missingness_ttest(v.lcc, v.table, attr)
+        return {"t": t, "p_value": p}
+
+    return {attr: _or_error(entry, attr) for attr in v.cfg.attributes}
+
+
+def _dyadic_section(v: _Village) -> dict[str, Any]:
+    # Keys set before a failure stay in the error entry.
+    dyadic: dict[str, Any] = {"model": "joint" if v.cfg.joint_model else "single"}
+
+    def fit() -> dict[str, Any]:
+        spec = _feature_spec(v.cfg)
+        dyadic["n_complete_case_nodes"] = int(complete_case_mask(v.table, spec.names).sum())
+        design = build_dyad_design(v.lcc, v.table, spec)
+        dropped = dyadic["dropped"] = _dropped_features(design, spec)
+        kept = [attr for attr in spec.names if attr not in dropped]
+        if not kept:
+            raise ValueError("every dyad feature is constant")
+        if v.cfg.joint_model:
+            if dropped:
+                # Nodes missing only a dropped attribute rejoin the fit.
+                design = build_dyad_design(v.lcc, v.table, spec.restrict(kept))
+            return {**dyadic, **_fit_to_dict(fit_logistic(design), v.cfg.attributes)}
+        per_attribute: dict[str, Any] = {}
+        for attr in kept:
+            design = build_dyad_design(v.lcc, v.table, spec.restrict([attr]))
+            entry = _fit_to_dict(fit_logistic(design), [attr])
+            per_attribute[attr] = {
+                **entry["per_attribute"][attr],
+                "converged": entry["converged"],
+                "intercept": entry["intercept"],
+            }
+        return {
+            **dyadic,
+            "n_dyads": entry["n_dyads"],
+            "n_ties": entry["n_ties"],
+            "converged": all(e["converged"] for e in per_attribute.values()),
+            "per_attribute": per_attribute,
+        }
+
+    return _or_error(fit, partial=dyadic)
+
+
+def _permutation_section(v: _Village) -> dict[str, Any]:
+    seed = _derived_seed(v.cfg.permutation_seed, v.dataset.village_id, 1)
+
+    def entry(tolerance: float) -> dict[str, Any]:
+        result = sex_permutation_test(
+            v.lcc,
+            v.table,
+            tolerance=tolerance,
+            target_replicates=v.cfg.permutation_replicates,
+            seed=seed,
+        )
+        return _permutation_to_dict(result)
+
+    return {
+        repr(float(t)): _or_error(entry, t, partial={"tolerance": t})
+        for t in v.cfg.permutation_tolerances
+    }
+
+
+def _partition_section(v: _Village) -> dict[str, Any]:
+    return {
+        "n_communities": v.partition.n_communities,
+        "sizes": v.partition.sizes.tolist(),
+        "modularity": modularity_of_partition(v.lcc, v.partition),
+        "m_within": v.partition.m_within,
+        "m_between": v.partition.m_between,
+    }
+
+
+def _nmi_section(v: _Village) -> dict[str, Any]:
+    def entry(attr: str) -> dict[str, Any]:
+        return asdict(nmi(v.labels[attr], v.partition.assignment))
+
+    return {attr: _or_error(entry, attr) for attr in v.cfg.attributes}
+
+
+def _segregation_section(v: _Village) -> dict[str, Any]:
+    def entry(attr: str) -> dict[str, Any]:
+        report = asdict(segregation_report(v.lcc, v.labels[attr], v.partition, attr))
+        del report["attribute"]
+        return report
+
+    return {attr: _or_error(entry, attr) for attr in v.cfg.attributes}
+
+
+def _community_networks_section(v: _Village) -> dict[str, Any]:
+    def entry(attr: str) -> dict[str, Any]:
+        net = build_community_network(
+            v.lcc,
+            v.partition,
+            v.labels[attr],
+            node_min_fraction=v.cfg.community_node_min,
+            edge_min_fraction=v.cfg.community_edge_min,
+            category_names=CATEGORICAL_ATTRIBUTES.get(attr),
+        )
+        v.dot[attr] = community_network_to_dot(net, f"v_{v.dataset.village_id}")
+        return community_network_to_json_dict(net)
+
+    return {attr: _or_error(entry, attr) for attr in v.cfg.community_network_attributes}
+
+
+# Bundle sections in the order they are computed.  Each maps the village to
+# its entry; an analysis that cannot run records an "error" entry instead.
+_SECTIONS: tuple[tuple[str, Callable[[_Village], dict[str, Any]]], ...] = (
+    ("network", _network_section),
+    ("degree_missingness_ttests", _ttests_section),
+    ("dyadic", _dyadic_section),
+    ("sex_permutation", _permutation_section),
+    ("partition", _partition_section),
+    ("nmi", _nmi_section),
+    ("segregation", _segregation_section),
+    ("community_networks", _community_networks_section),
+)
+
+
+def analyze_village(dataset: VillageDataset, cfg: RunConfig) -> dict[str, Any]:
+    """Full single-village analysis; returns the JSON-ready bundle.
+
+    Keys starting with ``_`` carry what the artifact writer needs besides the
+    bundle: the partition, the LCC's node ids and the community networks' DOT
+    text.
+    """
+    lcc, mapping = largest_connected_component(dataset.graph)
+    table = dataset.attributes.take(np.asarray(sorted(mapping, key=mapping.get), dtype=np.int64))
+    spec = _feature_spec(cfg)
+    village = _Village(
+        dataset=dataset,
+        cfg=cfg,
+        lcc=lcc,
+        table=table,
+        labels={attr: table.labels(attr, spec.encodings[attr].bins) for attr in cfg.attributes},
+        partition=louvain(lcc, _derived_seed(cfg.louvain_seed, dataset.village_id, 0)),
+    )
+    return {
         "schema_version": SCHEMA_VERSION,
         "config_sha256": config_sha256(cfg),
         "config": _substantive_config_dict(cfg),
         "village_id": dataset.village_id,
         "relation_layers": dict(dataset.relation_layers),
         "n_unmatched_attribute_rows": len(dataset.unmatched_attribute_ids),
-        "network": {
-            "full": asdict(network_stats(graph, lcc)),
-            "lcc": asdict(network_stats(lcc, lcc)),
-        },
+        **{name: section(village) for name, section in _SECTIONS},
+        "_partition_assignment": village.partition.assignment.tolist(),
+        "_lcc_node_ids": list(table.node_ids),
+        "_community_network_dot": village.dot,
     }
-
-    ttests = {}
-    for attr in cfg.attributes:
-        try:
-            t, p = degree_missingness_ttest(lcc, table, attr)
-            ttests[attr] = {"t": t, "p_value": p}
-        except ValueError as exc:
-            ttests[attr] = {"error": str(exc)}
-    bundle["degree_missingness_ttests"] = ttests
-
-    spec = _feature_spec(cfg)
-    dyadic: dict[str, Any] = {"model": "joint" if cfg.joint_model else "single"}
-    try:
-        dyadic["n_complete_case_nodes"] = int(complete_case_mask(table, spec.names).sum())
-        design = build_dyad_design(lcc, table, spec)
-        dropped = _dropped_features(design, spec)
-        dyadic["dropped"] = dropped
-        kept = [attr for attr in spec.names if attr not in dropped]
-        if not kept:
-            raise ValueError("every dyad feature is constant")
-        if cfg.joint_model:
-            if dropped:
-                # Nodes missing only a dropped attribute rejoin the fit.
-                design = build_dyad_design(lcc, table, spec.restrict(kept))
-            fit = fit_logistic(design)
-            dyadic.update(_fit_to_dict(fit, cfg.attributes))
-        else:
-            per_attribute: dict[str, Any] = {}
-            meta: dict[str, Any] = {}
-            for attr in kept:
-                design = build_dyad_design(lcc, table, spec.restrict([attr]))
-                fit = fit_logistic(design)
-                entry = _fit_to_dict(fit, [attr])
-                per_attribute[attr] = {
-                    **entry["per_attribute"][attr],
-                    "converged": fit.converged,
-                    "intercept": entry["intercept"],
-                }
-                meta = {"n_dyads": fit.n_dyads, "n_ties": fit.n_ties}
-            dyadic.update(meta)
-            dyadic["converged"] = all(v["converged"] for v in per_attribute.values())
-            dyadic["per_attribute"] = per_attribute
-    except ValueError as exc:
-        dyadic["error"] = str(exc)
-    bundle["dyadic"] = dyadic
-
-    permutation_seed = _derived_seed(cfg.permutation_seed, dataset.village_id, 1)
-    permutations: dict[str, Any] = {}
-    for tolerance in cfg.permutation_tolerances:
-        key = repr(float(tolerance))
-        try:
-            result = sex_permutation_test(
-                lcc,
-                table,
-                tolerance=tolerance,
-                target_replicates=cfg.permutation_replicates,
-                seed=permutation_seed,
-            )
-            permutations[key] = _permutation_to_dict(result)
-        except ValueError as exc:
-            permutations[key] = {"error": str(exc), "tolerance": tolerance}
-    bundle["sex_permutation"] = permutations
-
-    partition = louvain(lcc, _derived_seed(cfg.louvain_seed, dataset.village_id, 0))
-    bundle["partition"] = {
-        "n_communities": partition.n_communities,
-        "sizes": partition.sizes.tolist(),
-        "modularity": modularity_of_partition(lcc, partition),
-        "m_within": partition.m_within,
-        "m_between": partition.m_between,
-    }
-    bundle["_partition_assignment"] = partition.assignment.tolist()
-    bundle["_lcc_node_ids"] = list(table.node_ids)
-
-    nmi_section = {}
-    segregation_section = {}
-    for attr in cfg.attributes:
-        labels = _attribute_labels(table, attr, cfg)
-        try:
-            r = nmi(labels, partition.assignment)
-            nmi_section[attr] = {
-                "value": r.value,
-                "mutual_information": r.mutual_information,
-                "entropy_attr": r.entropy_attr,
-                "entropy_comm": r.entropy_comm,
-                "n_used": r.n_used,
-                "degenerate": r.degenerate,
-            }
-        except ValueError as exc:
-            nmi_section[attr] = {"error": str(exc)}
-        try:
-            report = segregation_report(lcc, labels, partition, attr)
-            segregation_section[attr] = {
-                "q_attr": report.q_attr,
-                "q_within": report.q_within,
-                "q_between": report.q_between,
-                "q_within_max": report.q_within_max,
-                "q_between_max": report.q_between_max,
-                "q_within_norm": report.q_within_norm,
-                "q_between_norm": report.q_between_norm,
-                "n_used": report.n_used,
-            }
-        except ValueError as exc:
-            segregation_section[attr] = {"error": str(exc)}
-    bundle["nmi"] = nmi_section
-    bundle["segregation"] = segregation_section
-
-    networks = {}
-    for attr in cfg.community_network_attributes:
-        labels = _attribute_labels(table, attr, cfg)
-        try:
-            net = build_community_network(
-                lcc,
-                partition,
-                labels,
-                node_min_fraction=cfg.community_node_min,
-                edge_min_fraction=cfg.community_edge_min,
-                category_names=CATEGORICAL_ATTRIBUTES.get(attr),
-            )
-            networks[attr] = community_network_to_json_dict(net)
-        except ValueError as exc:
-            networks[attr] = {"error": str(exc)}
-    bundle["community_networks"] = networks
-    return bundle
 
 
 def _json_safe(obj: Any) -> Any:
@@ -532,6 +582,7 @@ def _write_village_artifacts(bundle: dict[str, Any], cfg: RunConfig, config_hash
     village_id = bundle["village_id"]
     assignment = bundle.pop("_partition_assignment")
     node_ids = bundle.pop("_lcc_node_ids")
+    dots = bundle.pop("_community_network_dot")
     bundle_path = out / "bundles" / f"{village_id}.json"
     _write_json(bundle_path, bundle)
 
@@ -542,41 +593,25 @@ def _write_village_artifacts(bundle: dict[str, Any], cfg: RunConfig, config_hash
     _write_csv(partition_path, ("node_id", "community"), rows, config_hash)
     written = [bundle_path, partition_path]
 
-    for attr, net in bundle["community_networks"].items():
-        if "error" in net:
-            continue
+    for attr, dot in dots.items():
         dot_path = out / "community_networks" / f"{village_id}__{attr}.dot"
         json_path = out / "community_networks" / f"{village_id}__{attr}.json"
-        dot_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_json(json_path, net)
-        # Rebuild the DOT text from the JSON view to keep one source of truth.
-        lines = [f"// {_meta_line(config_hash)[2:]}", f"graph v_{_safe_dot(village_id)} {{", "  node [shape=circle];"]
-        for node in net["nodes"]:
-            comp = " ".join(f"{k} {v:.0%}" for k, v in sorted(node["composition"].items()))
-            parts = [f"c{node['community']}", f"n={node['size']}"]
-            if comp:
-                parts.append(comp)
-            if node["missing_fraction"]:
-                parts.append(f"missing {node['missing_fraction']:.0%}")
-            label = "\\n".join(parts)
-            lines.append(f"  c{node['community']} [label=\"{label}\"];")
-        for tie in net["ties"]:
-            lines.append(
-                f"  c{tie['community_a']} -- c{tie['community_b']} [label=\"{tie['tie_count']}\"];"
-            )
-        lines.append("}")
-        dot_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_json(json_path, bundle["community_networks"][attr])
+        dot_path.write_text(f"// {_meta_line(config_hash)[2:]}\n{dot}", encoding="utf-8")
         written += [json_path, dot_path]
     return written
 
 
-def _safe_dot(text: str) -> str:
-    return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in text)
+# village id, bundle, error message, files written
+_Outcome = tuple[str, dict[str, Any] | None, str | None, list[Path]]
 
 
-def _process_village(
-    args: tuple[str, RunConfig],
-) -> tuple[str, dict[str, Any] | None, str | None, list[Path]]:
+def _failed(village_id: str, exc: Exception) -> _Outcome:
+    """A hard per-village failure; its message lands in the errors manifest."""
+    return village_id, None, f"{type(exc).__name__}: {exc}", []
+
+
+def _process_village(args: tuple[str, RunConfig]) -> _Outcome:
     village_dir, cfg = args
     path = Path(village_dir)
     try:
@@ -584,8 +619,8 @@ def _process_village(
         bundle = analyze_village(dataset, cfg)
         written = _write_village_artifacts(bundle, cfg, bundle["config_sha256"])
         return path.name, bundle, None, written
-    except Exception as exc:  # hard per-village failure lands in the errors manifest
-        return path.name, None, f"{type(exc).__name__}: {exc}", []
+    except Exception as exc:
+        return _failed(path.name, exc)
 
 
 _VILLAGE_ARTIFACT_GLOBS = (
@@ -618,6 +653,14 @@ def _resolve_workers(cfg: RunConfig) -> int:
     return requested
 
 
+def _pooled_outcome(village_id: str, future: Future) -> _Outcome:
+    """A pooled village's outcome; a worker that dies (say, killed for memory) fails its village."""
+    try:
+        return future.result()
+    except Exception as exc:
+        return _failed(village_id, exc)
+
+
 @dataclass(frozen=True)
 class RunResult:
     exit_code: int
@@ -644,7 +687,8 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         outcomes = [_process_village(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_process_village, tasks))
+            futures = [(Path(t[0]).name, pool.submit(_process_village, t)) for t in tasks]
+            outcomes = [_pooled_outcome(village_id, future) for village_id, future in futures]
 
     bundles = []
     failures: dict[str, str] = {}
@@ -675,318 +719,260 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     return RunResult(exit_code, str(out), len(villages), len(failures), failures)
 
 
+@dataclass(frozen=True)
+class _Table:
+    """One CSV: its name, its columns and the function that yields its rows."""
+
+    name: str
+    columns: tuple[str, ...]
+    rows: Callable[..., Iterable]
+
+
+_Bundles = Sequence[Mapping[str, Any]]
+_NETWORK_FIELDS = tuple(f.name for f in fields(NetworkStats))
+
+
+def _network_rows(bundle: Mapping[str, Any]) -> Iterable[dict]:
+    for scope in ("full", "lcc"):
+        yield {"scope": scope, **bundle["network"][scope]}
+
+
+def _dyadic_rows(bundle: Mapping[str, Any]) -> Iterable[dict]:
+    for attr, entry in bundle["dyadic"].get("per_attribute", {}).items():
+        yield {"attribute": attr, **entry}
+
+
+# permutation_results.csv column -> bundle key of the per-tie-type values
+_PERMUTATION_COLUMNS = {
+    "observed": "observed",
+    "expected": "expected",
+    "ratio": "ratio",
+    "p_value": "p_values",
+    "verdict": "verdicts",
+}
+
+
+def _permutation_rows(bundle: Mapping[str, Any]) -> Iterable[dict]:
+    for entry in bundle["sex_permutation"].values():
+        if "error" in entry:
+            continue
+        for tie in _TIE_TYPES:
+            yield {
+                "tolerance": entry["tolerance"],
+                "tie_type": tie,
+                **{column: entry[key][tie] for column, key in _PERMUTATION_COLUMNS.items()},
+            }
+
+
+def _nmi_rows(bundle: Mapping[str, Any]) -> Iterable[dict]:
+    yield {attr: entry.get("value") for attr, entry in bundle["nmi"].items()}
+
+
+def _segregation_rows(bundle: Mapping[str, Any]) -> Iterable[dict]:
+    for attr, entry in bundle["segregation"].items():
+        if "error" not in entry:
+            yield {"attribute": attr, **entry}
+
+
+def _corpus_tables(attributes: tuple[str, ...]) -> tuple[_Table, ...]:
+    """The per-village CSVs; rows come from one bundle and gain its ``village`` column."""
+    return (
+        _Table("network_stats", ("village", "scope", *_NETWORK_FIELDS), _network_rows),
+        _Table(
+            "dyadic_results",
+            ("village", "attribute", "odds_ratio", "ci_low", "ci_high", "p_value"),
+            _dyadic_rows,
+        ),
+        _Table(
+            "permutation_results",
+            ("village", "tolerance", "tie_type", *_PERMUTATION_COLUMNS),
+            _permutation_rows,
+        ),
+        _Table("nmi_matrix", ("village", *attributes), _nmi_rows),
+        _Table(
+            "segregation_results",
+            ("village", "attribute", "q_attr", "q_within", "q_between", "q_within_norm",
+             "q_between_norm", "n_used"),
+            _segregation_rows,
+        ),
+    )
+
+
 def _write_corpus_tables(bundles: Sequence[dict], out: Path, config_hash: str) -> None:
-    stats_rows = []
-    dyadic_rows = []
-    permutation_rows = []
-    nmi_rows = []
-    segregation_rows = []
-    attributes: tuple[str, ...] = ()
-    for bundle in bundles:
-        vid = bundle["village_id"]
-        attributes = tuple(bundle["config"]["attributes"])
-        for scope in ("full", "lcc"):
-            row = {"village": vid, "scope": scope}
-            row.update(bundle["network"][scope])
-            stats_rows.append(row)
-        per_attr = bundle["dyadic"].get("per_attribute", {})
-        for attr, entry in per_attr.items():
-            dyadic_rows.append(
-                {
-                    "village": vid,
-                    "attribute": attr,
-                    "odds_ratio": entry["odds_ratio"],
-                    "ci_low": entry["ci_low"],
-                    "ci_high": entry["ci_high"],
-                    "p_value": entry["p_value"],
-                }
-            )
-        for key, entry in bundle["sex_permutation"].items():
-            if "error" in entry:
-                continue
-            for tie in _TIE_TYPES:
-                permutation_rows.append(
-                    {
-                        "village": vid,
-                        "tolerance": entry["tolerance"],
-                        "tie_type": tie,
-                        "observed": entry["observed"][tie],
-                        "expected": entry["expected"][tie],
-                        "ratio": entry["ratio"][tie],
-                        "p_value": entry["p_values"][tie],
-                        "verdict": entry["verdicts"][tie],
-                    }
-                )
-        nmi_row = {"village": vid}
-        for attr in attributes:
-            entry = bundle["nmi"].get(attr, {})
-            nmi_row[attr] = entry.get("value")
-        nmi_rows.append(nmi_row)
-        for attr in attributes:
-            entry = bundle["segregation"].get(attr, {})
-            if "error" in entry or not entry:
-                continue
-            segregation_rows.append(
-                {
-                    "village": vid,
-                    "attribute": attr,
-                    "q_attr": entry["q_attr"],
-                    "q_within": entry["q_within"],
-                    "q_between": entry["q_between"],
-                    "q_within_norm": entry["q_within_norm"],
-                    "q_between_norm": entry["q_between_norm"],
-                    "n_used": entry["n_used"],
-                }
-            )
-
-    stat_fields = (
-        "village",
-        "scope",
-        "n_nodes",
-        "n_edges",
-        "density",
-        "mean_degree",
-        "mean_clustering",
-        "n_components",
-        "lcc_node_fraction",
-        "lcc_edge_fraction",
-    )
-    _write_csv(out / "network_stats.csv", stat_fields, stats_rows, config_hash)
-    _write_csv(
-        out / "dyadic_results.csv",
-        ("village", "attribute", "odds_ratio", "ci_low", "ci_high", "p_value"),
-        dyadic_rows,
-        config_hash,
-    )
-    _write_csv(
-        out / "permutation_results.csv",
-        ("village", "tolerance", "tie_type", "observed", "expected", "ratio", "p_value", "verdict"),
-        permutation_rows,
-        config_hash,
-    )
-    _write_csv(out / "nmi_matrix.csv", ("village",) + attributes, nmi_rows, config_hash)
-    _write_csv(
-        out / "segregation_results.csv",
-        ("village", "attribute", "q_attr", "q_within", "q_between", "q_within_norm", "q_between_norm", "n_used"),
-        segregation_rows,
-        config_hash,
-    )
+    attributes = tuple(bundles[-1]["config"]["attributes"]) if bundles else ()
+    for table in _corpus_tables(attributes):
+        rows = [{"village": b["village_id"], **row} for b in bundles for row in table.rows(b)]
+        _write_csv(out / f"{table.name}.csv", table.columns, rows, config_hash)
 
 
-def _spread(values: Sequence[float]) -> dict[str, float | None]:
+def _spread(values: Sequence[float]) -> tuple[float | None, float | None, float | None]:
     if not values:
-        return {"min": None, "median": None, "max": None}
+        return None, None, None
     arr = np.asarray(values, dtype=float)
-    return {
-        "min": float(arr.min()),
-        "median": float(np.median(arr)),
-        "max": float(arr.max()),
-    }
+    return float(arr.min()), float(np.median(arr)), float(arr.max())
+
+
+def _mean(values: Sequence[float]) -> float | None:
+    return float(np.mean(values)) if values else None
+
+
+def _sd(values: Sequence[float]) -> float | None:
+    return float(np.std(values, ddof=1)) if len(values) > 1 else None
+
+
+def _pct(flags: Sequence[bool]) -> float | None:
+    return 100.0 * float(np.mean(flags)) if flags else None
+
+
+def _entries(bundles: Sequence[Mapping[str, Any]], section: str, key: str) -> list[dict]:
+    """The ``key`` entries of ``section`` over all bundles, skipping absent and failed ones."""
+    entries = (b[section].get(key) for b in bundles)
+    return [e for e in entries if e and "error" not in e]
+
+
+def _summary_network(bundles: _Bundles, config: Mapping[str, Any]) -> Iterable[tuple]:
+    for scope in ("full", "lcc"):
+        # n_components and the LCC fractions are trivially 1 within the LCC.
+        for metric in _NETWORK_FIELDS if scope == "full" else _NETWORK_FIELDS[:5]:
+            values = [b["network"][scope][metric] for b in bundles]
+            yield scope, metric, len(values), *_spread(values)
+
+
+def _summary_dyadic(bundles: _Bundles, config: Mapping[str, Any]) -> Iterable[tuple]:
+    for attr in config["attributes"]:
+        fits = []
+        for b in bundles:
+            entry = b["dyadic"].get("per_attribute", {}).get(attr)
+            if entry is not None and entry.get("converged", b["dyadic"].get("converged", False)):
+                fits.append(entry)
+        nmi_values = [e["value"] for e in _entries(bundles, "nmi", attr)]
+        yield (
+            attr,
+            len(fits),
+            _pct([e["p_value"] < 0.05 for e in fits]),
+            _pct([e["p_value"] < 0.05 and e["odds_ratio"] > 1.0 for e in fits]),
+            *_spread([e["odds_ratio"] for e in fits]),
+            _mean(nmi_values),
+            _sd(nmi_values),
+        )
+
+
+def _summary_permutation(bundles: _Bundles, config: Mapping[str, Any]) -> Iterable[tuple]:
+    for tolerance in (float(t) for t in config["permutation_tolerances"]):
+        entries = _entries(bundles, "sex_permutation", repr(tolerance))
+        for tie in _TIE_TYPES:
+            verdicts = [e["verdicts"][tie] for e in entries]
+            n = len(verdicts)
+            yield (
+                tolerance,
+                tie,
+                n,
+                100.0 * verdicts.count("assortative") / n if n else None,
+                100.0 * verdicts.count("dissortative") / n if n else None,
+            )
+
+
+def _summary_segregation(bundles: _Bundles, config: Mapping[str, Any]) -> Iterable[tuple]:
+    for attr in config["attributes"]:
+        entries = _entries(bundles, "segregation", attr)
+        within = [e["q_within_norm"] for e in entries]
+        between = [e["q_between_norm"] for e in entries]
+        yield (
+            attr,
+            len(entries),
+            _mean([e["q_attr"] for e in entries]),
+            _mean(within),
+            _sd(within),
+            _pct([q > float(config["within_cutoff"]) for q in within]),
+            _mean(between),
+            _sd(between),
+            _pct([q > 0.0 for q in between]),
+            _pct([q > float(config["between_cutoff"]) for q in between]),
+        )
+
+
+def _summary_community_networks(bundles: _Bundles, config: Mapping[str, Any]) -> Iterable[tuple]:
+    for attr in config["community_network_attributes"]:
+        entries = _entries(bundles, "community_networks", attr)
+        yield (
+            attr,
+            len(entries),
+            _mean([e["node_fraction_retained"] for e in entries]),
+            _mean([e["tie_fraction_retained"] for e in entries]),
+        )
+
+
+# The summary tables in the order they are written and printed, each to
+# ``summary_<name>.csv``.  Their rows are computed over all bundles and yielded
+# as tuples in column order.
+_SUMMARY_TABLES = (
+    _Table("network", ("scope", "metric", "n_villages", "min", "median", "max"), _summary_network),
+    _Table(
+        "dyadic",
+        ("attribute", "n_fits", "pct_significant", "pct_assortative", "or_min", "or_median",
+         "or_max", "nmi_mean", "nmi_sd"),
+        _summary_dyadic,
+    ),
+    _Table(
+        "permutation",
+        ("tolerance", "tie_type", "n_villages", "pct_assortative", "pct_dissortative"),
+        _summary_permutation,
+    ),
+    _Table(
+        "segregation",
+        ("attribute", "n_villages", "q_attr_mean", "q_within_norm_mean", "q_within_norm_sd",
+         "pct_within_above_cutoff", "q_between_norm_mean", "q_between_norm_sd",
+         "pct_between_positive", "pct_between_above_cutoff"),
+        _summary_segregation,
+    ),
+    _Table(
+        "community_networks",
+        ("attribute", "n_villages", "node_fraction_mean", "tie_fraction_mean"),
+        _summary_community_networks,
+    ),
+)
 
 
 def summarize_corpus(bundles: Sequence[Mapping[str, Any]]) -> dict[str, list[dict]]:
     """Corpus-level tables (same content ``segnet summarize`` recomputes from disk)."""
     if not bundles:
         raise ValueError("no bundles to summarize")
-    config = bundles[0]["config"]
-    hashes = {b["config_sha256"] for b in bundles}
-    if len(hashes) > 1:
+    if len({b["config_sha256"] for b in bundles}) > 1:
         raise ValueError("bundles were produced by different configurations")
-    attributes = tuple(config["attributes"])
-    within_cutoff = float(config["within_cutoff"])
-    between_cutoff = float(config["between_cutoff"])
-
-    network_rows = []
-    metrics = (
-        "n_nodes",
-        "n_edges",
-        "density",
-        "mean_degree",
-        "mean_clustering",
-        "n_components",
-        "lcc_node_fraction",
-        "lcc_edge_fraction",
-    )
-    for scope in ("full", "lcc"):
-        scope_metrics = metrics if scope == "full" else metrics[:5]
-        for metric in scope_metrics:
-            values = [b["network"][scope][metric] for b in bundles]
-            network_rows.append(
-                {"scope": scope, "metric": metric, "n_villages": len(values), **_spread(values)}
-            )
-
-    dyadic_rows = []
-    for attr in attributes:
-        odds = []
-        significant = []
-        assortative = []
-        for b in bundles:
-            entry = b["dyadic"].get("per_attribute", {}).get(attr)
-            if entry is None:
-                continue
-            converged = entry.get("converged", b["dyadic"].get("converged", False))
-            if not converged:
-                continue
-            odds.append(entry["odds_ratio"])
-            significant.append(entry["p_value"] < 0.05)
-            assortative.append(entry["p_value"] < 0.05 and entry["odds_ratio"] > 1.0)
-        nmi_values = [
-            b["nmi"][attr]["value"]
-            for b in bundles
-            if attr in b["nmi"] and "error" not in b["nmi"][attr]
-        ]
-        row = {
-            "attribute": attr,
-            "n_fits": len(odds),
-            "pct_significant": 100.0 * float(np.mean(significant)) if significant else None,
-            "pct_assortative": 100.0 * float(np.mean(assortative)) if assortative else None,
-        }
-        spread = _spread(odds)
-        row.update(
-            {
-                "or_min": spread["min"],
-                "or_median": spread["median"],
-                "or_max": spread["max"],
-            }
-        )
-        row["nmi_mean"] = float(np.mean(nmi_values)) if nmi_values else None
-        row["nmi_sd"] = (
-            float(np.std(nmi_values, ddof=1)) if len(nmi_values) > 1 else None
-        )
-        dyadic_rows.append(row)
-
-    permutation_rows = []
-    tolerances = [float(t) for t in config["permutation_tolerances"]]
-    for tolerance in tolerances:
-        key = repr(float(tolerance))
-        for tie in _TIE_TYPES:
-            verdicts = []
-            for b in bundles:
-                entry = b["sex_permutation"].get(key)
-                if not entry or "error" in entry:
-                    continue
-                verdicts.append(entry["verdicts"][tie])
-            n = len(verdicts)
-            permutation_rows.append(
-                {
-                    "tolerance": tolerance,
-                    "tie_type": tie,
-                    "n_villages": n,
-                    "pct_assortative": 100.0 * sum(v == "assortative" for v in verdicts) / n
-                    if n
-                    else None,
-                    "pct_dissortative": 100.0 * sum(v == "dissortative" for v in verdicts) / n
-                    if n
-                    else None,
-                }
-            )
-
-    segregation_rows = []
-    for attr in attributes:
-        q_within_norm = []
-        q_between_norm = []
-        q_attr_values = []
-        for b in bundles:
-            entry = b["segregation"].get(attr)
-            if not entry or "error" in entry:
-                continue
-            q_attr_values.append(entry["q_attr"])
-            q_within_norm.append(entry["q_within_norm"])
-            q_between_norm.append(entry["q_between_norm"])
-        n = len(q_within_norm)
-        segregation_rows.append(
-            {
-                "attribute": attr,
-                "n_villages": n,
-                "q_attr_mean": float(np.mean(q_attr_values)) if n else None,
-                "q_within_norm_mean": float(np.mean(q_within_norm)) if n else None,
-                "q_within_norm_sd": float(np.std(q_within_norm, ddof=1)) if n > 1 else None,
-                "pct_within_above_cutoff": 100.0
-                * float(np.mean([v > within_cutoff for v in q_within_norm]))
-                if n
-                else None,
-                "q_between_norm_mean": float(np.mean(q_between_norm)) if n else None,
-                "q_between_norm_sd": float(np.std(q_between_norm, ddof=1)) if n > 1 else None,
-                "pct_between_positive": 100.0
-                * float(np.mean([v > 0.0 for v in q_between_norm]))
-                if n
-                else None,
-                "pct_between_above_cutoff": 100.0
-                * float(np.mean([v > between_cutoff for v in q_between_norm]))
-                if n
-                else None,
-            }
-        )
-
-    community_rows = []
-    for attr in tuple(config["community_network_attributes"]):
-        node_fracs = []
-        tie_fracs = []
-        for b in bundles:
-            entry = b["community_networks"].get(attr)
-            if not entry or "error" in entry:
-                continue
-            node_fracs.append(entry["node_fraction_retained"])
-            tie_fracs.append(entry["tie_fraction_retained"])
-        community_rows.append(
-            {
-                "attribute": attr,
-                "n_villages": len(node_fracs),
-                "node_fraction_mean": float(np.mean(node_fracs)) if node_fracs else None,
-                "tie_fraction_mean": float(np.mean(tie_fracs)) if tie_fracs else None,
-            }
-        )
-
+    config = bundles[0]["config"]
     return {
-        "network": network_rows,
-        "dyadic": dyadic_rows,
-        "permutation": permutation_rows,
-        "segregation": segregation_rows,
-        "community_networks": community_rows,
+        table.name: [dict(zip(table.columns, row)) for row in table.rows(bundles, config)]
+        for table in _SUMMARY_TABLES
     }
 
 
-_SUMMARY_FIELDS = {
-    "network": ("scope", "metric", "n_villages", "min", "median", "max"),
-    "dyadic": (
-        "attribute",
-        "n_fits",
-        "pct_significant",
-        "pct_assortative",
-        "or_min",
-        "or_median",
-        "or_max",
-        "nmi_mean",
-        "nmi_sd",
-    ),
-    "permutation": ("tolerance", "tie_type", "n_villages", "pct_assortative", "pct_dissortative"),
-    "segregation": (
-        "attribute",
-        "n_villages",
-        "q_attr_mean",
-        "q_within_norm_mean",
-        "q_within_norm_sd",
-        "pct_within_above_cutoff",
-        "q_between_norm_mean",
-        "q_between_norm_sd",
-        "pct_between_positive",
-        "pct_between_above_cutoff",
-    ),
-    "community_networks": ("attribute", "n_villages", "node_fraction_mean", "tie_fraction_mean"),
-}
-
-
 def write_summaries(tables: Mapping[str, list[dict]], out: Path, config_hash: str) -> None:
-    for name, rows in tables.items():
-        _write_csv(out / f"summary_{name}.csv", _SUMMARY_FIELDS[name], rows, config_hash)
+    for table in _SUMMARY_TABLES:
+        if table.name in tables:
+            path = out / f"summary_{table.name}.csv"
+            _write_csv(path, table.columns, tables[table.name], config_hash)
 
 
 def summarize_output_directory(directory: str | Path) -> dict[str, list[dict]]:
-    """Recompute summary tables from the bundles in an output directory."""
+    """Recompute summary tables from the bundles of the run recorded in an output directory.
+
+    Refuses when the bundles on disk are not exactly the villages that
+    ``run_manifest.json`` lists as analyzed.
+    """
     out = Path(directory)
     bundle_files = sorted((out / "bundles").glob("*.json"))
     if not bundle_files:
         raise ValueError(f"no bundles found under {out / 'bundles'}")
+    manifest_path = out / "run_manifest.json"
+    if not manifest_path.is_file():
+        raise ValueError(f"no run manifest at {manifest_path}")
+    listed = set(json.loads(manifest_path.read_text(encoding="utf-8"))["villages_analyzed"])
+    found = {p.stem for p in bundle_files}
+    if found != listed:
+        raise ValueError(
+            f"bundles under {out / 'bundles'} do not match {manifest_path.name}: "
+            f"not in the manifest {sorted(found - listed)}, missing {sorted(listed - found)}"
+        )
     bundles = [json.loads(p.read_text(encoding="utf-8")) for p in bundle_files]
     tables = summarize_corpus(bundles)
     write_summaries(tables, out, bundles[0]["config_sha256"])

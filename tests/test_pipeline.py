@@ -1,5 +1,10 @@
+import functools
 import json
 import math
+import multiprocessing
+import os
+import shutil
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +28,15 @@ from segnet import (
     summarize_corpus,
     summarize_output_directory,
 )
+from segnet import pipeline
+from segnet.cli import main
 from segnet.pipeline import WORKERS_ENV_VAR, _dropped_features, _json_safe
+from segnet.segregation import (
+    CommunityNetwork,
+    CommunityNode,
+    CommunityTie,
+    community_network_to_dot,
+)
 
 from .conftest import make_table
 from .oracles import constant_feature_screen
@@ -379,6 +392,38 @@ class TestRunPipeline:
         tables = summarize_output_directory(out)
         assert {row["n_villages"] for row in tables["network"]} == {2}
 
+    def test_killed_worker_is_recorded_as_a_village_failure(self, tmp_path, monkeypatch):
+        corpus = make_corpus(tmp_path)
+        out = tmp_path / "out"
+        analyze = pipeline.analyze_village
+
+        def exit_on_v02(dataset, cfg):
+            if dataset.village_id == "v02":
+                os._exit(3)
+            return analyze(dataset, cfg)
+
+        # Forked workers inherit the patched module on every platform.
+        monkeypatch.setattr(pipeline, "analyze_village", exit_on_v02)
+        monkeypatch.setattr(
+            pipeline,
+            "ProcessPoolExecutor",
+            functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")),
+        )
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+        result = run_pipeline(small_config(corpus, out, workers=2))
+        assert result.exit_code == 1
+        errors = json.loads((out / "errors.json").read_text())
+        assert errors["v02"].startswith("BrokenProcessPool: ")
+        assert errors == dict(result.failures)
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["villages_failed"] == sorted(errors)
+        # With two workers, v02 starts only after a worker has sent back an
+        # earlier village, so at least one village completes.
+        assert manifest["villages_analyzed"]
+        assert manifest["villages_analyzed"] == [v for v in ("v00", "v01") if v not in errors]
+        for vid in ("v00", "v01", "v02"):
+            assert (out / "bundles" / f"{vid}.json").is_file() == (vid not in errors)
+
     def test_empty_corpus_exits_nonzero(self, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -473,12 +518,83 @@ class TestSummaries:
         with pytest.raises(ValueError, match="different configurations"):
             summarize_corpus(bundles)
 
+    def test_refuses_bundles_missing_from_the_manifest(self, finished_run, tmp_path):
+        out, _ = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        shutil.copy(copy / "bundles" / "v00.json", copy / "bundles" / "v99.json")
+        with pytest.raises(ValueError, match=r"not in the manifest \['v99'\], missing \[\]"):
+            summarize_output_directory(copy)
+        (copy / "bundles" / "v99.json").unlink()
+        (copy / "bundles" / "v01.json").unlink()
+        with pytest.raises(ValueError, match=r"not in the manifest \[\], missing \['v01'\]"):
+            summarize_output_directory(copy)
+        (copy / "run_manifest.json").unlink()
+        with pytest.raises(ValueError, match="no run manifest at"):
+            summarize_output_directory(copy)
+
     def test_empty_inputs_are_errors(self, tmp_path):
         with pytest.raises(ValueError, match="no bundles to summarize"):
             summarize_corpus([])
         (tmp_path / "bundles").mkdir()
         with pytest.raises(ValueError, match="no bundles found under"):
             summarize_output_directory(tmp_path)
+
+
+# The column layout of every corpus and summary CSV, as readers of the
+# output directory rely on it.
+TABLE_HEADERS = {
+    "network_stats.csv": "village,scope,n_nodes,n_edges,density,mean_degree,mean_clustering,"
+    "n_components,lcc_node_fraction,lcc_edge_fraction",
+    "dyadic_results.csv": "village,attribute,odds_ratio,ci_low,ci_high,p_value",
+    "permutation_results.csv": "village,tolerance,tie_type,observed,expected,ratio,p_value,verdict",
+    "nmi_matrix.csv": "village,caste,sex",
+    "segregation_results.csv": "village,attribute,q_attr,q_within,q_between,q_within_norm,"
+    "q_between_norm,n_used",
+    "summary_network.csv": "scope,metric,n_villages,min,median,max",
+    "summary_dyadic.csv": "attribute,n_fits,pct_significant,pct_assortative,or_min,or_median,"
+    "or_max,nmi_mean,nmi_sd",
+    "summary_permutation.csv": "tolerance,tie_type,n_villages,pct_assortative,pct_dissortative",
+    "summary_segregation.csv": "attribute,n_villages,q_attr_mean,q_within_norm_mean,"
+    "q_within_norm_sd,pct_within_above_cutoff,q_between_norm_mean,q_between_norm_sd,"
+    "pct_between_positive,pct_between_above_cutoff",
+    "summary_community_networks.csv": "attribute,n_villages,node_fraction_mean,tie_fraction_mean",
+}
+
+
+class TestTableLayouts:
+    def test_csv_header_rows(self, finished_run):
+        out, cfg = finished_run
+        for name, header in TABLE_HEADERS.items():
+            lines = (out / name).read_text(encoding="utf-8").splitlines()
+            assert lines[0] == f"# segnet schema=1 config_sha256={config_sha256(cfg)}"
+            assert lines[1] == header, name
+
+    def test_summarize_prints_tables_in_order(self, finished_run, capsys):
+        out, _ = finished_run
+        assert main(["summarize", str(out)]) == 0
+        titles = [
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("== ")
+        ]
+        assert titles == [
+            "== network ==",
+            "== dyadic ==",
+            "== permutation ==",
+            "== segregation ==",
+            "== community networks ==",
+        ]
+
+    def test_dot_file_is_header_plus_rendered_network(self, finished_run):
+        out, cfg = finished_run
+        saved = json.loads((out / "community_networks" / "v01__caste.json").read_text())
+        network = CommunityNetwork(
+            nodes=tuple(CommunityNode(**node) for node in saved.pop("nodes")),
+            ties=tuple(CommunityTie(**tie) for tie in saved.pop("ties")),
+            **saved,
+        )
+        expected = f"// segnet schema=1 config_sha256={config_sha256(cfg)}\n"
+        expected += community_network_to_dot(network, "v_v01")
+        assert (out / "community_networks" / "v01__caste.dot").read_text() == expected
 
 
 def test_json_safe_scrubs_non_finite_and_numpy_types():
