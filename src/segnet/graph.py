@@ -1,4 +1,11 @@
-"""Immutable undirected simple graphs: construction, components, summary statistics."""
+"""Immutable undirected simple graphs: construction, components, summary statistics.
+
+Components and local clustering are ``scipy.sparse`` kernels over the
+graph's own CSR arrays (``indptr``/``neighbors``).  Component labels follow
+first discovery by node index, and the clustering mean adds its per-node
+terms left to right in node order, so both equal a plain graph search and a
+plain loop over the nodes exactly.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +13,8 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "UndirectedGraph",
@@ -131,24 +140,30 @@ def build_graph(
     return _compile(len(ids), eu, ev), index
 
 
-def component_labels(graph: UndirectedGraph) -> tuple[np.ndarray, int]:
-    """Label connected components 0, 1, ... in order of first discovery by node index."""
+def _adjacency_matrix(graph: UndirectedGraph) -> sparse.csr_matrix:
+    """Symmetric 0/1 adjacency as an int64 CSR matrix over the graph's own arrays."""
+    # int64 entries: products of the matrix count common neighbors, which a
+    # narrower type would overflow.
+    data = np.ones(graph.neighbors.size, dtype=np.int64)
     n = graph.node_count
-    labels = np.full(n, -1, dtype=np.int64)
-    current = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = current
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nb in graph.adjacency(node).tolist():
-                if labels[nb] < 0:
-                    labels[nb] = current
-                    stack.append(nb)
-        current += 1
-    return labels, current
+    return sparse.csr_matrix((data, graph.neighbors, graph.indptr), shape=(n, n))
+
+
+def component_labels(graph: UndirectedGraph) -> tuple[np.ndarray, int]:
+    """Label connected components 0, 1, ... in order of first discovery by node index.
+
+    Component ``c`` is the one whose smallest node index ranks ``c``-th
+    among the components' smallest indices, so label 0 holds node 0.
+    """
+    if graph.node_count == 0:
+        return np.empty(0, dtype=np.int64), 0
+    count, raw = connected_components(_adjacency_matrix(graph), directed=False)
+    # scipy does not document the order of its labels, so rank each
+    # component by its smallest node index (np.unique's first index).
+    _, first = np.unique(raw, return_index=True)
+    rank = np.empty(count, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(count)
+    return rank[raw], int(count)
 
 
 def induced_subgraph(
@@ -191,22 +206,22 @@ def largest_connected_component(
 def mean_local_clustering(graph: UndirectedGraph) -> float:
     """Mean over all nodes of the local clustering coefficient.
 
-    A node of degree < 2 contributes 0.
+    A node of degree < 2 contributes 0.  With adjacency matrix ``A``, the
+    links among node ``i``'s neighbors are row ``i`` of
+    ``(A @ A).multiply(A)`` summed and halved; node ``i`` of degree ``k``
+    contributes ``2 * links / (k * (k - 1))``.  The terms are added left to
+    right in node order (a running sum, not ``np.sum``'s pairwise one), so
+    the float equals that of a plain loop over the nodes.
     """
     if graph.node_count == 0:
         raise ValueError("empty graph")
-    total = 0.0
-    for i in range(graph.node_count):
-        nbrs = graph.adjacency(i)
-        k = int(nbrs.size)
-        if k < 2:
-            continue
-        links = 0
-        for j in nbrs.tolist():
-            adj_j = graph.adjacency(j)
-            links += int(np.count_nonzero(np.isin(adj_j, nbrs, assume_unique=True) & (adj_j > j)))
-        total += 2.0 * links / (k * (k - 1))
-    return total / graph.node_count
+    adj = _adjacency_matrix(graph)
+    links = np.asarray((adj @ adj).multiply(adj).sum(axis=1)).ravel() // 2
+    k = graph.degrees
+    terms = np.zeros(graph.node_count)
+    wedge = k >= 2
+    terms[wedge] = 2.0 * links[wedge] / (k[wedge] * (k[wedge] - 1))
+    return float(np.cumsum(terms)[-1]) / graph.node_count
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import json
 import math
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -623,17 +624,22 @@ def _process_village(args: tuple[str, RunConfig]) -> _Outcome:
         return _failed(path.name, exc)
 
 
-_VILLAGE_ARTIFACT_GLOBS = (
+_RUN_ARTIFACT_GLOBS = (
     "bundles/*.json",
     "partitions/*.csv",
     "community_networks/*.dot",
     "community_networks/*.json",
+    "summary_*.csv",
 )
 
 
 def _remove_stale_artifacts(out: Path, written: set[Path]) -> None:
-    """Delete per-village files this run did not write, e.g. from a village that now fails."""
-    for pattern in _VILLAGE_ARTIFACT_GLOBS:
+    """Delete artifacts this run does not write, e.g. from a village that now fails.
+
+    Covers the per-village files and the summaries, which a run without any
+    analyzed village does not write.
+    """
+    for pattern in _RUN_ARTIFACT_GLOBS:
         for path in out.glob(pattern):
             if path not in written:
                 path.unlink()
@@ -653,12 +659,24 @@ def _resolve_workers(cfg: RunConfig) -> int:
     return requested
 
 
-def _pooled_outcome(village_id: str, future: Future) -> _Outcome:
-    """A pooled village's outcome; a worker that dies (say, killed for memory) fails its village."""
+def _pooled_outcome(task: tuple[str, RunConfig], future: Future, rerun: bool) -> _Outcome:
+    """A pooled village's outcome.
+
+    A worker that dies (say, killed for memory) breaks its pool, and every
+    village not yet finished in that pool raises ``BrokenProcessPool``.  Such
+    a village reruns alone in a fresh single-worker pool, so it fails only
+    when the worker running it dies.
+    """
     try:
         return future.result()
+    except BrokenProcessPool as exc:
+        if rerun:
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                alone = pool.submit(_process_village, task)
+            return _pooled_outcome(task, alone, rerun=False)
+        return _failed(Path(task[0]).name, exc)
     except Exception as exc:
-        return _failed(village_id, exc)
+        return _failed(Path(task[0]).name, exc)
 
 
 @dataclass(frozen=True)
@@ -676,19 +694,14 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     out.mkdir(parents=True, exist_ok=True)
     config_hash = config_sha256(cfg)
     villages = _discover_villages(cfg)
-    if not villages:
-        _remove_stale_artifacts(out, set())
-        _write_json(out / "errors.json", {"corpus": "no villages found"})
-        return RunResult(1, str(out), 0, 0, {"corpus": "no villages found"})
-
     tasks = [(str(p), cfg) for p in villages]
     workers = _resolve_workers(cfg)
-    if workers <= 1 or len(tasks) == 1:
+    if workers <= 1 or len(tasks) <= 1:
         outcomes = [_process_village(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(Path(t[0]).name, pool.submit(_process_village, t)) for t in tasks]
-            outcomes = [_pooled_outcome(village_id, future) for village_id, future in futures]
+            futures = [pool.submit(_process_village, t) for t in tasks]
+        outcomes = [_pooled_outcome(t, f, rerun=True) for t, f in zip(tasks, futures)]
 
     bundles = []
     failures: dict[str, str] = {}
@@ -699,12 +712,14 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         else:
             bundles.append(bundle)
         written.update(paths)
+    tables = summarize_corpus(bundles) if bundles else {}
+    written.update(out / f"summary_{name}.csv" for name in tables)
     _remove_stale_artifacts(out, written)
 
     _write_corpus_tables(bundles, out, config_hash)
-    tables = summarize_corpus(bundles) if bundles else {}
     write_summaries(tables, out, config_hash)
-    _write_json(out / "errors.json", failures)
+    errors = failures if villages else {"corpus": "no villages found"}
+    _write_json(out / "errors.json", errors)
     _write_json(
         out / "run_manifest.json",
         {
@@ -716,7 +731,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         },
     )
     exit_code = 0 if bundles and not failures else 1
-    return RunResult(exit_code, str(out), len(villages), len(failures), failures)
+    return RunResult(exit_code, str(out), len(villages), len(failures), errors)
 
 
 @dataclass(frozen=True)

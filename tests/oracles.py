@@ -369,3 +369,23 @@ def local_clustering_by_loop(graph):
         )
         total += 2.0 * links / (k * (k - 1))
     return total / graph.node_count if graph.node_count else float("nan")
+
+
+def component_labels_by_bfs(graph):
+    """Component labels 0, 1, ... in order of first discovery by node index, by graph search."""
+    n = graph.node_count
+    labels = np.full(n, -1, dtype=np.int64)
+    current = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = current
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            for nb in graph.adjacency(node).tolist():
+                if labels[nb] < 0:
+                    labels[nb] = current
+                    stack.append(nb)
+        current += 1
+    return labels, current

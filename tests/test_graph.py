@@ -13,7 +13,7 @@ from segnet import (
 )
 
 from .conftest import random_graph
-from .oracles import local_clustering_by_loop
+from .oracles import component_labels_by_bfs, local_clustering_by_loop
 
 
 def test_build_collapses_duplicates_reversals_and_self_loops():
@@ -89,6 +89,52 @@ def test_component_labels_follow_discovery_order():
     assert labels.tolist() == [0, 0, 1, 1, 2, 3, 3, 3]
 
 
+def test_component_labels_of_the_empty_graph():
+    graph, _ = build_graph([], node_ids=[])
+    labels, count = component_labels(graph)
+    assert count == 0
+    assert labels.dtype == np.int64
+    assert labels.size == 0
+
+
+@st.composite
+def scattered_components(draw):
+    """Graph of up to 40 nodes: random blocks, edges only inside blocks, nodes shuffled.
+
+    Blocks without edges leave isolates, and the shuffle interleaves the
+    components' node indices.
+    """
+    sizes = []
+    for size in draw(st.lists(st.integers(1, 12), max_size=12)):
+        if sum(sizes) + size > 40:
+            break
+        sizes.append(size)
+    n = sum(sizes)
+    nodes = draw(st.permutations(range(n)))
+    edges = []
+    start = 0
+    for size in sizes:
+        block = nodes[start : start + size]
+        start += size
+        pairs = [(a, b) for i, a in enumerate(block) for b in block[i + 1 :]]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges += [pair for pair, kept in zip(pairs, keep) if kept]
+    graph, _ = build_graph(edges, node_ids=range(n))
+    return graph
+
+
+@settings(max_examples=150, deadline=None)
+@given(scattered_components())
+def test_sparse_kernels_equal_the_loop_oracles(graph):
+    labels, count = component_labels(graph)
+    expected_labels, expected_count = component_labels_by_bfs(graph)
+    assert count == expected_count
+    assert labels.dtype == expected_labels.dtype
+    assert labels.tolist() == expected_labels.tolist()
+    if graph.node_count:
+        assert mean_local_clustering(graph) == local_clustering_by_loop(graph)
+
+
 def test_lcc_ties_break_toward_smallest_node_index():
     graph, _ = build_graph([(2, 3), (0, 1)], node_ids=range(4))
     lcc, mapping = largest_connected_component(graph)
@@ -110,9 +156,8 @@ def test_clustering_matches_triangle_count_oracle():
     rng = np.random.default_rng(17)
     for _ in range(25):
         graph = random_graph(rng, int(rng.integers(2, 40)), float(rng.uniform(0.05, 0.5)))
-        assert mean_local_clustering(graph) == pytest.approx(
-            local_clustering_by_loop(graph), abs=1e-12
-        )
+        # Exact: both add the per-node terms left to right in node order.
+        assert mean_local_clustering(graph) == local_clustering_by_loop(graph)
 
 
 def test_clustering_matches_networkx():
@@ -135,6 +180,9 @@ def test_clustering_analytic_cases():
     assert mean_local_clustering(path) == 0.0
     star, _ = build_graph([(0, i) for i in range(1, 5)])
     assert mean_local_clustering(star) == 0.0
+    # 298 common neighbors per pair: more than a narrow integer type holds
+    clique, _ = build_graph([(i, j) for i in range(300) for j in range(i + 1, 300)])
+    assert mean_local_clustering(clique) == 1.0
 
 
 def test_network_stats_on_known_graph():

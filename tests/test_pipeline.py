@@ -392,18 +392,64 @@ class TestRunPipeline:
         tables = summarize_output_directory(out)
         assert {row["n_villages"] for row in tables["network"]} == {2}
 
+    def test_rerun_where_every_village_fails_leaves_no_summaries(self, tmp_path):
+        corpus = make_corpus(tmp_path, n=2)
+        out = tmp_path / "out"
+        cfg = small_config(corpus, out)
+        assert run_pipeline(cfg).exit_code == 0
+        assert list(out.glob("summary_*.csv"))
+        for vid in ("v00", "v01"):
+            (corpus / vid / "attributes.csv").write_text("not,a,header\n", encoding="utf-8")
+        result = run_pipeline(cfg)
+        assert result.exit_code == 1
+        assert set(result.failures) == {"v00", "v01"}
+        assert not list(out.glob("summary_*.csv"))
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["villages_analyzed"] == []
+        with pytest.raises(ValueError, match="no bundles found under"):
+            summarize_output_directory(out)
+
+    def test_empty_corpus_after_a_full_run_leaves_no_village_artifacts(self, tmp_path):
+        corpus = make_corpus(tmp_path, n=2)
+        out = tmp_path / "out"
+        assert run_pipeline(small_config(corpus, out)).exit_code == 0
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        cfg = small_config(empty, out)
+        result = run_pipeline(cfg)
+        assert result.exit_code == 1
+        assert json.loads((out / "errors.json").read_text()) == {"corpus": "no villages found"}
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config_sha256"] == config_sha256(cfg)
+        assert manifest["villages_analyzed"] == []
+        assert manifest["villages_failed"] == []
+        assert not list(out.glob("summary_*.csv"))
+        for sub in ("bundles", "partitions", "community_networks"):
+            assert not list((out / sub).iterdir())
+        # the corpus tables are rewritten with their headers only
+        assert (out / "network_stats.csv").read_text().splitlines()[2:] == []
+
     def test_killed_worker_is_recorded_as_a_village_failure(self, tmp_path, monkeypatch):
+        self._check_only_the_dead_village_fails(tmp_path, monkeypatch, "v02")
+
+    @pytest.mark.parametrize("dead", ["v00", "v01"])
+    def test_killed_worker_fails_only_its_own_village(self, tmp_path, monkeypatch, dead):
+        # v00 and v01 die while other villages are running or pending.
+        self._check_only_the_dead_village_fails(tmp_path, monkeypatch, dead)
+
+    @staticmethod
+    def _check_only_the_dead_village_fails(tmp_path, monkeypatch, dead):
         corpus = make_corpus(tmp_path)
         out = tmp_path / "out"
         analyze = pipeline.analyze_village
 
-        def exit_on_v02(dataset, cfg):
-            if dataset.village_id == "v02":
+        def exit_on_dead(dataset, cfg):
+            if dataset.village_id == dead:
                 os._exit(3)
             return analyze(dataset, cfg)
 
         # Forked workers inherit the patched module on every platform.
-        monkeypatch.setattr(pipeline, "analyze_village", exit_on_v02)
+        monkeypatch.setattr(pipeline, "analyze_village", exit_on_dead)
         monkeypatch.setattr(
             pipeline,
             "ProcessPoolExecutor",
@@ -413,16 +459,16 @@ class TestRunPipeline:
         result = run_pipeline(small_config(corpus, out, workers=2))
         assert result.exit_code == 1
         errors = json.loads((out / "errors.json").read_text())
-        assert errors["v02"].startswith("BrokenProcessPool: ")
+        assert list(errors) == [dead]
+        assert errors[dead].startswith("BrokenProcessPool: ")
         assert errors == dict(result.failures)
         manifest = json.loads((out / "run_manifest.json").read_text())
-        assert manifest["villages_failed"] == sorted(errors)
-        # With two workers, v02 starts only after a worker has sent back an
-        # earlier village, so at least one village completes.
-        assert manifest["villages_analyzed"]
-        assert manifest["villages_analyzed"] == [v for v in ("v00", "v01") if v not in errors]
+        assert manifest["villages_failed"] == [dead]
+        # Villages lost with the broken pool rerun in fresh pools of their own.
+        survivors = [v for v in ("v00", "v01", "v02") if v != dead]
+        assert manifest["villages_analyzed"] == survivors
         for vid in ("v00", "v01", "v02"):
-            assert (out / "bundles" / f"{vid}.json").is_file() == (vid not in errors)
+            assert (out / "bundles" / f"{vid}.json").is_file() == (vid != dead)
 
     def test_empty_corpus_exits_nonzero(self, tmp_path):
         corpus = tmp_path / "corpus"
