@@ -32,6 +32,7 @@ from .dyadic import (
     degree_missingness_ttest,
     fit_logistic,
     sex_permutation_test,
+    sex_permutation_tests,
 )
 from .graph import (
     NetworkStats,
@@ -140,6 +141,7 @@ __all__ = [
     "save_village",
     "segregation_report",
     "sex_permutation_test",
+    "sex_permutation_tests",
     "summarize_corpus",
     "summarize_output_directory",
     "within_community_modularity",

@@ -11,13 +11,12 @@ on every pair, with the same likelihood.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import stats
-from scipy.special import expit
+from scipy.special import expit, stdtr
 
 from .attributes import (
     CATEGORICAL_ATTRIBUTES,
@@ -39,6 +38,7 @@ __all__ = [
     "default_feature_spec",
     "fit_logistic",
     "sex_permutation_test",
+    "sex_permutation_tests",
     "degree_missingness_ttest",
 ]
 
@@ -371,101 +371,28 @@ def _mc_two_sided(values: np.ndarray, observed: float) -> float:
     return min(1.0, 2.0 * min(ge + 1, le + 1) / (r + 1))
 
 
-def sex_permutation_test(
-    graph: UndirectedGraph,
-    table: AttributeTable,
-    tolerance: float,
-    target_replicates: int = 1000,
-    seed: int = 0,
-    max_attempts: int = 1_000_000,
-    batch_size: int = 512,
+@dataclass
+class _Collection:
+    """Replicates one tolerance has accepted so far from the shared candidate stream."""
+
+    tolerance: float
+    male_bounds: tuple[float, float]
+    female_bounds: tuple[float, float]
+    counts: np.ndarray
+    male_means: np.ndarray
+    female_means: np.ndarray
+    collected: int = 0
+    valid_total: int = 0
+
+
+def _permutation_result(
+    c: _Collection,
+    observed: TieTriple,
+    n_attempts: int,
+    male_mean: float,
+    female_mean: float,
 ) -> SexPermutationResult:
-    """Mean-degree-constrained permutation test of sex-typed tie counts.
-
-    Sex labels are permuted among sex-observed nodes only; a replicate
-    counts when both permuted group mean degrees satisfy
-    ``|mean*/mean - 1| <= tolerance``.  Two-sided Monte Carlo p-values use
-    the doubled smaller tail with add-one correction, capped at 1.
-
-    Raises on a single-sex network and when the valid-replicate acceptance
-    rate is below 0.1% after ``max_attempts`` attempts.
-    """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    if target_replicates < 1:
-        raise ValueError("target_replicates must be at least 1")
-    sex = table.labels("sex")
-    if sex.shape != (graph.node_count,):
-        raise ValueError("attribute table does not align with the graph")
-    observed_idx = np.flatnonzero(sex >= 0)
-    male = sex[observed_idx] == 0
-    n_male = int(male.sum())
-    n_female = int(observed_idx.size - n_male)
-    if n_male == 0 or n_female == 0:
-        raise ValueError("sex permutation test requires both sexes to be present")
-
-    deg = graph.degrees[observed_idx].astype(float)
-    deg_total = float(deg.sum())
-    male_mean = float(deg[male].mean())
-    female_mean = float(deg[~male].mean())
-    male_bounds = (male_mean * (1.0 - tolerance), male_mean * (1.0 + tolerance))
-    female_bounds = (female_mean * (1.0 - tolerance), female_mean * (1.0 + tolerance))
-
-    pos = np.full(graph.node_count, -1, dtype=np.int64)
-    pos[observed_idx] = np.arange(observed_idx.size)
-    pu = pos[graph.edge_u]
-    pv = pos[graph.edge_v]
-    keep = (pu >= 0) & (pv >= 0)
-    eu_o, ev_o = pu[keep], pv[keep]
-
-    def _tie_counts(male_rows: np.ndarray) -> np.ndarray:
-        """(mm, mf, ff) tie counts for each row of a (replicates, nodes) male mask."""
-        a = male_rows[:, eu_o]
-        b = male_rows[:, ev_o]
-        mm = (a & b).sum(axis=1)
-        ff = (~(a | b)).sum(axis=1)
-        return np.column_stack([mm, eu_o.size - mm - ff, ff])
-
-    observed = TieTriple(*(int(c) for c in _tie_counts(male[None, :])[0]))
-
-    seed_entropy = int(seed) % (2**63)
-    counts = np.empty((target_replicates, 3), dtype=np.int64)
-    md_arr = np.empty(target_replicates)
-    fd_arr = np.empty(target_replicates)
-    collected = 0
-    attempts = 0
-    valid_total = 0
-    batch_index = 0
-    while collected < target_replicates:
-        rng = np.random.default_rng(np.random.SeedSequence([seed_entropy, batch_index]))
-        keys = rng.random((batch_size, deg.size))
-        order = np.argsort(keys, axis=1)
-        male_mat = male[order]
-        md = (male_mat * deg).sum(axis=1) / n_male
-        fd = (deg_total - md * n_male) / n_female
-        valid = (
-            (md >= male_bounds[0])
-            & (md <= male_bounds[1])
-            & (fd >= female_bounds[0])
-            & (fd <= female_bounds[1])
-        )
-        valid_total += int(valid.sum())
-        rows = np.flatnonzero(valid)[: target_replicates - collected]
-        taken = slice(collected, collected + rows.size)
-        counts[taken] = _tie_counts(male_mat[rows])
-        md_arr[taken] = md[rows]
-        fd_arr[taken] = fd[rows]
-        collected += rows.size
-        attempts += batch_size
-        batch_index += 1
-        if collected < target_replicates and attempts >= max_attempts:
-            rate = valid_total / attempts
-            if rate < 0.001:
-                raise ValueError(
-                    f"valid-replicate acceptance rate {rate:.4%} below 0.1% after "
-                    f"{attempts} attempts; consider a larger tolerance"
-                )
-
+    counts = c.counts
     expected = TieTriple(*(float(x) for x in counts.mean(axis=0)))
     p_values = TieTriple(*(_mc_two_sided(counts[:, k], observed[k]) for k in range(3)))
     ratios = []
@@ -486,17 +413,161 @@ def sex_permutation_test(
         ratio=TieTriple(*ratios),
         p_values=p_values,
         verdicts=TieTriple(*verdicts),
-        n_replicates=target_replicates,
-        tolerance=tolerance,
-        n_attempts=attempts,
+        n_replicates=counts.shape[0],
+        tolerance=c.tolerance,
+        n_attempts=n_attempts,
         male_mean_degree=male_mean,
         female_mean_degree=female_mean,
-        male_degree_bounds=male_bounds,
-        female_degree_bounds=female_bounds,
-        replicate_male_mean_degrees=md_arr,
-        replicate_female_mean_degrees=fd_arr,
+        male_degree_bounds=c.male_bounds,
+        female_degree_bounds=c.female_bounds,
+        replicate_male_mean_degrees=c.male_means,
+        replicate_female_mean_degrees=c.female_means,
         replicate_counts=counts,
     )
+
+
+def sex_permutation_tests(
+    graph: UndirectedGraph,
+    table: AttributeTable,
+    tolerances: Sequence[float],
+    target_replicates: int = 1000,
+    seed: int = 0,
+    max_attempts: int = 1_000_000,
+    batch_size: int = 512,
+) -> list[SexPermutationResult | ValueError]:
+    """Mean-degree-constrained permutation tests of sex-typed tie counts, one per tolerance.
+
+    Sex labels are permuted among sex-observed nodes only; a replicate
+    counts at a tolerance when both permuted group mean degrees satisfy
+    ``|mean*/mean - 1| <= tolerance``.  Every tolerance filters the same
+    seeded stream of candidate permutations, drawn batch by batch until
+    each tolerance has ``target_replicates`` replicates or has failed, so a
+    tolerance's result (``n_attempts`` included: the attempts drawn when it
+    finished) equals a test at that tolerance alone.  Two-sided Monte Carlo
+    p-values use the doubled smaller tail with add-one correction, capped
+    at 1.
+
+    Returns one entry per tolerance, in order: its result, or the
+    ``ValueError`` when its valid-replicate acceptance rate is below 0.1%
+    after ``max_attempts`` attempts.  Raises on a non-positive tolerance and
+    on a single-sex network.
+    """
+    if any(t <= 0 for t in tolerances):
+        raise ValueError("tolerance must be positive")
+    if target_replicates < 1:
+        raise ValueError("target_replicates must be at least 1")
+    sex = table.labels("sex")
+    if sex.shape != (graph.node_count,):
+        raise ValueError("attribute table does not align with the graph")
+    observed_idx = np.flatnonzero(sex >= 0)
+    male = sex[observed_idx] == 0
+    n_male = int(male.sum())
+    n_female = int(observed_idx.size - n_male)
+    if n_male == 0 or n_female == 0:
+        raise ValueError("sex permutation test requires both sexes to be present")
+
+    deg = graph.degrees[observed_idx].astype(float)
+    deg_total = float(deg.sum())
+    male_mean = float(deg[male].mean())
+    female_mean = float(deg[~male].mean())
+
+    pos = np.full(graph.node_count, -1, dtype=np.int64)
+    pos[observed_idx] = np.arange(observed_idx.size)
+    pu = pos[graph.edge_u]
+    pv = pos[graph.edge_v]
+    keep = (pu >= 0) & (pv >= 0)
+    eu_o, ev_o = pu[keep], pv[keep]
+
+    def _tie_counts(male_rows: np.ndarray) -> np.ndarray:
+        """(mm, mf, ff) tie counts for each row of a (replicates, nodes) male mask."""
+        a = male_rows[:, eu_o]
+        b = male_rows[:, ev_o]
+        mm = (a & b).sum(axis=1)
+        ff = (~(a | b)).sum(axis=1)
+        return np.column_stack([mm, eu_o.size - mm - ff, ff])
+
+    observed = TieTriple(*(int(c) for c in _tie_counts(male[None, :])[0]))
+
+    collections = [
+        _Collection(
+            tolerance=t,
+            male_bounds=(male_mean * (1.0 - t), male_mean * (1.0 + t)),
+            female_bounds=(female_mean * (1.0 - t), female_mean * (1.0 + t)),
+            counts=np.empty((target_replicates, 3), dtype=np.int64),
+            male_means=np.empty(target_replicates),
+            female_means=np.empty(target_replicates),
+        )
+        for t in tolerances
+    ]
+    outcomes: list[SexPermutationResult | ValueError | None] = [None] * len(collections)
+    pending = list(range(len(collections)))
+    seed_entropy = int(seed) % (2**63)
+    attempts = 0
+    batch_index = 0
+    while pending:
+        rng = np.random.default_rng(np.random.SeedSequence([seed_entropy, batch_index]))
+        keys = rng.random((batch_size, deg.size))
+        order = np.argsort(keys, axis=1)
+        male_mat = male[order]
+        md = (male_mat * deg).sum(axis=1) / n_male
+        fd = (deg_total - md * n_male) / n_female
+        taken = {}
+        for k in pending:
+            c = collections[k]
+            valid = (
+                (md >= c.male_bounds[0])
+                & (md <= c.male_bounds[1])
+                & (fd >= c.female_bounds[0])
+                & (fd <= c.female_bounds[1])
+            )
+            c.valid_total += int(valid.sum())
+            taken[k] = np.flatnonzero(valid)[: target_replicates - c.collected]
+        # Tie counts once for every row some tolerance takes.
+        union = np.unique(np.concatenate(list(taken.values())))
+        union_counts = _tie_counts(male_mat[union])
+        attempts += batch_size
+        batch_index += 1
+        for k, rows in taken.items():
+            c = collections[k]
+            span = slice(c.collected, c.collected + rows.size)
+            c.counts[span] = union_counts[np.searchsorted(union, rows)]
+            c.male_means[span] = md[rows]
+            c.female_means[span] = fd[rows]
+            c.collected += rows.size
+            if c.collected == target_replicates:
+                outcomes[k] = _permutation_result(c, observed, attempts, male_mean, female_mean)
+            elif attempts >= max_attempts and c.valid_total / attempts < 0.001:
+                outcomes[k] = ValueError(
+                    f"valid-replicate acceptance rate {c.valid_total / attempts:.4%} below 0.1% "
+                    f"after {attempts} attempts; consider a larger tolerance"
+                )
+        pending = [k for k in pending if outcomes[k] is None]
+    return outcomes
+
+
+def sex_permutation_test(
+    graph: UndirectedGraph,
+    table: AttributeTable,
+    tolerance: float,
+    target_replicates: int = 1000,
+    seed: int = 0,
+    max_attempts: int = 1_000_000,
+    batch_size: int = 512,
+) -> SexPermutationResult:
+    """``sex_permutation_tests`` at one tolerance, raising its acceptance-rate error."""
+    (outcome,) = sex_permutation_tests(
+        graph, table, (tolerance,), target_replicates, seed, max_attempts, batch_size
+    )
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
+
+
+def _mean_and_variance(x: np.ndarray) -> tuple[float, float]:
+    """Mean and unbiased variance in the steps ``scipy.stats.ttest_ind`` takes."""
+    mean = x.mean()
+    n = float(x.size)
+    return mean, ((x - mean) ** 2).mean() * (n / (n - 1.0))
 
 
 def degree_missingness_ttest(
@@ -505,7 +576,9 @@ def degree_missingness_ttest(
     """Welch two-sample t-test of degrees, attribute-observed vs missing nodes.
 
     Positive statistic means the observed group has the higher mean degree.
-    Both groups must have at least 2 members.
+    Both groups must have at least 2 members.  The statistic and p-value
+    are computed in closed form by the steps of
+    ``scipy.stats.ttest_ind(a, b, equal_var=False)`` and equal its result.
     """
     present = table.is_present(attr)
     if present.shape != (graph.node_count,):
@@ -517,14 +590,17 @@ def degree_missingness_ttest(
         raise ValueError(
             f"both groups need at least 2 nodes (observed {a.size}, missing {b.size})"
         )
-    if a.var(ddof=1) == 0.0 and b.var(ddof=1) == 0.0:
+    mean_a, var_a = _mean_and_variance(a)
+    mean_b, var_b = _mean_and_variance(b)
+    if var_a == 0.0 and var_b == 0.0:
         # Degenerate Welch limit: zero pooled variability.
-        if a.mean() == b.mean():
+        if mean_a == mean_b:
             return 0.0, 1.0
-        return (math.inf if a.mean() > b.mean() else -math.inf), 0.0
-    with warnings.catch_warnings():
-        # Near-constant degree groups trip scipy's precision-loss warning;
-        # the statistic is still the reportable Welch value.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = stats.ttest_ind(a, b, equal_var=False)
-    return float(result.statistic), float(result.pvalue)
+        return (math.inf if mean_a > mean_b else -math.inf), 0.0
+    vn_a = var_a / a.size
+    vn_b = var_b / b.size
+    df = (vn_a + vn_b) ** 2 / (vn_a**2 / (a.size - 1) + vn_b**2 / (b.size - 1))
+    if math.isnan(df):
+        df = 1.0
+    t = (mean_a - mean_b) / np.sqrt(vn_a + vn_b)
+    return float(t), float(2 * stdtr(df, -abs(t)))

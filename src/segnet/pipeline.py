@@ -23,9 +23,10 @@ import math
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -47,7 +48,8 @@ from .dyadic import (
     build_dyad_design,
     degree_missingness_ttest,
     fit_logistic,
-    sex_permutation_test,
+    sex_permutation_test,  # not called here; perfbench/spans.py wraps it by this name
+    sex_permutation_tests,
 )
 from .graph import NetworkStats, UndirectedGraph, largest_connected_component, network_stats
 from .ingest import IngestConfig, VillageDataset, load_village
@@ -76,6 +78,7 @@ SCHEMA_VERSION = 1
 WORKERS_ENV_VAR = "SEGNET_WORKERS"
 
 _TIE_TYPES = TieTriple._fields
+_TMP_SUFFIX = ".tmp"  # of a file being written; see _atomic_open
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,11 @@ class RunConfig:
     coerce_unknown_categories: bool = False
 
     def __post_init__(self) -> None:
+        for key in ("attributes", "community_network_attributes", "permutation_tolerances"):
+            values = getattr(self, key)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"duplicate entries in {key!r}: {_format_value(tuple(repeated))}")
         for attr in self.attributes:
             if attr not in ATTRIBUTE_NAMES:
                 raise ValueError(f"unknown attribute {attr!r}")
@@ -389,21 +397,24 @@ def _dyadic_section(v: _Village) -> dict[str, Any]:
 
 
 def _permutation_section(v: _Village) -> dict[str, Any]:
-    seed = _derived_seed(v.cfg.permutation_seed, v.dataset.village_id, 1)
-
-    def entry(tolerance: float) -> dict[str, Any]:
-        result = sex_permutation_test(
+    tolerances = v.cfg.permutation_tolerances
+    try:
+        outcomes = sex_permutation_tests(
             v.lcc,
             v.table,
-            tolerance=tolerance,
+            tolerances,
             target_replicates=v.cfg.permutation_replicates,
-            seed=seed,
+            seed=_derived_seed(v.cfg.permutation_seed, v.dataset.village_id, 1),
         )
-        return _permutation_to_dict(result)
-
+    except ValueError as exc:
+        outcomes = [exc] * len(tolerances)
     return {
-        repr(float(t)): _or_error(entry, t, partial={"tolerance": t})
-        for t in v.cfg.permutation_tolerances
+        repr(float(t)): (
+            {"tolerance": t, "error": str(outcome)}
+            if isinstance(outcome, ValueError)
+            else _permutation_to_dict(outcome)
+        )
+        for t, outcome in zip(tolerances, outcomes)
     }
 
 
@@ -512,9 +523,24 @@ def _json_safe(obj: Any) -> Any:
     return obj
 
 
-def _write_json(path: Path, obj: Any) -> None:
+@contextmanager
+def _atomic_open(path: Path) -> Iterator[TextIO]:
+    """A text file that replaces ``path`` only once it is completely written.
+
+    Writes go to a temporary file next to ``path``, which ``os.replace``
+    moves into place on success, so a reader sees the old file or the new
+    one, never a partial write.  A temporary file left by an interrupted run
+    is deleted by the next run (``_remove_stale_artifacts``).
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    tmp = path.with_name(path.name + _TMP_SUFFIX)
+    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
+def _write_json(path: Path, obj: Any) -> None:
+    with _atomic_open(path) as fh:
         json.dump(_json_safe(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -526,8 +552,7 @@ def _meta_line(config_hash: str) -> str:
 def _write_csv(
     path: Path, fieldnames: Sequence[str], rows: Sequence[Mapping[str, Any]], config_hash: str
 ) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         fh.write(_meta_line(config_hash) + "\n")
         writer = csv.DictWriter(fh, fieldnames=list(fieldnames))
         writer.writeheader()
@@ -598,7 +623,8 @@ def _write_village_artifacts(bundle: dict[str, Any], cfg: RunConfig, config_hash
         dot_path = out / "community_networks" / f"{village_id}__{attr}.dot"
         json_path = out / "community_networks" / f"{village_id}__{attr}.json"
         _write_json(json_path, bundle["community_networks"][attr])
-        dot_path.write_text(f"// {_meta_line(config_hash)[2:]}\n{dot}", encoding="utf-8")
+        with _atomic_open(dot_path) as fh:
+            fh.write(f"// {_meta_line(config_hash)[2:]}\n{dot}")
         written += [json_path, dot_path]
     return written
 
@@ -630,14 +656,16 @@ _RUN_ARTIFACT_GLOBS = (
     "community_networks/*.dot",
     "community_networks/*.json",
     "summary_*.csv",
+    *(f"{d}*{_TMP_SUFFIX}" for d in ("", "bundles/", "partitions/", "community_networks/")),
 )
 
 
 def _remove_stale_artifacts(out: Path, written: set[Path]) -> None:
     """Delete artifacts this run does not write, e.g. from a village that now fails.
 
-    Covers the per-village files and the summaries, which a run without any
-    analyzed village does not write.
+    Covers the per-village files, the summaries, which a run without any
+    analyzed village does not write, and temporary files an interrupted
+    write left behind.
     """
     for pattern in _RUN_ARTIFACT_GLOBS:
         for path in out.glob(pattern):

@@ -15,12 +15,12 @@ between) edge joins same-attribute nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .community import Partition
-from .graph import UndirectedGraph, induced_subgraph
+from .graph import UndirectedGraph
 
 __all__ = [
     "SegregationReport",
@@ -37,46 +37,52 @@ __all__ = [
 ]
 
 
-def _labeled_subgraph(
-    graph: UndirectedGraph, labels: np.ndarray
-) -> tuple[UndirectedGraph, np.ndarray, np.ndarray]:
+class _LabeledEdges(NamedTuple):
+    """The edges of a graph that join labeled nodes, with those nodes' labels.
+
+    Endpoints are positions in ``nodes`` (the labeled nodes in index order),
+    so degrees counted from these edges are the degrees of the subgraph
+    induced by the labeled nodes.
+    """
+
+    nodes: np.ndarray
+    labels: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+    def degrees(self, edges: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Per labeled node, the number of the selected edges it touches."""
+        k = self.nodes.size
+        return np.bincount(self.u[edges], minlength=k) + np.bincount(self.v[edges], minlength=k)
+
+
+def _labeled_edges(graph: UndirectedGraph, labels: Sequence[int] | np.ndarray) -> _LabeledEdges:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (graph.node_count,):
         raise ValueError("labels must cover every node (use negative codes for missing)")
-    nodes = np.flatnonzero(labels >= 0)
+    labeled = labels >= 0
+    nodes = np.flatnonzero(labeled)
     if nodes.size == 0:
         raise ValueError("no node carries the attribute")
-    sub, _ = induced_subgraph(graph, nodes)
-    return sub, nodes, labels[nodes]
+    position = np.cumsum(labeled) - 1
+    keep = labeled[graph.edge_u] & labeled[graph.edge_v]
+    return _LabeledEdges(
+        nodes, labels[nodes], position[graph.edge_u[keep]], position[graph.edge_v[keep]]
+    )
 
 
-def attribute_modularity(graph: UndirectedGraph, labels: Sequence[int] | np.ndarray) -> float:
-    """Modularity of the attribute labeling itself (all ordered pairs convention).
+def _check_partition(graph: UndirectedGraph, partition: Partition) -> None:
+    if partition.assignment.shape != (graph.node_count,):
+        raise ValueError("partition does not cover this graph")
 
-    Restricted to the subgraph induced by labeled nodes; raises if that
-    subgraph has no edges.
-    """
-    sub, _, lab = _labeled_subgraph(graph, np.asarray(labels))
-    m = sub.edge_count
+
+def _attribute_q(e: _LabeledEdges) -> float:
+    m = e.u.size
     if m == 0:
         raise ValueError("no edges join labeled nodes")
-    same = lab[sub.edge_u] == lab[sub.edge_v]
-    e_same = int(same.sum())
-    deg_by_label = np.bincount(lab, weights=sub.degrees)
+    e_same = int((e.labels[e.u] == e.labels[e.v]).sum())
+    deg_by_label = np.bincount(e.labels, weights=e.degrees())
     return float(e_same / m - ((deg_by_label / (2.0 * m)) ** 2).sum())
-
-
-def _decompose(
-    sub: UndirectedGraph, comm: np.ndarray
-) -> tuple[np.ndarray, int, int, np.ndarray, np.ndarray]:
-    same = comm[sub.edge_u] == comm[sub.edge_v]
-    m_within = int(same.sum())
-    m_between = sub.edge_count - m_within
-    n = sub.node_count
-    wdeg = np.bincount(sub.edge_u[same], minlength=n) + np.bincount(
-        sub.edge_v[same], minlength=n
-    )
-    return same, m_within, m_between, wdeg, sub.degrees - wdeg
 
 
 def _normalized(edge_term: float, null_term: float, two_m: float) -> tuple[float, float, float]:
@@ -88,13 +94,36 @@ def _normalized(edge_term: float, null_term: float, two_m: float) -> tuple[float
     return q, q_max, q_norm
 
 
-def _restricted_inputs(
-    graph: UndirectedGraph, labels: np.ndarray, partition: Partition
-) -> tuple[UndirectedGraph, np.ndarray, np.ndarray]:
-    if partition.assignment.shape != (graph.node_count,):
-        raise ValueError("partition does not cover this graph")
-    sub, nodes, lab = _labeled_subgraph(graph, labels)
-    return sub, lab, partition.assignment[nodes]
+def _split_q(e: _LabeledEdges, partition: Partition, within: bool) -> tuple[float, float, float]:
+    """Attribute assortativity of the within- or the between-community edges."""
+    comm = partition.assignment[e.nodes]
+    same_comm = comm[e.u] == comm[e.v]
+    side = same_comm if within else ~same_comm
+    m_side = int(side.sum())
+    if m_side == 0:
+        kind = "within" if within else "between"
+        raise ValueError(f"no {kind}-community edges join labeled nodes")
+    edge_term = 2.0 * int((side & (e.labels[e.u] == e.labels[e.v])).sum())
+    k = e.degrees(side)
+    n_labels = int(e.labels.max()) + 1
+    group_sums = np.bincount(comm * n_labels + e.labels, weights=k)
+    null_sq = float((group_sums.astype(float) ** 2).sum())
+    if not within:
+        # sum_ij k_i k_j [x_i = x_j][h_i != h_j]
+        #   = sum_a (sum_{x=a} k)^2 - sum_{c,a} (sum_{x=a,h=c} k)^2
+        label_sums = np.bincount(e.labels, weights=k)
+        null_sq = float((label_sums.astype(float) ** 2).sum()) - null_sq
+    two_m = 2.0 * m_side
+    return _normalized(edge_term, null_sq / two_m, two_m)
+
+
+def attribute_modularity(graph: UndirectedGraph, labels: Sequence[int] | np.ndarray) -> float:
+    """Modularity of the attribute labeling itself (all ordered pairs convention).
+
+    Restricted to the subgraph induced by labeled nodes; raises if that
+    subgraph has no edges.
+    """
+    return _attribute_q(_labeled_edges(graph, labels))
 
 
 def within_community_modularity(
@@ -107,18 +136,8 @@ def within_community_modularity(
     Returns ``(q_within, q_within_max, q_within_norm)``.  Degrees count only
     within-community edges of the labeled subgraph; raises if there are none.
     """
-    sub, lab, comm = _restricted_inputs(graph, np.asarray(labels), partition)
-    same_comm, m_w, _, wdeg, _ = _decompose(sub, comm)
-    if m_w == 0:
-        raise ValueError("no within-community edges join labeled nodes")
-    same_lab = lab[sub.edge_u] == lab[sub.edge_v]
-    edge_term = 2.0 * int((same_comm & same_lab).sum())
-    n_labels = int(lab.max()) + 1
-    group = comm * n_labels + lab
-    group_sums = np.bincount(group, weights=wdeg)
-    two_m = 2.0 * m_w
-    null_term = float((group_sums.astype(float) ** 2).sum()) / two_m
-    return _normalized(edge_term, null_term, two_m)
+    _check_partition(graph, partition)
+    return _split_q(_labeled_edges(graph, labels), partition, within=True)
 
 
 def between_community_modularity(
@@ -132,23 +151,8 @@ def between_community_modularity(
     only community-crossing edges of the labeled subgraph; raises if there
     are none.
     """
-    sub, lab, comm = _restricted_inputs(graph, np.asarray(labels), partition)
-    same_comm, _, m_b, _, bdeg = _decompose(sub, comm)
-    if m_b == 0:
-        raise ValueError("no between-community edges join labeled nodes")
-    same_lab = lab[sub.edge_u] == lab[sub.edge_v]
-    edge_term = 2.0 * int((~same_comm & same_lab).sum())
-    n_labels = int(lab.max()) + 1
-    label_sums = np.bincount(lab, weights=bdeg)
-    group_sums = np.bincount(comm * n_labels + lab, weights=bdeg)
-    two_m = 2.0 * m_b
-    # sum_ij k_i k_j [x_i = x_j][h_i != h_j]
-    #   = sum_a (sum_{x=a} k)^2 - sum_{c,a} (sum_{x=a,h=c} k)^2
-    null_term = (
-        float((label_sums.astype(float) ** 2).sum())
-        - float((group_sums.astype(float) ** 2).sum())
-    ) / two_m
-    return _normalized(edge_term, null_term, two_m)
+    _check_partition(graph, partition)
+    return _split_q(_labeled_edges(graph, labels), partition, within=False)
 
 
 @dataclass(frozen=True)
@@ -172,11 +176,12 @@ def segregation_report(
     partition: Partition,
     attribute: str,
 ) -> SegregationReport:
-    """Convenience bundle of attribute, within, and between modularity."""
-    labels = np.asarray(labels, dtype=np.int64)
-    q_attr = attribute_modularity(graph, labels)
-    q_w, q_w_max, q_w_norm = within_community_modularity(graph, labels, partition)
-    q_b, q_b_max, q_b_norm = between_community_modularity(graph, labels, partition)
+    """Attribute, within and between modularity from one pass over the edges."""
+    edges = _labeled_edges(graph, labels)
+    q_attr = _attribute_q(edges)
+    _check_partition(graph, partition)
+    q_w, q_w_max, q_w_norm = _split_q(edges, partition, within=True)
+    q_b, q_b_max, q_b_norm = _split_q(edges, partition, within=False)
     return SegregationReport(
         attribute=attribute,
         q_attr=q_attr,
@@ -186,7 +191,7 @@ def segregation_report(
         q_between_max=q_b_max,
         q_within_norm=q_w_norm,
         q_between_norm=q_b_norm,
-        n_used=int((labels >= 0).sum()),
+        n_used=int(edges.nodes.size),
     )
 
 

@@ -389,3 +389,173 @@ def component_labels_by_bfs(graph):
                     stack.append(nb)
         current += 1
     return labels, current
+
+
+def sex_permutation_at_one_tolerance(
+    graph, sex_codes, tolerance, target_replicates, seed, max_attempts, batch_size
+):
+    """The sex permutation test at one tolerance, with its own candidate stream.
+
+    Batch ``b`` permutes the sex-observed nodes by the argsort of uniform
+    keys from ``SeedSequence([seed, b])``; batches are drawn until
+    ``target_replicates`` permutations keep both group mean degrees within
+    the tolerance.  Returns the ``SexPermutationResult`` fields by name and
+    raises ``ValueError`` when the acceptance rate is below 0.1% after
+    ``max_attempts`` attempts.
+    """
+    sex = np.asarray(sex_codes)
+    observed_idx = np.flatnonzero(sex >= 0)
+    male = sex[observed_idx] == 0
+    n_male = int(male.sum())
+    n_female = int(observed_idx.size - n_male)
+    deg = graph.degrees[observed_idx].astype(float)
+    deg_total = float(deg.sum())
+    male_mean = float(deg[male].mean())
+    female_mean = float(deg[~male].mean())
+    male_bounds = (male_mean * (1.0 - tolerance), male_mean * (1.0 + tolerance))
+    female_bounds = (female_mean * (1.0 - tolerance), female_mean * (1.0 + tolerance))
+
+    def counts_of(male_perm):
+        labels = np.full(graph.node_count, -1)
+        labels[observed_idx] = np.where(male_perm, 0, 1)
+        return tie_triple_by_loop(graph, labels)
+
+    observed = counts_of(male)
+    counts, male_means, female_means = [], [], []
+    attempts = valid_total = batch_index = 0
+    while len(counts) < target_replicates:
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed) % (2**63), batch_index]))
+        order = np.argsort(rng.random((batch_size, deg.size)), axis=1)
+        male_mat = male[order]
+        md = (male_mat * deg).sum(axis=1) / n_male
+        fd = (deg_total - md * n_male) / n_female
+        for row in range(batch_size):
+            if not (
+                male_bounds[0] <= md[row] <= male_bounds[1]
+                and female_bounds[0] <= fd[row] <= female_bounds[1]
+            ):
+                continue
+            valid_total += 1
+            if len(counts) < target_replicates:
+                counts.append(counts_of(male_mat[row]))
+                male_means.append(md[row])
+                female_means.append(fd[row])
+        attempts += batch_size
+        batch_index += 1
+        if len(counts) < target_replicates and attempts >= max_attempts:
+            rate = valid_total / attempts
+            if rate < 0.001:
+                raise ValueError(
+                    f"valid-replicate acceptance rate {rate:.4%} below 0.1% after "
+                    f"{attempts} attempts; consider a larger tolerance"
+                )
+
+    counts = np.array(counts, dtype=np.int64)
+    expected = tuple(float(x) for x in counts.mean(axis=0))
+    p_values, ratios, verdicts = [], [], []
+    for k in range(3):
+        column = counts[:, k]
+        ge = int((column >= observed[k]).sum())
+        le = int((column <= observed[k]).sum())
+        p = min(1.0, 2.0 * min(ge + 1, le + 1) / (column.size + 1))
+        p_values.append(p)
+        ratios.append(observed[k] / expected[k] if expected[k] > 0 else float("nan"))
+        if p < 0.05 and observed[k] != expected[k]:
+            verdicts.append("assortative" if observed[k] > expected[k] else "dissortative")
+        else:
+            verdicts.append("ns")
+    return {
+        "observed": observed,
+        "expected_mean": expected,
+        "ratio": tuple(ratios),
+        "p_values": tuple(p_values),
+        "verdicts": tuple(verdicts),
+        "n_replicates": target_replicates,
+        "tolerance": tolerance,
+        "n_attempts": attempts,
+        "male_mean_degree": male_mean,
+        "female_mean_degree": female_mean,
+        "male_degree_bounds": male_bounds,
+        "female_degree_bounds": female_bounds,
+        "replicate_male_mean_degrees": np.array(male_means),
+        "replicate_female_mean_degrees": np.array(female_means),
+        "replicate_counts": counts,
+    }
+
+
+def segregation_report_by_subgraph(graph, labels, partition):
+    """Attribute, within and between modularity, each on the compiled subgraph
+    induced by the labeled nodes.
+
+    Returns the ``SegregationReport`` fields but ``attribute`` by name and
+    raises ``ValueError`` with the production messages, in the same order.
+    """
+    from segnet import induced_subgraph
+
+    def labeled_subgraph():
+        lab = np.asarray(labels, dtype=np.int64)
+        if lab.shape != (graph.node_count,):
+            raise ValueError("labels must cover every node (use negative codes for missing)")
+        nodes = np.flatnonzero(lab >= 0)
+        if nodes.size == 0:
+            raise ValueError("no node carries the attribute")
+        sub, _ = induced_subgraph(graph, nodes)
+        return sub, nodes, lab[nodes]
+
+    def normalized(edge_term, null_term, two_m):
+        q = (edge_term - null_term) / two_m
+        q_max = (two_m - null_term) / two_m
+        return q, q_max, q / q_max if q_max > 0.0 else 0.0
+
+    def split(within):
+        if partition.assignment.shape != (graph.node_count,):
+            raise ValueError("partition does not cover this graph")
+        sub, nodes, lab = labeled_subgraph()
+        comm = partition.assignment[nodes]
+        same_comm = comm[sub.edge_u] == comm[sub.edge_v]
+        m_w = int(same_comm.sum())
+        n = sub.node_count
+        wdeg = np.bincount(sub.edge_u[same_comm], minlength=n) + np.bincount(
+            sub.edge_v[same_comm], minlength=n
+        )
+        same_lab = lab[sub.edge_u] == lab[sub.edge_v]
+        n_labels = int(lab.max()) + 1
+        if within:
+            if m_w == 0:
+                raise ValueError("no within-community edges join labeled nodes")
+            group_sums = np.bincount(comm * n_labels + lab, weights=wdeg)
+            two_m = 2.0 * m_w
+            null_term = float((group_sums.astype(float) ** 2).sum()) / two_m
+            return normalized(2.0 * int((same_comm & same_lab).sum()), null_term, two_m)
+        m_b = sub.edge_count - m_w
+        if m_b == 0:
+            raise ValueError("no between-community edges join labeled nodes")
+        bdeg = sub.degrees - wdeg
+        label_sums = np.bincount(lab, weights=bdeg)
+        group_sums = np.bincount(comm * n_labels + lab, weights=bdeg)
+        two_m = 2.0 * m_b
+        null_term = (
+            float((label_sums.astype(float) ** 2).sum())
+            - float((group_sums.astype(float) ** 2).sum())
+        ) / two_m
+        return normalized(2.0 * int((~same_comm & same_lab).sum()), null_term, two_m)
+
+    sub, nodes, lab = labeled_subgraph()
+    m = sub.edge_count
+    if m == 0:
+        raise ValueError("no edges join labeled nodes")
+    e_same = int((lab[sub.edge_u] == lab[sub.edge_v]).sum())
+    deg_by_label = np.bincount(lab, weights=sub.degrees)
+    q_attr = float(e_same / m - ((deg_by_label / (2.0 * m)) ** 2).sum())
+    q_w, q_w_max, q_w_norm = split(within=True)
+    q_b, q_b_max, q_b_norm = split(within=False)
+    return {
+        "q_attr": q_attr,
+        "q_within": q_w,
+        "q_between": q_b,
+        "q_within_max": q_w_max,
+        "q_between_max": q_b_max,
+        "q_within_norm": q_w_norm,
+        "q_between_norm": q_b_norm,
+        "n_used": int(nodes.size),
+    }

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from segnet import (
     FeatureEncoding,
@@ -15,6 +17,7 @@ from segnet import (
     fit_logistic,
     generate_dyad_sample,
     sex_permutation_test,
+    sex_permutation_tests,
 )
 
 from .conftest import design_groups, make_table, random_graph
@@ -26,6 +29,7 @@ from .oracles import (
     group_dyads,
     logistic_2x2,
     logistic_irls,
+    sex_permutation_at_one_tolerance,
     tie_triple_by_loop,
     welch_t_closed_form,
 )
@@ -314,6 +318,27 @@ class TestLogisticFit:
         assert "separated" in fit.diagnostic
 
 
+def _plain(value):
+    """Arrays as lists and named tuples as tuples, so ``repr`` compares them bit for bit."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return tuple(value) if isinstance(value, tuple) else value
+
+
+def clique_with_pendants():
+    """Male K8 with one female pendant per clique node: group mean degrees 8 and 1."""
+    edges = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+    edges += [(i, 8 + i) for i in range(8)]
+    graph, _ = build_graph(edges, node_ids=range(16))
+    return graph, np.array([0] * 8 + [1] * 8)
+
+
+def random_sexed_graph():
+    rng = np.random.default_rng(73)
+    graph = random_graph(rng, 30, 0.15)
+    return graph, np.where(rng.random(30) < 0.1, -1, rng.integers(0, 2, 30))
+
+
 class TestSexPermutation:
     def test_observed_counts_match_loop_oracle(self, two_triangles):
         graph, table = two_triangles
@@ -366,9 +391,7 @@ class TestSexPermutation:
         assert result.n_replicates == 400
 
     def test_replicate_counts_match_per_row_computation(self):
-        rng = np.random.default_rng(73)
-        graph = random_graph(rng, 30, 0.15)
-        sex = np.where(rng.random(30) < 0.1, -1, rng.integers(0, 2, 30))
+        graph, sex = random_sexed_graph()
         table = make_table(range(30), sex=sex)
         seed, batch, target = 19, 64, 150
         result = sex_permutation_test(
@@ -406,12 +429,10 @@ class TestSexPermutation:
             sex_permutation_test(graph, table, tolerance=0.1)
 
     def test_hopeless_acceptance_rate_raises(self):
-        # male K8 with one female pendant per clique node: group mean degrees
-        # differ so much that almost no permutation is valid at 5% tolerance
-        edges = [(i, j) for i in range(8) for j in range(i + 1, 8)]
-        edges += [(i, 8 + i) for i in range(8)]
-        graph, _ = build_graph(edges, node_ids=range(16))
-        table = make_table(range(16), sex=[0] * 8 + [1] * 8)
+        # group mean degrees differ so much that almost no permutation is
+        # valid at 5% tolerance
+        graph, sex = clique_with_pendants()
+        table = make_table(range(16), sex=sex)
         with pytest.raises(ValueError, match="acceptance rate"):
             sex_permutation_test(
                 graph,
@@ -427,6 +448,55 @@ class TestSexPermutation:
         result = sex_permutation_test(graph, table, tolerance=1.0, target_replicates=99, seed=17)
         for p in result.p_values:
             assert 0.0 < p <= 1.0
+
+
+class TestSharedPermutationStream:
+    @pytest.mark.parametrize(
+        "make, tolerances, options, failing",
+        [
+            (
+                random_sexed_graph,
+                (0.02, 0.1, 0.3),
+                dict(target_replicates=150, seed=19, max_attempts=1_000_000, batch_size=64),
+                (False, False, False),
+            ),
+            # 0.05 admits about one permutation in 12870 and fails at 2048
+            # attempts; 1.0 (~0.5% valid) keeps drawing after that.
+            (
+                clique_with_pendants,
+                (0.05, 1.0, 5.0),
+                dict(target_replicates=20, seed=13, max_attempts=2048, batch_size=256),
+                (True, False, False),
+            ),
+        ],
+    )
+    def test_equals_one_stream_per_tolerance(self, make, tolerances, options, failing):
+        graph, sex = make()
+        table = make_table(range(graph.node_count), sex=sex)
+        outcomes = sex_permutation_tests(graph, table, tolerances, **options)
+        assert [isinstance(o, ValueError) for o in outcomes] == list(failing)
+        for tolerance, outcome in zip(tolerances, outcomes):
+            try:
+                expected = sex_permutation_at_one_tolerance(graph, sex, tolerance, **options)
+            except ValueError as exc:
+                assert str(outcome) == str(exc)
+                continue
+            for name, value in expected.items():
+                assert repr(_plain(getattr(outcome, name))) == repr(_plain(value)), name
+
+    def test_single_tolerance_call_raises_the_tolerance_error(self):
+        graph, sex = clique_with_pendants()
+        table = make_table(range(16), sex=sex)
+        options = dict(target_replicates=20, seed=13, max_attempts=2048, batch_size=256)
+        (failed, _) = sex_permutation_tests(graph, table, (0.05, 1.0), **options)
+        with pytest.raises(ValueError) as info:
+            sex_permutation_test(graph, table, 0.05, **options)
+        assert str(info.value) == str(failed)
+
+    def test_non_positive_tolerance_is_an_error(self, two_triangles):
+        graph, table = two_triangles
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            sex_permutation_tests(graph, table, (0.1, 0.0))
 
 
 class TestDegreeMissingnessTtest:
@@ -466,3 +536,42 @@ class TestDegreeMissingnessTtest:
         table = make_table(range(2), caste=[3, 3])
         with pytest.raises(ValueError):
             degree_missingness_ttest(graph, table, "caste")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        star_sizes=st.lists(st.integers(0, 7), min_size=1, max_size=8),
+        extra=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=8),
+        present=st.lists(st.booleans(), min_size=64, max_size=64),
+    )
+    # One group holds only leaves of degree 1 (constant), the other does not.
+    @example(star_sizes=[6, 3], extra=[], present=[False] + [True] * 6 + [False] * 57)
+    def test_equals_scipy_welch(self, star_sizes, extra, present):
+        edges, start = [], 0
+        for size in star_sizes:
+            edges += [(start, start + 1 + i) for i in range(size)]
+            start += size + 1
+        n = start
+        edges += [(u % n, v % n) for u, v in extra]
+        graph, _ = build_graph(edges, node_ids=range(n))
+        observed = np.array(present[:n])
+        table = make_table(range(n), caste=np.where(observed, 3, -1))
+        deg = graph.degrees.astype(float)
+        a, b = deg[observed], deg[~observed]
+        if a.size < 2 or b.size < 2:
+            with pytest.raises(ValueError, match="both groups need at least 2 nodes"):
+                degree_missingness_ttest(graph, table, "caste")
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = degree_missingness_ttest(graph, table, "caste")
+        if a.min() == a.max() and b.min() == b.max():
+            if a[0] == b[0]:
+                assert result == (0.0, 1.0)
+            else:
+                assert result == ((math.inf, 0.0) if a[0] > b[0] else (-math.inf, 0.0))
+            return
+        with warnings.catch_warnings():
+            # scipy warns of precision loss when a group is constant.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            reference = stats.ttest_ind(a, b, equal_var=False)
+        assert result == (float(reference.statistic), float(reference.pvalue))

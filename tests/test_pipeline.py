@@ -149,6 +149,19 @@ class TestParseRunConfig:
         with pytest.raises(ValueError, match="unknown attribute"):
             parse_run_config("corpus_dir = c\noutput_dir = o\nattributes = height\n")
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("attributes = caste, caste, sex", "attributes"),
+            ("community_network_attributes = caste, caste", "community_network_attributes"),
+            ("permutation_tolerances = 0.2, 0.20", "permutation_tolerances"),
+        ],
+    )
+    def test_duplicate_list_entries_are_errors(self, line, key):
+        # A repeated entry would repeat its rows in the summary tables.
+        with pytest.raises(ValueError, match=f"duplicate entries in '{key}'"):
+            parse_run_config(f"corpus_dir = c\noutput_dir = o\n{line}\n")
+
     def test_default_text_round_trips(self, tmp_path):
         text = default_config_text(corpus_dir="corpus", output_dir="out")
         cfg = parse_run_config(text, base_dir=".")
@@ -245,6 +258,21 @@ class TestAnalyzeVillage:
         net = bundle["community_networks"]["caste"]
         assert "error" not in net
         assert net["node_fraction_retained"] > 0
+
+    def test_failed_tolerance_gets_its_own_error_entry(self, tmp_path, monkeypatch):
+        shared_stream = pipeline.sex_permutation_tests
+
+        def first_fails(*args, **kwargs):
+            return [ValueError("acceptance rate too low"), *shared_stream(*args, **kwargs)[1:]]
+
+        monkeypatch.setattr(pipeline, "sex_permutation_tests", first_fails)
+        cfg = small_config(
+            tmp_path / "corpus", tmp_path / "out", permutation_tolerances=(0.01, 0.2)
+        )
+        entries = analyze_village(synth_village(seed=200), cfg)["sex_permutation"]
+        assert entries["0.01"] == {"tolerance": 0.01, "error": "acceptance rate too low"}
+        assert entries["0.2"]["tolerance"] == 0.2
+        assert entries["0.2"]["n_replicates"] == 100
 
     def test_working_keys_present_for_direct_callers(self, bundle_and_config):
         bundle, _, _ = bundle_and_config
@@ -391,6 +419,19 @@ class TestRunPipeline:
         assert (out / "bundles" / "v00.json").is_file()
         tables = summarize_output_directory(out)
         assert {row["n_villages"] for row in tables["network"]} == {2}
+
+    def test_rerun_deletes_leftover_temporary_files(self, tmp_path):
+        corpus = make_corpus(tmp_path, n=2)
+        out = tmp_path / "out"
+        cfg = small_config(corpus, out)
+        assert run_pipeline(cfg).exit_code == 0
+        assert not list(out.rglob("*.tmp"))
+        # What a run killed between writing a temporary file and moving it leaves.
+        leftovers = [out / "bundles" / "v00.json.tmp", out / "summary_network.csv.tmp"]
+        for path in leftovers:
+            path.write_text("partial", encoding="utf-8")
+        assert run_pipeline(cfg).exit_code == 0
+        assert not list(out.rglob("*.tmp"))
 
     def test_rerun_where_every_village_fails_leaves_no_summaries(self, tmp_path):
         corpus = make_corpus(tmp_path, n=2)

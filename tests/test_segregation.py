@@ -1,7 +1,10 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from segnet import (
     Partition,
@@ -17,7 +20,11 @@ from segnet import (
 )
 
 from .conftest import random_graph
-from .oracles import naive_attribute_modularity, naive_within_between
+from .oracles import (
+    naive_attribute_modularity,
+    naive_within_between,
+    segregation_report_by_subgraph,
+)
 
 
 def test_uniform_labels_give_exactly_zero():
@@ -133,6 +140,47 @@ def test_report_is_consistent_with_components(bridged_triangles):
         between_community_modularity(graph, labels, partition)
     )
     assert report.n_used == 6
+
+
+@st.composite
+def partitioned_graphs(draw):
+    """(n, edges, labels with -1 for missing, community ids) of a small graph."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=30))
+    labels = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    communities = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return n, edges, labels, communities
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=partitioned_graphs())
+@example(case=(3, [], [0, 1, 0], [1, 1, 2]))  # no edges
+@example(case=(3, [(0, 1), (1, 2)], [-1, -1, -1], [1, 1, 2]))  # no labeled node
+@example(case=(3, [(0, 1), (1, 2)], [0, -1, 1], [1, 1, 2]))  # no edge between labeled nodes
+@example(case=(3, [(0, 1), (1, 2)], [0, 0, 1], [1, 2, 3]))  # no within-community edge
+@example(case=(3, [(0, 1), (1, 2)], [0, 0, 1], [1, 1, 1]))  # no between-community edge
+def test_report_equals_the_induced_subgraph_oracle(case):
+    n, edges, labels, communities = case
+    graph, _ = build_graph(edges, node_ids=range(n))
+    partition = Partition.from_assignment(graph, communities)
+    try:
+        expected = segregation_report_by_subgraph(graph, labels, partition)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            segregation_report(graph, labels, partition, "caste")
+        assert str(info.value) == str(exc)
+        return
+    report = asdict(segregation_report(graph, labels, partition, "caste"))
+    assert report.pop("attribute") == "caste"
+    assert report == expected
+    assert attribute_modularity(graph, labels) == expected["q_attr"]
+    assert within_community_modularity(graph, labels, partition) == (
+        expected["q_within"], expected["q_within_max"], expected["q_within_norm"]
+    )
+    assert between_community_modularity(graph, labels, partition) == (
+        expected["q_between"], expected["q_between_max"], expected["q_between_norm"]
+    )
 
 
 class TestCommunityNetwork:
