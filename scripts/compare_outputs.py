@@ -23,7 +23,6 @@ import filecmp
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -101,11 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("src_a", type=Path, help="first source tree (the directory above segnet/)")
     parser.add_argument("src_b", type=Path, help="second source tree")
     parser.add_argument("--seed", type=int, default=411)
-    parser.add_argument(
-        "--workload", action="append", choices=sorted(WORKLOADS), help="default: every workload"
-    )
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    parser.add_argument("--keep", type=Path, help="write corpora and outputs here and keep them")
     args = parser.parse_args(argv)
 
     srcs = [args.src_a.resolve(), args.src_b.resolve()]
@@ -113,13 +108,10 @@ def main(argv: list[str] | None = None) -> int:
         if not (src / "segnet" / "__init__.py").is_file():
             parser.error(f"no segnet package under {src}")
     extra = "".join(f"{line.replace('=', ' = ', 1)}\n" for line in args.set)
-    work = args.keep or Path(tempfile.mkdtemp(prefix="segnet-compare-"))
     identical = True
-    try:
-        for name in args.workload or sorted(WORKLOADS):
-            workload = WORKLOADS[name]
-            base = work / name
-            shutil.rmtree(base, ignore_errors=True)
+    with tempfile.TemporaryDirectory(prefix="segnet-compare-") as work:
+        for name, workload in sorted(WORKLOADS.items()):
+            base = Path(work) / name
             generate_corpus(base / "corpus", workload.villages, args.seed, workload.salt)
             config = base / "run.cfg"
             config.write_text(workload.config_text("corpus", "out") + extra, encoding="utf-8")
@@ -139,9 +131,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"    {path}")
             print("  largest relative float difference per bundle key:")
             report_bundles(*outs)
-    finally:
-        if args.keep is None:
-            shutil.rmtree(work, ignore_errors=True)
     return 0 if identical else 1
 
 

@@ -599,8 +599,8 @@ def degree_missingness_ttest(
         return (math.inf if mean_a > mean_b else -math.inf), 0.0
     vn_a = var_a / a.size
     vn_b = var_b / b.size
+    # scipy maps a NaN df to 1; it is NaN only when both variances are 0,
+    # which returned above, so df is finite here.
     df = (vn_a + vn_b) ** 2 / (vn_a**2 / (a.size - 1) + vn_b**2 / (b.size - 1))
-    if math.isnan(df):
-        df = 1.0
     t = (mean_a - mean_b) / np.sqrt(vn_a + vn_b)
     return float(t), float(2 * stdtr(df, -abs(t)))

@@ -524,17 +524,18 @@ def _json_safe(obj: Any) -> Any:
 
 
 @contextmanager
-def _atomic_open(path: Path) -> Iterator[TextIO]:
+def _atomic_open(path: Path, newline: str | None = None) -> Iterator[TextIO]:
     """A text file that replaces ``path`` only once it is completely written.
 
     Writes go to a temporary file next to ``path``, which ``os.replace``
     moves into place on success, so a reader sees the old file or the new
     one, never a partial write.  A temporary file left by an interrupted run
-    is deleted by the next run (``_remove_stale_artifacts``).
+    is deleted by the next run (``_remove_stale_artifacts``).  ``newline`` is
+    passed to ``open``.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + _TMP_SUFFIX)
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+    with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
         yield fh
     os.replace(tmp, path)
 
@@ -552,7 +553,7 @@ def _meta_line(config_hash: str) -> str:
 def _write_csv(
     path: Path, fieldnames: Sequence[str], rows: Sequence[Mapping[str, Any]], config_hash: str
 ) -> None:
-    with _atomic_open(path) as fh:
+    with _atomic_open(path, newline="") as fh:
         fh.write(_meta_line(config_hash) + "\n")
         writer = csv.DictWriter(fh, fieldnames=list(fieldnames))
         writer.writeheader()
