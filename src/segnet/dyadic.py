@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
-from scipy.special import expit, stdtr
+from scipy.special import expit, ndtr, stdtr
 
 from .attributes import (
     CATEGORICAL_ATTRIBUTES,
+    DEFAULT_AGE_BINS,
+    DEFAULT_EDUCATION_BINS,
     NUMERIC_ATTRIBUTES,
     AttributeTable,
     complete_case_mask,
@@ -87,8 +88,6 @@ def default_feature_spec(
     education_bins: Sequence[float] | None = None,
 ) -> FeatureSpec:
     """Match indicators on every attribute, with age and education binned."""
-    from .attributes import DEFAULT_AGE_BINS, DEFAULT_EDUCATION_BINS
-
     age = tuple(age_bins) if age_bins is not None else DEFAULT_AGE_BINS
     edu = tuple(education_bins) if education_bins is not None else DEFAULT_EDUCATION_BINS
     return FeatureSpec(
@@ -260,6 +259,15 @@ def _information(
     return H, grad
 
 
+def _wald_p_values(z: np.ndarray) -> np.ndarray:
+    """Two-sided standard normal p-values ``2 * P(Z > |z|)``.
+
+    ``ndtr(-|z|)`` is the upper tail exactly as ``scipy.stats.norm.sf``
+    computes it, without importing ``scipy.stats``.
+    """
+    return 2.0 * ndtr(-np.abs(z))
+
+
 def fit_logistic(design: DyadDesign, options: FitOptions = FitOptions()) -> LogisticFit:
     """Fit tie probability on dyad features by Newton-Raphson (IRLS).
 
@@ -309,7 +317,7 @@ def fit_logistic(design: DyadDesign, options: FitOptions = FitOptions()) -> Logi
         se = np.full(p + 1, np.nan)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z = beta / se
-        p_values = 2.0 * stats.norm.sf(np.abs(z))
+        p_values = _wald_p_values(z)
         ci95 = np.column_stack(
             [np.exp(beta[1:] - 1.96 * se[1:]), np.exp(beta[1:] + 1.96 * se[1:])]
         )

@@ -1,6 +1,7 @@
 """Immutable undirected simple graphs: construction, components, summary statistics.
 
-Components and local clustering are ``scipy.sparse`` kernels over the
+Component labels come from numpy root hooking and pointer jumping over the
+edge arrays; local clustering is a ``scipy.sparse`` product over the
 graph's own CSR arrays (``indptr``/``neighbors``).  Component labels follow
 first discovery by node index, and the clustering mean adds its per-node
 terms left to right in node order, so both equal a plain graph search and a
@@ -14,7 +15,6 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "UndirectedGraph",
@@ -154,16 +154,34 @@ def component_labels(graph: UndirectedGraph) -> tuple[np.ndarray, int]:
 
     Component ``c`` is the one whose smallest node index ranks ``c``-th
     among the components' smallest indices, so label 0 holds node 0.
+
+    Every node points at a root, at first itself.  Each round hooks the
+    larger root of every edge whose ends have different roots onto the
+    smaller one, then jumps pointers (``root = root[root]``) until none
+    changes.  A pointer stays inside its node's component and never exceeds
+    the node's index.  The loop stops once every edge has one root at both
+    ends, so each component then has one root, its smallest index, and
+    ranking the roots gives the labels.  The loop terminates: a round that
+    does not stop hooks at least one root onto a smaller one, so there are
+    fewer rounds than nodes.
     """
-    if graph.node_count == 0:
-        return np.empty(0, dtype=np.int64), 0
-    count, raw = connected_components(_adjacency_matrix(graph), directed=False)
-    # scipy does not document the order of its labels, so rank each
-    # component by its smallest node index (np.unique's first index).
-    _, first = np.unique(raw, return_index=True)
-    rank = np.empty(count, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(count)
-    return rank[raw], int(count)
+    root = np.arange(graph.node_count, dtype=np.int64)
+    u, v = graph.edge_u, graph.edge_v
+    while True:
+        ru, rv = root[u], root[v]
+        differ = ru != rv
+        if not differ.any():
+            break
+        # An edge whose ends share a root keeps sharing it, so drop it.
+        u, v, ru, rv = u[differ], v[differ], ru[differ], rv[differ]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    roots, labels = np.unique(root, return_inverse=True)
+    return labels.astype(np.int64, copy=False), int(roots.size)
 
 
 def induced_subgraph(

@@ -19,6 +19,7 @@ from segnet import (
     sex_permutation_test,
     sex_permutation_tests,
 )
+from segnet.dyadic import FitOptions, _wald_p_values
 
 from .conftest import design_groups, make_table, random_graph
 from .oracles import (
@@ -306,16 +307,41 @@ class TestLogisticFit:
         with pytest.raises(ValueError, match="tied and untied"):
             fit_logistic(build_dyad_design(empty, table, spec))
 
-    def test_complete_separation_is_flagged_not_raised(self):
+    @staticmethod
+    def separated_design():
         # ties exactly when castes match: the MLE diverges
         edges = [(0, 1), (2, 3), (4, 5)]
         graph, _ = build_graph(edges, node_ids=range(6))
         table = make_table(range(6), caste=[0, 0, 1, 1, 2, 2])
-        fit = fit_logistic(
-            build_dyad_design(graph, table, FeatureSpec({"caste": FeatureEncoding("match")}))
-        )
+        return build_dyad_design(graph, table, FeatureSpec({"caste": FeatureEncoding("match")}))
+
+    def test_complete_separation_is_flagged_not_raised(self):
+        fit = fit_logistic(self.separated_design())
         assert not fit.converged
         assert "separated" in fit.diagnostic
+
+    def test_p_values_equal_the_scipy_normal_tail(self):
+        converged = fit_logistic(self.sample_design())
+        diverging = fit_logistic(self.separated_design())
+        # past the default bound the weights underflow and the information
+        # matrix turns singular, so every standard error is NaN
+        singular = fit_logistic(self.separated_design(), FitOptions(divergence_bound=1e3))
+        assert converged.converged and not diverging.converged
+        assert np.isfinite(diverging.std_errors).all() and diverging.std_errors[0] > 1e3
+        assert singular.diagnostic == "singular information matrix"
+        assert np.isnan(singular.std_errors).all()
+        for fit in (converged, diverging, singular):
+            expected = 2.0 * stats.norm.sf(np.abs(fit.beta / fit.std_errors))
+            np.testing.assert_array_equal(fit.p_values, expected, strict=True)
+
+
+def test_wald_p_values_equal_the_scipy_normal_tail_at_extremes():
+    # 2 * sf(37.5) is near the smallest normal double; 2 * sf(38.5) is 0
+    z = np.array([0.0, -0.0, 37.5, -37.5, 38.5, -38.5, 40.0, -40.0, np.inf, -np.inf, np.nan])
+    expected = 2.0 * stats.norm.sf(np.abs(z))
+    p_values = _wald_p_values(z)
+    np.testing.assert_array_equal(p_values, expected, strict=True)
+    assert p_values[0] == 1.0 and p_values[8] == 0.0 and np.isnan(p_values[-1])
 
 
 def _plain(value):

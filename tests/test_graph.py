@@ -97,6 +97,14 @@ def test_component_labels_of_the_empty_graph():
     assert labels.size == 0
 
 
+def _assert_labels_equal_bfs(graph):
+    labels, count = component_labels(graph)
+    expected_labels, expected_count = component_labels_by_bfs(graph)
+    assert count == expected_count
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, expected_labels)
+
+
 @st.composite
 def scattered_components(draw):
     """Graph of up to 40 nodes: random blocks, edges only inside blocks, nodes shuffled.
@@ -126,13 +134,46 @@ def scattered_components(draw):
 @settings(max_examples=150, deadline=None)
 @given(scattered_components())
 def test_sparse_kernels_equal_the_loop_oracles(graph):
-    labels, count = component_labels(graph)
-    expected_labels, expected_count = component_labels_by_bfs(graph)
-    assert count == expected_count
-    assert labels.dtype == expected_labels.dtype
-    assert labels.tolist() == expected_labels.tolist()
+    _assert_labels_equal_bfs(graph)
     if graph.node_count:
         assert mean_local_clustering(graph) == local_clustering_by_loop(graph)
+
+
+def _path_order(kind, n):
+    """Node sequence of a path through ``0 .. n - 1``."""
+    ascending = np.arange(n)
+    if kind == "ascending":
+        return ascending
+    if kind == "descending":
+        return ascending[::-1]
+    if kind == "shuffled":
+        return np.random.default_rng(n).permutation(n)
+    # zig-zag: 0, n - 1, 1, n - 2, ...
+    order = np.empty(n, dtype=np.int64)
+    order[0::2] = ascending[: (n + 1) // 2]
+    order[1::2] = ascending[::-1][: n // 2]
+    return order
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1001, 5000])
+@pytest.mark.parametrize("kind", ["ascending", "descending", "shuffled", "zigzag"])
+def test_component_labels_of_long_paths_equal_graph_search(kind, n):
+    order = _path_order(kind, n)
+    one_path, _ = build_graph(zip(order[:-1].tolist(), order[1:].tolist()), node_ids=range(n))
+    _assert_labels_equal_bfs(one_path)
+    # the same path twice over interleaved indices, plus an isolated last node
+    evens, odds = 2 * order, 2 * order + 1
+    edges = list(zip(evens[:-1].tolist(), evens[1:].tolist()))
+    edges += list(zip(odds[:-1].tolist(), odds[1:].tolist()))
+    two_paths, _ = build_graph(edges, node_ids=range(2 * n + 1))
+    _assert_labels_equal_bfs(two_paths)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5000])
+def test_component_labels_of_a_star_centred_on_the_last_index(n):
+    star, _ = build_graph([(i, n - 1) for i in range(n - 1)], node_ids=range(n))
+    _assert_labels_equal_bfs(star)
+    assert component_labels(star)[1] == 1
 
 
 def test_lcc_ties_break_toward_smallest_node_index():

@@ -4,12 +4,15 @@ import math
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import segnet
 from segnet import (
     AttributedSbmConfig,
     FeatureEncoding,
@@ -706,3 +709,43 @@ def test_json_safe_scrubs_non_finite_and_numpy_types():
     assert cleaned["5"] == "five"
     assert json.dumps(cleaned)  # round-trips through the stdlib encoder
     assert math.isfinite(json.loads(json.dumps(cleaned))["a"])
+
+
+# Each of these costs 0.1-0.7 s to import; segnet needs none of them.
+HEAVY_SCIPY_MODULES = ("scipy.stats", "scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+FOOTPRINT_SCRIPT = """
+import json, sys
+import segnet
+result = segnet.run_pipeline(segnet.load_run_config(sys.argv[1]))
+heavy = sorted(m for m in json.loads(sys.argv[2]) if m in sys.modules)
+print(json.dumps({"exit_code": result.exit_code, "heavy": heavy}))
+"""
+
+
+def test_import_and_run_load_no_heavy_scipy_module(tmp_path):
+    corpus = make_corpus(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "corpus_dir = corpus\noutput_dir = out\nattributes = caste, sex\n"
+        "permutation_replicates = 100\nworkers = 1\n",
+        encoding="utf-8",
+    )
+    # a fresh interpreter, so modules this test session imported do not count
+    env = dict(os.environ, PYTHONPATH=str(Path(segnet.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, str(config), json.dumps(HEAVY_SCIPY_MODULES)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"exit_code": 0, "heavy": []}
+    bundles = sorted((tmp_path / "out" / "bundles").iterdir())
+    assert len(bundles) == len(list(corpus.iterdir()))
+    for path in bundles:
+        # the run reached the Wald p-values and the component labels
+        bundle = json.loads(path.read_text(encoding="utf-8"))
+        assert bundle["dyadic"]["converged"]
+        assert bundle["network"]["full"]["n_components"] >= 1
