@@ -43,6 +43,13 @@ __all__ = [
     "degree_missingness_ttest",
 ]
 
+# Element budget of one chunk in the permutation and design kernels: their
+# largest transient arrays hold about this many entries per chunk, so a
+# worker's working set does not grow with the village.
+_CHUNK_ELEMENTS = 1 << 16
+# Design rows are keyed by an int64 mixed-radix number over feature levels.
+_MAX_ROW_KEY = 1 << 62
+
 @dataclass(frozen=True)
 class FeatureEncoding:
     """How one attribute turns into a dyad feature.
@@ -143,6 +150,17 @@ def _pair_feature(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a == b).astype(float) if kind == "match" else np.abs(a - b)
 
 
+def _type_row_blocks(n_types: int):
+    """Rows of the type-pair triangle as ``(rows, 1)`` index columns.
+
+    Each block spans at most ``max(1, _CHUNK_ELEMENTS // n_types)`` rows,
+    so its ``(rows, n_types)`` rectangle of pairs stays within the budget.
+    """
+    step = max(1, _CHUNK_ELEMENTS // n_types)
+    for start in range(0, n_types, step):
+        yield np.arange(start, min(start + step, n_types))[:, None]
+
+
 def build_dyad_design(
     graph: UndirectedGraph, table: AttributeTable, spec: FeatureSpec
 ) -> DyadDesign:
@@ -151,9 +169,14 @@ def build_dyad_design(
     Nodes with identical feature values form a type.  Each unordered pair of
     types (a type with itself included) holds n_a * n_b dyads, or
     C(n_a, 2) within one type, and all of them share one feature row; type
-    pairs with equal rows are merged.  Ties are counted in one pass over the
-    edges.  Raises if fewer than two nodes are observed on every attribute
-    in the spec.
+    pairs with equal rows are merged.  The type-pair triangle is walked in
+    blocks of whole rows, at most ``max(_CHUNK_ELEMENTS, n_types)`` pairs
+    each, and each block is reduced to its distinct rows before the next,
+    so the working set beyond the graph, the types and the grouped rows
+    does not grow with the number of types.  Ties are counted in one pass
+    over the edges.  Raises if fewer than two nodes are observed on every
+    attribute in the spec, or if the feature rows take too many distinct
+    values to be keyed in 62 bits.
     """
     if table.n != graph.node_count:
         raise ValueError("attribute table does not align with the graph")
@@ -179,45 +202,62 @@ def build_dyad_design(
         np.column_stack(columns), axis=0, return_inverse=True, return_counts=True
     )
     n_types = type_size.size
-    ta, tb = np.triu_indices(n_types)
-    pairs = np.where(ta == tb, type_size[ta] * (type_size[ta] - 1) // 2, type_size[ta] * type_size[tb])
 
-    # Mixed-radix key over per-column value codes: equal keys <=> equal rows,
+    # Sorted feature values per column: 0/1 for a match, every |x - y| over
+    # the column's distinct values for a difference.  A row's key is the
+    # mixed-radix number of its level codes, so equal keys <=> equal rows
     # and key order is the rows' lexicographic order.
-    key = np.zeros(ta.size, dtype=np.int64)
-    radix = 1
+    levels = []
     for kind, col in zip(kinds, types.T):
-        feature = _pair_feature(kind, col[ta], col[tb])
         if kind == "match":
-            n_levels, code = 2, feature.astype(np.int64)
+            levels.append(np.array([0.0, 1.0]))
         else:
-            levels, code = np.unique(feature, return_inverse=True)
-            n_levels = levels.size
-        if radix * n_levels >= 2**62:  # re-rank so the key cannot overflow
-            _, key = np.unique(key, return_inverse=True)
-            radix = int(key.max()) + 1
-        key = key * n_levels + code
-        radix *= n_levels
-    _, first, row_of = np.unique(key, return_index=True, return_inverse=True)
-    row_pairs = np.bincount(row_of, weights=pairs).astype(np.int64)
+            distinct = np.unique(col)
+            levels.append(np.unique(np.abs(distinct[:, None] - distinct)))
+    if math.prod(lv.size for lv in levels) >= _MAX_ROW_KEY:
+        raise ValueError(
+            "dyad features take too many distinct values to key the design rows; "
+            "bin the numeric difference features"
+        )
+
+    def pair_keys(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
+        key = np.zeros(np.broadcast_shapes(ta.shape, tb.shape), dtype=np.int64)
+        for kind, col, lv in zip(kinds, types.T, levels):
+            key *= lv.size
+            key += np.searchsorted(lv, _pair_feature(kind, col[ta], col[tb]))
+        return key
+
+    block_keys = []
+    block_pairs = []
+    every = np.arange(n_types)
+    for ta in _type_row_blocks(n_types):
+        upper = ta <= every
+        sa = type_size[ta]
+        pairs = np.where(ta == every, sa * (sa - 1) // 2, sa * type_size)
+        key, row_of = np.unique(pair_keys(ta, every)[upper], return_inverse=True)
+        block_keys.append(key)
+        block_pairs.append(np.bincount(row_of, weights=pairs[upper]))
+    row_key, row_of = np.unique(np.concatenate(block_keys), return_inverse=True)
+    row_pairs = np.bincount(row_of, weights=np.concatenate(block_pairs)).astype(np.int64)
+    # A type of one node paired with itself holds no dyad.
+    held = row_pairs > 0
+    row_key, row_pairs = row_key[held], row_pairs[held]
 
     type_of = np.full(graph.node_count, -1, dtype=np.int64)
     type_of[node_index] = node_type.reshape(-1)
     tu = type_of[graph.edge_u]
     tv = type_of[graph.edge_v]
     keep = (tu >= 0) & (tv >= 0)
-    lo = np.minimum(tu[keep], tv[keep])
-    hi = np.maximum(tu[keep], tv[keep])
-    # Position of type pair (lo, hi) in triu_indices order.
-    tri = lo * n_types - lo * (lo - 1) // 2 + (hi - lo)
-    row_ties = np.bincount(row_of[tri], minlength=first.size)
+    # Both pair features are symmetric, so (tu, tv) keys like its triangle pair.
+    edge_key = pair_keys(tu[keep], tv[keep])
+    row_ties = np.bincount(np.searchsorted(row_key, edge_key), minlength=row_key.size)
 
-    X = np.column_stack(
-        [_pair_feature(kind, col[ta[first]], col[tb[first]]) for kind, col in zip(kinds, types.T)]
-    )
-    # A type of one node paired with itself holds no dyad.
-    held = row_pairs > 0
-    return DyadDesign(node_index, tuple(names), X[held], row_pairs[held], row_ties[held])
+    X = np.empty((row_key.size, len(names)))
+    rest = row_key
+    for c in reversed(range(len(names))):
+        rest, code = np.divmod(rest, levels[c].size)
+        X[:, c] = levels[c][code]
+    return DyadDesign(node_index, tuple(names), X, row_pairs, row_ties)
 
 
 @dataclass(frozen=True)
@@ -450,20 +490,28 @@ def sex_permutation_tests(
     ``|mean*/mean - 1| <= tolerance``.  Every tolerance filters the same
     seeded stream of candidate permutations, drawn batch by batch until
     each tolerance has ``target_replicates`` replicates or has failed, so a
-    tolerance's result (``n_attempts`` included: the attempts drawn when it
-    finished) equals a test at that tolerance alone.  Two-sided Monte Carlo
-    p-values use the doubled smaller tail with add-one correction, capped
-    at 1.
+    tolerance's result equals a test at that tolerance alone.  Each batch
+    is drawn and filtered in chunks of about ``_CHUNK_ELEMENTS`` keys, so
+    the working set is bounded by that budget (times the mean degree for
+    the tie counts) rather than by ``batch_size`` times the node count; a
+    batch stops early once every tolerance open at its start is complete.
+    ``n_attempts`` counts whole batches: the attempts drawn when the
+    tolerance finished, its last batch included in full.  Two-sided Monte
+    Carlo p-values use the doubled smaller tail with add-one correction,
+    capped at 1.
 
     Returns one entry per tolerance, in order: its result, or the
     ``ValueError`` when its valid-replicate acceptance rate is below 0.1%
-    after ``max_attempts`` attempts.  Raises on a non-positive tolerance and
-    on a single-sex network.
+    after ``max_attempts`` attempts.  Raises on a tolerance that is not
+    positive (NaN included), on ``batch_size < 1`` and on a single-sex
+    network.
     """
-    if any(t <= 0 for t in tolerances):
+    if any(not t > 0 for t in tolerances):
         raise ValueError("tolerance must be positive")
     if target_replicates < 1:
         raise ValueError("target_replicates must be at least 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
     sex = table.labels("sex")
     if sex.shape != (graph.node_count,):
         raise ValueError("attribute table does not align with the graph")
@@ -485,14 +533,15 @@ def sex_permutation_tests(
     pv = pos[graph.edge_v]
     keep = (pu >= 0) & (pv >= 0)
     eu_o, ev_o = pu[keep], pv[keep]
+    # Degrees within the ties among sex-observed nodes.
+    inner_degree = np.bincount(np.concatenate([eu_o, ev_o]), minlength=observed_idx.size)
 
     def _tie_counts(male_rows: np.ndarray) -> np.ndarray:
         """(mm, mf, ff) tie counts for each row of a (replicates, nodes) male mask."""
-        a = male_rows[:, eu_o]
-        b = male_rows[:, ev_o]
-        mm = (a & b).sum(axis=1)
-        ff = (~(a | b)).sum(axis=1)
-        return np.column_stack([mm, eu_o.size - mm - ff, ff])
+        mm = np.count_nonzero(male_rows[:, eu_o] & male_rows[:, ev_o], axis=1)
+        # Summed inner degrees of the males count each mm tie twice, each mf tie once.
+        mf = male_rows @ inner_degree - 2 * mm
+        return np.column_stack([mm, mf, eu_o.size - mm - mf])
 
     observed = TieTriple(*(int(c) for c in _tie_counts(male[None, :])[0]))
 
@@ -510,38 +559,47 @@ def sex_permutation_tests(
     outcomes: list[SexPermutationResult | ValueError | None] = [None] * len(collections)
     pending = list(range(len(collections)))
     seed_entropy = int(seed) % (2**63)
+    # Consecutive draws of chunk_rows rows reproduce the rows of one
+    # (batch_size, n) draw, so the chunking does not change the stream.
+    chunk_rows = max(1, min(batch_size, _CHUNK_ELEMENTS // deg.size))
     attempts = 0
     batch_index = 0
     while pending:
         rng = np.random.default_rng(np.random.SeedSequence([seed_entropy, batch_index]))
-        keys = rng.random((batch_size, deg.size))
-        order = np.argsort(keys, axis=1)
-        male_mat = male[order]
-        md = (male_mat * deg).sum(axis=1) / n_male
-        fd = (deg_total - md * n_male) / n_female
-        taken = {}
-        for k in pending:
-            c = collections[k]
-            valid = (
-                (md >= c.male_bounds[0])
-                & (md <= c.male_bounds[1])
-                & (fd >= c.female_bounds[0])
-                & (fd <= c.female_bounds[1])
-            )
-            c.valid_total += int(valid.sum())
-            taken[k] = np.flatnonzero(valid)[: target_replicates - c.collected]
-        # Tie counts once for every row some tolerance takes.
-        union = np.unique(np.concatenate(list(taken.values())))
-        union_counts = _tie_counts(male_mat[union])
+        for start in range(0, batch_size, chunk_rows):
+            open_now = [k for k in pending if collections[k].collected < target_replicates]
+            if not open_now:
+                # No tolerance needs the rest of the batch, nor its valid count.
+                break
+            keys = rng.random((min(chunk_rows, batch_size - start), deg.size))
+            male_mat = male[np.argsort(keys, axis=1)]
+            md = (male_mat * deg).sum(axis=1) / n_male
+            fd = (deg_total - md * n_male) / n_female
+            taken = {}
+            for k in open_now:
+                c = collections[k]
+                valid = (
+                    (md >= c.male_bounds[0])
+                    & (md <= c.male_bounds[1])
+                    & (fd >= c.female_bounds[0])
+                    & (fd <= c.female_bounds[1])
+                )
+                c.valid_total += int(valid.sum())
+                taken[k] = np.flatnonzero(valid)[: target_replicates - c.collected]
+            # Tie counts once for every row some tolerance takes.
+            union = np.unique(np.concatenate(list(taken.values())))
+            union_counts = _tie_counts(male_mat[union])
+            for k, rows in taken.items():
+                c = collections[k]
+                span = slice(c.collected, c.collected + rows.size)
+                c.counts[span] = union_counts[np.searchsorted(union, rows)]
+                c.male_means[span] = md[rows]
+                c.female_means[span] = fd[rows]
+                c.collected += rows.size
         attempts += batch_size
         batch_index += 1
-        for k, rows in taken.items():
+        for k in pending:
             c = collections[k]
-            span = slice(c.collected, c.collected + rows.size)
-            c.counts[span] = union_counts[np.searchsorted(union, rows)]
-            c.male_means[span] = md[rows]
-            c.female_means[span] = fd[rows]
-            c.collected += rows.size
             if c.collected == target_replicates:
                 outcomes[k] = _permutation_result(c, observed, attempts, male_mean, female_mean)
             elif attempts >= max_attempts and c.valid_total / attempts < 0.001:

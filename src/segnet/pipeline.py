@@ -120,8 +120,13 @@ class RunConfig:
                 raise ValueError(f"community network attribute {attr!r} not among attributes")
         if not self.permutation_tolerances:
             raise ValueError("at least one permutation tolerance is required")
-        if any(t <= 0 for t in self.permutation_tolerances):
+        if any(not t > 0 for t in self.permutation_tolerances):
             raise ValueError("permutation tolerances must be positive")
+        for key in sorted(_FLOAT_KEYS):
+            # Every comparison with NaN is False, so a NaN cutoff or minimum
+            # would silently empty its tables.
+            if math.isnan(getattr(self, key)):
+                raise ValueError(f"{key} must be a number, not NaN")
         if self.permutation_replicates < 1:
             raise ValueError("permutation_replicates must be at least 1")
         if self.age_encoding not in ("match", "difference"):

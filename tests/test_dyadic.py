@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from segnet import (
     sex_permutation_test,
     sex_permutation_tests,
 )
+from segnet import dyadic
 from segnet.dyadic import FitOptions, _wald_p_values
 
 from .conftest import design_groups, make_table, random_graph
@@ -149,17 +151,39 @@ def random_table(rng, n, missing):
     )
 
 
+def count_design_blocks(monkeypatch):
+    """Record how many type-pair blocks each ``build_dyad_design`` call walks."""
+    counts = []
+    walk = dyadic._type_row_blocks
+
+    def counted(n_types):
+        counts.append(0)
+        for block in walk(n_types):
+            counts[-1] += 1
+            yield block
+
+    monkeypatch.setattr(dyadic, "_type_row_blocks", counted)
+    return counts
+
+
 class TestGroupedDesignAgainstPairEnumeration:
+    # None keeps the module's chunk budget (one block here); 1 walks one
+    # triangle row per block and 16 one or more rows per block.
+    @pytest.mark.parametrize("budget", [None, 1, 16])
     @pytest.mark.parametrize("name", sorted(SPECS))
     @pytest.mark.parametrize("missing", [0.0, 0.3])
-    def test_grouped_rows_equal_enumerated_pairs(self, name, missing):
+    def test_grouped_rows_equal_enumerated_pairs(self, name, missing, budget, monkeypatch):
         rng = np.random.default_rng(61)
         # sparse enough to leave isolates
         graph = random_graph(rng, 40, 0.04)
         assert (graph.degrees == 0).any()
         table = random_table(rng, 40, missing)
         spec = SPECS[name]
+        blocks = count_design_blocks(monkeypatch)
+        if budget is not None:
+            monkeypatch.setattr(dyadic, "_CHUNK_ELEMENTS", budget)
         design = build_dyad_design(graph, table, spec)
+        assert blocks[0] == 1 if budget is None else blocks[0] >= 3
         rows = oracle_dyads(graph, table, spec)
         assert design_groups(design) == group_dyads(rows)
         assert design.n_dyads == len(rows)
@@ -172,18 +196,39 @@ class TestGroupedDesignAgainstPairEnumeration:
         missing=st.sampled_from([0.0, 0.2, 0.5]),
         name=st.sampled_from(sorted(SPECS)),
         seed=st.integers(0, 2**32 - 1),
+        budget=st.sampled_from([None, 1, 5]),
     )
-    def test_random_small_graphs(self, n, p, missing, name, seed):
+    def test_random_small_graphs(self, n, p, missing, name, seed, budget):
         rng = np.random.default_rng(seed)
         graph = random_graph(rng, n, p)
         table = random_table(rng, n, missing)
         spec = SPECS[name]
         rows = oracle_dyads(graph, table, spec)
-        if not rows:  # fewer than two complete-case nodes
-            with pytest.raises(ValueError, match="complete-case"):
-                build_dyad_design(graph, table, spec)
-            return
+        with pytest.MonkeyPatch.context() as patch:
+            if budget is not None:
+                patch.setattr(dyadic, "_CHUNK_ELEMENTS", budget)
+            if not rows:  # fewer than two complete-case nodes
+                with pytest.raises(ValueError, match="complete-case"):
+                    build_dyad_design(graph, table, spec)
+                return
+            assert design_groups(build_dyad_design(graph, table, spec)) == group_dyads(rows)
+
+    def test_row_key_overflow_is_an_error(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        graph = random_graph(rng, 40, 0.04)
+        table = random_table(rng, 40, 0.0)
+        spec = SPECS["raw_difference"]
+        # caste match (2 levels) times the distinct |x - y| of age and education
+        n_levels = 2
+        for attr in ("age", "education"):
+            values = set(getattr(table, attr).tolist())
+            n_levels *= len({abs(x - y) for x in values for y in values})
+        monkeypatch.setattr(dyadic, "_MAX_ROW_KEY", n_levels + 1)
+        rows = oracle_dyads(graph, table, spec)
         assert design_groups(build_dyad_design(graph, table, spec)) == group_dyads(rows)
+        monkeypatch.setattr(dyadic, "_MAX_ROW_KEY", n_levels)
+        with pytest.raises(ValueError, match="too many distinct values"):
+            build_dyad_design(graph, table, spec)
 
     @pytest.mark.parametrize("name", ["match", "binned_difference", "raw_difference"])
     def test_grouped_fit_matches_irls_on_enumerated_pairs(self, name):
@@ -476,7 +521,35 @@ class TestSexPermutation:
             assert 0.0 < p <= 1.0
 
 
+def record_draws(monkeypatch):
+    """From now on, log the rows of every ``random((rows, n))`` draw, one list per generator."""
+    log = []
+    make = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self._rng = make(seed)
+            self.rows = []
+            log.append(self.rows)
+
+        def random(self, size):
+            self.rows.append(size[0])
+            return self._rng.random(size)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    return log
+
+
+def set_chunk_rows(monkeypatch, sex, chunk_rows):
+    """Chunk budget giving ``chunk_rows`` candidate rows per chunk (None keeps the module's)."""
+    if chunk_rows is not None:
+        monkeypatch.setattr(dyadic, "_CHUNK_ELEMENTS", chunk_rows * int((sex >= 0).sum()))
+
+
 class TestSharedPermutationStream:
+    # None keeps the module's budget (one chunk per batch here); 5 rows do
+    # not divide either batch size; 1-row chunks are the smallest.
+    @pytest.mark.parametrize("chunk_rows", [None, 5, 1])
     @pytest.mark.parametrize(
         "make, tolerances, options, failing",
         [
@@ -496,9 +569,12 @@ class TestSharedPermutationStream:
             ),
         ],
     )
-    def test_equals_one_stream_per_tolerance(self, make, tolerances, options, failing):
+    def test_equals_one_stream_per_tolerance(
+        self, make, tolerances, options, failing, chunk_rows, monkeypatch
+    ):
         graph, sex = make()
         table = make_table(range(graph.node_count), sex=sex)
+        set_chunk_rows(monkeypatch, sex, chunk_rows)
         outcomes = sex_permutation_tests(graph, table, tolerances, **options)
         assert [isinstance(o, ValueError) for o in outcomes] == list(failing)
         for tolerance, outcome in zip(tolerances, outcomes):
@@ -507,6 +583,31 @@ class TestSharedPermutationStream:
             except ValueError as exc:
                 assert str(outcome) == str(exc)
                 continue
+            for name, value in expected.items():
+                assert repr(_plain(getattr(outcome, name))) == repr(_plain(value)), name
+
+    @pytest.mark.parametrize("chunk_rows", [5, 1])
+    def test_batch_stops_once_every_open_tolerance_is_complete(self, chunk_rows, monkeypatch):
+        graph, sex = random_sexed_graph()
+        table = make_table(range(30), sex=sex)
+        options = dict(target_replicates=150, seed=19, max_attempts=1_000_000, batch_size=64)
+        set_chunk_rows(monkeypatch, sex, chunk_rows)
+        drawn_rows = record_draws(monkeypatch)
+        (alone,) = sex_permutation_tests(graph, table, (0.3,), **options)
+        # 0.3 completes mid-batch: its last batch is cut short, the others are whole
+        assert [sum(rows) for rows in drawn_rows[:-1]] == [64] * (len(drawn_rows) - 1)
+        assert sum(drawn_rows[-1]) < 64
+        whole = [min(chunk_rows, 64 - start) for start in range(0, 64, chunk_rows)]
+        assert drawn_rows[:-1] == [whole] * (len(drawn_rows) - 1)
+        assert alone.n_attempts == 64 * len(drawn_rows)
+        drawn_rows.clear()
+        narrow, wide = sex_permutation_tests(graph, table, (0.02, 0.3), **options)
+        # 0.3 completed mid-batch while 0.02 kept drawing whole batches
+        assert wide.n_attempts == alone.n_attempts < narrow.n_attempts
+        assert [sum(rows) for rows in drawn_rows[:-1]] == [64] * (len(drawn_rows) - 1)
+        assert narrow.n_attempts == 64 * len(drawn_rows)
+        for tolerance, outcome in ((0.02, narrow), (0.3, wide), (0.3, alone)):
+            expected = sex_permutation_at_one_tolerance(graph, sex, tolerance, **options)
             for name, value in expected.items():
                 assert repr(_plain(getattr(outcome, name))) == repr(_plain(value)), name
 
@@ -519,10 +620,63 @@ class TestSharedPermutationStream:
             sex_permutation_test(graph, table, 0.05, **options)
         assert str(info.value) == str(failed)
 
-    def test_non_positive_tolerance_is_an_error(self, two_triangles):
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan])
+    def test_non_positive_tolerance_is_an_error(self, two_triangles, bad, monkeypatch):
         graph, table = two_triangles
+        drawn_rows = record_draws(monkeypatch)
         with pytest.raises(ValueError, match="tolerance must be positive"):
-            sex_permutation_tests(graph, table, (0.1, 0.0))
+            sex_permutation_tests(graph, table, (0.1, bad))
+        assert drawn_rows == []  # raised before drawing a candidate
+
+    def test_batch_size_below_one_is_an_error(self, two_triangles):
+        graph, table = two_triangles
+        with pytest.raises(ValueError, match="batch_size must be at least 1"):
+            sex_permutation_tests(graph, table, (0.1,), batch_size=0)
+
+
+def survey_scale_village(n=1200, mean_degree=8.0, seed=411):
+    """Random graph with all seven attributes observed at 4% missingness."""
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, n, mean_degree / (n - 1))
+
+    def codes(k):
+        return np.where(rng.random(n) < 0.04, -1, rng.integers(0, k, n))
+
+    def numbers(lo, hi):
+        return np.where(rng.random(n) < 0.04, np.nan, rng.integers(lo, hi, n).astype(float))
+
+    table = make_table(
+        range(n),
+        sex=codes(2),
+        age=numbers(18, 80),
+        religion=codes(3),
+        caste=codes(4),
+        education=numbers(0, 17),
+        workflag=codes(2),
+        savings=codes(2),
+    )
+    return graph, table
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda graph, table: build_dyad_design(graph, table, default_feature_spec()),
+        lambda graph, table: sex_permutation_tests(graph, table, (0.05, 0.2), seed=411),
+    ],
+    ids=["build_dyad_design", "sex_permutation_tests"],
+)
+def test_kernel_peak_memory_does_not_grow_with_the_village(kernel):
+    # Building every type pair or a whole 512-row candidate batch at once
+    # peaks at 12-17 MB on this 1200-node village.
+    graph, table = survey_scale_village()
+    tracemalloc.start()
+    try:
+        kernel(graph, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 class TestDegreeMissingnessTtest:

@@ -165,6 +165,22 @@ class TestParseRunConfig:
         with pytest.raises(ValueError, match=f"duplicate entries in '{key}'"):
             parse_run_config(f"corpus_dir = c\noutput_dir = o\n{line}\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("permutation_tolerances = 0.05, nan", "permutation tolerances must be positive"),
+            ("community_node_min = nan", "community_node_min must be a number, not NaN"),
+            ("community_edge_min = nan", "community_edge_min must be a number, not NaN"),
+            ("between_cutoff = nan", "between_cutoff must be a number, not NaN"),
+            ("within_cutoff = NaN", "within_cutoff must be a number, not NaN"),
+        ],
+    )
+    def test_nan_settings_are_errors(self, line, message):
+        # Every comparison with NaN is False: a NaN tolerance would draw to
+        # max_attempts in every village, a NaN cutoff would empty its tables.
+        with pytest.raises(ValueError, match=message):
+            parse_run_config(f"corpus_dir = c\noutput_dir = o\n{line}\n")
+
     def test_default_text_round_trips(self, tmp_path):
         text = default_config_text(corpus_dir="corpus", output_dir="out")
         cfg = parse_run_config(text, base_dir=".")
