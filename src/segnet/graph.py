@@ -102,42 +102,27 @@ def build_graph(
     dropped.  When ``node_ids`` is given it fixes the node universe and index
     order, and edges referencing ids outside it are rejected.  Otherwise the
     universe is the sorted set of endpoint ids (ids must then be mutually
-    orderable).  Returns the graph together with the id -> index mapping.
+    orderable).  Returns the graph together with the id -> index mapping,
+    whose keys are in index order.
     """
-    pairs = list(edge_list)
+    ends = [nid for a, b in edge_list for nid in (a, b)]
     if node_ids is not None:
-        ids = list(node_ids)
         index: dict[Hashable, int] = {}
-        for k, nid in enumerate(ids):
+        for k, nid in enumerate(node_ids):
             if nid in index:
                 raise ValueError(f"duplicate node id {nid!r} in node list")
             index[nid] = k
-        for a, b in pairs:
-            if a not in index:
-                raise ValueError(f"edge references unknown node id {a!r}")
-            if b not in index:
-                raise ValueError(f"edge references unknown node id {b!r}")
     else:
-        seen = set()
-        for a, b in pairs:
-            seen.add(a)
-            seen.add(b)
-        ids = sorted(seen)
-        index = {nid: k for k, nid in enumerate(ids)}
-
-    dedup: set[tuple[int, int]] = set()
-    for a, b in pairs:
-        ia, ib = index[a], index[b]
-        if ia == ib:
-            continue
-        dedup.add((ia, ib) if ia < ib else (ib, ia))
-    if dedup:
-        arr = np.array(sorted(dedup), dtype=np.int64)
-        eu, ev = arr[:, 0], arr[:, 1]
-    else:
-        eu = np.empty(0, dtype=np.int64)
-        ev = np.empty(0, dtype=np.int64)
-    return _compile(len(ids), eu, ev), index
+        index = {nid: k for k, nid in enumerate(sorted(set(ends)))}
+    try:
+        flat = np.array([index[nid] for nid in ends], dtype=np.int64)
+    except KeyError as exc:
+        raise ValueError(f"edge references unknown node id {exc.args[0]!r}") from None
+    n = len(index)
+    lo, hi = np.sort(flat.reshape(-1, 2), axis=1).T
+    keep = lo < hi
+    keys = np.unique(lo[keep] * n + hi[keep])
+    return _compile(n, keys // n, keys % n), index
 
 
 def _adjacency_matrix(graph: UndirectedGraph) -> sparse.csr_matrix:

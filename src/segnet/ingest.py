@@ -10,6 +10,12 @@ Canonical on-disk layout for one village (all CSV, UTF-8):
 * optionally ``nodes.csv`` (header ``node_id``) fixing the node universe,
   which is how isolated survey respondents stay part of the network.
 
+Each file is read once, row by row, and blank rows are skipped.  A wrong
+header or field count, an empty or duplicate id, an edge endpoint outside
+``nodes.csv``, an unknown category (unless ``coerce_unknown_categories``) or
+a bad or negative number raises ``IngestError`` naming ``file:line``.  The
+layers' pairs are deduplicated once, as the union graph is built.
+
 An adapter converts square 0/1 adjacency matrices into edge lists.
 """
 
@@ -18,7 +24,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -91,54 +97,60 @@ class VillageDataset:
         )
 
 
-def _read_edge_file(path: Path, universe: frozenset[str] | None = None) -> tuple[tuple[str, str], ...]:
+def _read_rows(path: Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, stripped fields)`` for each non-blank data row of ``path``.
+
+    The header must match ``header`` case-insensitively and every row must
+    have one field per header column.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["source", "target"]:
-            raise IngestError(f"{path}:1: expected header 'source,target'")
-        pairs: set[tuple[str, str]] = set()
+        first = next(reader, None)
+        if first is None or tuple(h.strip().lower() for h in first) != header:
+            raise IngestError(f"{path}:1: expected header {','.join(header)!r}")
+        expected = f"{len(header)} field" + ("s" if len(header) > 1 else "")
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) != 2:
-                raise IngestError(f"{path}:{lineno}: expected 2 fields, found {len(row)}")
-            a, b = row[0].strip(), row[1].strip()
-            if not a or not b:
-                raise IngestError(f"{path}:{lineno}: empty node id")
-            if universe is not None:
-                for nid in (a, b):
-                    if nid not in universe:
-                        raise IngestError(
-                            f"{path}:{lineno}: edge references node id {nid!r} "
-                            "outside the declared node list"
-                        )
-            pairs.add((a, b) if a <= b else (b, a))
+            if len(row) != len(header):
+                raise IngestError(f"{path}:{lineno}: expected {expected}, found {len(row)}")
+            yield lineno, [text.strip() for text in row]
+
+
+def _read_edge_file(path: Path, universe: frozenset[str] | None = None) -> tuple[tuple[str, str], ...]:
+    pairs: set[tuple[str, str]] = set()
+    for lineno, (a, b) in _read_rows(path, ("source", "target")):
+        if not a or not b:
+            raise IngestError(f"{path}:{lineno}: empty node id")
+        if universe is not None:
+            for nid in (a, b):
+                if nid not in universe:
+                    raise IngestError(
+                        f"{path}:{lineno}: edge references node id {nid!r} "
+                        "outside the declared node list"
+                    )
+        pairs.add((a, b) if a <= b else (b, a))
     return tuple(sorted(pairs))
 
 
 def _read_nodes_file(path: Path) -> tuple[str, ...]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["node_id"]:
-            raise IngestError(f"{path}:1: expected header 'node_id'")
-        ids: list[str] = []
-        seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 1:
-                raise IngestError(f"{path}:{lineno}: expected 1 field, found {len(row)}")
-            nid = row[0].strip()
-            if nid in seen:
-                raise IngestError(f"{path}:{lineno}: duplicate node id {nid!r}")
-            seen.add(nid)
-            ids.append(nid)
+    ids: dict[str, None] = {}  # an insertion-ordered set
+    for lineno, (nid,) in _read_rows(path, ("node_id",)):
+        if nid in ids:
+            raise IngestError(f"{path}:{lineno}: duplicate node id {nid!r}")
+        ids[nid] = None
     return tuple(ids)
 
 
-def _parse_numeric(text: str, attr: str, path: Path, lineno: int) -> float:
+def _parse_value(text: str, attr: str, path: Path, lineno: int, coerce: bool) -> int | float:
+    """Category code (-1 = missing) or non-negative number (NaN = missing) of one cell."""
+    if attr in CATEGORICAL_ATTRIBUTES:
+        try:
+            return encode_category(attr, text) if text else -1
+        except ValueError:
+            if coerce:
+                return -1
+            raise IngestError(f"{path}:{lineno}: unknown {attr} value {text!r}") from None
     if text == "":
         return float("nan")
     try:
@@ -150,48 +162,32 @@ def _parse_numeric(text: str, attr: str, path: Path, lineno: int) -> float:
     return float(value)
 
 
-def _parse_categorical(text: str, attr: str, path: Path, lineno: int, coerce: bool) -> int:
-    if text == "":
-        return -1
-    try:
-        return encode_category(attr, text)
-    except ValueError:
-        if coerce:
-            return -1
-        raise IngestError(f"{path}:{lineno}: unknown {attr} value {text!r}") from None
-
-
 def _read_attribute_file(
-    path: Path, coerce: bool
-) -> dict[str, dict[str, float | int]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip().lower() for h in header) != _ATTRIBUTE_HEADER:
-            raise IngestError(
-                f"{path}:1: expected header {','.join(_ATTRIBUTE_HEADER)!r}"
-            )
-        records: dict[str, dict[str, float | int]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(_ATTRIBUTE_HEADER):
-                raise IngestError(
-                    f"{path}:{lineno}: expected {len(_ATTRIBUTE_HEADER)} fields, found {len(row)}"
-                )
-            nid = row[0].strip()
-            if not nid:
-                raise IngestError(f"{path}:{lineno}: empty node id")
-            if nid in records:
-                raise IngestError(f"{path}:{lineno}: duplicate node id {nid!r}")
-            rec: dict[str, float | int] = {}
-            for attr, text in zip(ATTRIBUTE_NAMES, (t.strip() for t in row[1:])):
-                if attr in CATEGORICAL_ATTRIBUTES:
-                    rec[attr] = _parse_categorical(text, attr, path, lineno, coerce)
-                else:
-                    rec[attr] = _parse_numeric(text, attr, path, lineno)
-            records[nid] = rec
-    return records
+    path: Path, index: Mapping[str, int], coerce: bool
+) -> tuple[AttributeTable, tuple[str, ...]]:
+    """Covariates aligned with ``index``, and the sorted ids outside it."""
+    n = len(index)
+    # Row n takes the rows of ids outside the universe, which are parsed and
+    # checked like the others and then dropped.
+    columns = {
+        attr: np.full(n + 1, -1) if attr in CATEGORICAL_ATTRIBUTES else np.full(n + 1, np.nan)
+        for attr in ATTRIBUTE_NAMES
+    }
+    seen: set[str] = set()
+    unmatched: list[str] = []
+    for lineno, (nid, *texts) in _read_rows(path, _ATTRIBUTE_HEADER):
+        if not nid:
+            raise IngestError(f"{path}:{lineno}: empty node id")
+        if nid in seen:
+            raise IngestError(f"{path}:{lineno}: duplicate node id {nid!r}")
+        seen.add(nid)
+        pos = index.get(nid, n)
+        if pos == n:
+            unmatched.append(nid)
+        for attr, text in zip(ATTRIBUTE_NAMES, texts):
+            columns[attr][pos] = _parse_value(text, attr, path, lineno, coerce)
+    table = AttributeTable(tuple(index), **{attr: col[:n] for attr, col in columns.items()})
+    return table, tuple(sorted(unmatched))
 
 
 def load_village(
@@ -208,12 +204,8 @@ def load_village(
     if not edge_files:
         raise IngestError("at least one edge file is required")
     attribute_path = Path(attribute_file)
-    if config.nodes_file is not None:
-        node_ids: Sequence[str] | None = _read_nodes_file(Path(config.nodes_file))
-        universe = frozenset(node_ids)
-    else:
-        node_ids = None
-        universe = None
+    node_ids = None if config.nodes_file is None else _read_nodes_file(Path(config.nodes_file))
+    universe = None if node_ids is None else frozenset(node_ids)
 
     layers: dict[str, tuple[tuple[str, str], ...]] = {}
     for ef in edge_files:
@@ -223,36 +215,21 @@ def load_village(
             raise IngestError(f"duplicate relation layer name {name!r}")
         layers[name] = _read_edge_file(p, universe)
 
-    union: set[tuple[str, str]] = set()
-    for pairs in layers.values():
-        union.update(pairs)
-    union_pairs = sorted(union)
     try:
-        graph, index = build_graph(union_pairs, node_ids=node_ids)
+        graph, index = build_graph(
+            (pair for pairs in layers.values() for pair in pairs), node_ids=node_ids
+        )
     except ValueError as exc:
         raise IngestError(str(exc)) from None
-    ordered_ids = sorted(index, key=index.get)  # type: ignore[arg-type]
 
-    records = _read_attribute_file(attribute_path, config.coerce_unknown_categories)
-    table = AttributeTable.empty(ordered_ids)
-    columns = {name: np.array(getattr(table, name)) for name in ATTRIBUTE_NAMES}
-    unmatched = []
-    for nid, rec in records.items():
-        pos = index.get(nid)
-        if pos is None:
-            unmatched.append(nid)
-            continue
-        for attr in ATTRIBUTE_NAMES:
-            columns[attr][pos] = rec[attr]
-    table = AttributeTable(node_ids=tuple(ordered_ids), **columns)
-
+    table, unmatched = _read_attribute_file(attribute_path, index, config.coerce_unknown_categories)
     village_id = config.village_id or attribute_path.parent.name or attribute_path.stem
     return VillageDataset(
         village_id=village_id,
         graph=graph,
         attributes=table,
         layer_edges=dict(sorted(layers.items())),
-        unmatched_attribute_ids=tuple(sorted(unmatched)),
+        unmatched_attribute_ids=unmatched,
     )
 
 

@@ -52,7 +52,7 @@ from .dyadic import (
     sex_permutation_tests,
 )
 from .graph import NetworkStats, UndirectedGraph, largest_connected_component, network_stats
-from .ingest import IngestConfig, VillageDataset, load_village
+from .ingest import _RESERVED_FILE_STEMS, IngestConfig, VillageDataset, load_village
 from .segregation import (
     build_community_network,
     community_network_to_dot,
@@ -133,6 +133,13 @@ class RunConfig:
             raise ValueError("age_encoding must be 'match' or 'difference'")
         if self.education_encoding not in ("match", "difference"):
             raise ValueError("education_encoding must be 'match' or 'difference'")
+        for key in ("age_bins", "education_bins"):
+            # np.digitize needs increasing edges, and a NaN edge misorders every bin.
+            edges = getattr(self, key)
+            if not all(math.isfinite(e) for e in edges):
+                raise ValueError(f"{key} entries must be finite numbers")
+            if any(b <= a for a, b in zip(edges, edges[1:])):
+                raise ValueError(f"{key} must be strictly increasing")
 
 
 _LIST_STR_KEYS = {"attributes", "community_network_attributes", "village_ids"}
@@ -589,11 +596,7 @@ def _discover_villages(cfg: RunConfig) -> list[Path]:
 
 
 def _load_village_dir(village_dir: Path, cfg: RunConfig) -> VillageDataset:
-    edge_files = sorted(
-        p
-        for p in village_dir.glob("*.csv")
-        if p.stem not in ("attributes", "nodes")
-    )
+    edge_files = sorted(p for p in village_dir.glob("*.csv") if p.stem not in _RESERVED_FILE_STEMS)
     if not edge_files:
         raise ValueError(f"{village_dir}: no relation layer files")
     nodes = village_dir / "nodes.csv"
@@ -729,6 +732,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     config_hash = config_sha256(cfg)
     villages = _discover_villages(cfg)
     tasks = [(str(p), cfg) for p in villages]
+    missing = set(cfg.village_ids) - {p.name for p in villages}
     workers = _resolve_workers(cfg)
     if workers <= 1 or len(tasks) <= 1:
         outcomes = [_process_village(t) for t in tasks]
@@ -736,6 +740,8 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_process_village, t) for t in tasks]
         outcomes = [_pooled_outcome(t, f, rerun=True) for t, f in zip(tasks, futures)]
+    no_dir = FileNotFoundError("no village directory with an attributes.csv in corpus_dir")
+    outcomes += [_failed(village_id, no_dir) for village_id in missing]
 
     bundles = []
     failures: dict[str, str] = {}
@@ -752,7 +758,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
 
     _write_corpus_tables(bundles, out, config_hash)
     write_summaries(tables, out, config_hash)
-    errors = failures if villages else {"corpus": "no villages found"}
+    errors = failures if outcomes else {"corpus": "no villages found"}
     _write_json(out / "errors.json", errors)
     _write_json(
         out / "run_manifest.json",
@@ -765,7 +771,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
         },
     )
     exit_code = 0 if bundles and not failures else 1
-    return RunResult(exit_code, str(out), len(villages), len(failures), errors)
+    return RunResult(exit_code, str(out), len(outcomes), len(failures), errors)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,17 @@ tolerances; none of this code shares logic with the package.
 from __future__ import annotations
 
 import bisect
+import csv
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy import stats
+
+from segnet import AttributeTable, IngestConfig, IngestError, VillageDataset
+from segnet.attributes import ATTRIBUTE_NAMES, CATEGORICAL_ATTRIBUTES
+from segnet.graph import UndirectedGraph
 
 
 def _restrict(graph, labels):
@@ -559,3 +565,198 @@ def segregation_report_by_subgraph(graph, labels, partition):
         "q_between_norm": q_b_norm,
         "n_used": int(nodes.size),
     }
+
+
+def build_graph_by_set(edge_list, node_ids=None):
+    """``build_graph`` by a set of index pairs and plain neighbor lists."""
+    pairs = list(edge_list)
+    if node_ids is not None:
+        ids = list(node_ids)
+        index = {}
+        for k, nid in enumerate(ids):
+            if nid in index:
+                raise ValueError(f"duplicate node id {nid!r} in node list")
+            index[nid] = k
+        for a, b in pairs:
+            if a not in index:
+                raise ValueError(f"edge references unknown node id {a!r}")
+            if b not in index:
+                raise ValueError(f"edge references unknown node id {b!r}")
+    else:
+        ids = sorted({nid for a, b in pairs for nid in (a, b)})
+        index = {nid: k for k, nid in enumerate(ids)}
+    dedup = set()
+    for a, b in pairs:
+        ia, ib = index[a], index[b]
+        if ia != ib:
+            dedup.add((min(ia, ib), max(ia, ib)))
+    edges = sorted(dedup)
+    adjacency = [[] for _ in ids]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    graph = UndirectedGraph(
+        len(ids),
+        np.array([u for u, _ in edges], dtype=np.int64),
+        np.array([v for _, v in edges], dtype=np.int64),
+        np.cumsum([0] + [len(nbrs) for nbrs in adjacency]).astype(np.int64),
+        np.array([v for nbrs in adjacency for v in sorted(nbrs)], dtype=np.int64),
+    )
+    return graph, index
+
+
+
+# The row-at-a-time village reader: one hand-written CSV loop per file kind,
+# per-row attribute dicts, and a string-pair union set sorted before the graph
+# is built by ``build_graph_by_set``.
+
+_ATTRIBUTE_HEADER = ("node_id",) + ATTRIBUTE_NAMES
+
+
+def _read_edge_file_by_rows(path, universe=None):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip().lower() for h in header] != ["source", "target"]:
+            raise IngestError(f"{path}:1: expected header 'source,target'")
+        pairs = set()
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise IngestError(f"{path}:{lineno}: expected 2 fields, found {len(row)}")
+            a, b = row[0].strip(), row[1].strip()
+            if not a or not b:
+                raise IngestError(f"{path}:{lineno}: empty node id")
+            if universe is not None:
+                for nid in (a, b):
+                    if nid not in universe:
+                        raise IngestError(
+                            f"{path}:{lineno}: edge references node id {nid!r} "
+                            "outside the declared node list"
+                        )
+            pairs.add((a, b) if a <= b else (b, a))
+    return tuple(sorted(pairs))
+
+
+def _read_nodes_file_by_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip().lower() for h in header] != ["node_id"]:
+            raise IngestError(f"{path}:1: expected header 'node_id'")
+        ids = []
+        seen = set()
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 1:
+                raise IngestError(f"{path}:{lineno}: expected 1 field, found {len(row)}")
+            nid = row[0].strip()
+            if nid in seen:
+                raise IngestError(f"{path}:{lineno}: duplicate node id {nid!r}")
+            seen.add(nid)
+            ids.append(nid)
+    return tuple(ids)
+
+
+def _parse_numeric_cell(text, attr, path, lineno):
+    if text == "":
+        return float("nan")
+    try:
+        value = int(text)
+    except ValueError:
+        raise IngestError(f"{path}:{lineno}: invalid {attr} value {text!r}") from None
+    if value < 0:
+        raise IngestError(f"{path}:{lineno}: negative {attr} value {value}")
+    return float(value)
+
+
+def _parse_categorical_cell(text, attr, path, lineno, coerce):
+    categories = CATEGORICAL_ATTRIBUTES[attr]
+    if text == "" or (coerce and text.lower() not in categories):
+        return -1
+    if text.lower() not in categories:
+        raise IngestError(f"{path}:{lineno}: unknown {attr} value {text!r}")
+    return categories.index(text.lower())
+
+
+def _read_attribute_file_by_rows(path, coerce):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(h.strip().lower() for h in header) != _ATTRIBUTE_HEADER:
+            raise IngestError(f"{path}:1: expected header {','.join(_ATTRIBUTE_HEADER)!r}")
+        records = {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(_ATTRIBUTE_HEADER):
+                raise IngestError(
+                    f"{path}:{lineno}: expected {len(_ATTRIBUTE_HEADER)} fields, found {len(row)}"
+                )
+            nid = row[0].strip()
+            if not nid:
+                raise IngestError(f"{path}:{lineno}: empty node id")
+            if nid in records:
+                raise IngestError(f"{path}:{lineno}: duplicate node id {nid!r}")
+            rec = {}
+            for attr, text in zip(ATTRIBUTE_NAMES, (t.strip() for t in row[1:])):
+                if attr in CATEGORICAL_ATTRIBUTES:
+                    rec[attr] = _parse_categorical_cell(text, attr, path, lineno, coerce)
+                else:
+                    rec[attr] = _parse_numeric_cell(text, attr, path, lineno)
+            records[nid] = rec
+    return records
+
+
+def load_village_by_rows(edge_files, attribute_file, config=IngestConfig()):
+    """``segnet.load_village`` by the row-at-a-time readers above."""
+    if not edge_files:
+        raise IngestError("at least one edge file is required")
+    attribute_path = Path(attribute_file)
+    if config.nodes_file is not None:
+        node_ids = _read_nodes_file_by_rows(Path(config.nodes_file))
+        universe = frozenset(node_ids)
+    else:
+        node_ids = None
+        universe = None
+
+    layers = {}
+    for ef in edge_files:
+        p = Path(ef)
+        name = p.stem
+        if name in layers:
+            raise IngestError(f"duplicate relation layer name {name!r}")
+        layers[name] = _read_edge_file_by_rows(p, universe)
+
+    union = set()
+    for pairs in layers.values():
+        union.update(pairs)
+    try:
+        graph, index = build_graph_by_set(sorted(union), node_ids=node_ids)
+    except ValueError as exc:
+        raise IngestError(str(exc)) from None
+    ordered_ids = sorted(index, key=index.get)
+
+    records = _read_attribute_file_by_rows(attribute_path, config.coerce_unknown_categories)
+    table = AttributeTable.empty(ordered_ids)
+    columns = {name: np.array(getattr(table, name)) for name in ATTRIBUTE_NAMES}
+    unmatched = []
+    for nid, rec in records.items():
+        pos = index.get(nid)
+        if pos is None:
+            unmatched.append(nid)
+            continue
+        for attr in ATTRIBUTE_NAMES:
+            columns[attr][pos] = rec[attr]
+    table = AttributeTable(node_ids=tuple(ordered_ids), **columns)
+
+    village_id = config.village_id or attribute_path.parent.name or attribute_path.stem
+    return VillageDataset(
+        village_id=village_id,
+        graph=graph,
+        attributes=table,
+        layer_edges=dict(sorted(layers.items())),
+        unmatched_attribute_ids=tuple(sorted(unmatched)),
+    )

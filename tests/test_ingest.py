@@ -1,16 +1,23 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segnet import (
     IngestConfig,
     IngestError,
     VillageDataset,
     adapt_adjacency_matrix,
+    build_graph,
     load_village,
     save_village,
 )
 
 from .conftest import make_table
+from .oracles import build_graph_by_set, load_village_by_rows
 
 
 def write_village(tmp_path, layers, attribute_rows, nodes=None):
@@ -225,3 +232,151 @@ def test_adapt_adjacency_matrix_validates_shape_and_values(tmp_path):
 
 def test_ingest_error_is_a_value_error():
     assert issubclass(IngestError, ValueError)
+
+
+# " b" loads as "b", and "A" as an id of its own.
+IDS = ("a", "b", "c", "d", "A", " b")
+OUTSIDE_IDS = ("x", "y")
+# attribute -> (valid cells, malformed cells)
+CELLS = {
+    "sex": (("male", "Female", ""), ("other",)),
+    "age": (("30", "0", "", " 61"), ("-4", "thirty", "3.5")),
+    "religion": (("hinduism", "islam", ""), ("jain",)),
+    "caste": (("obc", "Scheduled Tribe", ""), ("noble",)),
+    "education": (("10", ""), ("x1", "-1")),
+    "workflag": (("0", "1", ""), ("2",)),
+    "savings": (("0", "1", ""), ("yes",)),
+}
+MALFORMED_PAIRS = ("a", "a,b,c", ",b", "c, ")
+FAULTS = ("header", "edge rows", "nodes", "attribute ids", "cells", "field count")
+
+
+def _pick(draw, valid, malformed, allowed):
+    return draw(st.sampled_from(valid + malformed if allowed else valid))
+
+
+def _lines(draw, header, rows):
+    """A file's lines: the header, then the rows with blank lines drawn in between."""
+    lines = [header]
+    for row in rows:
+        lines.append(row)
+        lines.extend(draw(st.sampled_from(((), ("",), ("  ",)))))
+    return lines
+
+
+@st.composite
+def village_files(draw):
+    """Text of a village's files: ``(layers, attributes, nodes or None, coerce)``.
+
+    A village holds any subset of ``FAULTS``: bad headers, bad edge rows,
+    ``nodes.csv`` rows that repeat an id, miss an endpoint or hold two
+    fields, empty or repeated attribute ids, unknown or bad cells, and
+    attribute rows one field short.
+    """
+    faults = draw(st.sets(st.sampled_from(FAULTS)))
+    pairs = tuple(f"{a},{b}" for a in IDS for b in IDS)  # repeats, reversals, self loops
+    names = draw(st.lists(st.sampled_from(("visit", "borrow", "help")), min_size=1, unique=True))
+    layers = {}
+    for name in names:
+        header = _pick(draw, ("source,target", "Source, Target"), ("from,to",), "header" in faults)
+        rows = [
+            _pick(draw, pairs, MALFORMED_PAIRS, "edge rows" in faults)
+            for _ in range(draw(st.integers(0, 8)))
+        ]
+        layers[name] = _lines(draw, header, rows)
+
+    nodes = None
+    if draw(st.booleans()):
+        if "nodes" in faults:
+            ids = draw(st.lists(st.sampled_from(IDS + OUTSIDE_IDS + ("a,b",)), max_size=8))
+        else:
+            ids = draw(st.permutations([i for i in IDS + OUTSIDE_IDS if i != " b"]))
+        nodes = _lines(draw, "node_id", ids)
+
+    unique_by = None if "attribute ids" in faults else str.strip
+    pool = IDS + OUTSIDE_IDS + (("",) if "attribute ids" in faults else ())
+    rows = []
+    for nid in draw(st.lists(st.sampled_from(pool), max_size=8, unique_by=unique_by)):
+        row = [nid] + [_pick(draw, *cells, "cells" in faults) for cells in CELLS.values()]
+        if "field count" in faults and draw(st.booleans()):
+            row = row[:-1]
+        rows.append(",".join(row))
+    attributes = _lines(draw, "node_id,sex,age,religion,caste,education,workflag,savings", rows)
+    return layers, attributes, nodes, draw(st.booleans())
+
+
+def _outcome(load, *args):
+    try:
+        return load(*args)
+    except IngestError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(village_files())
+def test_load_village_matches_row_at_a_time_reader(files):
+    layers, attributes, nodes, coerce = files
+    with tempfile.TemporaryDirectory() as tmp:
+        village = Path(tmp) / "v1"
+        village.mkdir()
+        edge_files = []
+        for name, lines in layers.items():
+            edge_files.append(village / f"{name}.csv")
+            edge_files[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        attr_path = village / "attributes.csv"
+        attr_path.write_text("\n".join(attributes) + "\n", encoding="utf-8")
+        nodes_path = None
+        if nodes is not None:
+            nodes_path = village / "nodes.csv"
+            nodes_path.write_text("\n".join(nodes) + "\n", encoding="utf-8")
+        config = IngestConfig(nodes_file=nodes_path, coerce_unknown_categories=coerce)
+        new = _outcome(load_village, edge_files, attr_path, config)
+        old = _outcome(load_village_by_rows, edge_files, attr_path, config)
+    if isinstance(new, str) or isinstance(old, str):
+        assert new == old
+    else:
+        assert new.equals(old)
+
+
+def _assert_same_build(edge_list, node_ids=None):
+    try:
+        graph, index = build_graph(edge_list, node_ids=node_ids)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as old:
+            build_graph_by_set(edge_list, node_ids=node_ids)
+        assert str(exc) == str(old.value)
+        return
+    ref_graph, ref_index = build_graph_by_set(edge_list, node_ids=node_ids)
+    assert graph.equals(ref_graph)
+    assert np.array_equal(graph.indptr, ref_graph.indptr)
+    assert np.array_equal(graph.neighbors, ref_graph.neighbors)
+    assert list(index.items()) == list(ref_index.items())
+
+
+@pytest.mark.parametrize(
+    "edge_list, node_ids",
+    [
+        ([(3, 1), (1, 3), (1, 1), (0, 2), (2, 0), (2, 3)], None),
+        ([(3, 1), (1, 3), (1, 1), (0, 2)], [3, 2, 1, 0, 9]),
+        ([("b", "a"), ("a", "b"), ("c", "c"), ("c", "a")], None),
+        ([("b", "a"), ("c", "c")], ["c", "b", "a"]),
+        ([], None),
+        ([], ["a", "b"]),
+        ([("a", "b"), ("b", "z"), ("y", "a")], ["a", "b"]),
+        ([("a", "b")], ["a", "b", "a"]),
+    ],
+    ids=["int", "int-node-ids", "str", "str-node-ids", "empty", "empty-node-ids",
+         "unknown-id", "duplicate-node-id"],
+)
+def test_build_graph_matches_set_based_dedup(edge_list, node_ids):
+    _assert_same_build(edge_list, node_ids)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=40),
+    st.booleans(),
+)
+def test_build_graph_matches_set_based_dedup_on_random_pairs(edge_list, with_node_ids):
+    # With node ids, 13 is an unknown id.
+    _assert_same_build(edge_list, list(range(12, -1, -1)) if with_node_ids else None)

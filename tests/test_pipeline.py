@@ -1,4 +1,5 @@
 import functools
+import importlib.util
 import json
 import math
 import multiprocessing
@@ -178,6 +179,22 @@ class TestParseRunConfig:
     def test_nan_settings_are_errors(self, line, message):
         # Every comparison with NaN is False: a NaN tolerance would draw to
         # max_attempts in every village, a NaN cutoff would empty its tables.
+        with pytest.raises(ValueError, match=message):
+            parse_run_config(f"corpus_dir = c\noutput_dir = o\n{line}\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("age_bins = 18, nan, 41", "age_bins entries must be finite numbers"),
+            ("education_bins = 1, inf", "education_bins entries must be finite numbers"),
+            ("age_bins = -inf, 18", "age_bins entries must be finite numbers"),
+            ("age_bins = 18, 41, 31", "age_bins must be strictly increasing"),
+            ("education_bins = 1, 10, 10, 14", "education_bins must be strictly increasing"),
+        ],
+    )
+    def test_bin_edges_must_be_finite_and_increasing(self, line, message):
+        # A NaN edge misorders every bin (ages 10 and 20 above age 50), and
+        # unsorted edges fail every village late inside np.digitize.
         with pytest.raises(ValueError, match=message):
             parse_run_config(f"corpus_dir = c\noutput_dir = o\n{line}\n")
 
@@ -548,6 +565,17 @@ class TestRunPipeline:
         assert result.n_villages == 1
         assert (out / "bundles" / "v01.json").is_file()
         assert not (out / "bundles" / "v00.json").exists()
+        # A requested id without a village directory is a failed village.
+        result = run_pipeline(small_config(corpus, out, village_ids=("v01", "v999")))
+        assert result.exit_code == 1
+        assert (result.n_villages, result.n_failed) == (2, 1)
+        errors = json.loads((out / "errors.json").read_text())
+        assert list(errors) == ["v999"]
+        assert errors["v999"].startswith("FileNotFoundError: no village directory")
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["villages_analyzed"] == ["v01"]
+        assert manifest["villages_failed"] == ["v999"]
+        assert (out / "bundles" / "v01.json").is_file()
 
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:
@@ -737,6 +765,16 @@ result = segnet.run_pipeline(segnet.load_run_config(sys.argv[1]))
 heavy = sorted(m for m in json.loads(sys.argv[2]) if m in sys.modules)
 print(json.dumps({"exit_code": result.exit_code, "heavy": heavy}))
 """
+
+
+def test_benchmark_hook_names_exist_in_pipeline():
+    # perfbench/spans.py wraps these names in the segnet.pipeline namespace;
+    # a name missing there would stop the benchmark's traced runs.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert [name for name in spans.WRAPPED if not hasattr(pipeline, name)] == []
 
 
 def test_import_and_run_load_no_heavy_scipy_module(tmp_path):
