@@ -146,6 +146,13 @@ class DyadDesign:
         }
 
 
+def _feature_values(table: AttributeTable, attr: str, enc: FeatureEncoding) -> np.ndarray:
+    """Per-node values a feature compares: labels, or raw numbers for an unbinned difference."""
+    if enc.kind == "match" or enc.bins is not None:
+        return table.labels(attr, enc.bins).astype(float)
+    return table.values(attr)
+
+
 def _pair_feature(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a == b).astype(float) if kind == "match" else np.abs(a - b)
 
@@ -190,14 +197,7 @@ def build_dyad_design(
         raise ValueError(f"need at least 2 complete-case nodes, found {k}")
 
     kinds = [spec.encodings[attr].kind for attr in names]
-    columns = []
-    for attr in names:
-        enc = spec.encodings[attr]
-        if enc.kind == "match" or enc.bins is not None:
-            values = table.labels(attr, enc.bins).astype(float)
-        else:
-            values = table.values(attr)
-        columns.append(values[node_index])
+    columns = [_feature_values(table, attr, spec.encodings[attr])[node_index] for attr in names]
     types, node_type, type_size = np.unique(
         np.column_stack(columns), axis=0, return_inverse=True, return_counts=True
     )

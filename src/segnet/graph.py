@@ -174,7 +174,8 @@ def induced_subgraph(
 ) -> tuple[UndirectedGraph, dict[int, int]]:
     """Subgraph induced by ``nodes``, renumbered densely in ascending original order.
 
-    Returns the subgraph and the old-index -> new-index mapping.
+    Returns the subgraph and the old-index -> new-index mapping, whose keys
+    ascend, so ``list(mapping)`` lists the original index of each new node.
     """
     nodes = np.unique(np.asarray(nodes, dtype=np.int64))
     if nodes.size == 0:
@@ -195,7 +196,9 @@ def largest_connected_component(
     """Extract the largest connected component.
 
     Ties between equal-size components resolve to the one containing the
-    smallest original node index.  Raises on an empty graph.
+    smallest original node index.  Raises on an empty graph.  Returns what
+    :func:`induced_subgraph` returns: the mapping's keys ascend, so
+    ``list(mapping)`` lists the original index of each component node.
     """
     if graph.node_count == 0:
         raise ValueError("cannot take the largest component of an empty graph")

@@ -98,10 +98,11 @@ class VillageDataset:
 
 
 def _read_rows(path: Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(lineno, stripped fields)`` for each non-blank data row of ``path``.
+    """Yield ``(lineno, stripped fields)`` for each non-blank data record of ``path``.
 
-    The header must match ``header`` case-insensitively and every row must
-    have one field per header column.
+    ``lineno`` is the physical line the record starts on (a quoted field may
+    span lines).  The header must match ``header`` case-insensitively and
+    every row must have one field per header column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -109,7 +110,9 @@ def _read_rows(path: Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[
         if first is None or tuple(h.strip().lower() for h in first) != header:
             raise IngestError(f"{path}:1: expected header {','.join(header)!r}")
         expected = f"{len(header)} field" + ("s" if len(header) > 1 else "")
-        for lineno, row in enumerate(reader, start=2):
+        next_line = reader.line_num + 1
+        for row in reader:
+            lineno, next_line = next_line, reader.line_num + 1
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(header):

@@ -494,7 +494,7 @@ def analyze_village(dataset: VillageDataset, cfg: RunConfig) -> dict[str, Any]:
     text.
     """
     lcc, mapping = largest_connected_component(dataset.graph)
-    table = dataset.attributes.take(np.asarray(sorted(mapping, key=mapping.get), dtype=np.int64))
+    table = dataset.attributes.take(list(mapping))
     spec = _feature_spec(cfg)
     village = _Village(
         dataset=dataset,

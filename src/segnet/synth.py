@@ -23,7 +23,7 @@ from .attributes import (
     encode_category,
 )
 from .community import Partition
-from .dyadic import FeatureSpec
+from .dyadic import FeatureEncoding, FeatureSpec, _feature_values, _pair_feature
 from .graph import build_graph
 from .ingest import VillageDataset
 
@@ -174,12 +174,9 @@ def generate_attribute_sbm(
     for attr, law in config.extra_attribute_laws.items():
         if attr == config.attribute_name:
             raise ValueError(f"{attr!r} is already driven by the block rule")
-        if attr in CATEGORICAL_ATTRIBUTES:
-            _store_attribute(columns, attr, _draw_categorical(rng, law, n), np.arange(n))
-        elif attr in NUMERIC_ATTRIBUTES:
-            _store_attribute(columns, attr, _draw_categorical(rng, law, n), np.arange(n))
-        else:
+        if attr not in ATTRIBUTE_NAMES:
             raise ValueError(f"unknown attribute {attr!r}")
+        _store_attribute(columns, attr, _draw_categorical(rng, law, n), np.arange(n))
     _blank_missing(rng, columns, config.attribute_name, config.missing_rate)
     for attr in config.extra_attribute_laws:
         _blank_missing(rng, columns, attr, config.missing_rate)
@@ -228,33 +225,17 @@ def generate_dyad_sample(
     table = AttributeTable(node_ids=node_ids, **columns)
 
     if spec is None:
-        from .dyadic import FeatureEncoding
-
         spec = FeatureSpec({attr: FeatureEncoding("match") for attr in betas})
     names = [a for a in spec.names if a in betas]
     if set(names) != set(betas):
         raise ValueError("spec must cover exactly the attributes with coefficients")
     beta_vec = np.array([betas[a] for a in names])
-    feats = []
-    for attr in names:
-        enc = spec.encodings[attr]
-        if enc.kind == "match":
-            feats.append(("match", table.labels(attr, enc.bins)))
-        else:
-            values = (
-                table.labels(attr, enc.bins).astype(float)
-                if enc.bins is not None
-                else table.values(attr)
-            )
-            feats.append(("difference", values))
-
     iu, ju = np.triu_indices(n_nodes, k=1)
     cols = []
-    for (kind, values) in feats:
-        if kind == "match":
-            cols.append((values[iu] == values[ju]).astype(float))
-        else:
-            cols.append(np.abs(values[iu] - values[ju]))
+    for attr in names:
+        enc = spec.encodings[attr]
+        values = _feature_values(table, attr, enc)
+        cols.append(_pair_feature(enc.kind, values[iu], values[ju]))
     X = np.column_stack(cols) if cols else np.empty((iu.size, 0))
     prob = expit(beta0 + X @ beta_vec)
     if prob.min() <= 0.0 or prob.max() >= 1.0:

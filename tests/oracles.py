@@ -3,7 +3,9 @@
 Everything here trades speed for obviousness: plain double loops over node
 pairs, exhaustive enumeration of permutations, and closed forms on
 sufficient statistics.  Production code must agree with these within tight
-tolerances; none of this code shares logic with the package.
+tolerances.  Apart from ``louvain_by_level_dicts``, which reuses the
+package's local moving and aggregation steps, none of this code shares logic
+with the package.
 """
 
 from __future__ import annotations
@@ -12,13 +14,15 @@ import bisect
 import csv
 import itertools
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 from scipy import stats
 
-from segnet import AttributeTable, IngestConfig, IngestError, VillageDataset
+from segnet import AttributeTable, IngestConfig, IngestError, Partition, VillageDataset
 from segnet.attributes import ATTRIBUTE_NAMES, CATEGORICAL_ATTRIBUTES
+from segnet.community import _LEVEL_GAIN_THRESHOLD, _aggregate, _local_moving
 from segnet.graph import UndirectedGraph
 
 
@@ -759,4 +763,64 @@ def load_village_by_rows(edge_files, attribute_file, config=IngestConfig()):
         attributes=table,
         layer_edges=dict(sorted(layers.items())),
         unmatched_attribute_ids=tuple(sorted(unmatched)),
+    )
+
+
+# Louvain with level 0 built by a loop over the edge list and every level
+# scored on its own (possibly aggregated) adjacency dicts.  Local moving and
+# aggregation are the package's; the level-0 neighbour order and the level
+# modularities are computed here independently.
+
+
+def _initial_level_by_edges(graph):
+    adj = [dict() for _ in range(graph.node_count)]
+    for u, v in zip(graph.edge_u.tolist(), graph.edge_v.tolist()):
+        adj[u][v] = adj[u].get(v, 0.0) + 1.0
+        adj[v][u] = adj[v].get(u, 0.0) + 1.0
+    return adj, [0.0] * graph.node_count
+
+
+def _level_modularity(adj, loops, com, m):
+    # Q = sum_c [ in_c/(2m) - (tot_c/(2m))^2 ]; in_c counts both edge directions
+    # plus twice the collapsed internal weight.
+    totals = {}
+    inners = {}
+    for i, nbrs in enumerate(adj):
+        ci = com[i]
+        totals[ci] = totals.get(ci, 0.0) + 2.0 * loops[i]
+        inners[ci] = inners.get(ci, 0.0) + 2.0 * loops[i]
+        for j, w in nbrs.items():
+            totals[ci] += w
+            if com[j] == ci:
+                inners[ci] += w
+    two_m = 2.0 * m
+    return sum(inners[c] / two_m - (totals[c] / two_m) ** 2 for c in totals)
+
+
+def louvain_by_level_dicts(graph, seed):
+    """``louvain`` with an edge-loop level 0 and per-level dict modularities."""
+    if graph.node_count == 0:
+        raise ValueError("empty graph")
+    if graph.edge_count == 0:
+        raise ValueError("graph has no edges")
+    rng = np.random.default_rng(seed)
+    m = float(graph.edge_count)
+    adj, loops = _initial_level_by_edges(graph)
+    assignment = np.arange(graph.node_count)
+    q_prev = _level_modularity(adj, loops, list(range(len(adj))), m)
+    level_qs = []
+    while True:
+        com = _local_moving(adj, loops, m, rng)
+        com_dense = np.unique(np.asarray(com, dtype=np.int64), return_inverse=True)[1]
+        q = _level_modularity(adj, loops, com_dense.tolist(), m)
+        assignment = com_dense[assignment]
+        level_qs.append(q)
+        n_communities = int(com_dense.max()) + 1
+        if q - q_prev <= _LEVEL_GAIN_THRESHOLD or n_communities == len(adj):
+            break
+        adj, loops = _aggregate(adj, loops, com_dense.tolist())
+        q_prev = q
+    partition = Partition.from_assignment(graph, assignment + 1)
+    return replace(
+        partition, modularity=float(level_qs[-1]), level_modularities=tuple(level_qs)
     )

@@ -1,14 +1,33 @@
+import importlib.util
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segnet import Partition, build_graph, louvain, modularity_of_partition, nmi
+from segnet import (
+    IngestConfig,
+    Partition,
+    build_graph,
+    largest_connected_component,
+    load_village,
+    louvain,
+    modularity_of_partition,
+    nmi,
+)
 
 from .conftest import random_graph
-from .oracles import entropy_of, naive_partition_modularity, pairwise_complete
+from .oracles import (
+    entropy_of,
+    louvain_by_level_dicts,
+    naive_partition_modularity,
+    pairwise_complete,
+)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def two_cliques_graph(k=5):
@@ -119,6 +138,68 @@ class TestLouvain:
         graph, _ = build_graph([], node_ids=range(3))
         with pytest.raises(ValueError):
             louvain(graph, seed=0)
+
+
+def assert_same_as_level_dict_louvain(graph, seed):
+    fast = louvain(graph, seed)
+    slow = louvain_by_level_dicts(graph, seed)
+    assert np.array_equal(fast.assignment, slow.assignment)
+    assert len(fast.level_modularities) == len(slow.level_modularities)
+    for q_fast, q_slow in zip(fast.level_modularities, slow.level_modularities):
+        assert q_fast == pytest.approx(q_slow, abs=1e-12)
+    assert fast.modularity == fast.level_modularities[-1]
+
+
+@st.composite
+def graphs_with_isolates_and_components(draw):
+    """0-60 nodes: random ties only within index classes mod ``blocks``, plus isolates."""
+    n = draw(st.integers(0, 60))
+    blocks = draw(st.integers(1, 5))
+    isolates = draw(st.integers(0, min(n, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    iu, ju = np.triu_indices(n - isolates, k=1)
+    hit = (iu % blocks == ju % blocks) & (rng.random(iu.size) < draw(st.floats(0.0, 0.6)))
+    edges = list(zip(iu[hit].tolist(), ju[hit].tolist()))
+    return build_graph(edges, node_ids=range(n))[0]
+
+
+class TestLouvainMatchesLevelDicts:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        graphs_with_isolates_and_components(),
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+    )
+    def test_random_graphs(self, graph, seeds):
+        for seed in seeds:
+            if graph.edge_count == 0:
+                for run in (louvain, louvain_by_level_dicts):
+                    with pytest.raises(ValueError):
+                        run(graph, seed)
+            else:
+                assert_same_as_level_dict_louvain(graph, seed)
+
+    @pytest.mark.parametrize("workload", ["survey", "small_villages"])
+    def test_benchmark_corpus_lccs(self, workload, tmp_path, monkeypatch):
+        # reads perfbench/ only; the dataclasses there need a sys.modules entry
+        modules = {}
+        for name in ("corpus", "workloads"):
+            spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+            modules[name] = importlib.util.module_from_spec(spec)
+            monkeypatch.setitem(sys.modules, spec.name, modules[name])
+            spec.loader.exec_module(modules[name])
+        shape = modules["workloads"].WORKLOADS[workload]
+        modules["corpus"].generate_corpus(tmp_path, shape.villages, 411, shape.salt)
+        villages = sorted(tmp_path.iterdir())
+        assert len(villages) == len(shape.villages)
+        for village in villages:
+            layers = sorted(
+                p for p in village.glob("*.csv") if p.stem not in ("attributes", "nodes")
+            )
+            config = IngestConfig(nodes_file=village / "nodes.csv")
+            data = load_village(layers, village / "attributes.csv", config)
+            lcc, _ = largest_connected_component(data.graph)
+            for seed in (1, 2, 3):
+                assert_same_as_level_dict_louvain(lcc, seed)
 
 
 class TestNmi:

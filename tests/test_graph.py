@@ -193,6 +193,16 @@ def test_induced_subgraph_keeps_internal_edges_only():
     assert sub.has_edge(mapping[0], mapping[3])
 
 
+def test_subgraph_mapping_keys_ascend_so_list_gives_the_node_order():
+    graph, _ = build_graph([(4, 1), (1, 3), (0, 2), (3, 4)], node_ids=range(5))
+    sub, mapping = induced_subgraph(graph, [4, 1, 3, 0])
+    assert list(mapping) == [0, 1, 3, 4]
+    assert list(mapping.values()) == list(range(sub.node_count))
+    lcc, mapping = largest_connected_component(graph)
+    assert list(mapping) == [1, 3, 4]
+    assert list(mapping.values()) == [0, 1, 2]
+
+
 def test_clustering_matches_triangle_count_oracle():
     rng = np.random.default_rng(17)
     for _ in range(25):

@@ -170,6 +170,21 @@ def test_malformed_rows_carry_file_and_line(tmp_path):
         load_village([edge], attrs)
 
 
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        # the bad age follows a record whose quoted id spans lines 2-3
+        (['"a\nz",male,30,,,,,', "b,female,thirty,,,,,"], 4),
+        # the bad age sits inside that record: name the line it starts on
+        (['"a\nz",male,thirty,,,,,', "b,female,30,,,,,"], 2),
+    ],
+)
+def test_errors_name_the_first_line_of_a_multi_line_record(tmp_path, rows, line):
+    edge_files, attr_path, _ = write_village(tmp_path, {"visit": [("b", "c")]}, rows)
+    with pytest.raises(IngestError, match=rf"attributes\.csv:{line}: invalid age value 'thirty'"):
+        load_village(edge_files, attr_path)
+
+
 def test_missing_or_wrong_header_is_an_error(tmp_path):
     village = tmp_path / "v1"
     village.mkdir()
