@@ -25,7 +25,7 @@ from .attributes import (
     AttributeTable,
     complete_case_mask,
 )
-from .graph import UndirectedGraph
+from .graph import _CHUNK_ELEMENTS, UndirectedGraph
 
 __all__ = [
     "FeatureEncoding",
@@ -43,10 +43,6 @@ __all__ = [
     "degree_missingness_ttest",
 ]
 
-# Element budget of one chunk in the permutation and design kernels: their
-# largest transient arrays hold about this many entries per chunk, so a
-# worker's working set does not grow with the village.
-_CHUNK_ELEMENTS = 1 << 16
 # Design rows are keyed by an int64 mixed-radix number over feature levels.
 _MAX_ROW_KEY = 1 << 62
 
@@ -154,18 +150,24 @@ def _feature_values(table: AttributeTable, attr: str, enc: FeatureEncoding) -> n
 
 
 def _pair_feature(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a == b).astype(float) if kind == "match" else np.abs(a - b)
+    """Match indicator (bool) or absolute difference of paired values."""
+    return a == b if kind == "match" else np.abs(a - b)
 
 
 def _type_row_blocks(n_types: int):
-    """Rows of the type-pair triangle as ``(rows, 1)`` index columns.
+    """Blocks of the type-pair triangle as ``(rows, 1)`` and ``(columns,)`` type indices.
 
-    Each block spans at most ``max(1, _CHUNK_ELEMENTS // n_types)`` rows,
-    so its ``(rows, n_types)`` rectangle of pairs stays within the budget.
+    A block pairs types ``start .. stop - 1`` with types ``start ..
+    n_types - 1``, so it covers every pair of its rows in the triangle.  Up
+    to three arrays of one entry per pair are live at a time while a block
+    is reduced, so each block spans as many rows as keep its pairs within
+    ``_CHUNK_ELEMENTS // 3``, and at least one.
     """
-    step = max(1, _CHUNK_ELEMENTS // n_types)
-    for start in range(0, n_types, step):
-        yield np.arange(start, min(start + step, n_types))[:, None]
+    start = 0
+    while start < n_types:
+        stop = min(n_types, start + max(1, _CHUNK_ELEMENTS // 3 // (n_types - start)))
+        yield np.arange(start, stop)[:, None], np.arange(start, n_types)
+        start = stop
 
 
 def build_dyad_design(
@@ -177,13 +179,12 @@ def build_dyad_design(
     types (a type with itself included) holds n_a * n_b dyads, or
     C(n_a, 2) within one type, and all of them share one feature row; type
     pairs with equal rows are merged.  The type-pair triangle is walked in
-    blocks of whole rows, at most ``max(_CHUNK_ELEMENTS, n_types)`` pairs
-    each, and each block is reduced to its distinct rows before the next,
-    so the working set beyond the graph, the types and the grouped rows
-    does not grow with the number of types.  Ties are counted in one pass
-    over the edges.  Raises if fewer than two nodes are observed on every
-    attribute in the spec, or if the feature rows take too many distinct
-    values to be keyed in 62 bits.
+    blocks of whole rows (see ``_type_row_blocks``), each reduced to its
+    distinct rows before the next, so the working set beyond the graph, the
+    types and the grouped rows does not grow with the number of types.
+    Ties are counted in one pass over the edges.  Raises if fewer than two
+    nodes are observed on every attribute in the spec, or if the feature
+    rows take too many distinct values to be keyed in 62 bits.
     """
     if table.n != graph.node_count:
         raise ValueError("attribute table does not align with the graph")
@@ -224,22 +225,31 @@ def build_dyad_design(
         key = np.zeros(np.broadcast_shapes(ta.shape, tb.shape), dtype=np.int64)
         for kind, col, lv in zip(kinds, types.T, levels):
             key *= lv.size
-            key += np.searchsorted(lv, _pair_feature(kind, col[ta], col[tb]))
+            feature = _pair_feature(kind, col[ta], col[tb])
+            # A match is its own level code: False is level 0, True level 1.
+            key += feature if kind == "match" else np.searchsorted(lv, feature)
         return key
 
     block_keys = []
     block_pairs = []
-    every = np.arange(n_types)
-    for ta in _type_row_blocks(n_types):
-        upper = ta <= every
-        sa = type_size[ta]
-        pairs = np.where(ta == every, sa * (sa - 1) // 2, sa * type_size)
-        key, row_of = np.unique(pair_keys(ta, every)[upper], return_inverse=True)
-        block_keys.append(key)
-        block_pairs.append(np.bincount(row_of, weights=pairs[upper]))
+    size = type_size.astype(float)
+    for ta, tb in _type_row_blocks(n_types):
+        key = pair_keys(ta, tb)
+        distinct = np.unique(key)
+        row_of = np.searchsorted(distinct, key).ravel()
+        del key  # two per-pair arrays, not three, while the pair counts are built
+        # Pairs below the diagonal mirror pairs above it: no dyad here.
+        sa = size[ta]
+        pairs = sa * size[tb]
+        pairs[ta > tb] = 0.0
+        diagonal = np.arange(ta.size)
+        pairs[diagonal, diagonal] = sa[:, 0] * (sa[:, 0] - 1) / 2
+        block_keys.append(distinct)
+        block_pairs.append(np.bincount(row_of, weights=pairs.ravel(), minlength=distinct.size))
     row_key, row_of = np.unique(np.concatenate(block_keys), return_inverse=True)
     row_pairs = np.bincount(row_of, weights=np.concatenate(block_pairs)).astype(np.int64)
-    # A type of one node paired with itself holds no dyad.
+    # A type of one node paired with itself holds no dyad, nor does a row
+    # that only mirrored pairs below the diagonal carry.
     held = row_pairs > 0
     row_key, row_pairs = row_key[held], row_pairs[held]
 

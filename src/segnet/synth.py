@@ -215,6 +215,9 @@ def generate_dyad_sample(
     missing_laws = [a for a in betas if a not in feature_law]
     if missing_laws:
         raise ValueError(f"no feature law for attribute(s): {', '.join(missing_laws)}")
+    for attr in feature_law:
+        if attr not in ATTRIBUTE_NAMES:
+            raise ValueError(f"unknown attribute {attr!r}")
     rng = np.random.default_rng(seed)
     width = max(1, len(str(n_nodes - 1)))
     node_ids = tuple(f"n{i:0{width}d}" for i in range(n_nodes))
@@ -236,7 +239,7 @@ def generate_dyad_sample(
         enc = spec.encodings[attr]
         values = _feature_values(table, attr, enc)
         cols.append(_pair_feature(enc.kind, values[iu], values[ju]))
-    X = np.column_stack(cols) if cols else np.empty((iu.size, 0))
+    X = np.column_stack(cols).astype(float) if cols else np.empty((iu.size, 0))
     prob = expit(beta0 + X @ beta_vec)
     if prob.min() <= 0.0 or prob.max() >= 1.0:
         raise ValueError("tie probabilities saturate at 0 or 1; rescale the coefficients")

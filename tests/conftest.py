@@ -1,7 +1,13 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from segnet import AttributeTable, Partition, build_graph
+from segnet import AttributeTable, IngestConfig, Partition, build_graph, load_village
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 BRIDGED_TRIANGLE_EDGES = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]
 
@@ -43,6 +49,29 @@ def random_graph(rng, n, p):
     edges = list(zip(iu[hit].tolist(), ju[hit].tolist()))
     graph, _ = build_graph(edges, node_ids=range(n))
     return graph
+
+
+def load_benchmark_villages(workload, directory, monkeypatch):
+    """Generate a benchmark workload's corpus at seed 411 into ``directory`` and load each village.
+
+    Reads ``perfbench/`` only; its dataclasses need a ``sys.modules`` entry.
+    """
+    modules = {}
+    for name in ("corpus", "workloads"):
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, modules[name])
+        spec.loader.exec_module(modules[name])
+    shape = modules["workloads"].WORKLOADS[workload]
+    modules["corpus"].generate_corpus(directory, shape.villages, 411, shape.salt)
+    villages = sorted(directory.iterdir())
+    assert len(villages) == len(shape.villages)
+    datasets = []
+    for village in villages:
+        layers = sorted(p for p in village.glob("*.csv") if p.stem not in ("attributes", "nodes"))
+        config = IngestConfig(nodes_file=village / "nodes.csv")
+        datasets.append(load_village(layers, village / "attributes.csv", config))
+    return datasets
 
 
 @pytest.fixture

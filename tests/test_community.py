@@ -1,7 +1,4 @@
-import importlib.util
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,25 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segnet import (
-    IngestConfig,
     Partition,
     build_graph,
     largest_connected_component,
-    load_village,
     louvain,
     modularity_of_partition,
     nmi,
 )
 
-from .conftest import random_graph
+from .conftest import load_benchmark_villages, random_graph
 from .oracles import (
     entropy_of,
     louvain_by_level_dicts,
     naive_partition_modularity,
     pairwise_complete,
 )
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def two_cliques_graph(k=5):
@@ -180,23 +173,7 @@ class TestLouvainMatchesLevelDicts:
 
     @pytest.mark.parametrize("workload", ["survey", "small_villages"])
     def test_benchmark_corpus_lccs(self, workload, tmp_path, monkeypatch):
-        # reads perfbench/ only; the dataclasses there need a sys.modules entry
-        modules = {}
-        for name in ("corpus", "workloads"):
-            spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-            modules[name] = importlib.util.module_from_spec(spec)
-            monkeypatch.setitem(sys.modules, spec.name, modules[name])
-            spec.loader.exec_module(modules[name])
-        shape = modules["workloads"].WORKLOADS[workload]
-        modules["corpus"].generate_corpus(tmp_path, shape.villages, 411, shape.salt)
-        villages = sorted(tmp_path.iterdir())
-        assert len(villages) == len(shape.villages)
-        for village in villages:
-            layers = sorted(
-                p for p in village.glob("*.csv") if p.stem not in ("attributes", "nodes")
-            )
-            config = IngestConfig(nodes_file=village / "nodes.csv")
-            data = load_village(layers, village / "attributes.csv", config)
+        for data in load_benchmark_villages(workload, tmp_path, monkeypatch):
             lcc, _ = largest_connected_component(data.graph)
             for seed in (1, 2, 3):
                 assert_same_as_level_dict_louvain(lcc, seed)

@@ -17,6 +17,7 @@ from segnet import (
     degree_missingness_ttest,
     fit_logistic,
     generate_dyad_sample,
+    mean_local_clustering,
     sex_permutation_test,
     sex_permutation_tests,
 )
@@ -658,25 +659,54 @@ def survey_scale_village(n=1200, mean_degree=8.0, seed=411):
     return graph, table
 
 
+def star_around_node_zero(n_leaves=3000):
+    """Star whose hub, node 0, has ``n_leaves`` leaves and no attributes."""
+    star, _ = build_graph([(0, i) for i in range(1, n_leaves + 1)])
+    return star, None
+
+
 @pytest.mark.parametrize(
-    "kernel",
+    "kernel, village, bound_mb",
     [
-        lambda graph, table: build_dyad_design(graph, table, default_feature_spec()),
-        lambda graph, table: sex_permutation_tests(graph, table, (0.05, 0.2), seed=411),
+        pytest.param(
+            lambda graph, table: build_dyad_design(graph, table, default_feature_spec()),
+            survey_scale_village,
+            1,
+            id="build_dyad_design",
+        ),
+        pytest.param(
+            lambda graph, table: sex_permutation_tests(graph, table, (0.05, 0.2), seed=411),
+            survey_scale_village,
+            6,
+            id="sex_permutation_tests",
+        ),
+        pytest.param(
+            lambda graph, table: mean_local_clustering(graph),
+            survey_scale_village,
+            2,
+            id="mean_local_clustering",
+        ),
+        pytest.param(
+            lambda graph, table: mean_local_clustering(graph),
+            star_around_node_zero,
+            2,
+            id="mean_local_clustering_star",
+        ),
     ],
-    ids=["build_dyad_design", "sex_permutation_tests"],
 )
-def test_kernel_peak_memory_does_not_grow_with_the_village(kernel):
+def test_kernel_peak_memory_does_not_grow_with_the_village(kernel, village, bound_mb):
     # Building every type pair or a whole 512-row candidate batch at once
-    # peaks at 12-17 MB on this 1200-node village.
-    graph, table = survey_scale_village()
+    # peaks at 12-17 MB on the 1200-node village; design blocks of 65,536
+    # pairs with their unreduced temporaries peaked at 3.5 MB.  A sparse
+    # A @ A for clustering holds deg^2 entries per hub: 206 MB on the star.
+    graph, table = village()
     tracemalloc.start()
     try:
         kernel(graph, table)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2**20
+    assert peak < bound_mb * 2**20
 
 
 class TestDegreeMissingnessTtest:

@@ -11,9 +11,14 @@ from segnet import (
     mean_local_clustering,
     network_stats,
 )
+from segnet import graph as graph_module
 
-from .conftest import random_graph
-from .oracles import component_labels_by_bfs, local_clustering_by_loop
+from .conftest import load_benchmark_villages, random_graph
+from .oracles import (
+    component_labels_by_bfs,
+    local_clustering_by_loop,
+    local_clustering_by_sparse_product,
+)
 
 
 def test_build_collapses_duplicates_reversals_and_self_loops():
@@ -131,12 +136,62 @@ def scattered_components(draw):
     return graph
 
 
+def _assert_clustering_equals_oracles(graph):
+    value = mean_local_clustering(graph)
+    assert value == local_clustering_by_sparse_product(graph)
+    assert value == local_clustering_by_loop(graph)
+
+
 @settings(max_examples=150, deadline=None)
-@given(scattered_components())
-def test_sparse_kernels_equal_the_loop_oracles(graph):
+@given(scattered_components(), st.sampled_from([None, 1, 7]))
+def test_numpy_kernels_equal_the_oracles(graph, budget):
     _assert_labels_equal_bfs(graph)
     if graph.node_count:
-        assert mean_local_clustering(graph) == local_clustering_by_loop(graph)
+        with pytest.MonkeyPatch.context() as patch:
+            # None keeps the module's budget; 1 and 7 walk the triangle
+            # candidates in many slices.
+            if budget is not None:
+                patch.setattr(graph_module, "_CHUNK_ELEMENTS", budget)
+            _assert_clustering_equals_oracles(graph)
+
+
+def _star_with_linked_leaves(n, centre):
+    """Star on ``n`` nodes around ``centre``, with every other pair of leaves linked.
+
+    The leaf links close triangles at the hub.
+    """
+    leaves = [i for i in range(n) if i != centre]
+    edges = [(centre, leaf) for leaf in leaves]
+    return edges + list(zip(leaves[0:-1:2], leaves[1::2]))
+
+
+def _clique_with_pendants(k):
+    """A k-clique on the last indices, each clique node with a pendant on the first ones."""
+    clique = [(k + i, k + j) for i in range(k) for j in range(i + 1, k)]
+    return clique + [(i, k + i) for i in range(k)]
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, i) for i in range(1, 400)],
+        [(i, 399) for i in range(399)],
+        _star_with_linked_leaves(400, 0),
+        _star_with_linked_leaves(400, 399),
+        _clique_with_pendants(40),
+    ],
+    ids=["star_first", "star_last", "wheel_first", "wheel_last", "clique_pendants"],
+)
+def test_clustering_of_hubs_equals_the_oracles(edges):
+    graph, _ = build_graph(edges)
+    _assert_clustering_equals_oracles(graph)
+
+
+@pytest.mark.parametrize("workload", ["survey", "small_villages"])
+def test_clustering_of_benchmark_graphs_equals_the_oracles(workload, tmp_path, monkeypatch):
+    for data in load_benchmark_villages(workload, tmp_path, monkeypatch):
+        _assert_clustering_equals_oracles(data.graph)
+        _assert_clustering_equals_oracles(largest_connected_component(data.graph)[0])
 
 
 def _path_order(kind, n):

@@ -755,8 +755,16 @@ def test_json_safe_scrubs_non_finite_and_numpy_types():
     assert math.isfinite(json.loads(json.dumps(cleaned))["a"])
 
 
-# Each of these costs 0.1-0.7 s to import; segnet needs none of them.
-HEAVY_SCIPY_MODULES = ("scipy.stats", "scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+# segnet's only scipy module is scipy.special.  Each of these costs import
+# time (0.1-0.7 s for stats, linalg and csgraph) or memory (scipy.sparse
+# alone adds ~1.8 MB RSS to a fresh import); segnet needs none of them.
+HEAVY_SCIPY_MODULES = (
+    "scipy.stats",
+    "scipy.linalg",
+    "scipy.sparse",
+    "scipy.sparse.linalg",
+    "scipy.sparse.csgraph",
+)
 
 FOOTPRINT_SCRIPT = """
 import json, sys

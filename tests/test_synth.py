@@ -201,3 +201,14 @@ class TestDyadSample:
                 n_nodes=20,
                 seed=37,
             )
+
+    def test_unknown_attribute_is_named_before_its_law_is_drawn(self):
+        # the law is malformed too, so drawing it first would fail on that
+        with pytest.raises(ValueError, match="unknown attribute 'bogus'"):
+            generate_dyad_sample(
+                beta0=-1.0,
+                betas={"sex": 0.8},
+                feature_law={"sex": {"male": 0.5, "female": 0.5}, "bogus": {"x": 0.5}},
+                n_nodes=20,
+                seed=37,
+            )
