@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import expit, ndtr, stdtr
 
+from ._special import expit, ndtr, stdtr
 from .attributes import (
     CATEGORICAL_ATTRIBUTES,
     DEFAULT_AGE_BINS,
@@ -310,11 +310,7 @@ def _information(
 
 
 def _wald_p_values(z: np.ndarray) -> np.ndarray:
-    """Two-sided standard normal p-values ``2 * P(Z > |z|)``.
-
-    ``ndtr(-|z|)`` is the upper tail exactly as ``scipy.stats.norm.sf``
-    computes it, without importing ``scipy.stats``.
-    """
+    """Two-sided standard normal p-values ``2 * P(Z > |z|)``, as ``2 ndtr(-|z|)``."""
     return 2.0 * ndtr(-np.abs(z))
 
 
@@ -652,9 +648,12 @@ def degree_missingness_ttest(
     """Welch two-sample t-test of degrees, attribute-observed vs missing nodes.
 
     Positive statistic means the observed group has the higher mean degree.
-    Both groups must have at least 2 members.  The statistic and p-value
-    are computed in closed form by the steps of
-    ``scipy.stats.ttest_ind(a, b, equal_var=False)`` and equal its result.
+    Both groups must have at least 2 members.  The statistic is computed
+    in closed form by the steps of
+    ``scipy.stats.ttest_ind(a, b, equal_var=False)`` and equals its
+    statistic.  The p-value uses segnet's own Student t CDF
+    (``_special.stdtr``), so it differs from scipy's in the last digits
+    (by at most ~3e-14 relative for df up to 62).
     """
     present = table.is_present(attr)
     if present.shape != (graph.node_count,):

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit
 
+from ._special import expit
 from .attributes import (
     ATTRIBUTE_NAMES,
     CATEGORICAL_ATTRIBUTES,
@@ -240,7 +240,10 @@ def generate_dyad_sample(
         values = _feature_values(table, attr, enc)
         cols.append(_pair_feature(enc.kind, values[iu], values[ju]))
     X = np.column_stack(cols).astype(float) if cols else np.empty((iu.size, 0))
-    prob = expit(beta0 + X @ beta_vec)
+    # expit runs per element in Python; the pairs share few distinct linear
+    # predictors (at most 2^p with p match features), so evaluate those once.
+    eta, inverse = np.unique(beta0 + X @ beta_vec, return_inverse=True)
+    prob = expit(eta)[inverse]
     if prob.min() <= 0.0 or prob.max() >= 1.0:
         raise ValueError("tie probabilities saturate at 0 or 1; rescale the coefficients")
     hit = rng.random(prob.size) < prob

@@ -366,6 +366,23 @@ class TestLogisticFit:
         assert not fit.converged
         assert "separated" in fit.diagnostic
 
+    def test_separation_on_a_difference_feature_is_flagged_not_raised(self):
+        # ties exactly between equal ages: the age slope runs off to -inf, and
+        # the 60-year gaps put the final information matrix's linear
+        # predictor below -709.78, where exp(-x) overflows a double
+        graph, _ = build_graph([(0, 1), (2, 3), (4, 5)], node_ids=range(6))
+        table = make_table(range(6), caste=[0, 1, 0, 1, 0, 0], age=[30, 30, 31, 31, 90, 90])
+        spec = FeatureSpec(
+            {"caste": FeatureEncoding("match"), "age": FeatureEncoding("difference")}
+        )
+        design = build_dyad_design(graph, table, spec)
+        fit = fit_logistic(design)
+        assert not fit.converged
+        assert "separated" in fit.diagnostic
+        assert (fit.beta0 + design.X @ fit.beta).min() < -710.0
+        expected = 2.0 * stats.norm.sf(np.abs(fit.beta / fit.std_errors))
+        np.testing.assert_array_equal(fit.p_values, expected, strict=True)
+
     def test_p_values_equal_the_scipy_normal_tail(self):
         converged = fit_logistic(self.sample_design())
         diverging = fit_logistic(self.separated_design())
@@ -784,4 +801,8 @@ class TestDegreeMissingnessTtest:
             # scipy warns of precision loss when a group is constant.
             warnings.simplefilter("ignore", RuntimeWarning)
             reference = stats.ttest_ind(a, b, equal_var=False)
-        assert result == (float(reference.statistic), float(reference.pvalue))
+        assert result[0] == float(reference.statistic)
+        # The p-value's Student t CDF is segnet's own, not scipy's: on this
+        # domain (df <= 62) the two agreed within 3.3e-14 relative on 30k
+        # draws, and test_special bounds segnet's against mpmath.
+        assert result[1] == pytest.approx(float(reference.pvalue), rel=1e-13, abs=0.0)
