@@ -14,10 +14,15 @@ Character file defaults (every one has an override flag): the village column is
 2=female, age is ``age``, religion is ``religion`` with values like HINDUISM,
 caste is ``caste`` with values like OBC or SCHEDULED CASTE, education is
 ``educ``, and the binary columns ``workflag`` and ``savings`` are coded 1=yes
-with 0 or 2 meaning no.  Unknown or blank cells become missing values.
+with 0 or 2 meaning no.  Every cell then goes through segnet's cell codec
+(``segnet.attributes.parse_cell``), and the cells it rejects become missing
+values: blank or unknown categories (matched case-insensitively), and numbers
+that are not whole (``NA``, ``5.5``) or are negative (``-1``).  Key-file ids
+without a survey row are kept with every attribute missing.
 
-Output: <out>/<village>/  with one CSV per layer (source,target pairs),
-nodes.csv fixing the node universe to the key file, and attributes.csv.
+Output: <out>/<village>/, written by ``segnet.save_village``: one CSV per layer
+(source,target pairs), nodes.csv fixing the node universe to the key file, and
+attributes.csv.  A layer named ``nodes`` or ``attributes`` is refused.
 
 Example:
   python scripts/adapt_karnataka.py --raw ~/data/raw --out corpus \
@@ -34,42 +39,73 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
-from segnet.attributes import CATEGORICAL_ATTRIBUTES
-from segnet.ingest import adapt_adjacency_matrix
+from segnet.attributes import ATTRIBUTE_NAMES, AttributeTable, missing_value, parse_cell
+from segnet.graph import build_graph
+from segnet.ingest import VillageDataset, adapt_adjacency_matrix, save_village
 
 SEX_CODES = {"1": "male", "2": "female"}
 BINARY_CODES = {"1": "1", "0": "0", "2": "0"}  # some releases code "no" as 2
+# Raw codes, translated to the codec's cell text before it parses them.
+RECODES = {"sex": SEX_CODES, "workflag": BINARY_CODES, "savings": BINARY_CODES}
 
 
-def normalize_category(attr: str, raw: str) -> str:
-    value = raw.strip().lower()
-    if not value:
-        return ""
-    return value if value in CATEGORICAL_ATTRIBUTES[attr] else ""
+def column_value(attr: str, raw: str) -> int | float:
+    """The codec's value of one raw cell, or the missing value where it rejects the cell."""
+    text = raw.strip()
+    if attr in RECODES:
+        text = RECODES[attr].get(text, "")
+    try:
+        return parse_cell(attr, text)
+    except ValueError:
+        return missing_value(attr)
 
 
-def load_characteristics(path: Path, args: argparse.Namespace) -> dict[str, dict[str, dict[str, str]]]:
-    """villages -> person id -> canonical attribute row."""
-    by_village: dict[str, dict[str, dict[str, str]]] = defaultdict(dict)
+def load_characteristics(
+    path: Path, args: argparse.Namespace
+) -> dict[str, dict[str, tuple[int | float, ...]]]:
+    """village -> person id -> column values in ``ATTRIBUTE_NAMES`` order."""
+    columns = [getattr(args, f"col_{attr}") for attr in ATTRIBUTE_NAMES]
+    by_village: dict[str, dict[str, tuple[int | float, ...]]] = defaultdict(dict)
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+        for row in csv.DictReader(fh):
             village = row.get(args.col_village, "").strip()
             pid = row.get(args.col_person, "").strip()
             if not village or not pid:
                 continue
-            sex = SEX_CODES.get(row.get(args.col_sex, "").strip(), "")
-            record = {
-                "sex": sex,
-                "age": row.get(args.col_age, "").strip(),
-                "religion": normalize_category("religion", row.get(args.col_religion, "")),
-                "caste": normalize_category("caste", row.get(args.col_caste, "")),
-                "education": row.get(args.col_education, "").strip(),
-                "workflag": BINARY_CODES.get(row.get(args.col_workflag, "").strip(), ""),
-                "savings": BINARY_CODES.get(row.get(args.col_savings, "").strip(), ""),
-            }
-            by_village[village][pid] = record
+            by_village[village][pid] = tuple(
+                column_value(attr, row.get(col, "")) for attr, col in zip(ATTRIBUTE_NAMES, columns)
+            )
     return by_village
+
+
+def build_village(
+    village_id: str,
+    pids: list[str],
+    matrices: dict[str, Path],
+    rows: dict[str, tuple[int | float, ...]],
+) -> VillageDataset:
+    """The village over the key-file ids: one layer per matrix, one attribute row per id."""
+    layer_edges = {}
+    for layer, matrix_path in sorted(matrices.items()):
+        pairs = set()
+        for i, j in adapt_adjacency_matrix(matrix_path):
+            if j >= len(pids):
+                raise ValueError(f"layer {layer}: matrix larger than key file")
+            a, b = pids[i], pids[j]
+            pairs.add((a, b) if a <= b else (b, a))
+        layer_edges[layer] = tuple(sorted(pairs))
+    graph, _ = build_graph(
+        (pair for pairs in layer_edges.values() for pair in pairs), node_ids=pids
+    )
+    blank = tuple(missing_value(attr) for attr in ATTRIBUTE_NAMES)
+    values = [rows.get(pid, blank) for pid in pids]
+    table = AttributeTable(
+        node_ids=tuple(pids),
+        **{attr: [row[k] for row in values] for k, attr in enumerate(ATTRIBUTE_NAMES)},
+    )
+    return VillageDataset(
+        village_id=village_id, graph=graph, attributes=table, layer_edges=layer_edges
+    )
 
 
 def main() -> None:
@@ -117,35 +153,12 @@ def main() -> None:
             print(f"skipping village {village}: missing {key_path.name}", file=sys.stderr)
             continue
         pids = [line.strip() for line in key_path.read_text(encoding="utf-8-sig").splitlines() if line.strip()]
-        village_dir = args.out / f"vil{int(village):03d}"
-        village_dir.mkdir(parents=True, exist_ok=True)
-
-        for layer, matrix_path in sorted(layers.items()):
-            pairs = adapt_adjacency_matrix(matrix_path)
-            with open(village_dir / f"{layer}.csv", "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["source", "target"])
-                for i, j in pairs:
-                    if i >= len(pids) or j >= len(pids):
-                        sys.exit(f"village {village} layer {layer}: matrix larger than key file")
-                    writer.writerow([pids[i], pids[j]])
-
-        with open(village_dir / "nodes.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node_id"])
-            for pid in pids:
-                writer.writerow([pid])
-
         rows = people.get(village, {})
-        with open(village_dir / "attributes.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node_id", "sex", "age", "religion", "caste", "education", "workflag", "savings"])
-            for pid in pids:
-                record = rows.get(pid)
-                if record is None:
-                    continue
-                writer.writerow([pid] + [record[c] for c in
-                                         ("sex", "age", "religion", "caste", "education", "workflag", "savings")])
+        try:
+            dataset = build_village(f"vil{int(village):03d}", pids, layers, rows)
+            save_village(dataset, args.out / dataset.village_id)
+        except ValueError as exc:
+            sys.exit(f"village {village}: {exc}")
         print(f"village {village}: {len(layers)} layer(s), {len(pids)} node(s), "
               f"{sum(1 for p in pids if p in rows)} respondent(s)")
 

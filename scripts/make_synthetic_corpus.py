@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 from pathlib import Path
 
 from segnet.pipeline import default_config_text
@@ -58,11 +59,15 @@ def main() -> None:
     synth_path = args.out / "synth.json"
     synth_path.write_text(json.dumps(synth, indent=2) + "\n", encoding="utf-8")
 
-    config_text = default_config_text(corpus_dir="corpus", output_dir="out")
-    config_text = config_text.replace(
-        "attributes = caste, sex, age, religion, education, workflag, savings",
+    # The corpus has no education or savings columns, so the dyad fit must not ask for them.
+    config_text, found = re.subn(
+        r"^attributes\s*=.*$",
         "attributes = caste, sex, age, religion, workflag",
+        default_config_text(corpus_dir="corpus", output_dir="out"),
+        flags=re.MULTILINE,
     )
+    if found != 1:
+        raise SystemExit("the default run config has no single 'attributes' line to replace")
     (args.out / "run.cfg").write_text(config_text, encoding="utf-8")
 
     from segnet.cli import main as segnet_main

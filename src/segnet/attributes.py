@@ -2,11 +2,16 @@
 
 Categorical columns are stored as integer codes into the declared category
 tuples (-1 = missing); numeric columns are float arrays with NaN = missing.
+
+Every reader and writer of covariate cells shares one codec: ``parse_cell``,
+``format_cell`` and ``missing_value``.  An empty cell is missing, categories
+match case-insensitively, and numbers are whole and non-negative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,6 +30,9 @@ __all__ = [
     "bin_codes",
     "complete_case_mask",
     "encode_category",
+    "format_cell",
+    "missing_value",
+    "parse_cell",
 ]
 
 SEX_CATEGORIES = ("male", "female")
@@ -47,16 +55,59 @@ DEFAULT_AGE_BINS = (18.0, 31.0, 41.0, 51.0, 65.0)
 DEFAULT_EDUCATION_BINS = (1.0, 10.0, 14.0, 16.0)
 
 
-def encode_category(attr: str, raw: str) -> int:
-    """Code a raw categorical value (case-insensitive); raises on unknown values."""
-    categories = CATEGORICAL_ATTRIBUTES.get(attr)
-    if categories is None:
-        raise ValueError(f"unknown categorical attribute {attr!r}")
-    text = raw.strip().lower()
+_CATEGORY_CODES = {a: {c: k for k, c in enumerate(cs)} for a, cs in CATEGORICAL_ATTRIBUTES.items()}
+_MISSING = {attr: -1 if attr in CATEGORICAL_ATTRIBUTES else math.nan for attr in ATTRIBUTE_NAMES}
+
+
+def missing_value(attr: str) -> int | float:
+    """The column value of a missing ``attr``: -1 for a category, NaN for a number."""
     try:
-        return categories.index(text)
+        return _MISSING[attr]
+    except KeyError:
+        raise ValueError(f"unknown attribute {attr!r}") from None
+
+
+def parse_cell(attr: str, text: str) -> int | float:
+    """Column value of one stripped cell of ``attr``; an empty cell is missing.
+
+    Raises ``ValueError`` naming an unknown category, a cell that is not a
+    whole number, or a negative number.
+    """
+    if not text:
+        return missing_value(attr)
+    codes = _CATEGORY_CODES.get(attr)
+    if codes is not None:
+        code = codes.get(text.lower())
+        if code is None:
+            raise ValueError(f"unknown {attr} value {text!r}")
+        return code
+    if attr not in NUMERIC_ATTRIBUTES:
+        raise ValueError(f"unknown attribute {attr!r}")
+    try:
+        value = int(text)
     except ValueError:
-        raise ValueError(f"unknown {attr} value {raw!r}") from None
+        raise ValueError(f"invalid {attr} value {text!r}") from None
+    if value < 0:
+        raise ValueError(f"negative {attr} value {value}")
+    return float(value)
+
+
+def format_cell(attr: str, value: int | float) -> str:
+    """Cell text of one column value of ``attr``; ``parse_cell`` reads it back."""
+    categories = CATEGORICAL_ATTRIBUTES.get(attr)
+    if categories is not None:
+        return "" if value < 0 else categories[value]
+    return "" if math.isnan(value) else str(int(value))
+
+
+def encode_category(attr: str, raw: str) -> int:
+    """Code a raw categorical value (case-insensitive); raises on unknown or empty values."""
+    if attr not in CATEGORICAL_ATTRIBUTES:
+        raise ValueError(f"unknown categorical attribute {attr!r}")
+    text = raw.strip()
+    if not text:
+        raise ValueError(f"unknown {attr} value {raw!r}")
+    return parse_cell(attr, text)
 
 
 def bin_codes(values: np.ndarray, bins: Sequence[float]) -> np.ndarray:
@@ -66,18 +117,18 @@ def bin_codes(values: np.ndarray, bins: Sequence[float]) -> np.ndarray:
     return np.where(np.isnan(v), -1, codes).astype(np.int64)
 
 
-def _as_code_array(values: Iterable[int], n_categories: int, attr: str) -> np.ndarray:
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=np.int64)
-    if arr.size and (arr.min() < -1 or arr.max() >= n_categories):
-        raise ValueError(f"{attr} codes out of range")
-    return arr
-
-
-def _as_value_array(values: Iterable[float], attr: str) -> np.ndarray:
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
-    finite = arr[~np.isnan(arr)]
-    if finite.size and finite.min() < 0:
-        raise ValueError(f"{attr} values must be non-negative")
+def _as_column(values: Iterable[int] | Iterable[float], attr: str) -> np.ndarray:
+    """``attr``'s column: in-range category codes or non-negative numbers, with missing values."""
+    categories = CATEGORICAL_ATTRIBUTES.get(attr)
+    dtype = float if categories is None else np.int64
+    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=dtype)
+    if categories is not None:
+        if arr.size and (arr.min() < -1 or arr.max() >= len(categories)):
+            raise ValueError(f"{attr} codes out of range")
+    else:
+        finite = arr[~np.isnan(arr)]
+        if finite.size and finite.min() < 0:
+            raise ValueError(f"{attr} values must be non-negative")
     return arr
 
 
@@ -96,33 +147,19 @@ class AttributeTable:
 
     def __post_init__(self) -> None:
         n = len(self.node_ids)
-        object.__setattr__(self, "sex", _as_code_array(self.sex, len(SEX_CATEGORIES), "sex"))
-        object.__setattr__(self, "age", _as_value_array(self.age, "age"))
-        object.__setattr__(
-            self, "religion", _as_code_array(self.religion, len(RELIGION_CATEGORIES), "religion")
-        )
-        object.__setattr__(self, "caste", _as_code_array(self.caste, len(CASTE_CATEGORIES), "caste"))
-        object.__setattr__(self, "education", _as_value_array(self.education, "education"))
-        object.__setattr__(self, "workflag", _as_code_array(self.workflag, 2, "workflag"))
-        object.__setattr__(self, "savings", _as_code_array(self.savings, 2, "savings"))
         for name in ATTRIBUTE_NAMES:
-            col = getattr(self, name)
+            col = _as_column(getattr(self, name), name)
             if col.shape != (n,):
                 raise ValueError(f"{name} column length {col.shape} != {n} nodes")
             col.setflags(write=False)
+            object.__setattr__(self, name, col)
 
     @classmethod
     def empty(cls, node_ids: Sequence[str]) -> "AttributeTable":
         n = len(node_ids)
         return cls(
             node_ids=tuple(node_ids),
-            sex=np.full(n, -1, dtype=np.int64),
-            age=np.full(n, np.nan),
-            religion=np.full(n, -1, dtype=np.int64),
-            caste=np.full(n, -1, dtype=np.int64),
-            education=np.full(n, np.nan),
-            workflag=np.full(n, -1, dtype=np.int64),
-            savings=np.full(n, -1, dtype=np.int64),
+            **{name: np.full(n, missing_value(name)) for name in ATTRIBUTE_NAMES},
         )
 
     @property
@@ -160,9 +197,6 @@ class AttributeTable:
                 return bin_codes(v, bins)
             return np.where(np.isnan(v), -1, np.round(v)).astype(np.int64)
         raise ValueError(f"unknown attribute {attr!r}")
-
-    def categories(self, attr: str) -> tuple[str, ...] | None:
-        return CATEGORICAL_ATTRIBUTES.get(attr)
 
     def take(self, indices: Sequence[int] | np.ndarray) -> "AttributeTable":
         """Row subset/reorder aligned with a new node indexing."""

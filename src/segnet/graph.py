@@ -11,7 +11,7 @@ plain graph search and a plain loop over the nodes exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -69,10 +69,6 @@ class UndirectedGraph:
         nbrs = self.adjacency(i)
         pos = int(np.searchsorted(nbrs, j))
         return pos < nbrs.size and int(nbrs[pos]) == j
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate edges as ``(u, v)`` pairs with ``u < v``."""
-        return zip(self.edge_u.tolist(), self.edge_v.tolist())
 
     def equals(self, other: "UndirectedGraph") -> bool:
         return (

@@ -10,11 +10,14 @@ Canonical on-disk layout for one village (all CSV, UTF-8):
 * optionally ``nodes.csv`` (header ``node_id``) fixing the node universe,
   which is how isolated survey respondents stay part of the network.
 
-Each file is read once, row by row, and blank rows are skipped.  A wrong
-header or field count, an empty or duplicate id, an edge endpoint outside
-``nodes.csv``, an unknown category (unless ``coerce_unknown_categories``) or
-a bad or negative number raises ``IngestError`` naming ``file:line``.  The
-layers' pairs are deduplicated once, as the union graph is built.
+Each file is read once, row by row, and blank rows are skipped.  The cell
+rules (empty = missing, case-insensitive categories, whole non-negative
+numbers) are the codec of ``segnet.attributes``: ``parse_cell`` reads each
+cell and ``format_cell`` writes it back.  A wrong header or field count, an
+empty or duplicate id, an edge endpoint outside ``nodes.csv``, an unknown
+category (unless ``coerce_unknown_categories``) or a bad or negative number
+raises ``IngestError`` naming ``file:line``.  The layers' pairs are
+deduplicated once, as the union graph is built.
 
 An adapter converts square 0/1 adjacency matrices into edge lists.
 """
@@ -32,7 +35,9 @@ from .attributes import (
     ATTRIBUTE_NAMES,
     CATEGORICAL_ATTRIBUTES,
     AttributeTable,
-    encode_category,
+    format_cell,
+    missing_value,
+    parse_cell,
 )
 from .graph import UndirectedGraph, build_graph
 
@@ -145,26 +150,6 @@ def _read_nodes_file(path: Path) -> tuple[str, ...]:
     return tuple(ids)
 
 
-def _parse_value(text: str, attr: str, path: Path, lineno: int, coerce: bool) -> int | float:
-    """Category code (-1 = missing) or non-negative number (NaN = missing) of one cell."""
-    if attr in CATEGORICAL_ATTRIBUTES:
-        try:
-            return encode_category(attr, text) if text else -1
-        except ValueError:
-            if coerce:
-                return -1
-            raise IngestError(f"{path}:{lineno}: unknown {attr} value {text!r}") from None
-    if text == "":
-        return float("nan")
-    try:
-        value = int(text)
-    except ValueError:
-        raise IngestError(f"{path}:{lineno}: invalid {attr} value {text!r}") from None
-    if value < 0:
-        raise IngestError(f"{path}:{lineno}: negative {attr} value {value}")
-    return float(value)
-
-
 def _read_attribute_file(
     path: Path, index: Mapping[str, int], coerce: bool
 ) -> tuple[AttributeTable, tuple[str, ...]]:
@@ -172,10 +157,7 @@ def _read_attribute_file(
     n = len(index)
     # Row n takes the rows of ids outside the universe, which are parsed and
     # checked like the others and then dropped.
-    columns = {
-        attr: np.full(n + 1, -1) if attr in CATEGORICAL_ATTRIBUTES else np.full(n + 1, np.nan)
-        for attr in ATTRIBUTE_NAMES
-    }
+    columns = {attr: np.full(n + 1, missing_value(attr)) for attr in ATTRIBUTE_NAMES}
     seen: set[str] = set()
     unmatched: list[str] = []
     for lineno, (nid, *texts) in _read_rows(path, _ATTRIBUTE_HEADER):
@@ -188,7 +170,12 @@ def _read_attribute_file(
         if pos == n:
             unmatched.append(nid)
         for attr, text in zip(ATTRIBUTE_NAMES, texts):
-            columns[attr][pos] = _parse_value(text, attr, path, lineno, coerce)
+            try:
+                columns[attr][pos] = parse_cell(attr, text)
+            except ValueError as exc:
+                # A coerced category keeps the missing value its column starts with.
+                if not (coerce and attr in CATEGORICAL_ATTRIBUTES):
+                    raise IngestError(f"{path}:{lineno}: {exc}") from None
     table = AttributeTable(tuple(index), **{attr: col[:n] for attr, col in columns.items()})
     return table, tuple(sorted(unmatched))
 
@@ -238,11 +225,11 @@ def load_village(
 
 def save_village(dataset: VillageDataset, directory: str | Path) -> Path:
     """Serialize a dataset to the canonical layout; re-loading round-trips."""
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
     for name in dataset.layer_edges:
         if name in _RESERVED_FILE_STEMS:
             raise ValueError(f"relation layer name {name!r} is reserved")
+    out = Path(directory)
+    out.mkdir(parents=True, exist_ok=True)
 
     with open(out / "nodes.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -254,17 +241,9 @@ def save_village(dataset: VillageDataset, directory: str | Path) -> Path:
     with open(out / "attributes.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_ATTRIBUTE_HEADER)
+        columns = [(attr, getattr(table, attr).tolist()) for attr in ATTRIBUTE_NAMES]
         for i, nid in enumerate(table.node_ids):
-            row = [nid]
-            for attr in ATTRIBUTE_NAMES:
-                col = getattr(table, attr)
-                if attr in CATEGORICAL_ATTRIBUTES:
-                    code = int(col[i])
-                    row.append("" if code < 0 else CATEGORICAL_ATTRIBUTES[attr][code])
-                else:
-                    v = float(col[i])
-                    row.append("" if np.isnan(v) else str(int(v)))
-            writer.writerow(row)
+            writer.writerow([nid, *(format_cell(attr, col[i]) for attr, col in columns)])
 
     for name, pairs in dataset.layer_edges.items():
         with open(out / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:

@@ -10,18 +10,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from ._special import expit
-from .attributes import (
-    ATTRIBUTE_NAMES,
-    CATEGORICAL_ATTRIBUTES,
-    NUMERIC_ATTRIBUTES,
-    AttributeTable,
-    encode_category,
-)
+from .attributes import ATTRIBUTE_NAMES, AttributeTable, missing_value, parse_cell
 from .community import Partition
 from .dyadic import FeatureEncoding, FeatureSpec, _feature_values, _pair_feature
 from .graph import build_graph
@@ -70,53 +64,16 @@ class AttributedSbmConfig:
             raise ValueError("missing_rate must be in [0, 1)")
 
 
-def _draw_categorical(
-    rng: np.random.Generator, law: Mapping[str, float], size: int
-) -> list[str]:
-    names = list(law)
-    probs = np.asarray([law[k] for k in names], dtype=float)
+def _draw_column(
+    rng: np.random.Generator, attr: str, law: Mapping[str, float], size: int
+) -> list[int | float]:
+    """``size`` iid draws from ``law`` (cell text -> probability) as ``attr`` column values."""
+    texts = list(law)
+    probs = np.asarray([law[k] for k in texts], dtype=float)
     if probs.min() < 0 or not math.isclose(float(probs.sum()), 1.0, abs_tol=1e-9):
         raise ValueError("category probabilities must be non-negative and sum to 1")
-    picks = rng.choice(len(names), size=size, p=probs / probs.sum())
-    return [names[k] for k in picks.tolist()]
-
-
-def _store_attribute(
-    columns: dict[str, np.ndarray], attr: str, raw_values: Sequence[str], idx: np.ndarray
-) -> None:
-    if attr in CATEGORICAL_ATTRIBUTES:
-        codes = np.array([encode_category(attr, v) for v in raw_values], dtype=np.int64)
-        columns[attr][idx] = codes
-    elif attr in NUMERIC_ATTRIBUTES:
-        values = np.array([float(int(v)) for v in raw_values])
-        if values.min() < 0:
-            raise ValueError(f"{attr} values must be non-negative")
-        columns[attr][idx] = values
-    else:
-        raise ValueError(f"unknown attribute {attr!r}")
-
-
-def _blank_missing(
-    rng: np.random.Generator, columns: dict[str, np.ndarray], attr: str, rate: float
-) -> None:
-    if rate <= 0.0:
-        return
-    n = columns[attr].size
-    blank = rng.random(n) < rate
-    if attr in CATEGORICAL_ATTRIBUTES:
-        columns[attr][blank] = -1
-    else:
-        columns[attr][blank] = np.nan
-
-
-def _empty_columns(n: int) -> dict[str, np.ndarray]:
-    cols: dict[str, np.ndarray] = {}
-    for attr in ATTRIBUTE_NAMES:
-        if attr in CATEGORICAL_ATTRIBUTES:
-            cols[attr] = np.full(n, -1, dtype=np.int64)
-        else:
-            cols[attr] = np.full(n, np.nan)
-    return cols
+    picks = rng.choice(len(texts), size=size, p=probs / probs.sum())
+    return [parse_cell(attr, texts[k].strip()) for k in picks.tolist()]
 
 
 def generate_attribute_sbm(
@@ -163,23 +120,24 @@ def generate_attribute_sbm(
             for i, j in zip((ii + lo_a).tolist(), (jj + lo_b).tolist()):
                 edges.append((node_ids[i], node_ids[j]))
 
-    columns = _empty_columns(n)
+    name = config.attribute_name
+    columns = {attr: np.full(n, missing_value(attr)) for attr in ATTRIBUTE_NAMES}
     for b, rule in enumerate(config.attribute_rule):
-        idx = np.arange(int(starts[b]), int(starts[b + 1]))
+        size = int(sizes[b])
         if isinstance(rule, str):
-            values = [rule] * idx.size
+            values = [parse_cell(name, rule.strip())] * size
         else:
-            values = _draw_categorical(rng, rule, idx.size)
-        _store_attribute(columns, config.attribute_name, values, idx)
+            values = _draw_column(rng, name, rule, size)
+        columns[name][starts[b] : starts[b + 1]] = values
     for attr, law in config.extra_attribute_laws.items():
-        if attr == config.attribute_name:
+        if attr == name:
             raise ValueError(f"{attr!r} is already driven by the block rule")
         if attr not in ATTRIBUTE_NAMES:
             raise ValueError(f"unknown attribute {attr!r}")
-        _store_attribute(columns, attr, _draw_categorical(rng, law, n), np.arange(n))
-    _blank_missing(rng, columns, config.attribute_name, config.missing_rate)
-    for attr in config.extra_attribute_laws:
-        _blank_missing(rng, columns, attr, config.missing_rate)
+        columns[attr][:] = _draw_column(rng, attr, law, n)
+    if config.missing_rate > 0.0:
+        for attr in (name, *config.extra_attribute_laws):
+            columns[attr][rng.random(n) < config.missing_rate] = missing_value(attr)
 
     graph, _ = build_graph(edges, node_ids=node_ids)
     table = AttributeTable(node_ids=node_ids, **columns)
@@ -222,9 +180,9 @@ def generate_dyad_sample(
     width = max(1, len(str(n_nodes - 1)))
     node_ids = tuple(f"n{i:0{width}d}" for i in range(n_nodes))
 
-    columns = _empty_columns(n_nodes)
+    columns = {attr: np.full(n_nodes, missing_value(attr)) for attr in ATTRIBUTE_NAMES}
     for attr, law in feature_law.items():
-        _store_attribute(columns, attr, _draw_categorical(rng, law, n_nodes), np.arange(n_nodes))
+        columns[attr][:] = _draw_column(rng, attr, law, n_nodes)
     table = AttributeTable(node_ids=node_ids, **columns)
 
     if spec is None:

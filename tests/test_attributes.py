@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from segnet import AttributeTable, complete_case_mask
-from segnet.attributes import bin_codes, encode_category
+from segnet.attributes import (
+    ATTRIBUTE_NAMES,
+    bin_codes,
+    encode_category,
+    format_cell,
+    missing_value,
+    parse_cell,
+)
 
 from .conftest import make_table
 
@@ -19,6 +26,34 @@ def test_encode_category_rejects_unknown_values():
         encode_category("caste", "noble")
     with pytest.raises(ValueError, match="unknown categorical attribute"):
         encode_category("age", "20")
+
+
+def test_cell_codec_parses_and_formats_each_kind():
+    assert parse_cell("caste", "Scheduled Tribe") == 1
+    assert parse_cell("age", "42") == 42.0
+    for attr in ATTRIBUTE_NAMES:
+        missing = missing_value(attr)
+        assert format_cell(attr, missing) == ""
+        assert np.array_equal(parse_cell(attr, ""), missing, equal_nan=True)
+    assert format_cell("caste", 1) == "scheduled tribe"
+    assert format_cell("age", 42.0) == "42"
+    with pytest.raises(ValueError, match="unknown attribute 'height'"):
+        missing_value("height")
+
+
+@pytest.mark.parametrize(
+    "attr, text, message",
+    [
+        ("caste", "noble", "unknown caste value 'noble'"),
+        ("age", "NA", "invalid age value 'NA'"),
+        ("education", "5.5", "invalid education value '5.5'"),
+        ("age", "-3", "negative age value -3"),
+        ("height", "3", "unknown attribute 'height'"),
+    ],
+)
+def test_cell_codec_rejects_bad_cells(attr, text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_cell(attr, text)
 
 
 def test_bin_codes_edges_and_missing():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segnet import (
+    ATTRIBUTE_NAMES,
     IngestConfig,
     IngestError,
     VillageDataset,
@@ -69,16 +70,21 @@ def test_union_is_independent_of_layer_order(tmp_path):
 
 
 def test_round_trip_through_save(tmp_path):
-    edge_files, attr_path, _ = write_village(
+    edge_files, attr_path, nodes_path = write_village(
         tmp_path,
-        {"visit": [("a", "b"), ("b", "c")], "help": [("c", "d")]},
+        {"visit": [("a", "b"), ("b", "c")], "help": [("c", "d"), ("d", "e")]},
         [
             "a,male,30,hinduism,obc,10,1,0",
             "b,female,25,islam,general,,0,",
             "d,male,61,christianity,scheduled tribe,0,1,1",
+            "e,,,,,,,",
+            "f,FEMALE,44,Islam,SCHEDULED CASTE,3,1,0",
         ],
+        nodes=["a", "b", "c", "d", "e", "f"],
     )
-    dataset = load_village(edge_files, attr_path)
+    dataset = load_village(edge_files, attr_path, IngestConfig(nodes_file=nodes_path))
+    assert dataset.attributes.labels("caste").tolist() == [2, 3, -1, 1, -1, 0]
+    assert not any(dataset.attributes.is_present(attr)[4] for attr in ATTRIBUTE_NAMES)
     out = save_village(dataset, tmp_path / "saved")
     reloaded = load_village(
         sorted(p for p in out.glob("*.csv") if p.stem not in ("attributes", "nodes")),

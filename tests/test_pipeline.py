@@ -24,7 +24,9 @@ from segnet import (
     build_graph,
     config_sha256,
     default_config_text,
+    fit_logistic,
     generate_attribute_sbm,
+    largest_connected_component,
     load_run_config,
     parse_run_config,
     run_pipeline,
@@ -607,6 +609,43 @@ class TestReproducibility:
         monkeypatch.setenv(WORKERS_ENV_VAR, "several")
         with pytest.raises(ValueError, match="must be an integer"):
             run_pipeline(small_config(corpus, tmp_path / "out"))
+
+
+class TestSingleModel:
+    """``joint_model = false``: one logistic fit per attribute instead of a joint one."""
+
+    def test_each_entry_equals_a_standalone_single_attribute_fit(self, tmp_path):
+        dataset = synth_village(seed=200, missing_rate=0.1)
+        cfg = small_config(tmp_path / "corpus", tmp_path / "out", joint_model=False)
+        dyadic = analyze_village(dataset, cfg)["dyadic"]
+        assert dyadic["model"] == "single"
+        assert list(dyadic["per_attribute"]) == ["caste", "sex"]
+        lcc, mapping = largest_connected_component(dataset.graph)
+        table = dataset.attributes.take(list(mapping))
+        spec = FeatureSpec({"caste": FeatureEncoding("match"), "sex": FeatureEncoding("match")})
+        for attr, entry in dyadic["per_attribute"].items():
+            fit = fit_logistic(build_dyad_design(lcc, table, spec.restrict([attr])))
+            assert entry == {
+                "beta": float(fit.beta[0]),
+                "se": float(fit.std_errors[0]),
+                "odds_ratio": float(fit.odds_ratios[0]),
+                "ci_low": float(fit.ci95[0, 0]),
+                "ci_high": float(fit.ci95[0, 1]),
+                "p_value": float(fit.p_values[0]),
+                "converged": fit.converged,
+                "intercept": {"beta": fit.beta0, "se": fit.intercept_se},
+            }
+
+    def test_output_is_byte_identical_across_reruns_and_workers(self, tmp_path, monkeypatch):
+        corpus = make_corpus(tmp_path, missing_rate=0.1)
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+        trees = []
+        for name, workers in (("first", 1), ("rerun", 1), ("two_workers", 2)):
+            cfg = small_config(corpus, tmp_path / name, joint_model=False, workers=workers)
+            assert run_pipeline(cfg).exit_code == 0
+            trees.append(_tree_bytes(tmp_path / name))
+        assert json.loads(trees[0]["bundles/v00.json"])["dyadic"]["model"] == "single"
+        assert trees[0] == trees[1] == trees[2]
 
 
 @pytest.fixture(scope="module")

@@ -212,3 +212,23 @@ class TestDyadSample:
                 n_nodes=20,
                 seed=37,
             )
+
+
+def test_law_cells_follow_the_ingest_codec():
+    config = AttributedSbmConfig(
+        block_sizes=(40,),
+        p_in=0.2,
+        p_out=0.0,
+        attribute_rule=("General",),
+        seed=41,
+        extra_attribute_laws={"age": {"": 0.5, "30": 0.5}, "sex": {"": 0.5, "Male": 0.5}},
+    )
+    attributes = generate_attribute_sbm(config)[0].attributes
+    assert set(attributes.labels("caste").tolist()) == {CASTE_CATEGORIES.index("general")}
+    assert set(attributes.labels("sex").tolist()) == {-1, 0}
+    assert set(attributes.labels("age").tolist()) == {-1, 30}
+    negative = AttributedSbmConfig(
+        block_sizes=(5,), p_in=0.9, p_out=0.0, attribute_rule=("-3",), seed=0, attribute_name="age"
+    )
+    with pytest.raises(ValueError, match="negative age value -3"):
+        generate_attribute_sbm(negative)
