@@ -87,13 +87,11 @@ def build_village(
     """The village over the key-file ids: one layer per matrix, one attribute row per id."""
     layer_edges = {}
     for layer, matrix_path in sorted(matrices.items()):
-        pairs = set()
-        for i, j in adapt_adjacency_matrix(matrix_path):
-            if j >= len(pids):
-                raise ValueError(f"layer {layer}: matrix larger than key file")
-            a, b = pids[i], pids[j]
-            pairs.add((a, b) if a <= b else (b, a))
-        layer_edges[layer] = tuple(sorted(pairs))
+        pairs = adapt_adjacency_matrix(matrix_path)  # unique (i, j) with i < j
+        if any(j >= len(pids) for _, j in pairs):
+            raise ValueError(f"layer {layer}: matrix larger than key file")
+        layer_edges[layer] = tuple((pids[i], pids[j]) for i, j in pairs)
+    # save_village never reads the graph; building it refuses a key file with repeated ids.
     graph, _ = build_graph(
         (pair for pairs in layer_edges.values() for pair in pairs), node_ids=pids
     )

@@ -29,7 +29,6 @@ __all__ = [
     "AttributeTable",
     "bin_codes",
     "complete_case_mask",
-    "encode_category",
     "format_cell",
     "missing_value",
     "parse_cell",
@@ -93,21 +92,18 @@ def parse_cell(attr: str, text: str) -> int | float:
 
 
 def format_cell(attr: str, value: int | float) -> str:
-    """Cell text of one column value of ``attr``; ``parse_cell`` reads it back."""
+    """Cell text of one column value of ``attr``; ``parse_cell`` reads it back.
+
+    Raises ``ValueError`` on a number that is not whole, which no cell can hold.
+    """
     categories = CATEGORICAL_ATTRIBUTES.get(attr)
     if categories is not None:
         return "" if value < 0 else categories[value]
-    return "" if math.isnan(value) else str(int(value))
-
-
-def encode_category(attr: str, raw: str) -> int:
-    """Code a raw categorical value (case-insensitive); raises on unknown or empty values."""
-    if attr not in CATEGORICAL_ATTRIBUTES:
-        raise ValueError(f"unknown categorical attribute {attr!r}")
-    text = raw.strip()
-    if not text:
-        raise ValueError(f"unknown {attr} value {raw!r}")
-    return parse_cell(attr, text)
+    if math.isnan(value):
+        return ""
+    if not float(value).is_integer():
+        raise ValueError(f"invalid {attr} value {value!r}")
+    return str(int(value))
 
 
 def bin_codes(values: np.ndarray, bins: Sequence[float]) -> np.ndarray:
@@ -117,18 +113,18 @@ def bin_codes(values: np.ndarray, bins: Sequence[float]) -> np.ndarray:
     return np.where(np.isnan(v), -1, codes).astype(np.int64)
 
 
-def _as_column(values: Iterable[int] | Iterable[float], attr: str) -> np.ndarray:
-    """``attr``'s column: in-range category codes or non-negative numbers, with missing values."""
-    categories = CATEGORICAL_ATTRIBUTES.get(attr)
-    dtype = float if categories is None else np.int64
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=dtype)
-    if categories is not None:
-        if arr.size and (arr.min() < -1 or arr.max() >= len(categories)):
-            raise ValueError(f"{attr} codes out of range")
-    else:
-        finite = arr[~np.isnan(arr)]
-        if finite.size and finite.min() < 0:
-            raise ValueError(f"{attr} values must be non-negative")
+def _as_code_array(values: Iterable[int], attr: str) -> np.ndarray:
+    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=np.int64)
+    if arr.size and (arr.min() < -1 or arr.max() >= len(CATEGORICAL_ATTRIBUTES[attr])):
+        raise ValueError(f"{attr} codes out of range")
+    return arr
+
+
+def _as_value_array(values: Iterable[float], attr: str) -> np.ndarray:
+    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
+    finite = arr[~np.isnan(arr)]
+    if finite.size and finite.min() < 0:
+        raise ValueError(f"{attr} values must be non-negative")
     return arr
 
 
@@ -148,7 +144,8 @@ class AttributeTable:
     def __post_init__(self) -> None:
         n = len(self.node_ids)
         for name in ATTRIBUTE_NAMES:
-            col = _as_column(getattr(self, name), name)
+            as_array = _as_code_array if name in CATEGORICAL_ATTRIBUTES else _as_value_array
+            col = as_array(getattr(self, name), name)
             if col.shape != (n,):
                 raise ValueError(f"{name} column length {col.shape} != {n} nodes")
             col.setflags(write=False)

@@ -224,10 +224,20 @@ def load_village(
 
 
 def save_village(dataset: VillageDataset, directory: str | Path) -> Path:
-    """Serialize a dataset to the canonical layout; re-loading round-trips."""
+    """Serialize a dataset to the canonical layout; re-loading round-trips.
+
+    Raises ``ValueError``, before writing anything, on a reserved layer name or
+    a number that is not whole.
+    """
     for name in dataset.layer_edges:
         if name in _RESERVED_FILE_STEMS:
             raise ValueError(f"relation layer name {name!r} is reserved")
+    table = dataset.attributes
+    columns = [(attr, getattr(table, attr).tolist()) for attr in ATTRIBUTE_NAMES]
+    attribute_rows = [
+        [nid, *(format_cell(attr, col[i]) for attr, col in columns)]
+        for i, nid in enumerate(table.node_ids)
+    ]
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -237,13 +247,10 @@ def save_village(dataset: VillageDataset, directory: str | Path) -> Path:
         for nid in dataset.node_ids:
             writer.writerow([nid])
 
-    table = dataset.attributes
     with open(out / "attributes.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_ATTRIBUTE_HEADER)
-        columns = [(attr, getattr(table, attr).tolist()) for attr in ATTRIBUTE_NAMES]
-        for i, nid in enumerate(table.node_ids):
-            writer.writerow([nid, *(format_cell(attr, col[i]) for attr, col in columns)])
+        writer.writerows(attribute_rows)
 
     for name, pairs in dataset.layer_edges.items():
         with open(out / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:

@@ -5,7 +5,6 @@ from segnet import AttributeTable, complete_case_mask
 from segnet.attributes import (
     ATTRIBUTE_NAMES,
     bin_codes,
-    encode_category,
     format_cell,
     missing_value,
     parse_cell,
@@ -14,22 +13,12 @@ from segnet.attributes import (
 from .conftest import make_table
 
 
-def test_encode_category_is_case_insensitive():
-    assert encode_category("sex", "Male") == 0
-    assert encode_category("sex", " FEMALE ") == 1
-    assert encode_category("caste", "OBC") == 2
-    assert encode_category("religion", "christianity") == 2
-
-
-def test_encode_category_rejects_unknown_values():
-    with pytest.raises(ValueError, match="unknown caste value"):
-        encode_category("caste", "noble")
-    with pytest.raises(ValueError, match="unknown categorical attribute"):
-        encode_category("age", "20")
-
-
 def test_cell_codec_parses_and_formats_each_kind():
     assert parse_cell("caste", "Scheduled Tribe") == 1
+    assert parse_cell("sex", "Male") == 0
+    assert parse_cell("sex", "FEMALE") == 1
+    assert parse_cell("caste", "OBC") == 2
+    assert parse_cell("religion", "christianity") == 2
     assert parse_cell("age", "42") == 42.0
     for attr in ATTRIBUTE_NAMES:
         missing = missing_value(attr)
@@ -45,6 +34,7 @@ def test_cell_codec_parses_and_formats_each_kind():
     "attr, text, message",
     [
         ("caste", "noble", "unknown caste value 'noble'"),
+        ("sex", "Unknown", "unknown sex value 'Unknown'"),
         ("age", "NA", "invalid age value 'NA'"),
         ("education", "5.5", "invalid education value '5.5'"),
         ("age", "-3", "negative age value -3"),

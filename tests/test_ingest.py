@@ -94,6 +94,19 @@ def test_round_trip_through_save(tmp_path):
     assert dataset.equals(reloaded)
 
 
+def test_save_refuses_numbers_that_are_not_whole(tmp_path):
+    graph, index = build_graph([("a", "b")])
+    dataset = VillageDataset(
+        village_id="v1",
+        graph=graph,
+        attributes=make_table(list(index), age=[5.5, 30.0]),
+        layer_edges={"visit": (("a", "b"),)},
+    )
+    with pytest.raises(ValueError, match=r"^invalid age value 5\.5$"):
+        save_village(dataset, tmp_path / "saved")
+    assert not (tmp_path / "saved").exists()
+
+
 def test_duplicate_attribute_row_is_an_error_with_location(tmp_path):
     edge_files, attr_path, _ = write_village(
         tmp_path,
