@@ -25,7 +25,7 @@ An adapter converts square 0/1 adjacency matrices into edge lists.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 

@@ -289,7 +289,7 @@ def _dropped_features(design, spec: FeatureSpec) -> dict[str, str]:
 _FIT_SCALARS = ("converged", "n_iterations", "n_dyads", "n_ties", "diagnostic")
 
 
-def _fit_to_dict(fit: LogisticFit, attr_order: Sequence[str]) -> dict[str, Any]:
+def _fit_to_dict(fit: LogisticFit) -> dict[str, Any]:
     columns = {
         "beta": fit.beta,
         "se": fit.std_errors,
@@ -298,14 +298,13 @@ def _fit_to_dict(fit: LogisticFit, attr_order: Sequence[str]) -> dict[str, Any]:
         "ci_high": fit.ci95[:, 1],
         "p_value": fit.p_values,
     }
-    per_attribute = {
-        attr: {key: float(column[i]) for key, column in columns.items()}
-        for i, attr in enumerate(fit.feature_names)
-    }
     return {
         "intercept": {"beta": fit.beta0, "se": fit.intercept_se},
         **{name: getattr(fit, name) for name in _FIT_SCALARS},
-        "per_attribute": {a: per_attribute[a] for a in attr_order if a in per_attribute},
+        "per_attribute": {
+            attr: {key: float(column[i]) for key, column in columns.items()}
+            for i, attr in enumerate(fit.feature_names)
+        },
     }
 
 
@@ -371,41 +370,39 @@ def _ttests_section(v: _Village) -> dict[str, Any]:
     return {attr: _or_error(entry, attr) for attr in v.cfg.attributes}
 
 
-def _dyadic_section(v: _Village) -> dict[str, Any]:
-    # Keys set before a failure stay in the error entry.
-    dyadic: dict[str, Any] = {"model": "joint" if v.cfg.joint_model else "single"}
+def _fit_record(v: _Village, spec: FeatureSpec) -> dict[str, Any]:
+    """One logistic fit of ``spec``'s features over their complete cases, or its error entry.
+
+    Constant features are dropped and the rest refitted, so nodes missing
+    only a dropped attribute rejoin the fit.  Keys set before a failure
+    stay in the error entry.
+    """
+    record: dict[str, Any] = {}
 
     def fit() -> dict[str, Any]:
-        spec = _feature_spec(v.cfg)
-        dyadic["n_complete_case_nodes"] = int(complete_case_mask(v.table, spec.names).sum())
+        record["n_complete_case_nodes"] = int(complete_case_mask(v.table, spec.names).sum())
         design = build_dyad_design(v.lcc, v.table, spec)
-        dropped = dyadic["dropped"] = _dropped_features(design, spec)
+        dropped = record["dropped"] = _dropped_features(design, spec)
         kept = [attr for attr in spec.names if attr not in dropped]
         if not kept:
             raise ValueError("every dyad feature is constant")
-        if v.cfg.joint_model:
-            if dropped:
-                # Nodes missing only a dropped attribute rejoin the fit.
-                design = build_dyad_design(v.lcc, v.table, spec.restrict(kept))
-            return {**dyadic, **_fit_to_dict(fit_logistic(design), v.cfg.attributes)}
-        per_attribute: dict[str, Any] = {}
-        for attr in kept:
-            design = build_dyad_design(v.lcc, v.table, spec.restrict([attr]))
-            entry = _fit_to_dict(fit_logistic(design), [attr])
-            per_attribute[attr] = {
-                **entry["per_attribute"][attr],
-                "converged": entry["converged"],
-                "intercept": entry["intercept"],
-            }
-        return {
-            **dyadic,
-            "n_dyads": entry["n_dyads"],
-            "n_ties": entry["n_ties"],
-            "converged": all(e["converged"] for e in per_attribute.values()),
-            "per_attribute": per_attribute,
-        }
+        if dropped:
+            design = build_dyad_design(v.lcc, v.table, spec.restrict(kept))
+        return {**record, **_fit_to_dict(fit_logistic(design))}
 
-    return _or_error(fit, partial=dyadic)
+    return _or_error(fit, partial=record)
+
+
+def _dyadic_section(v: _Village) -> dict[str, Any]:
+    spec = _feature_spec(v.cfg)
+    if v.cfg.joint_model:
+        return {"model": "joint", **_fit_record(v, spec)}
+    per_attribute: dict[str, Any] = {}
+    for attr in spec.names:
+        record = per_attribute[attr] = _fit_record(v, spec.restrict([attr]))
+        # The attribute's coefficients join the rest of its own fit's record.
+        record.update(record.pop("per_attribute", {}).get(attr, {}))
+    return {"model": "single", "per_attribute": per_attribute}
 
 
 def _permutation_section(v: _Village) -> dict[str, Any]:
@@ -794,7 +791,8 @@ def _network_rows(bundle: Mapping[str, Any]) -> Iterable[dict]:
 
 def _dyadic_rows(bundle: Mapping[str, Any]) -> Iterable[dict]:
     for attr, entry in bundle["dyadic"].get("per_attribute", {}).items():
-        yield {"attribute": attr, **entry}
+        if "error" not in entry:
+            yield {"attribute": attr, **entry}
 
 
 # permutation_results.csv column -> bundle key of the per-tie-type values
@@ -897,8 +895,11 @@ def _summary_dyadic(bundles: _Bundles, config: Mapping[str, Any]) -> Iterable[tu
     for attr in config["attributes"]:
         fits = []
         for b in bundles:
-            entry = b["dyadic"].get("per_attribute", {}).get(attr)
-            if entry is not None and entry.get("converged", b["dyadic"].get("converged", False)):
+            dyadic = b["dyadic"]
+            entry = dyadic.get("per_attribute", {}).get(attr)
+            # A single-model entry is its own fit's record; joint entries share the section's.
+            fit = entry if dyadic["model"] == "single" else dyadic
+            if entry is not None and fit.get("converged"):
                 fits.append(entry)
         nmi_values = [e["value"] for e in _entries(bundles, "nmi", attr)]
         yield (

@@ -247,8 +247,7 @@ def build_community_network(
     possible pairs between them.  Raises if no community passes the size
     threshold.
     """
-    if partition.assignment.shape != (graph.node_count,):
-        raise ValueError("partition does not cover this graph")
+    _check_partition(graph, partition)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (graph.node_count,):
         raise ValueError("labels must cover every node (use negative codes for missing)")

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -611,30 +612,99 @@ class TestReproducibility:
             run_pipeline(small_config(corpus, tmp_path / "out"))
 
 
+def sex_constant_where_caste_is_observed():
+    """Nodes 0-9 female with caste missing, the rest male.
+
+    On caste's complete cases sex is constant, so a joint fit drops it; sex's
+    own complete cases are every node.
+    """
+    dataset = synth_village(seed=200)
+    first = np.arange(dataset.attributes.n) < 10
+    attributes = replace(
+        dataset.attributes,
+        caste=np.where(first, -1, dataset.attributes.caste),
+        sex=first.astype(np.int64),
+    )
+    return replace(dataset, attributes=attributes)
+
+
+def religion_constant():
+    dataset = synth_village(seed=200)
+    religion = np.zeros(dataset.attributes.n, dtype=np.int64)
+    return replace(dataset, attributes=replace(dataset.attributes, religion=religion))
+
+
+# case -> (village, attributes, the error entry of each attribute that cannot be fitted)
+SINGLE_MODEL_CASES = {
+    "missing_values": (lambda: synth_village(seed=200, missing_rate=0.1), ("caste", "sex"), {}),
+    "sex_constant_where_caste_is_observed": (
+        sex_constant_where_caste_is_observed,
+        ("caste", "sex"),
+        {},
+    ),
+    "one_attribute_cannot_be_fitted": (
+        religion_constant,
+        ("caste", "sex", "religion"),
+        {
+            "religion": {
+                "n_complete_case_nodes": 28,
+                "dropped": {"religion": "every pair matches (single observed value)"},
+                "error": "every dyad feature is constant",
+            }
+        },
+    ),
+}
+
+
 class TestSingleModel:
     """``joint_model = false``: one logistic fit per attribute instead of a joint one."""
 
-    def test_each_entry_equals_a_standalone_single_attribute_fit(self, tmp_path):
-        dataset = synth_village(seed=200, missing_rate=0.1)
-        cfg = small_config(tmp_path / "corpus", tmp_path / "out", joint_model=False)
+    @pytest.mark.parametrize("case", sorted(SINGLE_MODEL_CASES))
+    def test_each_entry_equals_a_standalone_single_attribute_fit(self, tmp_path, case):
+        make_village, attributes, errors = SINGLE_MODEL_CASES[case]
+        dataset = make_village()
+        cfg = small_config(
+            tmp_path / "corpus", tmp_path / "out", attributes=attributes, joint_model=False
+        )
         dyadic = analyze_village(dataset, cfg)["dyadic"]
+        assert list(dyadic) == ["model", "per_attribute"]
         assert dyadic["model"] == "single"
-        assert list(dyadic["per_attribute"]) == ["caste", "sex"]
+        assert list(dyadic["per_attribute"]) == list(attributes)
         lcc, mapping = largest_connected_component(dataset.graph)
         table = dataset.attributes.take(list(mapping))
-        spec = FeatureSpec({"caste": FeatureEncoding("match"), "sex": FeatureEncoding("match")})
-        for attr, entry in dyadic["per_attribute"].items():
-            fit = fit_logistic(build_dyad_design(lcc, table, spec.restrict([attr])))
-            assert entry == {
+        fitted = [attr for attr in attributes if attr not in errors]
+        for attr in fitted:
+            design = build_dyad_design(lcc, table, FeatureSpec({attr: FeatureEncoding("match")}))
+            fit = fit_logistic(design)
+            assert dyadic["per_attribute"][attr] == {
+                "n_complete_case_nodes": design.n_nodes,
+                "dropped": {},
+                "n_dyads": fit.n_dyads,
+                "n_ties": fit.n_ties,
+                "converged": fit.converged,
+                "n_iterations": fit.n_iterations,
+                "diagnostic": fit.diagnostic,
+                "intercept": {"beta": fit.beta0, "se": fit.intercept_se},
                 "beta": float(fit.beta[0]),
                 "se": float(fit.std_errors[0]),
                 "odds_ratio": float(fit.odds_ratios[0]),
                 "ci_low": float(fit.ci95[0, 0]),
                 "ci_high": float(fit.ci95[0, 1]),
                 "p_value": float(fit.p_values[0]),
-                "converged": fit.converged,
-                "intercept": {"beta": fit.beta0, "se": fit.intercept_se},
             }
+            assert fit.converged
+        for attr, entry in errors.items():
+            assert dyadic["per_attribute"][attr] == entry
+
+        # An attribute that cannot be fitted has no row; the others keep theirs.
+        save_village(dataset, tmp_path / "corpus" / "v00")
+        assert run_pipeline(cfg).exit_code == 0
+        rows = (tmp_path / "out" / "dyadic_results.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[1] for row in rows] == fitted
+        summary = summarize_output_directory(tmp_path / "out")["dyadic"]
+        assert {r["attribute"]: r["n_fits"] for r in summary} == {
+            attr: int(attr in fitted) for attr in attributes
+        }
 
     def test_output_is_byte_identical_across_reruns_and_workers(self, tmp_path, monkeypatch):
         corpus = make_corpus(tmp_path, missing_rate=0.1)

@@ -1,5 +1,6 @@
-"""segnet._special: ``expit`` and ``ndtr`` bit for bit against scipy.special,
-``stdtr`` against a 40-digit mpmath reference and scipy."""
+"""segnet._special: ``expit`` and ``ndtr`` bit for bit against scipy.special;
+``stdtr`` and the Wald tail ``dyadic._wald_p_values`` against a 40-digit
+mpmath reference, and ``stdtr`` against scipy."""
 
 import math
 import sys
@@ -9,6 +10,7 @@ import pytest
 from scipy import special
 
 from segnet import _special
+from segnet.dyadic import _wald_p_values
 
 
 def _neighbours(x, steps=3):
@@ -56,6 +58,39 @@ def test_equals_scipy_special_bit_for_bit(name, values):
     _assert_same_bits(getattr(_special, name)(values), getattr(special, name)(values))
 
 
+def _ulp_bound(mpmath, ref):
+    """``(64 + 2 |ln p|)`` ulp of ``ref``, the bound of the Wald tail and ``stdtr``.
+
+    ``exp(E)`` with ``|E|`` up to ~700 carries an absolute error of about
+    ``|E|`` ulp, so the relative error grows with ``|log p|``.
+    """
+    return (64 + 2 * abs(float(mpmath.log(ref)))) * sys.float_info.epsilon * ref
+
+
+# Every 10th random draw: 40-digit mpmath takes ~0.1 ms per value.
+@pytest.mark.parametrize(
+    "values", [_edge_values(), _random_values()[::10]], ids=["edges", "random"]
+)
+def test_wald_tail_against_mpmath(values):
+    mpmath = pytest.importorskip("mpmath")
+    for z, ours in zip(values.tolist(), _wald_p_values(values).tolist()):
+        if math.isnan(z):
+            assert math.isnan(ours)
+            continue
+        if abs(z) > 40.0:
+            # the tail is below 1e-340; mpmath's erfc overflows near 1e308
+            assert 0.0 <= ours <= 1e-300, z
+            continue
+        with mpmath.workdps(40):
+            ref = mpmath.erfc(abs(mpmath.mpf(z)) / mpmath.sqrt(2))
+            if ref < 1e-290:
+                assert abs(ours - float(ref)) <= 1e-300, z
+                continue
+            # On the edges and all 70k random draws the largest error was
+            # 0.91 of the bound (at z = 22.8, p ~ 1e-115).
+            assert abs(ours - ref) <= _ulp_bound(mpmath, ref), (z, ours, float(ref))
+
+
 def _stdtr_reference(mpmath, df, t):
     """Student t CDF at 40 digits from the exact binary values of ``df`` and ``t``."""
     with mpmath.workdps(40):
@@ -83,7 +118,6 @@ def _stdtr_cases():
 
 def test_stdtr_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    eps = sys.float_info.epsilon
     for df, t in _stdtr_cases():
         ours = _special.stdtr(df, t)
         ref = _stdtr_reference(mpmath, df, t)
@@ -91,12 +125,10 @@ def test_stdtr_against_mpmath():
             # the prefactor's products leave the normal range before the result
             assert abs(ours - float(ref)) <= 1e-300, (df, t)
             continue
-        # x^(df/2) = exp(E) with |E| up to ~700 carries an absolute error of
-        # about |E| ulp, so the relative error grows with |log p|.  On 12k
-        # draws of this domain, 2k of them near the two t^2 above, the
-        # largest was 0.65 of this bound (45 ulp at df 2828, p = 0.073).
-        bound = (64 + 2 * abs(float(mpmath.log(ref)))) * eps
-        assert abs(ours - ref) <= bound * ref, (df, t, ours, float(ref))
+        # x^(df/2) is such an exp(E).  On 12k draws of this domain, 2k of
+        # them near the two t^2 above, the largest error was 0.65 of the
+        # bound (45 ulp at df 2828, p = 0.073).
+        assert abs(ours - ref) <= _ulp_bound(mpmath, ref), (df, t, ours, float(ref))
 
 
 def test_stdtr_against_scipy_and_at_zero():
