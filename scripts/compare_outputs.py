@@ -39,9 +39,9 @@ from workloads import WORKLOADS  # noqa: E402
 # argv = config path, output directory, file for the printed summaries.
 _CHILD = """
 import contextlib, dataclasses, sys
-from segnet import cli, pipeline
-cfg = pipeline.load_run_config(sys.argv[1])
-pipeline.run_pipeline(dataclasses.replace(cfg, output_dir=sys.argv[2]))
+from segnet import cli, load_run_config, run_pipeline
+cfg = load_run_config(sys.argv[1])
+run_pipeline(dataclasses.replace(cfg, output_dir=sys.argv[2]))
 with open(sys.argv[3], "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
     cli.main(["summarize", sys.argv[2]])
 """

@@ -16,7 +16,7 @@ import json
 import re
 from pathlib import Path
 
-from segnet.pipeline import default_config_text
+from segnet.config import default_config_text
 
 
 def village_entry(index: int, rng_seed: int) -> dict:

@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .vocabulary import ATTRIBUTE_NAMES
+
 __all__ = [
     "ATTRIBUTE_NAMES",
     "CATEGORICAL_ATTRIBUTES",
@@ -24,8 +26,6 @@ __all__ = [
     "RELIGION_CATEGORIES",
     "CASTE_CATEGORIES",
     "BINARY_CATEGORIES",
-    "DEFAULT_AGE_BINS",
-    "DEFAULT_EDUCATION_BINS",
     "AttributeTable",
     "bin_codes",
     "complete_case_mask",
@@ -47,12 +47,6 @@ CATEGORICAL_ATTRIBUTES: dict[str, tuple[str, ...]] = {
     "savings": BINARY_CATEGORIES,
 }
 NUMERIC_ATTRIBUTES = ("age", "education")
-ATTRIBUTE_NAMES = ("sex", "age", "religion", "caste", "education", "workflag", "savings")
-
-# Left edges of the upper bins; values below the first edge form bin 0.
-DEFAULT_AGE_BINS = (18.0, 31.0, 41.0, 51.0, 65.0)
-DEFAULT_EDUCATION_BINS = (1.0, 10.0, 14.0, 16.0)
-
 
 _CATEGORY_CODES = {a: {c: k for k, c in enumerate(cs)} for a, cs in CATEGORICAL_ATTRIBUTES.items()}
 _MISSING = {attr: -1 if attr in CATEGORICAL_ATTRIBUTES else math.nan for attr in ATTRIBUTE_NAMES}

@@ -43,19 +43,18 @@ import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .ingest import save_village
-from .pipeline import (
-    load_run_config,
-    run_pipeline,
-    summarize_output_directory,
-)
-from .synth import AttributedSbmConfig, generate_attribute_sbm, generate_dyad_sample
+from .config import load_run_config
 
 __all__ = ["main"]
+
+# Each handler imports the layers it runs, so help, usage errors and a bad
+# run config are reported before numpy loads.
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
+    from .pipeline import run_pipeline
+
     result = run_pipeline(cfg)
     analyzed = result.n_villages - result.n_failed
     print(f"analyzed {analyzed} of {result.n_villages} village(s); output in {result.output_dir}")
@@ -86,12 +85,16 @@ def _print_table(title: str, rows: Sequence[Mapping[str, Any]]) -> None:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
+    from .pipeline import summarize_output_directory
+
     for name, rows in summarize_output_directory(args.directory).items():
         _print_table(name.replace("_", " "), rows)
     return 0
 
 
 def _build_sbm(entry: Mapping[str, Any], seed: int) -> AttributedSbmConfig:
+    from .synth import AttributedSbmConfig
+
     rules = []
     for rule in entry["block_rules"]:
         rules.append(rule if isinstance(rule, str) else dict(rule))
@@ -111,6 +114,9 @@ def _build_sbm(entry: Mapping[str, Any], seed: int) -> AttributedSbmConfig:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .ingest import save_village
+    from .synth import generate_attribute_sbm, generate_dyad_sample
+
     config_path = Path(args.config)
     spec = json.loads(config_path.read_text(encoding="utf-8"))
     villages = spec.get("villages")

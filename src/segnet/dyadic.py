@@ -19,8 +19,6 @@ import numpy as np
 from ._special import expit, ndtr, stdtr
 from .attributes import (
     CATEGORICAL_ATTRIBUTES,
-    DEFAULT_AGE_BINS,
-    DEFAULT_EDUCATION_BINS,
     NUMERIC_ATTRIBUTES,
     AttributeTable,
     complete_case_mask,
@@ -36,7 +34,6 @@ __all__ = [
     "TieTriple",
     "SexPermutationResult",
     "build_dyad_design",
-    "default_feature_spec",
     "fit_logistic",
     "sex_permutation_test",
     "sex_permutation_tests",
@@ -84,26 +81,6 @@ class FeatureSpec:
 
     def restrict(self, attrs: Sequence[str]) -> "FeatureSpec":
         return FeatureSpec({a: self.encodings[a] for a in attrs})
-
-
-def default_feature_spec(
-    age_bins: Sequence[float] | None = None,
-    education_bins: Sequence[float] | None = None,
-) -> FeatureSpec:
-    """Match indicators on every attribute, with age and education binned."""
-    age = tuple(age_bins) if age_bins is not None else DEFAULT_AGE_BINS
-    edu = tuple(education_bins) if education_bins is not None else DEFAULT_EDUCATION_BINS
-    return FeatureSpec(
-        {
-            "sex": FeatureEncoding("match"),
-            "age": FeatureEncoding("match", age),
-            "religion": FeatureEncoding("match"),
-            "caste": FeatureEncoding("match"),
-            "education": FeatureEncoding("match", edu),
-            "workflag": FeatureEncoding("match"),
-            "savings": FeatureEncoding("match"),
-        }
-    )
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import segnet
 from segnet.cli import main
-from segnet.pipeline import default_config_text
+from segnet.config import default_config_text
 
 
 def write_synth_config(tmp_path, villages, seed=5):
@@ -121,6 +126,36 @@ def test_run_reports_failed_villages_on_stderr(tmp_path, capsys):
 def test_run_with_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 1
     assert "segnet run:" in capsys.readouterr().err
+
+
+# A fresh interpreter, so modules this test session imported do not count.
+BAD_RUN_SCRIPT = """
+import sys
+from segnet.cli import main
+code = main(["run", "--config", sys.argv[1]])
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "config_text",
+    [None, "corpus_dir = c\n", "corpus_dir = c\noutput_dir = o\nworkers = many\n"],
+    ids=["missing", "incomplete", "bad_value"],
+)
+def test_bad_run_config_fails_before_numpy_loads(tmp_path, config_text):
+    config = tmp_path / "run.cfg"
+    if config_text is not None:
+        config.write_text(config_text, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(segnet.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", BAD_RUN_SCRIPT, str(config)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert done.stdout.split() == ["1", "False"]
+    assert done.stderr.startswith("segnet run:")
 
 
 def test_summarize_without_bundles(tmp_path, capsys):

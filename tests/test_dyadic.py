@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from segnet import (
+    ATTRIBUTE_NAMES,
     FeatureEncoding,
     FeatureSpec,
+    RunConfig,
     build_dyad_design,
     build_graph,
-    default_feature_spec,
     degree_missingness_ttest,
     fit_logistic,
     generate_dyad_sample,
@@ -23,6 +24,7 @@ from segnet import (
 )
 from segnet import dyadic
 from segnet.dyadic import FitOptions, _wald_p_values
+from segnet.pipeline import _feature_spec
 
 from .conftest import design_groups, make_table, random_graph
 from .oracles import (
@@ -264,11 +266,14 @@ class TestGroupedDesignAgainstPairEnumeration:
 
 
 def test_default_spec_covers_all_attributes_with_binned_numerics():
-    spec = default_feature_spec()
-    assert spec.names == ("sex", "age", "religion", "caste", "education", "workflag", "savings")
-    assert spec.encodings["age"].bins is not None
+    cfg = RunConfig(corpus_dir="corpus", output_dir="out")
+    spec = _feature_spec(cfg)
+    assert spec.names == cfg.attributes
+    assert sorted(spec.names) == sorted(ATTRIBUTE_NAMES)
+    assert spec.encodings["age"].bins == cfg.age_bins
+    assert spec.encodings["education"].bins == cfg.education_bins
     assert spec.encodings["sex"].bins is None
-    assert spec.encodings["sex"].kind == "match"
+    assert all(enc.kind == "match" for enc in spec.encodings.values())
 
 
 def test_difference_encoding_rejected_for_categoricals():
@@ -686,7 +691,9 @@ def star_around_node_zero(n_leaves=3000):
     "kernel, village, bound_mb",
     [
         pytest.param(
-            lambda graph, table: build_dyad_design(graph, table, default_feature_spec()),
+            lambda graph, table: build_dyad_design(
+                graph, table, _feature_spec(RunConfig(corpus_dir="corpus", output_dir="out"))
+            ),
             survey_scale_village,
             1,
             id="build_dyad_design",

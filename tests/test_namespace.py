@@ -1,0 +1,63 @@
+"""The lazy ``segnet`` namespace: every public name resolves to its home module's object."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import segnet
+
+SRC = Path(segnet.__file__).resolve().parents[1]
+
+
+def fresh_interpreter(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` where no module this test session imported is loaded yet."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
+    )
+
+
+def test_all_is_the_table_and_each_name_is_its_home_modules_object():
+    assert segnet.__all__ == sorted(segnet._HOME)
+    for name, module_name in segnet._HOME.items():
+        home = importlib.import_module(f"segnet.{module_name}")
+        assert name in home.__all__, (name, module_name)
+        assert getattr(segnet, name) is getattr(home, name), name
+
+
+def test_dir_covers_all_and_submodules_and_unknown_names_raise():
+    listed = dir(segnet)
+    assert set(segnet.__all__) <= set(listed)
+    assert {"config", "pipeline", "cli"} <= set(listed)
+    assert segnet.dyadic is importlib.import_module("segnet.dyadic")
+    with pytest.raises(AttributeError, match="no attribute 'default_feature_spec'"):
+        segnet.default_feature_spec
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from segnet import *", namespace)
+    assert [name for name in segnet.__all__ if name not in namespace] == []
+
+
+# segnet.config and segnet.vocabulary need no numpy, so a job can read and
+# check its run config before loading any numeric layer.
+CONFIG_PROBE = """
+import json, sys
+import segnet
+segnet.load_run_config(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "segnet"))))
+"""
+
+
+def test_loading_a_run_config_imports_no_numpy_and_no_other_layer(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(segnet.default_config_text(), encoding="utf-8")
+    done = fresh_interpreter(CONFIG_PROBE, str(config))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["segnet", "segnet.config", "segnet.vocabulary"]
