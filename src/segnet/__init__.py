@@ -78,7 +78,6 @@ _EXPORTS = {
         "between_community_modularity",
         "build_community_network",
         "community_network_to_dot",
-        "community_network_to_json_dict",
         "segregation_report",
         "within_community_modularity",
     ),

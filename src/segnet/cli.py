@@ -41,9 +41,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .config import load_run_config
+
+if TYPE_CHECKING:
+    from .synth import AttributedSbmConfig
 
 __all__ = ["main"]
 
@@ -92,12 +95,24 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_object(value: Any, what: str) -> dict[str, Any]:
+    """``value`` when it is a JSON object; a ``ValueError`` naming ``what`` otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def _laws(value: Any, key: str) -> dict[str, dict[str, Any]]:
+    """A JSON object of JSON objects, such as ``attribute_law``'s category shares."""
+    return {k: dict(_json_object(v, f"{key}[{k!r}]")) for k, v in _json_object(value, key).items()}
+
+
 def _build_sbm(entry: Mapping[str, Any], seed: int) -> AttributedSbmConfig:
     from .synth import AttributedSbmConfig
 
     rules = []
-    for rule in entry["block_rules"]:
-        rules.append(rule if isinstance(rule, str) else dict(rule))
+    for j, rule in enumerate(entry["block_rules"]):
+        rules.append(rule if isinstance(rule, str) else _json_object(rule, f"block_rules[{j}]"))
     return AttributedSbmConfig(
         block_sizes=tuple(int(s) for s in entry["block_sizes"]),
         p_in=float(entry["p_in"]),
@@ -106,9 +121,7 @@ def _build_sbm(entry: Mapping[str, Any], seed: int) -> AttributedSbmConfig:
         seed=seed,
         attribute_name=entry.get("attribute", "caste"),
         village_id=entry["village_id"],
-        extra_attribute_laws={
-            k: dict(v) for k, v in entry.get("extra_attributes", {}).items()
-        },
+        extra_attribute_laws=_laws(entry.get("extra_attributes", {}), "extra_attributes"),
         missing_rate=float(entry.get("missing_rate", 0.0)),
     )
 
@@ -118,9 +131,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     from .synth import generate_attribute_sbm, generate_dyad_sample
 
     config_path = Path(args.config)
-    spec = json.loads(config_path.read_text(encoding="utf-8"))
+    spec = _json_object(json.loads(config_path.read_text(encoding="utf-8")), "synth config")
     villages = spec.get("villages")
-    if not villages:
+    if not villages or not isinstance(villages, list):
         raise ValueError("synth config needs a non-empty 'villages' list")
     out_dir = Path(spec.get("output_dir", "corpus"))
     if not out_dir.is_absolute():
@@ -129,6 +142,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     seen: set[str] = set()
     for i, entry in enumerate(villages):
         try:
+            entry = _json_object(entry, "village entry")
             village_id = entry["village_id"]
             if village_id in seen:
                 raise ValueError(f"duplicate village_id {village_id!r}")
@@ -140,8 +154,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             elif kind == "dyad":
                 dataset = generate_dyad_sample(
                     beta0=float(entry["beta0"]),
-                    betas={k: float(v) for k, v in entry["betas"].items()},
-                    feature_law={k: dict(v) for k, v in entry["attribute_law"].items()},
+                    betas={k: float(v) for k, v in _json_object(entry["betas"], "betas").items()},
+                    feature_law=_laws(entry["attribute_law"], "attribute_law"),
                     n_nodes=int(entry["n_nodes"]),
                     seed=seed,
                     village_id=village_id,

@@ -79,6 +79,11 @@ class RunConfig:
             # would silently empty its tables.
             if math.isnan(getattr(self, key)):
                 raise ValueError(f"{key} must be a number, not NaN")
+        for key in ("community_node_min", "community_edge_min"):
+            # Fractions of nodes and of possible ties: 5 meant as 5% would
+            # leave every village without a community network.
+            if not 0 <= getattr(self, key) <= 1:
+                raise ValueError(f"{key} must be between 0 and 1")
         if self.permutation_replicates < 1:
             raise ValueError("permutation_replicates must be at least 1")
         if self.age_encoding not in ("match", "difference"):

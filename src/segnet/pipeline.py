@@ -24,7 +24,7 @@ import os
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -55,7 +55,6 @@ from .ingest import _RESERVED_FILE_STEMS, IngestConfig, VillageDataset, load_vil
 from .segregation import (
     build_community_network,
     community_network_to_dot,
-    community_network_to_json_dict,
     segregation_report,
 )
 
@@ -168,7 +167,6 @@ class _Village:
     table: AttributeTable  # rows aligned with the LCC's nodes
     labels: dict[str, np.ndarray]  # per attribute, binned as in the dyad features
     partition: Partition
-    dot: dict[str, str] = field(default_factory=dict)  # DOT text of each community network built
 
 
 def _or_error(
@@ -289,8 +287,7 @@ def _community_networks_section(v: _Village) -> dict[str, Any]:
             edge_min_fraction=v.cfg.community_edge_min,
             category_names=CATEGORICAL_ATTRIBUTES.get(attr),
         )
-        v.dot[attr] = community_network_to_dot(net, f"v_{v.dataset.village_id}")
-        return community_network_to_json_dict(net)
+        return asdict(net)
 
     return {attr: _or_error(entry, attr) for attr in v.cfg.community_network_attributes}
 
@@ -312,9 +309,9 @@ _SECTIONS: tuple[tuple[str, Callable[[_Village], dict[str, Any]]], ...] = (
 def analyze_village(dataset: VillageDataset, cfg: RunConfig) -> dict[str, Any]:
     """Full single-village analysis; returns the JSON-ready bundle.
 
-    Keys starting with ``_`` carry what the artifact writer needs besides the
-    bundle: the partition, the LCC's node ids and the community networks' DOT
-    text.
+    Two keys starting with ``_`` carry what the artifact writer needs besides
+    the bundle: ``_partition_assignment``, the Louvain community of each LCC
+    node, and ``_lcc_node_ids``, those nodes' ids in the same order.
     """
     lcc, mapping = largest_connected_component(dataset.graph)
     table = dataset.attributes.take(list(mapping))
@@ -337,7 +334,6 @@ def analyze_village(dataset: VillageDataset, cfg: RunConfig) -> dict[str, Any]:
         **{name: section(village) for name, section in _SECTIONS},
         "_partition_assignment": village.partition.assignment.tolist(),
         "_lcc_node_ids": list(table.node_ids),
-        "_community_network_dot": village.dot,
     }
 
 
@@ -435,12 +431,14 @@ def _load_village_dir(village_dir: Path, cfg: RunConfig) -> VillageDataset:
 
 
 def _write_village_artifacts(bundle: dict[str, Any], cfg: RunConfig, config_hash: str) -> list[Path]:
-    """Write one village's bundle, partition and community networks; return their paths."""
+    """Write one village's bundle, partition and community networks; return their paths.
+
+    Each community-network entry without an ``"error"`` is saved as JSON and rendered to DOT.
+    """
     out = Path(cfg.output_dir)
     village_id = bundle["village_id"]
     assignment = bundle.pop("_partition_assignment")
     node_ids = bundle.pop("_lcc_node_ids")
-    dots = bundle.pop("_community_network_dot")
     bundle_path = out / "bundles" / f"{village_id}.json"
     _write_json(bundle_path, bundle)
 
@@ -451,10 +449,13 @@ def _write_village_artifacts(bundle: dict[str, Any], cfg: RunConfig, config_hash
     _write_csv(partition_path, ("node_id", "community"), rows, config_hash)
     written = [bundle_path, partition_path]
 
-    for attr, dot in dots.items():
+    for attr, network in bundle["community_networks"].items():
+        if "error" in network:
+            continue
         dot_path = out / "community_networks" / f"{village_id}__{attr}.dot"
         json_path = out / "community_networks" / f"{village_id}__{attr}.json"
-        _write_json(json_path, bundle["community_networks"][attr])
+        _write_json(json_path, network)
+        dot = community_network_to_dot(network, f"v_{village_id}")
         with _atomic_open(dot_path) as fh:
             fh.write(f"// {_meta_line(config_hash)[2:]}\n{dot}")
         written += [json_path, dot_path]

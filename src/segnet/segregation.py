@@ -15,7 +15,7 @@ between) edge joins same-attribute nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "segregation_report",
     "build_community_network",
     "community_network_to_dot",
-    "community_network_to_json_dict",
 ]
 
 
@@ -320,23 +319,27 @@ def build_community_network(
     )
 
 
-def community_network_to_dot(network: CommunityNetwork, title: str = "communities") -> str:
-    """Graphviz DOT rendering; node labels carry size and composition shares."""
+def community_network_to_dot(network: Mapping[str, Any], title: str = "communities") -> str:
+    """Graphviz DOT rendering; node labels carry size and composition shares.
+
+    ``network`` is a ``CommunityNetwork`` as a record (``asdict``), such as a
+    bundle's ``community_networks`` entry or its saved JSON loaded back.
+    """
     lines = [f"graph {_dot_id(title)} {{", "  node [shape=circle];"]
-    for node in network.nodes:
+    for node in network["nodes"]:
         comp = " ".join(
-            f"{name} {share:.0%}" for name, share in sorted(node.composition.items())
+            f"{name} {share:.0%}" for name, share in sorted(node["composition"].items())
         )
-        label_parts = [f"c{node.community}", f"n={node.size}"]
+        label_parts = [f"c{node['community']}", f"n={node['size']}"]
         if comp:
             label_parts.append(comp)
-        if node.missing_fraction:
-            label_parts.append(f"missing {node.missing_fraction:.0%}")
+        if node["missing_fraction"]:
+            label_parts.append(f"missing {node['missing_fraction']:.0%}")
         label = "\\n".join(label_parts)
-        lines.append(f'  c{node.community} [label="{label}"];')
-    for tie in network.ties:
+        lines.append(f'  c{node["community"]} [label="{label}"];')
+    for tie in network["ties"]:
         lines.append(
-            f'  c{tie.community_a} -- c{tie.community_b} [label="{tie.tie_count}"];'
+            f'  c{tie["community_a"]} -- c{tie["community_b"]} [label="{tie["tie_count"]}"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -345,33 +348,3 @@ def community_network_to_dot(network: CommunityNetwork, title: str = "communitie
 def _dot_id(text: str) -> str:
     safe = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in text)
     return safe if safe and not safe[0].isdigit() else f"g_{safe}"
-
-
-def community_network_to_json_dict(network: CommunityNetwork) -> dict:
-    """JSON-serializable view of a community network."""
-    return {
-        "node_min_fraction": network.node_min_fraction,
-        "edge_min_fraction": network.edge_min_fraction,
-        "node_fraction_retained": network.node_fraction_retained,
-        "tie_fraction_retained": network.tie_fraction_retained,
-        "nodes": [
-            {
-                "community": node.community,
-                "size": node.size,
-                "node_fraction": node.node_fraction,
-                "composition": dict(sorted(node.composition.items())),
-                "missing_fraction": node.missing_fraction,
-            }
-            for node in network.nodes
-        ],
-        "ties": [
-            {
-                "community_a": tie.community_a,
-                "community_b": tie.community_b,
-                "tie_count": tie.tie_count,
-                "possible_ties": tie.possible_ties,
-                "density": tie.density,
-            }
-            for tie in network.ties
-        ],
-    }

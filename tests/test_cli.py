@@ -194,6 +194,56 @@ class TestSynthErrors:
         assert code == 1
         assert "villages[0]: missing key 'block_sizes'" in err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ([], "synth config must be a JSON object"),
+            ({"villages": {"kind": "sbm"}}, "synth config needs a non-empty 'villages' list"),
+            ({"villages": [3]}, "villages[0]: village entry must be a JSON object"),
+            (
+                {"villages": [dict(SBM_VILLAGES[2], betas=[1])]},
+                "villages[0]: betas must be a JSON object",
+            ),
+            (
+                {"villages": [dict(SBM_VILLAGES[2], attribute_law=[["caste", {"obc": 1.0}]])]},
+                "villages[0]: attribute_law must be a JSON object",
+            ),
+            (
+                {"villages": [dict(SBM_VILLAGES[2], attribute_law={"caste": [1]})]},
+                "villages[0]: attribute_law['caste'] must be a JSON object",
+            ),
+            (
+                {"villages": [dict(SBM_VILLAGES[0], extra_attributes=["sex"])]},
+                "villages[0]: extra_attributes must be a JSON object",
+            ),
+            (
+                {"villages": [dict(SBM_VILLAGES[0], extra_attributes={"sex": "male"})]},
+                "villages[0]: extra_attributes['sex'] must be a JSON object",
+            ),
+            (
+                {"villages": [dict(SBM_VILLAGES[0], block_rules=["general", 3])]},
+                "villages[0]: block_rules[1] must be a JSON object",
+            ),
+        ],
+        ids=[
+            "top_level_list",
+            "villages_object",
+            "village_number",
+            "betas_list",
+            "attribute_law_list",
+            "attribute_law_value_list",
+            "extra_attributes_list",
+            "extra_attributes_value_string",
+            "block_rule_number",
+        ],
+    )
+    def test_malformed_config_is_reported_not_raised(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["synth", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"segnet synth: {message}\n"
+        assert not (tmp_path / "corpus").exists()
+
     def test_generator_errors_carry_village_index(self, tmp_path, capsys):
         village = dict(SBM_VILLAGES[0], p_in=2.0)
         code, err = self.run_synth(tmp_path, capsys, [village])

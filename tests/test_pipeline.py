@@ -38,12 +38,7 @@ from segnet import (
 from segnet import pipeline
 from segnet.cli import main
 from segnet.pipeline import WORKERS_ENV_VAR, _dropped_features, _json_safe
-from segnet.segregation import (
-    CommunityNetwork,
-    CommunityNode,
-    CommunityTie,
-    community_network_to_dot,
-)
+from segnet.segregation import community_network_to_dot
 
 from .conftest import make_table
 from .oracles import constant_feature_screen
@@ -178,11 +173,17 @@ class TestParseRunConfig:
             ("community_edge_min = nan", "community_edge_min must be a number, not NaN"),
             ("between_cutoff = nan", "between_cutoff must be a number, not NaN"),
             ("within_cutoff = NaN", "within_cutoff must be a number, not NaN"),
+            ("community_node_min = 5", "community_node_min must be between 0 and 1"),
+            ("community_node_min = inf", "community_node_min must be between 0 and 1"),
+            ("community_node_min = -0.01", "community_node_min must be between 0 and 1"),
+            ("community_edge_min = 1.5", "community_edge_min must be between 0 and 1"),
         ],
     )
     def test_nan_settings_are_errors(self, line, message):
         # Every comparison with NaN is False: a NaN tolerance would draw to
         # max_attempts in every village, a NaN cutoff would empty its tables.
+        # A community threshold above 1 (5, meant as 5%) would leave every
+        # village without a community network.
         with pytest.raises(ValueError, match=message):
             parse_run_config(f"corpus_dir = c\noutput_dir = o\n{line}\n")
 
@@ -459,6 +460,23 @@ class TestRunPipeline:
         assert (out / "bundles" / "v00.json").is_file()
         tables = summarize_output_directory(out)
         assert {row["n_villages"] for row in tables["network"]} == {2}
+
+    def test_community_network_error_entry_writes_no_files(self, tmp_path):
+        corpus = make_corpus(tmp_path)
+        out = tmp_path / "out"
+        assert run_pipeline(small_config(corpus, out)).exit_code == 0
+        assert len(list((out / "community_networks").iterdir())) == 6
+        # No Louvain community of a two-block village holds 99% of its nodes.
+        cfg = small_config(corpus, out, community_node_min=0.99)
+        assert run_pipeline(cfg).exit_code == 0
+        for vid in ("v00", "v01", "v02"):
+            bundle = json.loads((out / "bundles" / f"{vid}.json").read_text())
+            error = {"error": "no community reaches the size threshold"}
+            assert bundle["community_networks"] == {"caste": error}
+        # The rerun wrote exactly its own artifacts: none of the first run's networks.
+        assert not list((out / "community_networks").iterdir())
+        lines = (out / "summary_community_networks.csv").read_text().splitlines()
+        assert lines[2:] == ["caste,0,,"]
 
     def test_rerun_deletes_leftover_temporary_files(self, tmp_path):
         corpus = make_corpus(tmp_path, n=2)
@@ -828,17 +846,28 @@ class TestTableLayouts:
             "== community networks ==",
         ]
 
-    def test_dot_file_is_header_plus_rendered_network(self, finished_run):
-        out, cfg = finished_run
-        saved = json.loads((out / "community_networks" / "v01__caste.json").read_text())
-        network = CommunityNetwork(
-            nodes=tuple(CommunityNode(**node) for node in saved.pop("nodes")),
-            ties=tuple(CommunityTie(**tie) for tie in saved.pop("ties")),
-            **saved,
-        )
-        expected = f"// segnet schema=1 config_sha256={config_sha256(cfg)}\n"
-        expected += community_network_to_dot(network, "v_v01")
-        assert (out / "community_networks" / "v01__caste.dot").read_text() == expected
+    def test_dot_file_is_header_plus_rendered_network(self, tmp_path):
+        # Each .json is its bundle entry, and each .dot renders that saved JSON.
+        out = tmp_path / "out"
+        corpus = make_corpus(tmp_path)
+        cfg = small_config(corpus, out, community_network_attributes=("caste", "sex"))
+        assert run_pipeline(cfg).exit_code == 0
+        header = f"// segnet schema=1 config_sha256={config_sha256(cfg)}\n"
+        expected_files = set()
+        for bundle_path in sorted((out / "bundles").glob("*.json")):
+            bundle = json.loads(bundle_path.read_text())
+            village = bundle["village_id"]
+            assert list(bundle["community_networks"]) == ["caste", "sex"]
+            for attr, entry in bundle["community_networks"].items():
+                assert "error" not in entry
+                stem = out / "community_networks" / f"{village}__{attr}"
+                saved = json.loads(stem.with_suffix(".json").read_text())
+                assert saved == entry
+                expected = header + community_network_to_dot(saved, f"v_{village}")
+                assert stem.with_suffix(".dot").read_text() == expected
+                expected_files |= {f"{stem.name}.json", f"{stem.name}.dot"}
+        assert len(expected_files) == 12
+        assert {p.name for p in (out / "community_networks").iterdir()} == expected_files
 
 
 def test_json_safe_scrubs_non_finite_and_numpy_types():

@@ -13,7 +13,6 @@ from segnet import (
     build_community_network,
     build_graph,
     community_network_to_dot,
-    community_network_to_json_dict,
     louvain,
     segregation_report,
     within_community_modularity,
@@ -256,11 +255,12 @@ class TestCommunityNetwork:
             edge_min_fraction=0.1,
             category_names=("scheduled caste", "scheduled tribe", "obc", "general"),
         )
-        payload = community_network_to_json_dict(net)
-        text = json.dumps(payload)  # must be serializable as-is
-        assert json.loads(text)["nodes"][0]["size"] == 5
-        assert payload["node_fraction_retained"] == net.node_fraction_retained
-        dot = community_network_to_dot(net)
+        payload = asdict(net)
+        loaded = json.loads(json.dumps(payload))  # must be serializable as-is
+        assert loaded["nodes"][0]["size"] == 5
+        assert loaded["node_fraction_retained"] == net.node_fraction_retained
+        dot = community_network_to_dot(payload)
+        assert community_network_to_dot(loaded) == dot
         assert dot.startswith("graph")
         assert "c1 -- c2" in dot
         assert "general 80%" in dot
