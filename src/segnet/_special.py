@@ -1,15 +1,15 @@
-"""The logistic, standard normal and Student t distribution functions segnet needs.
+"""The logistic and Student t distribution functions segnet needs.
 
-``expit`` and ``ndtr`` evaluate ``scipy.special``'s formulas (the cephes
-``ndtr``/``erf``/``erfc`` rational approximations for the normal CDF) one
-element at a time with ``math.exp``, the C library's ``exp`` that scipy
-calls too, so on the same C library they equal scipy's results bit for bit.
-numpy's vectorised ``np.exp`` is a different implementation and differs in
-the last bit on a few percent of inputs.  ``stdtr`` is the Student t CDF
-through a continued fraction for the regularized incomplete beta function;
-it is within ``(64 + 2 |ln p|)`` ulp of a 40-digit reference where the
-result ``p`` is at least 1e-290 (``tests/test_special.py``): ~1e-14
-relative for ordinary p-values, not bit for bit with scipy.
+``expit`` evaluates ``scipy.special``'s formula one element at a time with
+``math.exp``, the C library's ``exp`` that scipy calls too, so on the same
+C library it equals scipy's result bit for bit.  numpy's vectorised
+``np.exp`` is a different implementation and differs in the last bit on a
+few percent of inputs.  ``stdtr`` is the Student t CDF through a continued
+fraction for the regularized incomplete beta function; it is within
+``(64 + 2 |ln p|)`` ulp of a 40-digit reference where the result ``p`` is
+at least 1e-290 (``tests/test_special.py``): ~1e-14 relative for ordinary
+p-values, not bit for bit with scipy.  The normal tail of the Wald
+p-values is the C library's ``erfc`` (``dyadic._wald_p_values``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-__all__ = ["expit", "ndtr", "stdtr"]
+__all__ = ["expit", "stdtr"]
 
 
 def _expit(v: float) -> float:
@@ -32,118 +32,6 @@ def _expit(v: float) -> float:
 def expit(x: np.ndarray) -> np.ndarray:
     """Logistic function ``1 / (1 + exp(-x))`` of each element of a 1-D array."""
     return np.array([_expit(v) for v in x.tolist()], dtype=float)
-
-
-# cephes ndtr.c: erfc on [1, 8) is exp(-x^2) P(x)/Q(x), on [8, inf)
-# exp(-x^2) R(x)/S(x); erf on [0, 1] is x T(x^2)/U(x^2).  Q, S and U omit
-# their leading coefficient 1.
-_P = (
-    2.46196981473530512524e-10,
-    5.64189564831068821977e-1,
-    7.46321056442269912687e0,
-    4.86371970985681366614e1,
-    1.96520832956077098242e2,
-    5.26445194995477358631e2,
-    9.34528527171957607540e2,
-    1.02755188689515710272e3,
-    5.57535335369399327526e2,
-)
-_Q = (
-    1.32281951154744992508e1,
-    8.67072140885989742329e1,
-    3.54937778887819891062e2,
-    9.75708501743205489753e2,
-    1.82390916687909736289e3,
-    2.24633760818710981792e3,
-    1.65666309194161350182e3,
-    5.57535340817727675546e2,
-)
-_R = (
-    5.64189583547755073984e-1,
-    1.27536670759978104416e0,
-    5.01905042251180477414e0,
-    6.16021097993053585195e0,
-    7.40974269950448939160e0,
-    2.97886665372100240670e0,
-)
-_S = (
-    2.26052863220117276590e0,
-    9.39603524938001434673e0,
-    1.20489539808096656605e1,
-    1.70814450747565897222e1,
-    9.60896809063285878198e0,
-    3.36907645100081516050e0,
-)
-_T = (
-    9.60497373987051638749e0,
-    9.00260197203842689217e1,
-    2.23200534594684319226e3,
-    7.00332514112805075473e3,
-    5.55923013010394962768e4,
-)
-_U = (
-    3.35617141647503099647e1,
-    5.21357949780152679795e2,
-    4.59432382970980127987e3,
-    2.26290000613890934246e4,
-    4.92673942608635921086e4,
-)
-# log of the largest double: exp(-x^2) underflows to 0 below -_MAXLOG.
-_MAXLOG = 7.09782712893383996843e2
-
-
-def _polevl(x: float, coef: tuple[float, ...]) -> float:
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x: float, coef: tuple[float, ...]) -> float:
-    """``_polevl`` with an implied leading coefficient 1."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-# cephes' erf and erfc, cut down to the arguments _ndtr passes: erf gets
-# |x| < 1 (its sign is exact, so erf(-x) = -erf(x) needs no branch) and
-# erfc gets x >= 1/sqrt(2), never negative.
-
-
-def _erf(x: float) -> float:
-    z = x * x
-    return x * _polevl(z, _T) / _p1evl(z, _U)
-
-
-def _erfc(x: float) -> float:
-    if x < 1.0:
-        return 1.0 - _erf(x)
-    z = -x * x
-    if z < -_MAXLOG:
-        # cephes returns 0 here, where exp(z) would still be subnormal
-        return 0.0
-    z = math.exp(z)
-    if x < 8.0:
-        return z * _polevl(x, _P) / _p1evl(x, _Q)
-    return z * _polevl(x, _R) / _p1evl(x, _S)
-
-
-def _ndtr(a: float) -> float:
-    if math.isnan(a):
-        return math.nan
-    x = a * math.sqrt(0.5)
-    z = abs(x)
-    if z < math.sqrt(0.5):
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0 else y
-
-
-def ndtr(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF of each element of a 1-D array."""
-    return np.array([_ndtr(v) for v in x.tolist()], dtype=float)
 
 
 # Terms c_k / a^k of log(Gamma(a + 1/2) / Gamma(a + 1)) + log(a) / 2 for

@@ -33,12 +33,15 @@ Three subcommands:
 
     Relative ``output_dir`` resolves against the config file's directory.
     A village without a ``seed`` gets the top-level seed plus its index.
+    Each ``village_id`` names one directory under ``output_dir``.  Every
+    village is generated before any is written, so a bad entry writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -46,6 +49,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 from .config import load_run_config
 
 if TYPE_CHECKING:
+    from .ingest import VillageDataset
     from .synth import AttributedSbmConfig
 
 __all__ = ["main"]
@@ -126,6 +130,13 @@ def _build_sbm(entry: Mapping[str, Any], seed: int) -> AttributedSbmConfig:
     )
 
 
+def _village_id(value: Any) -> str:
+    """``value`` when it names one directory under ``output_dir``; a ``ValueError`` otherwise."""
+    if not isinstance(value, str) or value in ("", ".", "..") or "/" in value or os.sep in value:
+        raise ValueError(f"village_id must name one directory, got {value!r}")
+    return value
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     from .ingest import save_village
     from .synth import generate_attribute_sbm, generate_dyad_sample
@@ -135,24 +146,29 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     villages = spec.get("villages")
     if not villages or not isinstance(villages, list):
         raise ValueError("synth config needs a non-empty 'villages' list")
-    out_dir = Path(spec.get("output_dir", "corpus"))
+    output_dir = spec.get("output_dir", "corpus")
+    if not isinstance(output_dir, str):
+        raise ValueError(f"output_dir must be a string, got {output_dir!r}")
+    out_dir = Path(output_dir)
     if not out_dir.is_absolute():
         out_dir = config_path.parent / out_dir
-    base_seed = int(spec.get("seed", 0))
-    seen: set[str] = set()
+    try:
+        base_seed = int(spec.get("seed", 0))
+    except (TypeError, ValueError):
+        raise ValueError(f"seed must be an integer, got {spec['seed']!r}") from None
+    datasets: dict[str, VillageDataset] = {}
     for i, entry in enumerate(villages):
         try:
             entry = _json_object(entry, "village entry")
-            village_id = entry["village_id"]
-            if village_id in seen:
+            village_id = _village_id(entry["village_id"])
+            if village_id in datasets:
                 raise ValueError(f"duplicate village_id {village_id!r}")
-            seen.add(village_id)
             seed = int(entry.get("seed", base_seed + i))
             kind = entry.get("kind")
             if kind == "sbm":
-                dataset, _ = generate_attribute_sbm(_build_sbm(entry, seed))
+                datasets[village_id], _ = generate_attribute_sbm(_build_sbm(entry, seed))
             elif kind == "dyad":
-                dataset = generate_dyad_sample(
+                datasets[village_id] = generate_dyad_sample(
                     beta0=float(entry["beta0"]),
                     betas={k: float(v) for k, v in _json_object(entry["betas"], "betas").items()},
                     feature_law=_laws(entry["attribute_law"], "attribute_law"),
@@ -164,8 +180,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
                 raise ValueError(f"unknown village kind {kind!r}")
         except KeyError as exc:
             raise ValueError(f"villages[{i}]: missing key {exc}") from None
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"villages[{i}]: {exc}") from None
+    for village_id, dataset in datasets.items():
         save_village(dataset, out_dir / village_id)
     print(f"wrote {len(villages)} village(s) under {out_dir}")
     return 0

@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._special import expit, ndtr, stdtr
+from ._special import expit, stdtr
 from .attributes import (
     CATEGORICAL_ATTRIBUTES,
     NUMERIC_ATTRIBUTES,
@@ -287,8 +287,12 @@ def _information(
 
 
 def _wald_p_values(z: np.ndarray) -> np.ndarray:
-    """Two-sided standard normal p-values ``2 * P(Z > |z|)``, as ``2 ndtr(-|z|)``."""
-    return 2.0 * ndtr(-np.abs(z))
+    """Two-sided standard normal p-values ``2 * P(Z > |z|)``, as ``erfc(|z| / sqrt 2)``.
+
+    Per element with ``math.erfc``, the C library's; ``tests/test_special.py``
+    holds it to ``(64 + 2 |ln p|)`` ulp of a 40-digit reference.
+    """
+    return np.array([math.erfc(abs(v) * math.sqrt(0.5)) for v in z.tolist()], dtype=float)
 
 
 def fit_logistic(design: DyadDesign, options: FitOptions = FitOptions()) -> LogisticFit:

@@ -224,6 +224,28 @@ class TestSynthErrors:
                 {"villages": [dict(SBM_VILLAGES[0], block_rules=["general", 3])]},
                 "villages[0]: block_rules[1] must be a JSON object",
             ),
+            (
+                {"villages": [SBM_VILLAGES[0], dict(SBM_VILLAGES[1], p_in=2.0)]},
+                "villages[1]: need 0 <= p_out <= p_in <= 1",
+            ),
+            (
+                {"villages": [dict(SBM_VILLAGES[0], p_in=[0.5])]},
+                "villages[0]: float() argument must be a string or a real number, not 'list'",
+            ),
+            (
+                {"villages": [dict(SBM_VILLAGES[0], block_sizes=[[30], 30])]},
+                "villages[0]: int() argument must be a string, a bytes-like object or a real"
+                " number, not 'list'",
+            ),
+            ({"seed": [1], "villages": SBM_VILLAGES}, "seed must be an integer, got [1]"),
+            ({"output_dir": 5, "villages": SBM_VILLAGES}, "output_dir must be a string, got 5"),
+            *(
+                (
+                    {"villages": [SBM_VILLAGES[0], dict(SBM_VILLAGES[1], village_id=village_id)]},
+                    f"villages[1]: village_id must name one directory, got {village_id!r}",
+                )
+                for village_id in [5, "", ".", "..", "../escape", "a/b"]
+            ),
         ],
         ids=[
             "top_level_list",
@@ -235,6 +257,17 @@ class TestSynthErrors:
             "extra_attributes_list",
             "extra_attributes_value_string",
             "block_rule_number",
+            "second_village_invalid",
+            "p_in_list",
+            "block_size_list",
+            "seed_list",
+            "output_dir_number",
+            "village_id_number",
+            "village_id_empty",
+            "village_id_dot",
+            "village_id_dotdot",
+            "village_id_escapes",
+            "village_id_nested",
         ],
     )
     def test_malformed_config_is_reported_not_raised(self, tmp_path, capsys, spec, message):
@@ -243,6 +276,7 @@ class TestSynthErrors:
         assert main(["synth", "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"segnet synth: {message}\n"
         assert not (tmp_path / "corpus").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["synth.json"]
 
     def test_generator_errors_carry_village_index(self, tmp_path, capsys):
         village = dict(SBM_VILLAGES[0], p_in=2.0)
