@@ -34,7 +34,6 @@ _EXPORTS = {
         "DyadDesign",
         "FeatureEncoding",
         "FeatureSpec",
-        "FitOptions",
         "LogisticFit",
         "SexPermutationResult",
         "TieTriple",

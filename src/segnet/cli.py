@@ -34,7 +34,8 @@ Three subcommands:
     Relative ``output_dir`` resolves against the config file's directory.
     A village without a ``seed`` gets the top-level seed plus its index.
     Each ``village_id`` names one directory under ``output_dir``.  Every
-    village is generated before any is written, so a bad entry writes nothing.
+    village is generated and every directory checked before any is written,
+    so a bad entry or a stale ``.csv`` (see ``save_village``) writes nothing.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def _village_id(value: Any) -> str:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    from .ingest import save_village
+    from .ingest import _refuse_stale_csv, save_village
     from .synth import generate_attribute_sbm, generate_dyad_sample
 
     config_path = Path(args.config)
@@ -182,6 +183,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             raise ValueError(f"villages[{i}]: missing key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"villages[{i}]: {exc}") from None
+    for village_id, dataset in datasets.items():
+        _refuse_stale_csv(dataset, out_dir / village_id)
     for village_id, dataset in datasets.items():
         save_village(dataset, out_dir / village_id)
     print(f"wrote {len(villages)} village(s) under {out_dir}")

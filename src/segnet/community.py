@@ -32,11 +32,9 @@ _MOVE_GAIN_EPS = 1e-12
 
 @dataclass(frozen=True)
 class Partition:
-    """Node partition with within/between edge bookkeeping.
+    """Node partition with within/between edge counts.
 
     ``assignment`` holds contiguous community labels 1..n_communities.
-    ``within_degrees[i]`` counts edges at node ``i`` staying inside its
-    community; ``between_degrees[i]`` counts those leaving it.
     """
 
     assignment: np.ndarray
@@ -44,13 +42,11 @@ class Partition:
     sizes: np.ndarray
     m_within: int
     m_between: int
-    within_degrees: np.ndarray
-    between_degrees: np.ndarray
     modularity: float | None = None
     level_modularities: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        for arr in (self.assignment, self.sizes, self.within_degrees, self.between_degrees):
+        for arr in (self.assignment, self.sizes):
             arr.setflags(write=False)
 
     @classmethod
@@ -71,20 +67,13 @@ class Partition:
         h0 = assignment - 1
         n_comm = int(uniques.size)
         sizes = np.bincount(h0, minlength=n_comm)
-        eu, ev = graph.edge_u, graph.edge_v
-        same = h0[eu] == h0[ev]
-        m_within = int(same.sum())
-        wdeg = np.bincount(eu[same], minlength=graph.node_count) + np.bincount(
-            ev[same], minlength=graph.node_count
-        )
+        m_within = int((h0[graph.edge_u] == h0[graph.edge_v]).sum())
         return cls(
             assignment=assignment,
             n_communities=n_comm,
             sizes=sizes,
             m_within=m_within,
             m_between=graph.edge_count - m_within,
-            within_degrees=wdeg,
-            between_degrees=graph.degrees - wdeg,
         )
 
 

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .vocabulary import ATTRIBUTE_NAMES
 
@@ -74,11 +74,11 @@ class RunConfig:
             raise ValueError("at least one permutation tolerance is required")
         if any(not t > 0 for t in self.permutation_tolerances):
             raise ValueError("permutation tolerances must be positive")
-        for key in sorted(_FLOAT_KEYS):
+        for f in fields(self):
             # Every comparison with NaN is False, so a NaN cutoff or minimum
             # would silently empty its tables.
-            if math.isnan(getattr(self, key)):
-                raise ValueError(f"{key} must be a number, not NaN")
+            if f.type == "float" and math.isnan(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be a number, not NaN")
         for key in ("community_node_min", "community_edge_min"):
             # Fractions of nodes and of possible ties: 5 meant as 5% would
             # leave every village without a community network.
@@ -99,12 +99,30 @@ class RunConfig:
                 raise ValueError(f"{key} must be strictly increasing")
 
 
-_LIST_STR_KEYS = {"attributes", "community_network_attributes", "village_ids"}
-_LIST_FLOAT_KEYS = {"age_bins", "education_bins", "permutation_tolerances"}
-_INT_KEYS = {"permutation_replicates", "permutation_seed", "louvain_seed", "workers"}
-_FLOAT_KEYS = {"community_node_min", "community_edge_min", "between_cutoff", "within_cutoff"}
-_BOOL_KEYS = {"joint_model", "coerce_unknown_categories"}
-_STR_KEYS = {"corpus_dir", "output_dir", "age_encoding", "education_encoding"}
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return value.lower() == "true"
+
+
+def _as_is(value: Any) -> Any:
+    return value
+
+
+# RunConfig annotation -> (parser of a config-file value, canonical form for
+# the hash).  Floats are canonicalized so the hash does not depend on
+# whether the config came from a file or was built with int literals.
+_SETTING_TYPES: dict[str, tuple[Callable[[str], Any], Callable[[Any], Any]]] = {
+    "str": (str, _as_is),
+    "int": (int, _as_is),
+    "float": (float, float),
+    "bool": (_parse_bool, _as_is),
+    "tuple[str, ...]": (lambda v: tuple(s.strip() for s in v.split(",") if s.strip()), list),
+    "tuple[float, ...]": (
+        lambda v: tuple(float(s) for s in v.split(",") if s.strip()),
+        lambda t: [float(x) for x in t],
+    ),
+}
 # Fields that never influence artifact content and stay out of the config hash:
 # machine-local paths and the worker count.
 _NON_SUBSTANTIVE_KEYS = {"corpus_dir", "output_dir", "workers"}
@@ -117,7 +135,7 @@ def parse_run_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     comma-separated.  Relative paths resolve against ``base_dir``.
     """
     values: dict[str, Any] = {}
-    known = {f.name for f in fields(RunConfig)}
+    known = {f.name: f.type for f in fields(RunConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -131,21 +149,9 @@ def parse_run_config(text: str, base_dir: str | Path = ".") -> RunConfig:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
+        parse, _ = _SETTING_TYPES[known[key]]
         try:
-            if key in _LIST_STR_KEYS:
-                values[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-            elif key in _LIST_FLOAT_KEYS:
-                values[key] = tuple(float(v) for v in value.split(",") if v.strip())
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false"):
-                    raise ValueError("expected true or false")
-                values[key] = value.lower() == "true"
-            elif key in _STR_KEYS:
-                values[key] = value
+            values[key] = parse(value)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: bad value for {key!r}: {exc}") from None
     for required in ("corpus_dir", "output_dir"):
@@ -183,22 +189,11 @@ def default_config_text(corpus_dir: str = "corpus", output_dir: str = "out") -> 
 
 
 def _substantive_config_dict(cfg: RunConfig) -> dict[str, Any]:
-    out = {}
-    for f in fields(RunConfig):
-        if f.name in _NON_SUBSTANTIVE_KEYS:
-            continue
-        value = getattr(cfg, f.name)
-        # Canonicalize numerics so the hash does not depend on whether the
-        # config came from a file (floats) or was constructed with int literals.
-        if f.name in _LIST_FLOAT_KEYS:
-            out[f.name] = [float(v) for v in value]
-        elif f.name in _FLOAT_KEYS:
-            out[f.name] = float(value)
-        elif isinstance(value, tuple):
-            out[f.name] = list(value)
-        else:
-            out[f.name] = value
-    return out
+    return {
+        f.name: _SETTING_TYPES[f.type][1](getattr(cfg, f.name))
+        for f in fields(RunConfig)
+        if f.name not in _NON_SUBSTANTIVE_KEYS
+    }
 
 
 def config_sha256(cfg: RunConfig) -> str:

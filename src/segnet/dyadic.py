@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "FeatureEncoding",
     "FeatureSpec",
     "DyadDesign",
-    "FitOptions",
     "LogisticFit",
     "TieTriple",
     "SexPermutationResult",
@@ -42,6 +41,17 @@ __all__ = [
 
 # Design rows are keyed by an int64 mixed-radix number over feature levels.
 _MAX_ROW_KEY = 1 << 62
+
+# Newton/IRLS controls of the dyadic logistic fit.
+_MAX_ITER = 100
+_TOL = 1e-8
+_DIVERGENCE_BOUND = 30.0
+
+# The permutation null draws candidates in seeded batches of _BATCH_SIZE;
+# the batch size fixes the candidate stream, so it is part of every result.
+# A tolerance still below 0.1% valid after _MAX_ATTEMPTS attempts fails.
+_BATCH_SIZE = 512
+_MAX_ATTEMPTS = 1_000_000
 
 @dataclass(frozen=True)
 class FeatureEncoding:
@@ -248,15 +258,6 @@ def build_dyad_design(
 
 
 @dataclass(frozen=True)
-class FitOptions:
-    """Newton/IRLS controls for the dyadic logistic model."""
-
-    max_iter: int = 100
-    tol: float = 1e-8
-    divergence_bound: float = 30.0
-
-
-@dataclass(frozen=True)
 class LogisticFit:
     """Maximum-likelihood logistic fit with Wald inference per feature."""
 
@@ -295,12 +296,12 @@ def _wald_p_values(z: np.ndarray) -> np.ndarray:
     return np.array([math.erfc(abs(v) * math.sqrt(0.5)) for v in z.tolist()], dtype=float)
 
 
-def fit_logistic(design: DyadDesign, options: FitOptions = FitOptions()) -> LogisticFit:
+def fit_logistic(design: DyadDesign) -> LogisticFit:
     """Fit tie probability on dyad features by Newton-Raphson (IRLS).
 
     Each design row is a binomial count of ties among its dyads, so the
     likelihood equals the one over individual dyads.  Convergence means
-    every coefficient moved by less than ``options.tol`` in the last step.
+    every coefficient moved by less than ``_TOL`` in the last step.
     Runaway coefficients (complete separation) and a singular information
     matrix return a fit flagged ``converged=False`` with a diagnostic rather
     than raising.  A constant feature column is an error naming the
@@ -319,7 +320,7 @@ def fit_logistic(design: DyadDesign, options: FitOptions = FitOptions()) -> Logi
     converged = False
     diagnostic: str | None = None
     iteration = 0
-    for iteration in range(1, options.max_iter + 1):
+    for iteration in range(1, _MAX_ITER + 1):
         H, grad = _information(design, Xb, beta)
         try:
             step = np.linalg.solve(H, grad)
@@ -327,14 +328,14 @@ def fit_logistic(design: DyadDesign, options: FitOptions = FitOptions()) -> Logi
             diagnostic = "singular information matrix"
             break
         beta = beta + step
-        if np.abs(beta).max() > options.divergence_bound:
+        if np.abs(beta).max() > _DIVERGENCE_BOUND:
             diagnostic = "coefficients diverging; data are likely completely separated"
             break
-        if np.abs(step).max() < options.tol:
+        if np.abs(step).max() < _TOL:
             converged = True
             break
     else:
-        diagnostic = f"no convergence within {options.max_iter} iterations"
+        diagnostic = f"no convergence within {_MAX_ITER} iterations"
 
     H, _ = _information(design, Xb, beta)
     try:
@@ -406,28 +407,10 @@ def _mc_two_sided(values: np.ndarray, observed: float) -> float:
     return min(1.0, 2.0 * min(ge + 1, le + 1) / (r + 1))
 
 
-@dataclass
-class _Collection:
-    """Replicates one tolerance has accepted so far from the shared candidate stream."""
-
-    tolerance: float
-    male_bounds: tuple[float, float]
-    female_bounds: tuple[float, float]
-    counts: np.ndarray
-    male_means: np.ndarray
-    female_means: np.ndarray
-    collected: int = 0
-    valid_total: int = 0
-
-
 def _permutation_result(
-    c: _Collection,
-    observed: TieTriple,
-    n_attempts: int,
-    male_mean: float,
-    female_mean: float,
+    observed: TieTriple, counts: np.ndarray, **constraint: Any
 ) -> SexPermutationResult:
-    counts = c.counts
+    """Summarize one tolerance's replicate counts; ``constraint`` holds the remaining fields."""
     expected = TieTriple(*(float(x) for x in counts.mean(axis=0)))
     p_values = TieTriple(*(_mc_two_sided(counts[:, k], observed[k]) for k in range(3)))
     ratios = []
@@ -449,15 +432,8 @@ def _permutation_result(
         p_values=p_values,
         verdicts=TieTriple(*verdicts),
         n_replicates=counts.shape[0],
-        tolerance=c.tolerance,
-        n_attempts=n_attempts,
-        male_mean_degree=male_mean,
-        female_mean_degree=female_mean,
-        male_degree_bounds=c.male_bounds,
-        female_degree_bounds=c.female_bounds,
-        replicate_male_mean_degrees=c.male_means,
-        replicate_female_mean_degrees=c.female_means,
         replicate_counts=counts,
+        **constraint,
     )
 
 
@@ -467,38 +443,33 @@ def sex_permutation_tests(
     tolerances: Sequence[float],
     target_replicates: int = 1000,
     seed: int = 0,
-    max_attempts: int = 1_000_000,
-    batch_size: int = 512,
 ) -> list[SexPermutationResult | ValueError]:
     """Mean-degree-constrained permutation tests of sex-typed tie counts, one per tolerance.
 
     Sex labels are permuted among sex-observed nodes only; a replicate
     counts at a tolerance when both permuted group mean degrees satisfy
     ``|mean*/mean - 1| <= tolerance``.  Every tolerance filters the same
-    seeded stream of candidate permutations, drawn batch by batch until
-    each tolerance has ``target_replicates`` replicates or has failed, so a
-    tolerance's result equals a test at that tolerance alone.  Each batch
-    is drawn and filtered in chunks of about ``_CHUNK_ELEMENTS`` keys, so
-    the working set is bounded by that budget (times the mean degree for
-    the tie counts) rather than by ``batch_size`` times the node count; a
-    batch stops early once every tolerance open at its start is complete.
-    ``n_attempts`` counts whole batches: the attempts drawn when the
-    tolerance finished, its last batch included in full.  Two-sided Monte
-    Carlo p-values use the doubled smaller tail with add-one correction,
-    capped at 1.
+    seeded stream of candidate permutations, drawn in batches of
+    ``_BATCH_SIZE`` until each tolerance has ``target_replicates``
+    replicates or has failed, so a tolerance's result equals a test at that
+    tolerance alone.  Each batch is drawn and filtered in chunks of about
+    ``_CHUNK_ELEMENTS`` keys, so the working set is bounded by that budget
+    (times the mean degree for the tie counts) rather than by the batch
+    size times the node count; a batch stops early once every tolerance
+    open at its start is complete.  ``n_attempts`` counts whole batches:
+    the attempts drawn when the tolerance finished, its last batch included
+    in full.  Two-sided Monte Carlo p-values use the doubled smaller tail
+    with add-one correction, capped at 1.
 
     Returns one entry per tolerance, in order: its result, or the
     ``ValueError`` when its valid-replicate acceptance rate is below 0.1%
-    after ``max_attempts`` attempts.  Raises on a tolerance that is not
-    positive (NaN included), on ``batch_size < 1`` and on a single-sex
-    network.
+    after ``_MAX_ATTEMPTS`` attempts.  Raises on a tolerance that is not
+    positive (NaN included) and on a single-sex network.
     """
     if any(not t > 0 for t in tolerances):
         raise ValueError("tolerance must be positive")
     if target_replicates < 1:
         raise ValueError("target_replicates must be at least 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
     sex = table.labels("sex")
     if sex.shape != (graph.node_count,):
         raise ValueError("attribute table does not align with the graph")
@@ -532,69 +503,74 @@ def sex_permutation_tests(
 
     observed = TieTriple(*(int(c) for c in _tie_counts(male[None, :])[0]))
 
-    collections = [
-        _Collection(
-            tolerance=t,
-            male_bounds=(male_mean * (1.0 - t), male_mean * (1.0 + t)),
-            female_bounds=(female_mean * (1.0 - t), female_mean * (1.0 + t)),
-            counts=np.empty((target_replicates, 3), dtype=np.int64),
-            male_means=np.empty(target_replicates),
-            female_means=np.empty(target_replicates),
-        )
-        for t in tolerances
-    ]
-    outcomes: list[SexPermutationResult | ValueError | None] = [None] * len(collections)
-    pending = list(range(len(collections)))
+    # Per tolerance: male low/high and female low/high mean-degree bounds,
+    # the replicates taken so far and the valid candidates seen so far.
+    tol = np.asarray(tolerances, dtype=float)
+    scale = np.column_stack([1.0 - tol, 1.0 + tol])
+    bounds = np.hstack([male_mean * scale, female_mean * scale])
+    counts = np.empty((tol.size, target_replicates, 3), dtype=np.int64)
+    male_means = np.empty((tol.size, target_replicates))
+    female_means = np.empty((tol.size, target_replicates))
+    collected = np.zeros(tol.size, dtype=np.int64)
+    valid_total = np.zeros(tol.size, dtype=np.int64)
+    outcomes: list[SexPermutationResult | ValueError | None] = [None] * tol.size
+    pending = np.arange(tol.size)
     seed_entropy = int(seed) % (2**63)
     # Consecutive draws of chunk_rows rows reproduce the rows of one
-    # (batch_size, n) draw, so the chunking does not change the stream.
-    chunk_rows = max(1, min(batch_size, _CHUNK_ELEMENTS // deg.size))
+    # (_BATCH_SIZE, n) draw, so the chunking does not change the stream.
+    chunk_rows = max(1, min(_BATCH_SIZE, _CHUNK_ELEMENTS // deg.size))
     attempts = 0
     batch_index = 0
-    while pending:
+    while pending.size:
         rng = np.random.default_rng(np.random.SeedSequence([seed_entropy, batch_index]))
-        for start in range(0, batch_size, chunk_rows):
-            open_now = [k for k in pending if collections[k].collected < target_replicates]
-            if not open_now:
+        for start in range(0, _BATCH_SIZE, chunk_rows):
+            open_now = pending[collected[pending] < target_replicates]
+            if not open_now.size:
                 # No tolerance needs the rest of the batch, nor its valid count.
                 break
-            keys = rng.random((min(chunk_rows, batch_size - start), deg.size))
+            keys = rng.random((min(chunk_rows, _BATCH_SIZE - start), deg.size))
             male_mat = male[np.argsort(keys, axis=1)]
             md = (male_mat * deg).sum(axis=1) / n_male
             fd = (deg_total - md * n_male) / n_female
-            taken = {}
-            for k in open_now:
-                c = collections[k]
-                valid = (
-                    (md >= c.male_bounds[0])
-                    & (md <= c.male_bounds[1])
-                    & (fd >= c.female_bounds[0])
-                    & (fd <= c.female_bounds[1])
-                )
-                c.valid_total += int(valid.sum())
-                taken[k] = np.flatnonzero(valid)[: target_replicates - c.collected]
+            m_lo, m_hi, f_lo, f_hi = bounds[open_now].T[:, :, None]
+            accept = (md >= m_lo) & (md <= m_hi) & (fd >= f_lo) & (fd <= f_hi)
+            valid_total[open_now] += accept.sum(axis=1)
+            # Each tolerance takes its valid rows while their running count
+            # stays within the replicates it still needs.
+            rank = np.cumsum(accept, axis=1)
+            take = accept & (rank <= target_replicates - collected[open_now, None])
+            t, rows = np.nonzero(take)
             # Tie counts once for every row some tolerance takes.
-            union = np.unique(np.concatenate(list(taken.values())))
-            union_counts = _tie_counts(male_mat[union])
-            for k, rows in taken.items():
-                c = collections[k]
-                span = slice(c.collected, c.collected + rows.size)
-                c.counts[span] = union_counts[np.searchsorted(union, rows)]
-                c.male_means[span] = md[rows]
-                c.female_means[span] = fd[rows]
-                c.collected += rows.size
-        attempts += batch_size
+            union = np.flatnonzero(take.any(axis=0))
+            k = open_now[t]
+            slot = collected[k] + rank[t, rows] - 1
+            counts[k, slot] = _tie_counts(male_mat[union])[np.searchsorted(union, rows)]
+            male_means[k, slot] = md[rows]
+            female_means[k, slot] = fd[rows]
+            collected[open_now] += take.sum(axis=1)
+        attempts += _BATCH_SIZE
         batch_index += 1
-        for k in pending:
-            c = collections[k]
-            if c.collected == target_replicates:
-                outcomes[k] = _permutation_result(c, observed, attempts, male_mean, female_mean)
-            elif attempts >= max_attempts and c.valid_total / attempts < 0.001:
+        for k in pending.tolist():
+            valid_rate = int(valid_total[k]) / attempts
+            if collected[k] == target_replicates:
+                outcomes[k] = _permutation_result(
+                    observed,
+                    counts[k],
+                    tolerance=tolerances[k],
+                    n_attempts=attempts,
+                    male_mean_degree=male_mean,
+                    female_mean_degree=female_mean,
+                    male_degree_bounds=tuple(bounds[k, :2].tolist()),
+                    female_degree_bounds=tuple(bounds[k, 2:].tolist()),
+                    replicate_male_mean_degrees=male_means[k],
+                    replicate_female_mean_degrees=female_means[k],
+                )
+            elif attempts >= _MAX_ATTEMPTS and valid_rate < 0.001:
                 outcomes[k] = ValueError(
-                    f"valid-replicate acceptance rate {c.valid_total / attempts:.4%} below 0.1% "
+                    f"valid-replicate acceptance rate {valid_rate:.4%} below 0.1% "
                     f"after {attempts} attempts; consider a larger tolerance"
                 )
-        pending = [k for k in pending if outcomes[k] is None]
+        pending = pending[[outcomes[k] is None for k in pending.tolist()]]
     return outcomes
 
 
@@ -604,13 +580,9 @@ def sex_permutation_test(
     tolerance: float,
     target_replicates: int = 1000,
     seed: int = 0,
-    max_attempts: int = 1_000_000,
-    batch_size: int = 512,
 ) -> SexPermutationResult:
     """``sex_permutation_tests`` at one tolerance, raising its acceptance-rate error."""
-    (outcome,) = sex_permutation_tests(
-        graph, table, (tolerance,), target_replicates, seed, max_attempts, batch_size
-    )
+    (outcome,) = sex_permutation_tests(graph, table, (tolerance,), target_replicates, seed)
     if isinstance(outcome, ValueError):
         raise outcome
     return outcome

@@ -79,11 +79,11 @@ class UndirectedGraph:
 
 
 def _compile(node_count: int, eu: np.ndarray, ev: np.ndarray) -> UndirectedGraph:
-    """Assemble a graph from deduplicated ``u < v`` edge arrays."""
+    """Assemble a graph from deduplicated ``u < v`` edge arrays in increasing
+    lexicographic order, as both callers pass them: ``build_graph`` from sorted
+    unique keys, ``induced_subgraph`` by a monotone renumbering of sorted edges."""
     eu = np.asarray(eu, dtype=np.int64)
     ev = np.asarray(ev, dtype=np.int64)
-    order = np.lexsort((ev, eu))
-    eu, ev = eu[order], ev[order]
     src = np.concatenate([eu, ev])
     dst = np.concatenate([ev, eu])
     perm = np.lexsort((dst, src))

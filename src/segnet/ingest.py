@@ -109,7 +109,8 @@ def _read_rows(path: Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[
     span lines).  The header must match ``header`` case-insensitively and
     every row must have one field per header column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first is None or tuple(h.strip().lower() for h in first) != header:
@@ -223,22 +224,36 @@ def load_village(
     )
 
 
+def _refuse_stale_csv(dataset: VillageDataset, directory: Path) -> None:
+    """Refuse a ``directory`` holding a ``.csv`` that saving ``dataset`` would not write:
+    loading reads every ``.csv`` there, so a stale layer would join the village."""
+    written = {f"{stem}.csv" for stem in (*_RESERVED_FILE_STEMS, *dataset.layer_edges)}
+    stale = sorted(p.name for p in directory.glob("*.csv") if p.name not in written)
+    if stale:
+        raise ValueError(
+            f"{directory} holds {', '.join(stale)}, which saving village "
+            f"{dataset.village_id!r} would not overwrite; remove it or save elsewhere"
+        )
+
+
 def save_village(dataset: VillageDataset, directory: str | Path) -> Path:
     """Serialize a dataset to the canonical layout; re-loading round-trips.
 
-    Raises ``ValueError``, before writing anything, on a reserved layer name or
-    a number that is not whole.
+    Raises ``ValueError``, before writing anything, on a reserved layer name,
+    a number that is not whole, or a ``.csv`` in ``directory`` that it would
+    not write.
     """
     for name in dataset.layer_edges:
         if name in _RESERVED_FILE_STEMS:
             raise ValueError(f"relation layer name {name!r} is reserved")
+    out = Path(directory)
+    _refuse_stale_csv(dataset, out)
     table = dataset.attributes
     columns = [(attr, getattr(table, attr).tolist()) for attr in ATTRIBUTE_NAMES]
     attribute_rows = [
         [nid, *(format_cell(attr, col[i]) for attr, col in columns)]
         for i, nid in enumerate(table.node_ids)
     ]
-    out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
 
     with open(out / "nodes.csv", "w", newline="", encoding="utf-8") as fh:

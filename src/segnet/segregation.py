@@ -252,55 +252,49 @@ def build_community_network(
         raise ValueError("labels must cover every node (use negative codes for missing)")
     n = graph.node_count
     h0 = partition.assignment - 1
-    retained = np.flatnonzero(partition.sizes >= node_min_fraction * n)
+    is_retained = partition.sizes >= node_min_fraction * n
+    retained = np.flatnonzero(is_retained)
     if retained.size == 0:
         raise ValueError("no community reaches the size threshold")
-    retained_set = set(retained.tolist())
 
     def _name(code: int) -> str:
         if category_names is not None and 0 <= code < len(category_names):
             return category_names[code]
         return str(code)
 
+    # Labeled members of every community per label code, from one bincount.
+    labeled = labels >= 0
+    n_labels = int(labels.max(initial=-1)) + 1
+    by_label = np.bincount(
+        h0[labeled] * n_labels + labels[labeled], minlength=partition.n_communities * n_labels
+    ).reshape(partition.n_communities, n_labels)
     nodes = []
     for c in retained.tolist():
-        members = np.flatnonzero(h0 == c)
-        member_labels = labels[members]
-        observed = member_labels[member_labels >= 0]
-        if observed.size:
-            counts = np.bincount(observed)
-            composition = {
-                _name(code): float(cnt / observed.size)
-                for code, cnt in enumerate(counts.tolist())
-                if cnt
-            }
-        else:
-            composition = {}
+        size = int(partition.sizes[c])
+        row = by_label[c].tolist()
+        observed = sum(row)
         nodes.append(
             CommunityNode(
-                community=int(c + 1),
-                size=int(members.size),
-                node_fraction=float(members.size / n),
-                composition=composition,
-                missing_fraction=float((members.size - observed.size) / members.size),
+                community=c + 1,
+                size=size,
+                node_fraction=size / n,
+                composition={_name(code): cnt / observed for code, cnt in enumerate(row) if cnt},
+                missing_fraction=(size - observed) / size,
             )
         )
 
-    cross: dict[tuple[int, int], int] = {}
-    for u, v in zip(h0[graph.edge_u].tolist(), h0[graph.edge_v].tolist()):
-        if u == v or u not in retained_set or v not in retained_set:
-            continue
-        key = (u, v) if u < v else (v, u)
-        cross[key] = cross.get(key, 0) + 1
+    ends = h0[np.column_stack([graph.edge_u, graph.edge_v])]
+    cross = (ends[:, 0] != ends[:, 1]) & is_retained[ends].all(axis=1)
+    pairs, pair_ties = np.unique(np.sort(ends[cross], axis=1), axis=0, return_counts=True)
     ties = []
     kept_tie_total = 0
-    for (a, b), count in sorted(cross.items()):
+    for (a, b), count in zip(pairs.tolist(), pair_ties.tolist()):
         possible = int(partition.sizes[a]) * int(partition.sizes[b])
         if count >= edge_min_fraction * possible:
             ties.append(
                 CommunityTie(
-                    community_a=int(a + 1),
-                    community_b=int(b + 1),
+                    community_a=a + 1,
+                    community_b=b + 1,
                     tie_count=count,
                     possible_ties=possible,
                     density=count / possible,

@@ -24,6 +24,7 @@ from segnet import AttributeTable, IngestConfig, IngestError, Partition, Village
 from segnet.attributes import ATTRIBUTE_NAMES, CATEGORICAL_ATTRIBUTES
 from segnet.community import _LEVEL_GAIN_THRESHOLD, _aggregate, _local_moving
 from segnet.graph import UndirectedGraph
+from segnet.segregation import CommunityNetwork, CommunityNode, CommunityTie
 
 
 def _restrict(graph, labels):
@@ -588,6 +589,81 @@ def segregation_report_by_subgraph(graph, labels, partition):
         "q_between_norm": q_b_norm,
         "n_used": int(nodes.size),
     }
+
+
+def community_network_by_dicts(
+    graph, partition, labels, node_min_fraction, edge_min_fraction, category_names
+):
+    """``build_community_network`` by one member scan per community and a
+    dict of cross-tie counts filled edge by edge."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n = graph.node_count
+    h0 = partition.assignment - 1
+    retained = np.flatnonzero(partition.sizes >= node_min_fraction * n)
+    if retained.size == 0:
+        raise ValueError("no community reaches the size threshold")
+    retained_set = set(retained.tolist())
+
+    def _name(code):
+        if category_names is not None and 0 <= code < len(category_names):
+            return category_names[code]
+        return str(code)
+
+    nodes = []
+    for c in retained.tolist():
+        members = np.flatnonzero(h0 == c)
+        member_labels = labels[members]
+        observed = member_labels[member_labels >= 0]
+        if observed.size:
+            counts = np.bincount(observed)
+            composition = {
+                _name(code): float(cnt / observed.size)
+                for code, cnt in enumerate(counts.tolist())
+                if cnt
+            }
+        else:
+            composition = {}
+        nodes.append(
+            CommunityNode(
+                community=int(c + 1),
+                size=int(members.size),
+                node_fraction=float(members.size / n),
+                composition=composition,
+                missing_fraction=float((members.size - observed.size) / members.size),
+            )
+        )
+
+    cross = {}
+    for u, v in zip(h0[graph.edge_u].tolist(), h0[graph.edge_v].tolist()):
+        if u == v or u not in retained_set or v not in retained_set:
+            continue
+        key = (u, v) if u < v else (v, u)
+        cross[key] = cross.get(key, 0) + 1
+    ties = []
+    kept_tie_total = 0
+    for (a, b), count in sorted(cross.items()):
+        possible = int(partition.sizes[a]) * int(partition.sizes[b])
+        if count >= edge_min_fraction * possible:
+            ties.append(
+                CommunityTie(
+                    community_a=int(a + 1),
+                    community_b=int(b + 1),
+                    tie_count=count,
+                    possible_ties=possible,
+                    density=count / possible,
+                )
+            )
+            kept_tie_total += count
+
+    retained_nodes = int(partition.sizes[retained].sum())
+    return CommunityNetwork(
+        nodes=tuple(nodes),
+        ties=tuple(ties),
+        node_min_fraction=node_min_fraction,
+        edge_min_fraction=edge_min_fraction,
+        node_fraction_retained=retained_nodes / n,
+        tie_fraction_retained=kept_tie_total / graph.edge_count if graph.edge_count else 0.0,
+    )
 
 
 def build_graph_by_set(edge_list, node_ids=None):

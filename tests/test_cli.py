@@ -278,6 +278,23 @@ class TestSynthErrors:
         assert not (tmp_path / "corpus").exists()
         assert [p.name for p in tmp_path.iterdir()] == ["synth.json"]
 
+    def test_stale_layer_file_is_refused_before_any_write(self, tmp_path, capsys):
+        sbm = SBM_VILLAGES[0]
+        dyad = dict(SBM_VILLAGES[2], village_id="v001")
+        assert self.run_synth(tmp_path, capsys, [sbm]) == (0, "")
+        corpus = tmp_path / "corpus"
+        before = {p.name: p.read_bytes() for p in (corpus / "v001").iterdir()}
+        assert sorted(before) == ["attributes.csv", "nodes.csv", "sbm.csv"]
+        # v000 would save cleanly, but v001 would leave sbm.csv beside dyads.csv
+        code, err = self.run_synth(tmp_path, capsys, [dict(dyad, village_id="v000"), dyad])
+        assert code == 1
+        assert err == (
+            f"segnet synth: {corpus / 'v001'} holds sbm.csv, which saving village 'v001' "
+            "would not overwrite; remove it or save elsewhere\n"
+        )
+        assert sorted(p.name for p in corpus.iterdir()) == ["v001"]
+        assert {p.name: p.read_bytes() for p in (corpus / "v001").iterdir()} == before
+
     def test_generator_errors_carry_village_index(self, tmp_path, capsys):
         village = dict(SBM_VILLAGES[0], p_in=2.0)
         code, err = self.run_synth(tmp_path, capsys, [village])

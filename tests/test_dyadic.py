@@ -23,7 +23,7 @@ from segnet import (
     sex_permutation_tests,
 )
 from segnet import dyadic
-from segnet.dyadic import FitOptions, _wald_p_values
+from segnet.dyadic import _wald_p_values
 from segnet.pipeline import _feature_spec
 
 from .conftest import design_groups, make_table, random_graph
@@ -388,12 +388,13 @@ class TestLogisticFit:
         expected = 2.0 * stats.norm.sf(np.abs(fit.beta / fit.std_errors))
         np.testing.assert_array_equal(fit.p_values, expected, strict=True)
 
-    def test_p_values_are_the_wald_normal_tail(self):
+    def test_p_values_are_the_wald_normal_tail(self, monkeypatch):
         converged = fit_logistic(self.sample_design())
         diverging = fit_logistic(self.separated_design())
         # past the default bound the weights underflow and the information
         # matrix turns singular, so every standard error is NaN
-        singular = fit_logistic(self.separated_design(), FitOptions(divergence_bound=1e3))
+        monkeypatch.setattr(dyadic, "_DIVERGENCE_BOUND", 1e3)
+        singular = fit_logistic(self.separated_design())
         assert converged.converged and not diverging.converged
         assert np.isfinite(diverging.std_errors).all() and diverging.std_errors[0] > 1e3
         assert singular.diagnostic == "singular information matrix"
@@ -501,12 +502,13 @@ class TestSexPermutation:
             assert result.verdicts.mm == "assortative"
         assert result.n_replicates == 400
 
-    def test_replicate_counts_match_per_row_computation(self):
+    def test_replicate_counts_match_per_row_computation(self, monkeypatch):
         graph, sex = random_sexed_graph()
         table = make_table(range(30), sex=sex)
         seed, batch, target = 19, 64, 150
+        monkeypatch.setattr(dyadic, "_BATCH_SIZE", batch)
         result = sex_permutation_test(
-            graph, table, tolerance=0.1, target_replicates=target, seed=seed, batch_size=batch
+            graph, table, tolerance=0.1, target_replicates=target, seed=seed
         )
         assert result.n_attempts > batch  # the replicates span several batches
         # Replay the candidate stream: batch b permutes the sex-observed nodes
@@ -539,20 +541,14 @@ class TestSexPermutation:
         with pytest.raises(ValueError, match="both sexes"):
             sex_permutation_test(graph, table, tolerance=0.1)
 
-    def test_hopeless_acceptance_rate_raises(self):
+    def test_hopeless_acceptance_rate_raises(self, monkeypatch):
         # group mean degrees differ so much that almost no permutation is
         # valid at 5% tolerance
         graph, sex = clique_with_pendants()
         table = make_table(range(16), sex=sex)
+        monkeypatch.setattr(dyadic, "_MAX_ATTEMPTS", 2048)
         with pytest.raises(ValueError, match="acceptance rate"):
-            sex_permutation_test(
-                graph,
-                table,
-                tolerance=0.05,
-                target_replicates=50,
-                seed=13,
-                max_attempts=2048,
-            )
+            sex_permutation_test(graph, table, tolerance=0.05, target_replicates=50, seed=13)
 
     def test_two_sided_p_never_exceeds_one(self, two_triangles):
         graph, table = two_triangles
@@ -580,6 +576,12 @@ def record_draws(monkeypatch):
     return log
 
 
+def set_stream(monkeypatch, max_attempts, batch_size):
+    """Set the permutation stream's attempt limit and batch size."""
+    monkeypatch.setattr(dyadic, "_MAX_ATTEMPTS", max_attempts)
+    monkeypatch.setattr(dyadic, "_BATCH_SIZE", batch_size)
+
+
 def set_chunk_rows(monkeypatch, sex, chunk_rows):
     """Chunk budget giving ``chunk_rows`` candidate rows per chunk (None keeps the module's)."""
     if chunk_rows is not None:
@@ -591,12 +593,13 @@ class TestSharedPermutationStream:
     # not divide either batch size; 1-row chunks are the smallest.
     @pytest.mark.parametrize("chunk_rows", [None, 5, 1])
     @pytest.mark.parametrize(
-        "make, tolerances, options, failing",
+        "make, tolerances, options, stream, failing",
         [
             (
                 random_sexed_graph,
                 (0.02, 0.1, 0.3),
-                dict(target_replicates=150, seed=19, max_attempts=1_000_000, batch_size=64),
+                dict(target_replicates=150, seed=19),
+                dict(max_attempts=1_000_000, batch_size=64),
                 (False, False, False),
             ),
             # 0.05 admits about one permutation in 12870 and fails at 2048
@@ -604,22 +607,26 @@ class TestSharedPermutationStream:
             (
                 clique_with_pendants,
                 (0.05, 1.0, 5.0),
-                dict(target_replicates=20, seed=13, max_attempts=2048, batch_size=256),
+                dict(target_replicates=20, seed=13),
+                dict(max_attempts=2048, batch_size=256),
                 (True, False, False),
             ),
         ],
     )
     def test_equals_one_stream_per_tolerance(
-        self, make, tolerances, options, failing, chunk_rows, monkeypatch
+        self, make, tolerances, options, stream, failing, chunk_rows, monkeypatch
     ):
         graph, sex = make()
         table = make_table(range(graph.node_count), sex=sex)
+        set_stream(monkeypatch, **stream)
         set_chunk_rows(monkeypatch, sex, chunk_rows)
         outcomes = sex_permutation_tests(graph, table, tolerances, **options)
         assert [isinstance(o, ValueError) for o in outcomes] == list(failing)
         for tolerance, outcome in zip(tolerances, outcomes):
             try:
-                expected = sex_permutation_at_one_tolerance(graph, sex, tolerance, **options)
+                expected = sex_permutation_at_one_tolerance(
+                    graph, sex, tolerance, **options, **stream
+                )
             except ValueError as exc:
                 assert str(outcome) == str(exc)
                 continue
@@ -630,7 +637,9 @@ class TestSharedPermutationStream:
     def test_batch_stops_once_every_open_tolerance_is_complete(self, chunk_rows, monkeypatch):
         graph, sex = random_sexed_graph()
         table = make_table(range(30), sex=sex)
-        options = dict(target_replicates=150, seed=19, max_attempts=1_000_000, batch_size=64)
+        options = dict(target_replicates=150, seed=19)
+        stream = dict(max_attempts=1_000_000, batch_size=64)
+        set_stream(monkeypatch, **stream)
         set_chunk_rows(monkeypatch, sex, chunk_rows)
         drawn_rows = record_draws(monkeypatch)
         (alone,) = sex_permutation_tests(graph, table, (0.3,), **options)
@@ -647,14 +656,15 @@ class TestSharedPermutationStream:
         assert [sum(rows) for rows in drawn_rows[:-1]] == [64] * (len(drawn_rows) - 1)
         assert narrow.n_attempts == 64 * len(drawn_rows)
         for tolerance, outcome in ((0.02, narrow), (0.3, wide), (0.3, alone)):
-            expected = sex_permutation_at_one_tolerance(graph, sex, tolerance, **options)
+            expected = sex_permutation_at_one_tolerance(graph, sex, tolerance, **options, **stream)
             for name, value in expected.items():
                 assert repr(_plain(getattr(outcome, name))) == repr(_plain(value)), name
 
-    def test_single_tolerance_call_raises_the_tolerance_error(self):
+    def test_single_tolerance_call_raises_the_tolerance_error(self, monkeypatch):
         graph, sex = clique_with_pendants()
         table = make_table(range(16), sex=sex)
-        options = dict(target_replicates=20, seed=13, max_attempts=2048, batch_size=256)
+        set_stream(monkeypatch, max_attempts=2048, batch_size=256)
+        options = dict(target_replicates=20, seed=13)
         (failed, _) = sex_permutation_tests(graph, table, (0.05, 1.0), **options)
         with pytest.raises(ValueError) as info:
             sex_permutation_test(graph, table, 0.05, **options)
@@ -667,11 +677,6 @@ class TestSharedPermutationStream:
         with pytest.raises(ValueError, match="tolerance must be positive"):
             sex_permutation_tests(graph, table, (0.1, bad))
         assert drawn_rows == []  # raised before drawing a candidate
-
-    def test_batch_size_below_one_is_an_error(self, two_triangles):
-        graph, table = two_triangles
-        with pytest.raises(ValueError, match="batch_size must be at least 1"):
-            sex_permutation_tests(graph, table, (0.1,), batch_size=0)
 
 
 def survey_scale_village(n=1200, mean_degree=8.0, seed=411):

@@ -61,6 +61,20 @@ def test_edge_arrays_are_lexicographic_and_read_only():
         graph.neighbors[0] = 7
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=60),
+    nodes=st.lists(st.integers(0, 19), min_size=1, max_size=20),
+)
+def test_both_graph_builders_give_edges_in_increasing_lexicographic_order(pairs, nodes):
+    graph, _ = build_graph(pairs, node_ids=range(20))
+    sub, _ = induced_subgraph(graph, nodes)
+    for built in (graph, sub):
+        edges = list(zip(built.edge_u.tolist(), built.edge_v.tolist()))
+        assert all(u < v for u, v in edges)
+        assert edges == sorted(set(edges))
+
+
 def test_neighbor_lists_are_sorted():
     rng = np.random.default_rng(5)
     graph = random_graph(rng, 30, 0.2)

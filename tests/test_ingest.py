@@ -107,6 +107,66 @@ def test_save_refuses_numbers_that_are_not_whole(tmp_path):
     assert not (tmp_path / "saved").exists()
 
 
+def test_save_refuses_a_directory_with_a_csv_it_would_not_write(tmp_path):
+    graph, index = build_graph([("a", "b")])
+    dataset = VillageDataset(
+        village_id="v1",
+        graph=graph,
+        attributes=make_table(list(index), sex=[0, 1]),
+        layer_edges={"visit": (("a", "b"),)},
+    )
+    out = tmp_path / "saved"
+    out.mkdir()
+    (out / "visit.csv").write_text("old visit\n", encoding="utf-8")
+    (out / "sbm.csv").write_text("source,target\nx,y\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"saved holds sbm\.csv, which saving village 'v1'"):
+        save_village(dataset, out)
+    assert sorted(p.name for p in out.iterdir()) == ["sbm.csv", "visit.csv"]
+    assert (out / "visit.csv").read_text(encoding="utf-8") == "old visit\n"
+    (out / "sbm.csv").unlink()
+    save_village(dataset, out)  # the files it writes may already be there
+    assert sorted(p.name for p in out.iterdir()) == ["attributes.csv", "nodes.csv", "visit.csv"]
+
+
+def test_byte_order_marks_are_accepted(tmp_path):
+    edge_files, attr_path, nodes_path = write_village(
+        tmp_path,
+        {"visit": [("a", "b")], "help": [("b", "c")]},
+        ["a,male,30,hinduism,obc,10,1,0", "c,female,,,,,,"],
+        nodes=["a", "b", "c"],
+    )
+    config = IngestConfig(nodes_file=nodes_path)
+    plain = load_village(edge_files, attr_path, config)
+    for path in (*edge_files, attr_path, nodes_path):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_village(edge_files, attr_path, config).equals(plain)
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("visit.csv", "source,target\na,b\nb\n", "visit.csv:3: expected 2 fields, found 1"),
+        ("nodes.csv", "node_id\na\na\nb\n", "nodes.csv:3: duplicate node id 'a'"),
+        (
+            "attributes.csv",
+            "node_id,sex,age,religion,caste,education,workflag,savings\n"
+            "a,male,30,,,,,\nb,female,thirty,,,,,\n",
+            "attributes.csv:3: invalid age value 'thirty'",
+        ),
+    ],
+)
+def test_byte_order_mark_keeps_line_numbers(tmp_path, name, text, message):
+    edge_files, attr_path, nodes_path = write_village(
+        tmp_path, {"visit": [("a", "b")]}, ["a,male,30,,,,,"], nodes=["a", "b"]
+    )
+    bad = tmp_path / "v1" / name
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        bad.write_bytes(prefix + text.encode("utf-8"))
+        with pytest.raises(IngestError) as info:
+            load_village(edge_files, attr_path, IngestConfig(nodes_file=nodes_path))
+        assert str(info.value) == f"{bad.parent}/{message}"
+
+
 def test_duplicate_attribute_row_is_an_error_with_location(tmp_path):
     edge_files, attr_path, _ = write_village(
         tmp_path,

@@ -181,7 +181,7 @@ class TestParseRunConfig:
     )
     def test_nan_settings_are_errors(self, line, message):
         # Every comparison with NaN is False: a NaN tolerance would draw to
-        # max_attempts in every village, a NaN cutoff would empty its tables.
+        # the attempt limit in every village, a NaN cutoff would empty its tables.
         # A community threshold above 1 (5, meant as 5%) would leave every
         # village without a community network.
         with pytest.raises(ValueError, match=message):
@@ -217,6 +217,11 @@ class TestParseRunConfig:
 
 
 class TestConfigHash:
+    def test_default_hash_is_pinned(self):
+        assert config_sha256(RunConfig(corpus_dir="c", output_dir="o")) == (
+            "a558220b89bc566371502ad111f849efe97e950b6e8e29948ebabf319572fd64"
+        )
+
     def test_paths_and_workers_do_not_affect_hash(self):
         a = RunConfig(corpus_dir="/a", output_dir="/oa", workers=1)
         b = RunConfig(corpus_dir="/b", output_dir="/ob", workers=7)

@@ -20,6 +20,7 @@ from segnet import (
 
 from .conftest import random_graph
 from .oracles import (
+    community_network_by_dicts,
     naive_attribute_modularity,
     naive_within_between,
     segregation_report_by_subgraph,
@@ -180,6 +181,31 @@ def test_report_equals_the_induced_subgraph_oracle(case):
     assert between_community_modularity(graph, labels, partition) == (
         expected["q_between"], expected["q_between_max"], expected["q_between_norm"]
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=partitioned_graphs(),
+    node_min=st.floats(0.0, 1.0),
+    edge_min=st.floats(0.0, 1.0),
+    category_names=st.none() | st.lists(st.sampled_from(["a", "b", "2"]), max_size=4).map(tuple),
+)
+def test_community_network_equals_the_dict_oracle(case, node_min, edge_min, category_names):
+    n, edges, labels, communities = case
+    graph, _ = build_graph(edges, node_ids=range(n))
+    partition = Partition.from_assignment(graph, communities)
+    args = (graph, partition, labels, node_min, edge_min, category_names)
+    try:
+        oracle = community_network_by_dicts(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            build_community_network(*args)
+        assert str(info.value) == str(exc)
+        return
+    fast = build_community_network(*args)
+    assert asdict(fast) == asdict(oracle)
+    # the record is written as JSON: key order and value types count too
+    assert repr(asdict(fast)) == repr(asdict(oracle))
 
 
 class TestCommunityNetwork:
