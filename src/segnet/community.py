@@ -1,5 +1,9 @@
 """Community structure: seeded Louvain, partition modularity, and label agreement.
 
+Newman modularity (Newman & Girvan, Phys. Rev. E 69, 026113, 2004) is computed
+here alone, by ``_modularity`` and its ``_mixing`` kernel, for Louvain, for
+``modularity_of_partition`` and for every term of ``segnet.segregation``.
+
 The agreement score between two labelings is mutual information normalized by
 the larger of the two entropies; natural logarithms are used throughout (the
 normalized value is base-independent by construction).
@@ -77,22 +81,32 @@ class Partition:
         )
 
 
-def _modularity(graph: UndirectedGraph, h0: np.ndarray, n_communities: int) -> float:
-    """Newman modularity of 0-based labels ``h0`` in ``0 .. n_communities - 1``."""
-    m = graph.edge_count
-    same = h0[graph.edge_u] == h0[graph.edge_v]
-    m_in = np.bincount(h0[graph.edge_u][same], minlength=n_communities)
-    deg_sum = np.bincount(h0, weights=graph.degrees, minlength=n_communities)
-    return float((m_in / m).sum() - ((deg_sum / (2.0 * m)) ** 2).sum())
+def _check_partition(graph: UndirectedGraph, partition: Partition) -> None:
+    if partition.assignment.shape != (graph.node_count,):
+        raise ValueError("partition does not cover this graph")
+
+
+def _mixing(u: np.ndarray, v: np.ndarray, groups: np.ndarray) -> tuple[int, np.ndarray]:
+    """How many edges ``(u, v)`` join two nodes of one group (codes ``0 ..`` per
+    node), and each group's degree total over those edges, for every code."""
+    gu, gv = groups[u], groups[v]
+    k = int(groups.max()) + 1
+    return int((gu == gv).sum()), np.bincount(gu, minlength=k) + np.bincount(gv, minlength=k)
+
+
+def _modularity(u: np.ndarray, v: np.ndarray, groups: np.ndarray) -> float:
+    """Newman modularity of ``groups`` over the edges ``(u, v)``, of which there is at least one."""
+    m = u.size
+    same, totals = _mixing(u, v, groups)
+    return float(same / m - ((totals / (2.0 * m)) ** 2).sum())
 
 
 def modularity_of_partition(graph: UndirectedGraph, partition: Partition) -> float:
     """Newman modularity of a partition (all ordered pairs, i = j null term included)."""
     if graph.edge_count == 0:
         raise ValueError("modularity is undefined for an edgeless graph")
-    if partition.assignment.shape != (graph.node_count,):
-        raise ValueError("partition does not cover this graph")
-    return _modularity(graph, partition.assignment - 1, partition.n_communities)
+    _check_partition(graph, partition)
+    return _modularity(graph.edge_u, graph.edge_v, partition.assignment - 1)
 
 
 def _local_moving(
@@ -178,14 +192,14 @@ def louvain(graph: UndirectedGraph, seed: int) -> Partition:
     adj = [dict.fromkeys(neighbors[lo:hi], 1.0) for lo, hi in zip(bounds, bounds[1:])]
     loops = [0.0] * graph.node_count
     assignment = np.arange(graph.node_count)
-    q_prev = _modularity(graph, assignment, graph.node_count)
+    q_prev = _modularity(graph.edge_u, graph.edge_v, assignment)
     level_qs: list[float] = []
     while True:
         com = _local_moving(adj, loops, m, rng)
         com_dense = np.unique(np.asarray(com, dtype=np.int64), return_inverse=True)[1]
         n_communities = int(com_dense.max()) + 1
         assignment = com_dense[assignment]
-        q = _modularity(graph, assignment, n_communities)
+        q = _modularity(graph.edge_u, graph.edge_v, assignment)
         level_qs.append(q)
         if q - q_prev <= _LEVEL_GAIN_THRESHOLD or n_communities == len(adj):
             break

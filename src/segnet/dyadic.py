@@ -23,7 +23,7 @@ from .attributes import (
     AttributeTable,
     complete_case_mask,
 )
-from .graph import _CHUNK_ELEMENTS, UndirectedGraph
+from .graph import _CHUNK_ELEMENTS, UndirectedGraph, _edges_within
 
 __all__ = [
     "FeatureEncoding",
@@ -240,13 +240,10 @@ def build_dyad_design(
     held = row_pairs > 0
     row_key, row_pairs = row_key[held], row_pairs[held]
 
-    type_of = np.full(graph.node_count, -1, dtype=np.int64)
-    type_of[node_index] = node_type.reshape(-1)
-    tu = type_of[graph.edge_u]
-    tv = type_of[graph.edge_v]
-    keep = (tu >= 0) & (tv >= 0)
-    # Both pair features are symmetric, so (tu, tv) keys like its triangle pair.
-    edge_key = pair_keys(tu[keep], tv[keep])
+    node_type = node_type.reshape(-1)
+    eu, ev = _edges_within(graph, mask)
+    # Both pair features are symmetric, so an edge keys like its triangle pair.
+    edge_key = pair_keys(node_type[eu], node_type[ev])
     row_ties = np.bincount(np.searchsorted(row_key, edge_key), minlength=row_key.size)
 
     X = np.empty((row_key.size, len(names)))
@@ -473,7 +470,8 @@ def sex_permutation_tests(
     sex = table.labels("sex")
     if sex.shape != (graph.node_count,):
         raise ValueError("attribute table does not align with the graph")
-    observed_idx = np.flatnonzero(sex >= 0)
+    observed_mask = sex >= 0
+    observed_idx = np.flatnonzero(observed_mask)
     male = sex[observed_idx] == 0
     n_male = int(male.sum())
     n_female = int(observed_idx.size - n_male)
@@ -485,12 +483,7 @@ def sex_permutation_tests(
     male_mean = float(deg[male].mean())
     female_mean = float(deg[~male].mean())
 
-    pos = np.full(graph.node_count, -1, dtype=np.int64)
-    pos[observed_idx] = np.arange(observed_idx.size)
-    pu = pos[graph.edge_u]
-    pv = pos[graph.edge_v]
-    keep = (pu >= 0) & (pv >= 0)
-    eu_o, ev_o = pu[keep], pv[keep]
+    eu_o, ev_o = _edges_within(graph, observed_mask)
     # Degrees within the ties among sex-observed nodes.
     inner_degree = np.bincount(np.concatenate([eu_o, ev_o]), minlength=observed_idx.size)
 

@@ -161,6 +161,18 @@ def component_labels(graph: UndirectedGraph) -> tuple[np.ndarray, int]:
     return labels.astype(np.int64, copy=False), int(roots.size)
 
 
+def _edges_within(graph: UndirectedGraph, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges joining two nodes of boolean ``mask``, in edge order.
+
+    Each endpoint is given as its position in ``np.flatnonzero(mask)``.  The
+    renumbering is monotone, so the edges keep ``u < v`` and their
+    lexicographic order.
+    """
+    position = np.cumsum(mask) - 1
+    keep = mask[graph.edge_u] & mask[graph.edge_v]
+    return position[graph.edge_u[keep]], position[graph.edge_v[keep]]
+
+
 def induced_subgraph(
     graph: UndirectedGraph, nodes: Sequence[int] | np.ndarray
 ) -> tuple[UndirectedGraph, dict[int, int]]:
@@ -174,10 +186,9 @@ def induced_subgraph(
         raise ValueError("empty node selection")
     if nodes[0] < 0 or nodes[-1] >= graph.node_count:
         raise ValueError("node index out of range")
-    keep = np.isin(graph.edge_u, nodes) & np.isin(graph.edge_v, nodes)
-    eu = np.searchsorted(nodes, graph.edge_u[keep])
-    ev = np.searchsorted(nodes, graph.edge_v[keep])
-    sub = _compile(int(nodes.size), eu, ev)
+    mask = np.zeros(graph.node_count, dtype=bool)
+    mask[nodes] = True
+    sub = _compile(int(nodes.size), *_edges_within(graph, mask))
     mapping = {int(old): new for new, old in enumerate(nodes.tolist())}
     return sub, mapping
 

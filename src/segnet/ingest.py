@@ -284,7 +284,7 @@ def adapt_adjacency_matrix(matrix_file: str | Path) -> list[tuple[int, int]]:
     """
     path = Path(matrix_file)
     try:
-        mat = np.loadtxt(path, delimiter=",", ndmin=2)
+        mat = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
     except ValueError as exc:
         raise IngestError(f"{path}: cannot parse as a numeric matrix: {exc}") from None
     except OSError as exc:

@@ -270,9 +270,7 @@ def _nmi_section(v: _Village) -> dict[str, Any]:
 
 def _segregation_section(v: _Village) -> dict[str, Any]:
     def entry(attr: str) -> dict[str, Any]:
-        report = asdict(segregation_report(v.lcc, v.labels[attr], v.partition, attr))
-        del report["attribute"]
-        return report
+        return asdict(segregation_report(v.lcc, v.labels[attr], v.partition))
 
     return {attr: _or_error(entry, attr) for attr in v.cfg.attributes}
 
@@ -840,7 +838,8 @@ def summarize_output_directory(directory: str | Path) -> dict[str, list[dict]]:
     """Recompute summary tables from the bundles of the run recorded in an output directory.
 
     Refuses when the bundles on disk are not exactly the villages that
-    ``run_manifest.json`` lists as analyzed.
+    ``run_manifest.json`` lists as analyzed, or when a bundle is not a JSON
+    object of this ``SCHEMA_VERSION``.
     """
     out = Path(directory)
     bundle_files = sorted((out / "bundles").glob("*.json"))
@@ -849,7 +848,11 @@ def summarize_output_directory(directory: str | Path) -> dict[str, list[dict]]:
     manifest_path = out / "run_manifest.json"
     if not manifest_path.is_file():
         raise ValueError(f"no run manifest at {manifest_path}")
-    listed = set(json.loads(manifest_path.read_text(encoding="utf-8"))["villages_analyzed"])
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    listed = manifest.get("villages_analyzed") if isinstance(manifest, dict) else None
+    if not isinstance(listed, list) or not all(isinstance(vid, str) for vid in listed):
+        raise ValueError(f"{manifest_path}: 'villages_analyzed' is not a list of village ids")
+    listed = set(listed)
     found = {p.stem for p in bundle_files}
     if found != listed:
         raise ValueError(
@@ -857,6 +860,9 @@ def summarize_output_directory(directory: str | Path) -> dict[str, list[dict]]:
             f"not in the manifest {sorted(found - listed)}, missing {sorted(listed - found)}"
         )
     bundles = [json.loads(p.read_text(encoding="utf-8")) for p in bundle_files]
+    for path, bundle in zip(bundle_files, bundles):
+        if not isinstance(bundle, dict) or bundle.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(f"{path}: not a bundle of schema version {SCHEMA_VERSION}")
     tables = summarize_corpus(bundles)
     write_summaries(tables, out, bundles[0]["config_sha256"])
     return tables

@@ -3,7 +3,9 @@
 All attribute-dependent quantities are computed on the subgraph induced by
 the nodes whose attribute is observed, with degrees and edge totals
 recomputed there.  The structural partition is taken as given (found on the
-full graph) and restricted to the same nodes.
+full graph) and restricted to the same nodes.  The modularity formula and
+its edge and degree terms are ``segnet.community``'s ``_modularity`` and
+``_mixing``; this module only picks their edges and groups and normalizes.
 
 The within/between decomposition splits every edge by whether its endpoints
 share a community, then measures attribute assortativity separately inside
@@ -15,12 +17,12 @@ between) edge joins same-attribute nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .community import Partition
-from .graph import UndirectedGraph
+from .community import Partition, _check_partition, _mixing, _modularity
+from .graph import UndirectedGraph, _edges_within
 
 __all__ = [
     "SegregationReport",
@@ -36,26 +38,8 @@ __all__ = [
 ]
 
 
-class _LabeledEdges(NamedTuple):
-    """The edges of a graph that join labeled nodes, with those nodes' labels.
-
-    Endpoints are positions in ``nodes`` (the labeled nodes in index order),
-    so degrees counted from these edges are the degrees of the subgraph
-    induced by the labeled nodes.
-    """
-
-    nodes: np.ndarray
-    labels: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-
-    def degrees(self, edges: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """Per labeled node, the number of the selected edges it touches."""
-        k = self.nodes.size
-        return np.bincount(self.u[edges], minlength=k) + np.bincount(self.v[edges], minlength=k)
-
-
-def _labeled_edges(graph: UndirectedGraph, labels: Sequence[int] | np.ndarray) -> _LabeledEdges:
+def _labeled_edges(graph: UndirectedGraph, labels: Sequence[int] | np.ndarray) -> tuple:
+    """The labeled nodes, their labels, and the edges joining them (``_edges_within``)."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (graph.node_count,):
         raise ValueError("labels must cover every node (use negative codes for missing)")
@@ -63,57 +47,42 @@ def _labeled_edges(graph: UndirectedGraph, labels: Sequence[int] | np.ndarray) -
     nodes = np.flatnonzero(labeled)
     if nodes.size == 0:
         raise ValueError("no node carries the attribute")
-    position = np.cumsum(labeled) - 1
-    keep = labeled[graph.edge_u] & labeled[graph.edge_v]
-    return _LabeledEdges(
-        nodes, labels[nodes], position[graph.edge_u[keep]], position[graph.edge_v[keep]]
-    )
+    return (nodes, labels[nodes], *_edges_within(graph, labeled))
 
 
-def _check_partition(graph: UndirectedGraph, partition: Partition) -> None:
-    if partition.assignment.shape != (graph.node_count,):
-        raise ValueError("partition does not cover this graph")
-
-
-def _attribute_q(e: _LabeledEdges) -> float:
-    m = e.u.size
-    if m == 0:
+def _attribute_q(edges: tuple) -> float:
+    _, labels, u, v = edges
+    if u.size == 0:
         raise ValueError("no edges join labeled nodes")
-    e_same = int((e.labels[e.u] == e.labels[e.v]).sum())
-    deg_by_label = np.bincount(e.labels, weights=e.degrees())
-    return float(e_same / m - ((deg_by_label / (2.0 * m)) ** 2).sum())
+    return _modularity(u, v, labels)
 
 
-def _normalized(edge_term: float, null_term: float, two_m: float) -> tuple[float, float, float]:
-    q = (edge_term - null_term) / two_m
+def _split_q(edges: tuple, partition: Partition, within: bool) -> tuple[float, float, float]:
+    """Attribute assortativity of the within- or the between-community edges."""
+    nodes, labels, u, v = edges
+    comm = partition.assignment[nodes]
+    same_comm = comm[u] == comm[v]
+    side = same_comm if within else ~same_comm
+    u, v = u[side], v[side]
+    if u.size == 0:
+        kind = "within" if within else "between"
+        raise ValueError(f"no {kind}-community edges join labeled nodes")
+    # Edges and degree totals per (community, label) cell.
+    same, totals = _mixing(u, v, comm * (int(labels.max()) + 1) + labels)
+    null_sq = float((totals.astype(float) ** 2).sum())
+    if not within:
+        # No between edge joins one cell, and
+        # sum_ij k_i k_j [x_i = x_j][h_i != h_j]
+        #   = sum_a (sum_{x=a} k)^2 - sum_{c,a} (sum_{x=a,h=c} k)^2
+        same, label_totals = _mixing(u, v, labels)
+        null_sq = float((label_totals.astype(float) ** 2).sum()) - null_sq
+    two_m = 2.0 * u.size
+    null_term = null_sq / two_m
+    q = (2.0 * same - null_term) / two_m
     q_max = (two_m - null_term) / two_m
     # q_max == 0 forces q == 0 (all relevant degree mass in one cell); the
     # natural limit of q/q_max is 0 there.
-    q_norm = q / q_max if q_max > 0.0 else 0.0
-    return q, q_max, q_norm
-
-
-def _split_q(e: _LabeledEdges, partition: Partition, within: bool) -> tuple[float, float, float]:
-    """Attribute assortativity of the within- or the between-community edges."""
-    comm = partition.assignment[e.nodes]
-    same_comm = comm[e.u] == comm[e.v]
-    side = same_comm if within else ~same_comm
-    m_side = int(side.sum())
-    if m_side == 0:
-        kind = "within" if within else "between"
-        raise ValueError(f"no {kind}-community edges join labeled nodes")
-    edge_term = 2.0 * int((side & (e.labels[e.u] == e.labels[e.v])).sum())
-    k = e.degrees(side)
-    n_labels = int(e.labels.max()) + 1
-    group_sums = np.bincount(comm * n_labels + e.labels, weights=k)
-    null_sq = float((group_sums.astype(float) ** 2).sum())
-    if not within:
-        # sum_ij k_i k_j [x_i = x_j][h_i != h_j]
-        #   = sum_a (sum_{x=a} k)^2 - sum_{c,a} (sum_{x=a,h=c} k)^2
-        label_sums = np.bincount(e.labels, weights=k)
-        null_sq = float((label_sums.astype(float) ** 2).sum()) - null_sq
-    two_m = 2.0 * m_side
-    return _normalized(edge_term, null_sq / two_m, two_m)
+    return q, q_max, q / q_max if q_max > 0.0 else 0.0
 
 
 def attribute_modularity(graph: UndirectedGraph, labels: Sequence[int] | np.ndarray) -> float:
@@ -158,7 +127,6 @@ def between_community_modularity(
 class SegregationReport:
     """Every mixing measure for one attribute on one partitioned graph."""
 
-    attribute: str
     q_attr: float
     q_within: float
     q_between: float
@@ -173,7 +141,6 @@ def segregation_report(
     graph: UndirectedGraph,
     labels: Sequence[int] | np.ndarray,
     partition: Partition,
-    attribute: str,
 ) -> SegregationReport:
     """Attribute, within and between modularity from one pass over the edges."""
     edges = _labeled_edges(graph, labels)
@@ -182,7 +149,6 @@ def segregation_report(
     q_w, q_w_max, q_w_norm = _split_q(edges, partition, within=True)
     q_b, q_b_max, q_b_norm = _split_q(edges, partition, within=False)
     return SegregationReport(
-        attribute=attribute,
         q_attr=q_attr,
         q_within=q_w,
         q_between=q_b,
@@ -190,7 +156,7 @@ def segregation_report(
         q_between_max=q_b_max,
         q_within_norm=q_w_norm,
         q_between_norm=q_b_norm,
-        n_used=int(edges.nodes.size),
+        n_used=int(edges[0].size),
     )
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from ._special import expit
 from .attributes import ATTRIBUTE_NAMES, AttributeTable, missing_value, parse_cell
 from .community import Partition
-from .dyadic import FeatureEncoding, FeatureSpec, _feature_values, _pair_feature
 from .graph import build_graph
 from .ingest import VillageDataset
 
@@ -158,15 +157,14 @@ def generate_dyad_sample(
     n_nodes: int,
     seed: int,
     village_id: str = "dyadic",
-    spec: FeatureSpec | None = None,
 ) -> VillageDataset:
     """Sample a network whose ties follow the dyadic logistic model exactly.
 
     Each node draws a value per attribute from ``feature_law``; every
     unordered pair then ties with probability
-    ``logistic(beta0 + sum_d beta_d x_d)`` where the features come from
-    ``spec`` (default: match indicators on the law's attributes).  Raises if
-    any tie probability saturates to 0 or 1 in floating point.
+    ``logistic(beta0 + sum_d beta_d x_d)`` where ``x_d`` indicates that the
+    pair matches on attribute ``d`` of ``betas``.  Raises if any tie
+    probability saturates to 0 or 1 in floating point.
     """
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
@@ -185,19 +183,10 @@ def generate_dyad_sample(
         columns[attr][:] = _draw_column(rng, attr, law, n_nodes)
     table = AttributeTable(node_ids=node_ids, **columns)
 
-    if spec is None:
-        spec = FeatureSpec({attr: FeatureEncoding("match") for attr in betas})
-    names = [a for a in spec.names if a in betas]
-    if set(names) != set(betas):
-        raise ValueError("spec must cover exactly the attributes with coefficients")
-    beta_vec = np.array([betas[a] for a in names])
+    beta_vec = np.array(list(betas.values()))
     iu, ju = np.triu_indices(n_nodes, k=1)
-    cols = []
-    for attr in names:
-        enc = spec.encodings[attr]
-        values = _feature_values(table, attr, enc)
-        cols.append(_pair_feature(enc.kind, values[iu], values[ju]))
-    X = np.column_stack(cols).astype(float) if cols else np.empty((iu.size, 0))
+    matches = [lab[iu] == lab[ju] for lab in map(table.labels, betas)]
+    X = np.column_stack(matches).astype(float) if matches else np.empty((iu.size, 0))
     # expit runs per element in Python; the pairs share few distinct linear
     # predictors (at most 2^p with p match features), so evaluate those once.
     eta, inverse = np.unique(beta0 + X @ beta_vec, return_inverse=True)

@@ -517,8 +517,8 @@ def segregation_report_by_subgraph(graph, labels, partition):
     """Attribute, within and between modularity, each on the compiled subgraph
     induced by the labeled nodes.
 
-    Returns the ``SegregationReport`` fields but ``attribute`` by name and
-    raises ``ValueError`` with the production messages, in the same order.
+    Returns the ``SegregationReport`` fields by name and raises ``ValueError``
+    with the production messages, in the same order.
     """
     from segnet import induced_subgraph
 

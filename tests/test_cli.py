@@ -164,6 +164,38 @@ def test_summarize_without_bundles(tmp_path, capsys):
     assert err.startswith("segnet summarize: no bundles found under")
 
 
+@pytest.mark.parametrize(
+    "target, content, message",
+    [
+        ("run_manifest.json", "{}", "run_manifest.json: 'villages_analyzed' is not a list"),
+        ("bundles/v001.json", "[]", "v001.json: not a bundle of schema version 1"),
+    ],
+)
+def test_summarize_refuses_a_malformed_output_directory(tmp_path, capsys, target, content, message):
+    assert main(["synth", "--config", str(write_synth_config(tmp_path, SBM_VILLAGES[:1]))]) == 0
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text(
+        "corpus_dir = corpus\noutput_dir = out\nattributes = caste\n"
+        "permutation_replicates = 20\nworkers = 1\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(run_cfg)]) == 0
+    out_dir = tmp_path / "out"
+    summaries = sorted(out_dir.glob("summary_*.csv"))
+    assert summaries
+    for path in summaries:
+        path.write_text("stale\n", encoding="utf-8")
+    (out_dir / target).write_text(content, encoding="utf-8")
+    capsys.readouterr()
+
+    assert main(["summarize", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("segnet summarize: ")
+    assert message in err
+    assert all(path.read_text(encoding="utf-8") == "stale\n" for path in summaries)
+
+
 class TestSynthErrors:
     def run_synth(self, tmp_path, capsys, villages):
         cfg = write_synth_config(tmp_path, villages)

@@ -75,6 +75,26 @@ def test_both_graph_builders_give_edges_in_increasing_lexicographic_order(pairs,
         assert edges == sorted(set(edges))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
+    kind=st.sampled_from(["empty", "full", "random"]),
+    bits=st.lists(st.booleans(), min_size=12, max_size=12),
+)
+def test_edges_within_matches_a_loop_over_the_edges(pairs, kind, bits):
+    graph, _ = build_graph(pairs, node_ids=range(12))
+    mask = np.array({"empty": [False] * 12, "full": [True] * 12, "random": bits}[kind])
+    position = {node: k for k, node in enumerate(np.flatnonzero(mask).tolist())}
+    expected = [
+        (position[u], position[v])
+        for u, v in zip(graph.edge_u.tolist(), graph.edge_v.tolist())
+        if mask[u] and mask[v]
+    ]
+    u, v = graph_module._edges_within(graph, mask)
+    assert list(zip(u.tolist(), v.tolist())) == expected
+    assert expected == sorted(expected)
+
+
 def test_neighbor_lists_are_sorted():
     rng = np.random.default_rng(5)
     graph = random_graph(rng, 30, 0.2)

@@ -313,6 +313,12 @@ def test_adapt_adjacency_matrix_symmetrizes_by_or(tmp_path):
     assert adapt_adjacency_matrix(path) == [(0, 1), (1, 2)]
 
 
+def test_adapt_adjacency_matrix_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "adj.csv"
+    path.write_bytes(b"\xef\xbb\xbf0,1\n1,0\n")
+    assert adapt_adjacency_matrix(path) == [(0, 1)]
+
+
 def test_adapt_adjacency_matrix_validates_shape_and_values(tmp_path):
     bad_shape = tmp_path / "rect.csv"
     bad_shape.write_text("0,1,0\n1,0,1\n", encoding="utf-8")

@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from segnet import (
@@ -14,6 +14,7 @@ from segnet import (
     build_graph,
     community_network_to_dot,
     louvain,
+    modularity_of_partition,
     segregation_report,
     within_community_modularity,
 )
@@ -130,8 +131,7 @@ def test_error_paths():
 
 def test_report_is_consistent_with_components(bridged_triangles):
     graph, labels, partition = bridged_triangles
-    report = segregation_report(graph, labels, partition, "caste")
-    assert report.attribute == "caste"
+    report = segregation_report(graph, labels, partition)
     assert report.q_attr == attribute_modularity(graph, labels)
     assert (report.q_within, report.q_within_max, report.q_within_norm) == (
         within_community_modularity(graph, labels, partition)
@@ -168,11 +168,10 @@ def test_report_equals_the_induced_subgraph_oracle(case):
         expected = segregation_report_by_subgraph(graph, labels, partition)
     except ValueError as exc:
         with pytest.raises(ValueError) as info:
-            segregation_report(graph, labels, partition, "caste")
+            segregation_report(graph, labels, partition)
         assert str(info.value) == str(exc)
         return
-    report = asdict(segregation_report(graph, labels, partition, "caste"))
-    assert report.pop("attribute") == "caste"
+    report = asdict(segregation_report(graph, labels, partition))
     assert report == expected
     assert attribute_modularity(graph, labels) == expected["q_attr"]
     assert within_community_modularity(graph, labels, partition) == (
@@ -180,6 +179,20 @@ def test_report_equals_the_induced_subgraph_oracle(case):
     )
     assert between_community_modularity(graph, labels, partition) == (
         expected["q_between"], expected["q_between_max"], expected["q_between_norm"]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=partitioned_graphs())
+def test_attribute_modularity_of_the_partition_is_its_modularity(case):
+    """With every node labelled by its community, both scores are one formula
+    over the same edges and groups, so they agree to the last bit."""
+    n, edges, _, communities = case
+    graph, _ = build_graph(edges, node_ids=range(n))
+    assume(graph.edge_count > 0)
+    partition = Partition.from_assignment(graph, communities)
+    assert attribute_modularity(graph, partition.assignment - 1) == modularity_of_partition(
+        graph, partition
     )
 
 
