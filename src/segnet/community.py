@@ -110,35 +110,41 @@ def modularity_of_partition(graph: UndirectedGraph, partition: Partition) -> flo
 
 
 def _local_moving(
-    adj: list[dict[int, float]], loops: list[float], m: float, rng: np.random.Generator
+    adj: list[list[tuple[int, float]]], loops: list[float], m: float, rng: np.random.Generator
 ) -> list[int]:
     n = len(adj)
-    deg = [sum(nbrs.values()) + 2.0 * loops[i] for i, nbrs in enumerate(adj)]
+    deg = [sum(w for _, w in nbrs) + 2.0 * loops[i] for i, nbrs in enumerate(adj)]
     com = list(range(n))
     tot = deg.copy()
     order = np.arange(n)
     two_m = 2.0 * m
+    # acc[c] sums the visited node's weight into community c; weights are
+    # positive, so a zero marks a community not yet touched by this visit.
+    acc = [0.0] * n
     while True:
         moved = 0
         rng.shuffle(order)
         for i in order.tolist():
             ci = com[i]
-            nbr_weight: dict[int, float] = {}
-            for j, w in adj[i].items():
+            seen = []  # touched communities in first-touch (neighbour) order
+            for j, w in adj[i]:
                 cj = com[j]
-                nbr_weight[cj] = nbr_weight.get(cj, 0.0) + w
-            tot[ci] -= deg[i]
+                if not acc[cj]:
+                    seen.append(cj)
+                acc[cj] += w
+            deg_i = deg[i]
+            tot[ci] -= deg_i
             best_c = ci
-            best_gain = nbr_weight.get(ci, 0.0) - tot[ci] * deg[i] / two_m
-            for c, w in nbr_weight.items():
-                if c == ci:
-                    continue
-                gain = w - tot[c] * deg[i] / two_m
-                if gain > best_gain + _MOVE_GAIN_EPS:
-                    best_gain = gain
-                    best_c = c
+            best_gain = acc[ci] - tot[ci] * deg_i / two_m
+            for c in seen:
+                if c != ci:
+                    gain = acc[c] - tot[c] * deg_i / two_m
+                    if gain > best_gain + _MOVE_GAIN_EPS:
+                        best_gain = gain
+                        best_c = c
+                acc[c] = 0.0
             com[i] = best_c
-            tot[best_c] += deg[i]
+            tot[best_c] += deg_i
             if best_c != ci:
                 moved += 1
         if moved == 0:
@@ -146,24 +152,24 @@ def _local_moving(
 
 
 def _aggregate(
-    adj: list[dict[int, float]], loops: list[float], com: list[int]
-) -> tuple[list[dict[int, float]], list[float]]:
+    adj: list[list[tuple[int, float]]], loops: list[float], com: list[int]
+) -> tuple[list[list[tuple[int, float]]], list[float]]:
     k = max(com) + 1
     new_adj: list[dict[int, float]] = [dict() for _ in range(k)]
     new_loops = [0.0] * k
     for i, nbrs in enumerate(adj):
         ci = com[i]
         new_loops[ci] += loops[i]
-        for j, w in nbrs.items():
+        for j, w in nbrs:
             if j < i:
-                continue  # adjacency dicts hold both directions; visit each pair once
+                continue  # neighbour lists hold both directions; visit each pair once
             cj = com[j]
             if ci == cj:
                 new_loops[ci] += w
             else:
                 new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
                 new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
-    return new_adj, new_loops
+    return [list(nbrs.items()) for nbrs in new_adj], new_loops
 
 
 def louvain(graph: UndirectedGraph, seed: int) -> Partition:
@@ -175,6 +181,12 @@ def louvain(graph: UndirectedGraph, seed: int) -> Partition:
     modularity by no more than 1e-10; the coarsest assignment is mapped back
     to the original nodes.  Level 0 reads the graph's CSR arrays, so each
     node's neighbours are visited in ascending index order.
+
+    Each level holds one ``(neighbour, weight)`` list per node.  A visit sums
+    the node's weights per neighbouring community into one marker list
+    indexed by community, kept for the whole level and cleared after each
+    visit, and weighs the communities in the order the neighbours first
+    touch them; the first best gain ``w - tot[c] * deg[i] / (2m)`` wins.
 
     Each level's modularity is that of its assignment mapped back to the
     original graph, by the formula :func:`modularity_of_partition` uses; the
@@ -189,7 +201,7 @@ def louvain(graph: UndirectedGraph, seed: int) -> Partition:
     m = float(graph.edge_count)
     bounds = graph.indptr.tolist()
     neighbors = graph.neighbors.tolist()
-    adj = [dict.fromkeys(neighbors[lo:hi], 1.0) for lo, hi in zip(bounds, bounds[1:])]
+    adj = [[(j, 1.0) for j in neighbors[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
     loops = [0.0] * graph.node_count
     assignment = np.arange(graph.node_count)
     q_prev = _modularity(graph.edge_u, graph.edge_v, assignment)

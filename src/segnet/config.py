@@ -28,6 +28,10 @@ __all__ = [
     "parse_run_config",
 ]
 
+# The most worker processes a run may ask for.  A run never starts more
+# workers than it has villages.
+MAX_WORKERS = 64
+
 # Left edges of the upper bins; values below the first edge form bin 0.
 DEFAULT_AGE_BINS = (18.0, 31.0, 41.0, 51.0, 65.0)
 DEFAULT_EDUCATION_BINS = (1.0, 10.0, 14.0, 16.0)
@@ -84,6 +88,8 @@ class RunConfig:
             # leave every village without a community network.
             if not 0 <= getattr(self, key) <= 1:
                 raise ValueError(f"{key} must be between 0 and 1")
+        if self.workers > MAX_WORKERS:
+            raise ValueError(f"workers must be at most {MAX_WORKERS}")
         if self.permutation_replicates < 1:
             raise ValueError("permutation_replicates must be at least 1")
         if self.age_encoding not in ("match", "difference"):
@@ -196,7 +202,13 @@ def _substantive_config_dict(cfg: RunConfig) -> dict[str, Any]:
     }
 
 
+def _hash_config_dict(config: Any) -> str:
+    """SHA-256 of the canonical JSON of a ``_substantive_config_dict``, as
+    written into bundles, manifests and CSV headers."""
+    canonical = json.dumps(config, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def config_sha256(cfg: RunConfig) -> str:
     """Hash of every content-affecting config field."""
-    canonical = json.dumps(_substantive_config_dict(cfg), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _hash_config_dict(_substantive_config_dict(cfg))

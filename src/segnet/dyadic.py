@@ -434,6 +434,37 @@ def _permutation_result(
     )
 
 
+# PCG64's ``Generator.random`` is ``(raw >> 11) * 2**-53`` of one raw draw
+# per key, so the top 53 bits of the raw draws order the keys as the floats do.
+_KEY_LOW_BITS = np.uint64(0x7FF)
+
+
+def _permuted_males(
+    rng: np.random.Generator, shape: tuple[int, int], male: np.ndarray
+) -> np.ndarray:
+    """``male[np.argsort(rng.random(shape), axis=1)]``, drawing the same stream.
+
+    Each raw draw keeps its top 53 bits and takes its node's male bit as its
+    lowest bit, so sorting the packed keys carries each male bit to its key's
+    rank.  Two keys of a row tie only when adjacent sorted keys differ by at
+    most 1, which a row of n keys does with probability about n**2 / 2**54;
+    such a chunk is drawn again as floats and argsorted, ordering its ties as
+    before.
+    """
+    bits = rng.bit_generator
+    state = bits.state
+    packed = bits.random_raw(shape)
+    packed &= ~_KEY_LOW_BITS
+    packed |= male
+    packed.sort(axis=1)
+    # Flattened, a row boundary can only flag a tie that is not there.
+    if np.diff(packed.ravel()).min() <= 1:
+        bits.state = state
+        return male[np.argsort(rng.random(shape), axis=1)]
+    packed &= np.uint64(1)
+    return packed.astype(bool)
+
+
 def sex_permutation_tests(
     graph: UndirectedGraph,
     table: AttributeTable,
@@ -449,7 +480,11 @@ def sex_permutation_tests(
     seeded stream of candidate permutations, drawn in batches of
     ``_BATCH_SIZE`` until each tolerance has ``target_replicates``
     replicates or has failed, so a tolerance's result equals a test at that
-    tolerance alone.  Each batch is drawn and filtered in chunks of about
+    tolerance alone.  A candidate gives the sex-observed nodes' labels the
+    order of their uniform keys: ``_permuted_males`` sorts the keys' raw
+    draws packed with the male bits, which is exactly ``np.argsort`` of
+    ``Generator.random`` keys, and a candidate's male degree total is one
+    matrix-vector product.  Each batch is drawn and filtered in chunks of about
     ``_CHUNK_ELEMENTS`` keys, so the working set is bounded by that budget
     (times the mean degree for the tie counts) rather than by the batch
     size times the node count; a batch stops early once every tolerance
@@ -489,7 +524,9 @@ def sex_permutation_tests(
 
     def _tie_counts(male_rows: np.ndarray) -> np.ndarray:
         """(mm, mf, ff) tie counts for each row of a (replicates, nodes) male mask."""
-        mm = np.count_nonzero(male_rows[:, eu_o] & male_rows[:, ev_o], axis=1)
+        # Node-major, so each tie end gathers one contiguous row of replicates.
+        by_node = np.ascontiguousarray(male_rows.T)
+        mm = (by_node[eu_o] & by_node[ev_o]).sum(axis=0)
         # Summed inner degrees of the males count each mm tie twice, each mf tie once.
         mf = male_rows @ inner_degree - 2 * mm
         return np.column_stack([mm, mf, eu_o.size - mm - mf])
@@ -521,9 +558,10 @@ def sex_permutation_tests(
             if not open_now.size:
                 # No tolerance needs the rest of the batch, nor its valid count.
                 break
-            keys = rng.random((min(chunk_rows, _BATCH_SIZE - start), deg.size))
-            male_mat = male[np.argsort(keys, axis=1)]
-            md = (male_mat * deg).sum(axis=1) / n_male
+            shape = (min(chunk_rows, _BATCH_SIZE - start), deg.size)
+            male_mat = _permuted_males(rng, shape, male)
+            # Exact: the degrees are integers and their sums stay below 2**53.
+            md = male_mat @ deg / n_male
             fd = (deg_total - md * n_male) / n_female
             m_lo, m_hi, f_lo, f_hi = bounds[open_now].T[:, :, None]
             accept = (md >= m_lo) & (md <= m_hi) & (fd >= f_lo) & (fd <= f_hi)

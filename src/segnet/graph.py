@@ -80,7 +80,7 @@ class UndirectedGraph:
 
 def _compile(node_count: int, eu: np.ndarray, ev: np.ndarray) -> UndirectedGraph:
     """Assemble a graph from deduplicated ``u < v`` edge arrays in increasing
-    lexicographic order, as both callers pass them: ``build_graph`` from sorted
+    lexicographic order, as both callers pass them: ``_simple_graph`` from sorted
     unique keys, ``induced_subgraph`` by a monotone renumbering of sorted edges."""
     eu = np.asarray(eu, dtype=np.int64)
     ev = np.asarray(ev, dtype=np.int64)
@@ -119,11 +119,16 @@ def build_graph(
         flat = np.array([index[nid] for nid in ends], dtype=np.int64)
     except KeyError as exc:
         raise ValueError(f"edge references unknown node id {exc.args[0]!r}") from None
-    n = len(index)
-    lo, hi = np.sort(flat.reshape(-1, 2), axis=1).T
+    return _simple_graph(len(index), flat[0::2], flat[1::2]), index
+
+
+def _simple_graph(node_count: int, u: np.ndarray, v: np.ndarray) -> UndirectedGraph:
+    """The simple graph of the index pairs ``(u, v)``: repeated and reversed
+    pairs collapse to one edge and self loops are dropped."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
     keep = lo < hi
-    keys = np.unique(lo[keep] * n + hi[keep])
-    return _compile(n, keys // n, keys % n), index
+    keys = np.unique(lo[keep] * node_count + hi[keep])
+    return _compile(node_count, keys // node_count, keys % node_count)
 
 
 def component_labels(graph: UndirectedGraph) -> tuple[np.ndarray, int]:

@@ -10,14 +10,17 @@ Canonical on-disk layout for one village (all CSV, UTF-8):
 * optionally ``nodes.csv`` (header ``node_id``) fixing the node universe,
   which is how isolated survey respondents stay part of the network.
 
-Each file is read once, row by row, and blank rows are skipped.  The cell
-rules (empty = missing, case-insensitive categories, whole non-negative
-numbers) are the codec of ``segnet.attributes``: ``parse_cell`` reads each
-cell and ``format_cell`` writes it back.  A wrong header or field count, an
+Each file is read at once and checked column by column; blank rows are
+skipped.  The cell rules (empty = missing, case-insensitive categories,
+whole non-negative numbers) are the codec of ``segnet.attributes``:
+``parse_cell`` reads each distinct cell of a column once and ``format_cell``
+writes it back.  Bytes that are not UTF-8, a wrong header or field count, an
 empty or duplicate id, an edge endpoint outside ``nodes.csv``, an unknown
 category (unless ``coerce_unknown_categories``) or a bad or negative number
-raises ``IngestError`` naming ``file:line``.  The layers' pairs are
-deduplicated once, as the union graph is built.
+raise ``IngestError`` naming ``file:line`` of the first offending record, as
+a row-by-row reader would.  Ids become node indices once; each layer and the
+union graph are deduplicated as integer pair keys, and each layer's pairs
+are ordered as strings through the ids' string rank.
 
 An adapter converts square 0/1 adjacency matrices into edge lists.
 """
@@ -25,9 +28,11 @@ An adapter converts square 0/1 adjacency matrices into edge lists.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +44,7 @@ from .attributes import (
     missing_value,
     parse_cell,
 )
-from .graph import UndirectedGraph, build_graph
+from .graph import UndirectedGraph, _simple_graph
 
 __all__ = [
     "IngestError",
@@ -102,83 +107,143 @@ class VillageDataset:
         )
 
 
-def _read_rows(path: Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(lineno, stripped fields)`` for each non-blank data record of ``path``.
+def _line_breaks(text: str) -> int:
+    """Line breaks in ``text``, counted as a file opened with ``newline=""`` splits lines."""
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
 
-    ``lineno`` is the physical line the record starts on (a quoted field may
-    span lines).  The header must match ``header`` case-insensitively and
-    every row must have one field per header column.
+
+class _CsvFile:
+    """One CSV file read at once, as stripped columns of its data records.
+
+    The header must match ``header`` case-insensitively; blank rows are
+    skipped.  ``columns`` holds the records before the first one whose field
+    count is wrong, so every column has ``size`` entries.
     """
-    # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write.
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or tuple(h.strip().lower() for h in first) != header:
+
+    def __init__(self, path: Path, header: tuple[str, ...]) -> None:
+        self.path = path
+        data = path.read_bytes()
+        try:
+            # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write.
+            text = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            line = 1 + _line_breaks(exc.object[: exc.start].decode("utf-8"))
+            raise IngestError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            self._rows = list(reader)
+        except csv.Error as exc:
+            raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
+        if not self._rows or tuple(h.strip().lower() for h in self._rows[0]) != header:
             raise IngestError(f"{path}:1: expected header {','.join(header)!r}")
-        expected = f"{len(header)} field" + ("s" if len(header) > 1 else "")
-        next_line = reader.line_num + 1
-        for row in reader:
-            lineno, next_line = next_line, reader.line_num + 1
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise IngestError(f"{path}:{lineno}: expected {expected}, found {len(row)}")
-            yield lineno, [text.strip() for text in row]
+        self._width = len(header)
+        self._records = [row for row in self._rows[1:] if len(row) > 1 or row and row[0].strip()]
+        lengths = np.fromiter(map(len, self._records), np.int64, len(self._records))
+        wrong = np.flatnonzero(lengths != self._width)
+        self.size = int(wrong[0]) if wrong.size else len(self._records)
+        kept = self._records[: self.size]
+        self.columns = [list(map(str.strip, col)) for col in zip(*kept)] or [[] for _ in header]
+
+    def check(self, faults: Sequence[tuple[np.ndarray, Callable[[int], str]]]) -> None:
+        """Raise the error of the first faulty record, as a row-by-row reader would.
+
+        ``faults`` pairs a mask over the records in ``columns`` with the
+        message for a record it marks, in the order a row's checks run.  A
+        record whose field count is wrong comes after all of those records.
+        """
+        masks = np.array([mask for mask, _ in faults])
+        if masks.any():
+            k = int(masks.any(axis=0).argmax())
+            raise self._error(k, faults[int(masks[:, k].argmax())][1](k))
+        if self.size < len(self._records):
+            expected = f"{self._width} field" + ("s" if self._width > 1 else "")
+            found = len(self._records[self.size])
+            raise self._error(self.size, f"expected {expected}, found {found}")
+
+    def _error(self, k: int, message: str) -> IngestError:
+        """``message`` for data record ``k``, located at the line the record starts on."""
+        record = self._records[k]
+        raw = next(r for r, row in enumerate(self._rows) if row is record)
+        line = 1 + sum(1 + sum(map(_line_breaks, row)) for row in self._rows[:raw])
+        return IngestError(f"{self.path}:{line}: {message}")
 
 
-def _read_edge_file(path: Path, universe: frozenset[str] | None = None) -> tuple[tuple[str, str], ...]:
-    pairs: set[tuple[str, str]] = set()
-    for lineno, (a, b) in _read_rows(path, ("source", "target")):
-        if not a or not b:
-            raise IngestError(f"{path}:{lineno}: empty node id")
-        if universe is not None:
-            for nid in (a, b):
-                if nid not in universe:
-                    raise IngestError(
-                        f"{path}:{lineno}: edge references node id {nid!r} "
-                        "outside the declared node list"
-                    )
-        pairs.add((a, b) if a <= b else (b, a))
-    return tuple(sorted(pairs))
+def _flags(values: Iterable[object], size: int) -> np.ndarray:
+    return np.fromiter(values, bool, size)
+
+
+def _repeats(ids: list[str]) -> np.ndarray:
+    """Mask of the ids equal to an earlier one."""
+    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+    return np.fromiter(map(first.__getitem__, ids), np.int64, len(ids)) != np.arange(len(ids))
 
 
 def _read_nodes_file(path: Path) -> tuple[str, ...]:
-    ids: dict[str, None] = {}  # an insertion-ordered set
-    for lineno, (nid,) in _read_rows(path, ("node_id",)):
-        if nid in ids:
-            raise IngestError(f"{path}:{lineno}: duplicate node id {nid!r}")
-        ids[nid] = None
+    table = _CsvFile(path, ("node_id",))
+    (ids,) = table.columns
+    table.check([(_repeats(ids), lambda k: f"duplicate node id {ids[k]!r}")])
     return tuple(ids)
+
+
+def _read_edge_file(path: Path, universe: Container[str] | None) -> tuple[list[str], list[str]]:
+    """The stripped source and target columns of a layer file."""
+    table = _CsvFile(path, ("source", "target"))
+    a, b = table.columns
+    size = table.size
+    faults = [(~_flags(map(all, zip(a, b)), size), lambda k: "empty node id")]
+    if universe is not None:
+        for ends in (a, b):
+            faults.append((
+                ~_flags(map(universe.__contains__, ends), size),
+                lambda k, ends=ends: (
+                    f"edge references node id {ends[k]!r} outside the declared node list"
+                ),
+            ))
+    table.check(faults)
+    return a, b
 
 
 def _read_attribute_file(
     path: Path, index: Mapping[str, int], coerce: bool
 ) -> tuple[AttributeTable, tuple[str, ...]]:
     """Covariates aligned with ``index``, and the sorted ids outside it."""
-    n = len(index)
-    # Row n takes the rows of ids outside the universe, which are parsed and
-    # checked like the others and then dropped.
-    columns = {attr: np.full(n + 1, missing_value(attr)) for attr in ATTRIBUTE_NAMES}
-    seen: set[str] = set()
-    unmatched: list[str] = []
-    for lineno, (nid, *texts) in _read_rows(path, _ATTRIBUTE_HEADER):
-        if not nid:
-            raise IngestError(f"{path}:{lineno}: empty node id")
-        if nid in seen:
-            raise IngestError(f"{path}:{lineno}: duplicate node id {nid!r}")
-        seen.add(nid)
-        pos = index.get(nid, n)
-        if pos == n:
-            unmatched.append(nid)
-        for attr, text in zip(ATTRIBUTE_NAMES, texts):
+    table = _CsvFile(path, _ATTRIBUTE_HEADER)
+    ids, *texts = table.columns
+    size = table.size
+    faults = [
+        (~_flags(map(bool, ids), size), lambda k: "empty node id"),
+        (_repeats(ids), lambda k: f"duplicate node id {ids[k]!r}"),
+    ]
+    values = {}
+    for attr, cells in zip(ATTRIBUTE_NAMES, texts):
+        # Each distinct cell is parsed once; a coerced category is missing.
+        parsed: dict[str, int | float] = {}
+        errors: dict[str, str] = {}
+        for text in dict.fromkeys(cells):
             try:
-                columns[attr][pos] = parse_cell(attr, text)
+                parsed[text] = parse_cell(attr, text)
             except ValueError as exc:
-                # A coerced category keeps the missing value its column starts with.
+                parsed[text] = missing_value(attr)
                 if not (coerce and attr in CATEGORICAL_ATTRIBUTES):
-                    raise IngestError(f"{path}:{lineno}: {exc}") from None
-    table = AttributeTable(tuple(index), **{attr: col[:n] for attr, col in columns.items()})
-    return table, tuple(sorted(unmatched))
+                    errors[text] = str(exc)
+        values[attr] = np.array(list(map(parsed.__getitem__, cells)))
+        faults.append((
+            _flags(map(errors.__contains__, cells), size),
+            lambda k, cells=cells, errors=errors: errors[cells[k]],
+        ))
+    table.check(faults)
+
+    n = len(index)
+    # Row n takes the rows of ids outside the universe, which are dropped.
+    pos = np.fromiter(map(index.get, ids, repeat(n, size)), np.int64, size)
+    columns = {}
+    for attr in ATTRIBUTE_NAMES:
+        columns[attr] = np.full(n + 1, missing_value(attr))
+        if size:
+            columns[attr][pos] = values[attr]
+    unmatched = sorted(ids[k] for k in np.flatnonzero(pos == n).tolist())
+    attributes = AttributeTable(tuple(index), **{attr: col[:n] for attr, col in columns.items()})
+    return attributes, tuple(unmatched)
 
 
 def load_village(
@@ -198,20 +263,33 @@ def load_village(
     node_ids = None if config.nodes_file is None else _read_nodes_file(Path(config.nodes_file))
     universe = None if node_ids is None else frozenset(node_ids)
 
-    layers: dict[str, tuple[tuple[str, str], ...]] = {}
+    ends: dict[str, tuple[list[str], list[str]]] = {}
     for ef in edge_files:
         p = Path(ef)
         name = p.stem
-        if name in layers:
+        if name in ends:
             raise IngestError(f"duplicate relation layer name {name!r}")
-        layers[name] = _read_edge_file(p, universe)
+        ends[name] = _read_edge_file(p, universe)
 
-    try:
-        graph, index = build_graph(
-            (pair for pairs in layers.values() for pair in pairs), node_ids=node_ids
-        )
-    except ValueError as exc:
-        raise IngestError(str(exc)) from None
+    if node_ids is None:
+        node_ids = tuple(sorted(set().union(*chain.from_iterable(ends.values()))))
+    n = len(node_ids)
+    index = dict(zip(node_ids, range(n)))
+    # Each layer's pairs are ordered and sorted as strings, by the ids' string rank.
+    by_text = sorted(node_ids)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.fromiter(map(index.__getitem__, by_text), np.int64, n)] = np.arange(n)
+    layers: dict[str, tuple[tuple[str, str], ...]] = {}
+    us, vs = [], []
+    for name, (a, b) in ends.items():
+        us.append(np.fromiter(map(index.__getitem__, a), np.int64, len(a)))
+        vs.append(np.fromiter(map(index.__getitem__, b), np.int64, len(b)))
+        ru, rv = rank[us[-1]], rank[vs[-1]]
+        keys = np.unique(np.minimum(ru, rv) * n + np.maximum(ru, rv))
+        lo = map(by_text.__getitem__, (keys // n).tolist())
+        hi = map(by_text.__getitem__, (keys % n).tolist())
+        layers[name] = tuple(zip(lo, hi))
+    graph = _simple_graph(n, np.concatenate(us), np.concatenate(vs))
 
     table, unmatched = _read_attribute_file(attribute_path, index, config.coerce_unknown_categories)
     village_id = config.village_id or attribute_path.parent.name or attribute_path.stem

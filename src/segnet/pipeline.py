@@ -33,7 +33,9 @@ import numpy as np
 from .attributes import CATEGORICAL_ATTRIBUTES, AttributeTable, complete_case_mask
 from .community import Partition, louvain, modularity_of_partition, nmi
 from .config import (
+    MAX_WORKERS,
     RunConfig,
+    _hash_config_dict,
     _substantive_config_dict,
     config_sha256,
     load_run_config,  # not called here; perfbench/runner.py reads it by this name
@@ -304,6 +306,13 @@ _SECTIONS: tuple[tuple[str, Callable[[_Village], dict[str, Any]]], ...] = (
 )
 
 
+# The keys of a bundle as written to disk: analyze_village's, less its two private ones.
+_BUNDLE_KEYS = frozenset(
+    ("schema_version", "config_sha256", "config", "village_id", "relation_layers",
+     "n_unmatched_attribute_rows", *(name for name, _ in _SECTIONS))
+)
+
+
 def analyze_village(dataset: VillageDataset, cfg: RunConfig) -> dict[str, Any]:
     """Full single-village analysis; returns the JSON-ready bundle.
 
@@ -371,8 +380,7 @@ def _atomic_open(path: Path, newline: str | None = None) -> Iterator[TextIO]:
 
 def _write_json(path: Path, obj: Any) -> None:
     with _atomic_open(path) as fh:
-        json.dump(_json_safe(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(_json_safe(obj), indent=2, sort_keys=True) + "\n")
 
 
 def _meta_line(config_hash: str) -> str:
@@ -511,6 +519,8 @@ def _resolve_workers(cfg: RunConfig) -> int:
             requested = int(env)
         except ValueError:
             raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
+        if requested > MAX_WORKERS:
+            raise ValueError(f"{WORKERS_ENV_VAR} must be at most {MAX_WORKERS}, got {requested}")
     else:
         requested = cfg.workers
     if requested <= 0:
@@ -555,8 +565,8 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     villages = _discover_villages(cfg)
     tasks = [(str(p), cfg) for p in villages]
     missing = set(cfg.village_ids) - {p.name for p in villages}
-    workers = _resolve_workers(cfg)
-    if workers <= 1 or len(tasks) <= 1:
+    workers = min(_resolve_workers(cfg), len(tasks))
+    if workers <= 1:
         outcomes = [_process_village(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -834,12 +844,37 @@ def write_summaries(tables: Mapping[str, list[dict]], out: Path, config_hash: st
             _write_csv(path, table.columns, tables[table.name], config_hash)
 
 
+def _read_json(path: Path) -> Any:
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # a JSON or a UTF-8 decode error
+        raise ValueError(f"{path}: not a JSON file: {exc}") from None
+
+
+def _check_bundle(path: Path, bundle: Any) -> None:
+    """Refuse a bundle that ``summarize_corpus`` cannot read, naming its file."""
+    if not isinstance(bundle, dict) or bundle.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"{path}: not a bundle of schema version {SCHEMA_VERSION}")
+    if bundle.keys() != _BUNDLE_KEYS:
+        raise ValueError(
+            f"{path}: bundle keys missing {sorted(_BUNDLE_KEYS - bundle.keys())}, "
+            f"unexpected {sorted(bundle.keys() - _BUNDLE_KEYS)}"
+        )
+    for name, _ in _SECTIONS:
+        if not isinstance(bundle[name], dict):
+            raise ValueError(f"{path}: bundle section {name!r} is not a JSON object")
+    if bundle["config_sha256"] != _hash_config_dict(bundle["config"]):
+        raise ValueError(f"{path}: config_sha256 is not the hash of the bundle's config")
+
+
 def summarize_output_directory(directory: str | Path) -> dict[str, list[dict]]:
     """Recompute summary tables from the bundles of the run recorded in an output directory.
 
-    Refuses when the bundles on disk are not exactly the villages that
-    ``run_manifest.json`` lists as analyzed, or when a bundle is not a JSON
-    object of this ``SCHEMA_VERSION``.
+    Refuses, naming the file, when the bundles on disk are not exactly the
+    villages that ``run_manifest.json`` lists as analyzed, when a file is not
+    JSON, or when a bundle is not one that ``analyze_village`` writes at this
+    ``SCHEMA_VERSION``: other top-level keys, a section that is not a JSON
+    object, or a ``config_sha256`` that is not its config's hash.
     """
     out = Path(directory)
     bundle_files = sorted((out / "bundles").glob("*.json"))
@@ -848,7 +883,7 @@ def summarize_output_directory(directory: str | Path) -> dict[str, list[dict]]:
     manifest_path = out / "run_manifest.json"
     if not manifest_path.is_file():
         raise ValueError(f"no run manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _read_json(manifest_path)
     listed = manifest.get("villages_analyzed") if isinstance(manifest, dict) else None
     if not isinstance(listed, list) or not all(isinstance(vid, str) for vid in listed):
         raise ValueError(f"{manifest_path}: 'villages_analyzed' is not a list of village ids")
@@ -859,10 +894,9 @@ def summarize_output_directory(directory: str | Path) -> dict[str, list[dict]]:
             f"bundles under {out / 'bundles'} do not match {manifest_path.name}: "
             f"not in the manifest {sorted(found - listed)}, missing {sorted(listed - found)}"
         )
-    bundles = [json.loads(p.read_text(encoding="utf-8")) for p in bundle_files]
+    bundles = [_read_json(p) for p in bundle_files]
     for path, bundle in zip(bundle_files, bundles):
-        if not isinstance(bundle, dict) or bundle.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"{path}: not a bundle of schema version {SCHEMA_VERSION}")
+        _check_bundle(path, bundle)
     tables = summarize_corpus(bundles)
     write_summaries(tables, out, bundles[0]["config_sha256"])
     return tables

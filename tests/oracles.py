@@ -3,9 +3,8 @@
 Everything here trades speed for obviousness: plain double loops over node
 pairs, exhaustive enumeration of permutations, and closed forms on
 sufficient statistics.  Production code must agree with these within tight
-tolerances.  Apart from ``louvain_by_level_dicts``, which reuses the
-package's local moving and aggregation steps, none of this code shares logic
-with the package.
+tolerances.  None of this code shares logic with the package, apart from the
+level score that a caller of ``louvain_by_level_dicts`` may pass in.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from scipy import sparse, stats
 
 from segnet import AttributeTable, IngestConfig, IngestError, Partition, VillageDataset
 from segnet.attributes import ATTRIBUTE_NAMES, CATEGORICAL_ATTRIBUTES
-from segnet.community import _LEVEL_GAIN_THRESHOLD, _aggregate, _local_moving
+from segnet.community import _LEVEL_GAIN_THRESHOLD, _MOVE_GAIN_EPS
 from segnet.graph import UndirectedGraph
 from segnet.segregation import CommunityNetwork, CommunityNode, CommunityTie
 
@@ -861,10 +860,64 @@ def load_village_by_rows(edge_files, attribute_file, config=IngestConfig()):
     )
 
 
-# Louvain with level 0 built by a loop over the edge list and every level
-# scored on its own (possibly aggregated) adjacency dicts.  Local moving and
-# aggregation are the package's; the level-0 neighbour order and the level
-# modularities are computed here independently.
+# Louvain on adjacency dicts: level 0 is built by a loop over the edge list,
+# local moving sums each visited node's weights per neighbour community in a
+# dict, and every level is scored on its own (possibly aggregated) adjacency
+# dicts.  The visit order, gain expression and tie-break are the algorithm's
+# definition, so the package must reproduce the partitions exactly.
+
+
+def _local_moving_by_dicts(adj, loops, m, rng):
+    n = len(adj)
+    deg = [sum(nbrs.values()) + 2.0 * loops[i] for i, nbrs in enumerate(adj)]
+    com = list(range(n))
+    tot = deg.copy()
+    order = np.arange(n)
+    two_m = 2.0 * m
+    while True:
+        moved = 0
+        rng.shuffle(order)
+        for i in order.tolist():
+            ci = com[i]
+            nbr_weight = {}
+            for j, w in adj[i].items():
+                cj = com[j]
+                nbr_weight[cj] = nbr_weight.get(cj, 0.0) + w
+            tot[ci] -= deg[i]
+            best_c = ci
+            best_gain = nbr_weight.get(ci, 0.0) - tot[ci] * deg[i] / two_m
+            for c, w in nbr_weight.items():
+                if c == ci:
+                    continue
+                gain = w - tot[c] * deg[i] / two_m
+                if gain > best_gain + _MOVE_GAIN_EPS:
+                    best_gain = gain
+                    best_c = c
+            com[i] = best_c
+            tot[best_c] += deg[i]
+            if best_c != ci:
+                moved += 1
+        if moved == 0:
+            return com
+
+
+def _aggregate_by_dicts(adj, loops, com):
+    k = max(com) + 1
+    new_adj = [dict() for _ in range(k)]
+    new_loops = [0.0] * k
+    for i, nbrs in enumerate(adj):
+        ci = com[i]
+        new_loops[ci] += loops[i]
+        for j, w in nbrs.items():
+            if j < i:
+                continue
+            cj = com[j]
+            if ci == cj:
+                new_loops[ci] += w
+            else:
+                new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
+                new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
+    return new_adj, new_loops
 
 
 def _initial_level_by_edges(graph):
@@ -892,8 +945,13 @@ def _level_modularity(adj, loops, com, m):
     return sum(inners[c] / two_m - (totals[c] / two_m) ** 2 for c in totals)
 
 
-def louvain_by_level_dicts(graph, seed):
-    """``louvain`` with an edge-loop level 0 and per-level dict modularities."""
+def louvain_by_level_dicts(graph, seed, score=None):
+    """``louvain`` with dict local moving and aggregation, an edge-loop level 0
+    and per-level dict modularities.
+
+    ``score``, when given, scores each level instead: it is called with the
+    level's assignment mapped back to ``graph``'s nodes.
+    """
     if graph.node_count == 0:
         raise ValueError("empty graph")
     if graph.edge_count == 0:
@@ -902,18 +960,24 @@ def louvain_by_level_dicts(graph, seed):
     m = float(graph.edge_count)
     adj, loops = _initial_level_by_edges(graph)
     assignment = np.arange(graph.node_count)
-    q_prev = _level_modularity(adj, loops, list(range(len(adj))), m)
+    if score is None:
+        q_prev = _level_modularity(adj, loops, list(range(len(adj))), m)
+    else:
+        q_prev = score(assignment)
     level_qs = []
     while True:
-        com = _local_moving(adj, loops, m, rng)
+        com = _local_moving_by_dicts(adj, loops, m, rng)
         com_dense = np.unique(np.asarray(com, dtype=np.int64), return_inverse=True)[1]
-        q = _level_modularity(adj, loops, com_dense.tolist(), m)
         assignment = com_dense[assignment]
+        if score is None:
+            q = _level_modularity(adj, loops, com_dense.tolist(), m)
+        else:
+            q = score(assignment)
         level_qs.append(q)
         n_communities = int(com_dense.max()) + 1
         if q - q_prev <= _LEVEL_GAIN_THRESHOLD or n_communities == len(adj):
             break
-        adj, loops = _aggregate(adj, loops, com_dense.tolist())
+        adj, loops = _aggregate_by_dicts(adj, loops, com_dense.tolist())
         q_prev = q
     partition = Partition.from_assignment(graph, assignment + 1)
     return replace(

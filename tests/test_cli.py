@@ -164,14 +164,8 @@ def test_summarize_without_bundles(tmp_path, capsys):
     assert err.startswith("segnet summarize: no bundles found under")
 
 
-@pytest.mark.parametrize(
-    "target, content, message",
-    [
-        ("run_manifest.json", "{}", "run_manifest.json: 'villages_analyzed' is not a list"),
-        ("bundles/v001.json", "[]", "v001.json: not a bundle of schema version 1"),
-    ],
-)
-def test_summarize_refuses_a_malformed_output_directory(tmp_path, capsys, target, content, message):
+def finished_synth_run(tmp_path):
+    """Output directory of a one-village run whose summaries are then overwritten."""
     assert main(["synth", "--config", str(write_synth_config(tmp_path, SBM_VILLAGES[:1]))]) == 0
     run_cfg = tmp_path / "run.cfg"
     run_cfg.write_text(
@@ -185,15 +179,79 @@ def test_summarize_refuses_a_malformed_output_directory(tmp_path, capsys, target
     assert summaries
     for path in summaries:
         path.write_text("stale\n", encoding="utf-8")
-    (out_dir / target).write_text(content, encoding="utf-8")
-    capsys.readouterr()
+    return out_dir, summaries
 
+
+def assert_summarize_refuses(out_dir, summaries, capsys, message):
+    """``segnet summarize`` exits 1 with one message line and leaves the summaries alone."""
+    capsys.readouterr()
     assert main(["summarize", str(out_dir)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("segnet summarize: ")
     assert message in err
     assert all(path.read_text(encoding="utf-8") == "stale\n" for path in summaries)
+
+
+@pytest.mark.parametrize(
+    "target, content, message",
+    [
+        ("run_manifest.json", "{}", "run_manifest.json: 'villages_analyzed' is not a list"),
+        ("bundles/v001.json", "[]", "v001.json: not a bundle of schema version 1"),
+    ],
+)
+def test_summarize_refuses_a_malformed_output_directory(tmp_path, capsys, target, content, message):
+    out_dir, summaries = finished_synth_run(tmp_path)
+    (out_dir / target).write_text(content, encoding="utf-8")
+    assert_summarize_refuses(out_dir, summaries, capsys, message)
+
+
+def _keep_only_the_schema_version(bundle):
+    bundle.clear()
+    bundle["schema_version"] = 1
+
+
+def _drop_config_attributes(bundle):
+    del bundle["config"]["attributes"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            _keep_only_the_schema_version,
+            "v001.json: bundle keys missing ['community_networks', 'config', 'config_sha256',",
+        ),
+        (
+            lambda bundle: bundle.update(extra=1),
+            "v001.json: bundle keys missing [], unexpected ['extra']",
+        ),
+        (
+            _drop_config_attributes,
+            "v001.json: config_sha256 is not the hash of the bundle's config",
+        ),
+        (
+            lambda bundle: bundle.update(nmi=[]),
+            "v001.json: bundle section 'nmi' is not a JSON object",
+        ),
+    ],
+    ids=["schema-version-only", "extra-key", "config-without-attributes", "nmi-list"],
+)
+def test_summarize_refuses_a_bundle_it_cannot_read(tmp_path, capsys, edit, message):
+    out_dir, summaries = finished_synth_run(tmp_path)
+    path = out_dir / "bundles" / "v001.json"
+    bundle = json.loads(path.read_text(encoding="utf-8"))
+    edit(bundle)
+    path.write_text(json.dumps(bundle), encoding="utf-8")
+    assert_summarize_refuses(out_dir, summaries, capsys, message)
+
+
+@pytest.mark.parametrize("target", ["run_manifest.json", "bundles/v001.json"])
+@pytest.mark.parametrize("data", [b"{", b"\xff{}"], ids=["truncated", "not-utf-8"])
+def test_summarize_names_a_file_that_is_not_json(tmp_path, capsys, target, data):
+    out_dir, summaries = finished_synth_run(tmp_path)
+    (out_dir / target).write_bytes(data)
+    assert_summarize_refuses(out_dir, summaries, capsys, f"{out_dir / target}: not a JSON file: ")
 
 
 class TestSynthErrors:

@@ -13,6 +13,7 @@ from segnet import (
     modularity_of_partition,
     nmi,
 )
+from segnet.community import _modularity
 
 from .conftest import load_benchmark_villages, random_graph
 from .oracles import (
@@ -138,6 +139,12 @@ def assert_same_as_level_dict_louvain(graph, seed):
     for q_fast, q_slow in zip(fast.level_modularities, slow.level_modularities):
         assert q_fast == pytest.approx(q_slow, abs=1e-12)
     assert fast.modularity == fast.level_modularities[-1]
+    # Scored by the package's formula, every level is the dict port's exactly.
+    exact = louvain_by_level_dicts(
+        graph, seed, score=lambda a: _modularity(graph.edge_u, graph.edge_v, a)
+    )
+    assert fast.assignment.tolist() == exact.assignment.tolist()
+    assert fast.level_modularities == exact.level_modularities
 
 
 @st.composite

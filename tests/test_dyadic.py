@@ -558,18 +558,26 @@ class TestSexPermutation:
 
 
 def record_draws(monkeypatch):
-    """From now on, log the rows of every ``random((rows, n))`` draw, one list per generator."""
+    """From now on, log the rows of every ``random_raw((rows, n))`` draw, one list per generator."""
     log = []
     make = np.random.default_rng
 
     class Recording:
         def __init__(self, seed):
             self._rng = make(seed)
+            self.bit_generator = self
             self.rows = []
             log.append(self.rows)
 
-        def random(self, size):
+        @property
+        def state(self):
+            return self._rng.bit_generator.state
+
+        def random_raw(self, size):
             self.rows.append(size[0])
+            return self._rng.bit_generator.random_raw(size)
+
+        def random(self, size):
             return self._rng.random(size)
 
     monkeypatch.setattr(np.random, "default_rng", Recording)
@@ -586,6 +594,22 @@ def set_chunk_rows(monkeypatch, sex, chunk_rows):
     """Chunk budget giving ``chunk_rows`` candidate rows per chunk (None keeps the module's)."""
     if chunk_rows is not None:
         monkeypatch.setattr(dyadic, "_CHUNK_ELEMENTS", chunk_rows * int((sex >= 0).sum()))
+
+
+def assert_equals_one_stream_per_tolerance(graph, sex, tolerances, options, stream):
+    """Each ``sex_permutation_tests`` outcome equals the one-tolerance oracle, bit for
+    bit; returns the outcomes."""
+    table = make_table(range(graph.node_count), sex=sex)
+    outcomes = sex_permutation_tests(graph, table, tolerances, **options)
+    for tolerance, outcome in zip(tolerances, outcomes):
+        try:
+            expected = sex_permutation_at_one_tolerance(graph, sex, tolerance, **options, **stream)
+        except ValueError as exc:
+            assert str(outcome) == str(exc)
+            continue
+        for name, value in expected.items():
+            assert repr(_plain(getattr(outcome, name))) == repr(_plain(value)), name
+    return outcomes
 
 
 class TestSharedPermutationStream:
@@ -617,21 +641,10 @@ class TestSharedPermutationStream:
         self, make, tolerances, options, stream, failing, chunk_rows, monkeypatch
     ):
         graph, sex = make()
-        table = make_table(range(graph.node_count), sex=sex)
         set_stream(monkeypatch, **stream)
         set_chunk_rows(monkeypatch, sex, chunk_rows)
-        outcomes = sex_permutation_tests(graph, table, tolerances, **options)
+        outcomes = assert_equals_one_stream_per_tolerance(graph, sex, tolerances, options, stream)
         assert [isinstance(o, ValueError) for o in outcomes] == list(failing)
-        for tolerance, outcome in zip(tolerances, outcomes):
-            try:
-                expected = sex_permutation_at_one_tolerance(
-                    graph, sex, tolerance, **options, **stream
-                )
-            except ValueError as exc:
-                assert str(outcome) == str(exc)
-                continue
-            for name, value in expected.items():
-                assert repr(_plain(getattr(outcome, name))) == repr(_plain(value)), name
 
     @pytest.mark.parametrize("chunk_rows", [5, 1])
     def test_batch_stops_once_every_open_tolerance_is_complete(self, chunk_rows, monkeypatch):
@@ -677,6 +690,96 @@ class TestSharedPermutationStream:
         with pytest.raises(ValueError, match="tolerance must be positive"):
             sex_permutation_tests(graph, table, (0.1, bad))
         assert drawn_rows == []  # raised before drawing a candidate
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 24),
+    p=st.floats(0.05, 0.6),
+    seed=st.integers(0, 2**64 - 1),
+    chunk_rows=st.sampled_from([None, 5, 1]),
+)
+def test_random_graphs_equal_one_stream_per_tolerance(n, p, seed, chunk_rows):
+    rng = np.random.default_rng(seed % 2**32)
+    graph = random_graph(rng, n, p)
+    sex = np.where(rng.random(n) < 0.1, -1, rng.integers(0, 2, n))
+    if not ((sex == 0).any() and (sex == 1).any()):
+        return
+    stream = dict(max_attempts=256, batch_size=32)
+    with pytest.MonkeyPatch.context() as patch:
+        set_stream(patch, **stream)
+        set_chunk_rows(patch, sex, chunk_rows)
+        options = dict(target_replicates=40, seed=seed)
+        assert_equals_one_stream_per_tolerance(graph, sex, (0.05, 0.3), options, stream)
+
+
+@pytest.mark.parametrize("seed", [0, 411, 2**63 - 1])
+def test_raw_draws_are_the_uniform_keys(seed):
+    # The packed-key sort relies on Generator.random being (raw >> 11) * 2**-53.
+    sequence = np.random.SeedSequence([seed, 3])
+    keys = np.random.default_rng(sequence).random((7, 33))
+    raw = np.random.default_rng(sequence).bit_generator.random_raw((7, 33))
+    assert np.array_equal((raw >> np.uint64(11)) * 2.0**-53, keys)
+
+
+def test_packed_key_sort_equals_the_argsort_of_the_keys():
+    male = np.random.default_rng(5).random(40) < 0.4
+    sequence = np.random.SeedSequence([9, 1])
+    packed_rng, float_rng = np.random.default_rng(sequence), np.random.default_rng(sequence)
+    for rows in (1, 5, 64):
+        permuted = dyadic._permuted_males(packed_rng, (rows, male.size), male)
+        expected = male[np.argsort(float_rng.random((rows, male.size)), axis=1)]
+        assert np.array_equal(permuted, expected)
+    assert packed_rng.bit_generator.state == float_rng.bit_generator.state
+
+
+def coarse_keys(monkeypatch, kept_bits):
+    """From now on, generators keep the top ``kept_bits`` bits of each raw draw,
+    so keys tie often; returns a log with ``"raw"`` for each ``random_raw``
+    draw and ``"float"`` for each ``random`` draw."""
+    draws = []
+    make = np.random.default_rng
+    dropped = np.uint64(64 - kept_bits)
+
+    class Coarse:
+        def __init__(self, seed):
+            self._bits = make(seed).bit_generator
+            self.bit_generator = self
+
+        @property
+        def state(self):
+            return self._bits.state
+
+        @state.setter
+        def state(self, value):
+            self._bits.state = value
+
+        def random_raw(self, size):
+            draws.append("raw")
+            return self._bits.random_raw(size) >> dropped << dropped
+
+        def random(self, size):
+            draws.append("float")
+            return (self._bits.random_raw(size) >> dropped << dropped >> np.uint64(11)) * 2.0**-53
+
+    monkeypatch.setattr(np.random, "default_rng", Coarse)
+    return draws
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 5, 1])
+def test_tied_keys_fall_back_to_the_argsort(chunk_rows, monkeypatch):
+    # With 15-bit keys, about one row in 100 of the 27 sex-observed nodes'
+    # keys holds a tie, so some chunks are sorted packed and others fall back.
+    graph, sex = random_sexed_graph()
+    stream = dict(max_attempts=1_000_000, batch_size=64)
+    set_stream(monkeypatch, **stream)
+    set_chunk_rows(monkeypatch, sex, chunk_rows)
+    draws = coarse_keys(monkeypatch, kept_bits=15)
+    options = dict(target_replicates=150, seed=19)
+    tolerances = (0.02, 0.1, 0.3)
+    sex_permutation_tests(graph, make_table(range(30), sex=sex), tolerances, **options)
+    assert 0 < draws.count("float") < draws.count("raw")
+    assert_equals_one_stream_per_tolerance(graph, sex, tolerances, options, stream)
 
 
 def survey_scale_village(n=1200, mean_degree=8.0, seed=411):

@@ -167,6 +167,30 @@ def test_byte_order_mark_keeps_line_numbers(tmp_path, name, text, message):
         assert str(info.value) == f"{bad.parent}/{message}"
 
 
+@pytest.mark.parametrize(
+    "name, data, line",
+    [
+        ("visit.csv", b"\xffsource,target\na,b\n", 1),
+        ("nodes.csv", b"node_id\na\r\nb\xff\n", 3),
+        (
+            "attributes.csv",
+            b'node_id,sex,age,religion,caste,education,workflag,savings\na,"ma\rle",30,,,,,\n\xfe\n',
+            4,
+        ),
+    ],
+)
+def test_undecodable_bytes_are_an_error_naming_the_file(tmp_path, name, data, line):
+    edge_files, attr_path, nodes_path = write_village(
+        tmp_path, {"visit": [("a", "b")]}, ["a,male,30,,,,,"], nodes=["a", "b"]
+    )
+    bad = tmp_path / "v1" / name
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        bad.write_bytes(prefix + data)
+        with pytest.raises(IngestError) as info:
+            load_village(edge_files, attr_path, IngestConfig(nodes_file=nodes_path))
+        assert str(info.value) == f"{bad}:{line}: not UTF-8 text (invalid start byte)"
+
+
 def test_duplicate_attribute_row_is_an_error_with_location(tmp_path):
     edge_files, attr_path, _ = write_village(
         tmp_path,

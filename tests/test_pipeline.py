@@ -7,7 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,6 +37,7 @@ from segnet import (
 )
 from segnet import pipeline
 from segnet.cli import main
+from segnet.config import MAX_WORKERS
 from segnet.pipeline import WORKERS_ENV_VAR, _dropped_features, _json_safe
 from segnet.segregation import community_network_to_dot
 
@@ -633,6 +634,63 @@ class TestReproducibility:
         monkeypatch.setenv(WORKERS_ENV_VAR, "several")
         with pytest.raises(ValueError, match="must be an integer"):
             run_pipeline(small_config(corpus, tmp_path / "out"))
+
+
+class TestWorkerPool:
+    @staticmethod
+    def record_pools(monkeypatch):
+        """Replace the process pool by one that runs each task in this process
+        and records the ``max_workers`` it was asked for."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+        return sizes
+
+    @pytest.mark.parametrize("workers, expected", [(2, [2]), (3, [3]), (MAX_WORKERS, [3]), (1, [])])
+    def test_pool_is_no_larger_than_the_corpus(self, tmp_path, monkeypatch, workers, expected):
+        corpus = make_corpus(tmp_path)  # three villages
+        sizes = self.record_pools(monkeypatch)
+        result = run_pipeline(small_config(corpus, tmp_path / "out", workers=workers))
+        assert result.exit_code == 0
+        assert sizes == expected
+
+    def test_environment_is_bounded_by_the_corpus_too(self, tmp_path, monkeypatch):
+        corpus = make_corpus(tmp_path)
+        sizes = self.record_pools(monkeypatch)
+        monkeypatch.setenv(WORKERS_ENV_VAR, str(MAX_WORKERS))
+        assert run_pipeline(small_config(corpus, tmp_path / "out", workers=1)).exit_code == 0
+        assert sizes == [3]
+
+    def test_workers_above_the_cap_are_refused(self, tmp_path, monkeypatch):
+        corpus = make_corpus(tmp_path, n=1)
+        sizes = self.record_pools(monkeypatch)
+        with pytest.raises(ValueError, match=f"workers must be at most {MAX_WORKERS}"):
+            RunConfig(corpus_dir="c", output_dir="o", workers=MAX_WORKERS + 1)
+        with pytest.raises(ValueError, match=f"workers must be at most {MAX_WORKERS}"):
+            parse_run_config(f"corpus_dir = c\noutput_dir = o\nworkers = {10**20}\n")
+        monkeypatch.setenv(WORKERS_ENV_VAR, str(10**20))
+        with pytest.raises(
+            ValueError, match=f"{WORKERS_ENV_VAR} must be at most {MAX_WORKERS}, got {10**20}"
+        ):
+            run_pipeline(small_config(corpus, tmp_path / "out"))
+        assert sizes == []
+        assert not (tmp_path / "out" / "bundles").exists()
 
 
 def sex_constant_where_caste_is_observed():
