@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import UndirectedGraph
+from .graph import UndirectedGraph, _unique
 
 __all__ = [
     "Partition",
@@ -30,6 +30,9 @@ __all__ = [
 # A level of local moving + aggregation must improve modularity by more than
 # this to justify another level.
 _LEVEL_GAIN_THRESHOLD = 1e-10
+# Once a sweep of local moving moves fewer than this share of the level's
+# nodes, the level's later sweeps skip settled nodes (see ``louvain``).
+_TRACK_MOVED_FRACTION = 0.1
 # Guard against floating-point churn when comparing single-move gains.
 _MOVE_GAIN_EPS = 1e-12
 
@@ -121,10 +124,16 @@ def _local_moving(
     # acc[c] sums the visited node's weight into community c; weights are
     # positive, so a zero marks a community not yet touched by this visit.
     acc = [0.0] * n
+    # While tracking, settled[i] says that i's last visit kept it in place and
+    # nothing that visit read has changed since; members[c] is community c.
+    settled = [False] * n
+    members: list[set[int]] | None = None
     while True:
         moved = 0
         rng.shuffle(order)
         for i in order.tolist():
+            if settled[i]:
+                continue
             ci = com[i]
             seen = []  # touched communities in first-touch (neighbour) order
             for j, w in adj[i]:
@@ -145,10 +154,29 @@ def _local_moving(
                 acc[c] = 0.0
             com[i] = best_c
             tot[best_c] += deg_i
-            if best_c != ci:
-                moved += 1
+            if best_c == ci:
+                if members is not None:
+                    settled[i] = True
+                continue
+            moved += 1
+            if members is not None:
+                # i's neighbours read com[i]; the members of ci and best_c and
+                # their neighbours read tot[ci] or tot[best_c].
+                for j, _ in adj[i]:
+                    settled[j] = False
+                members[ci].discard(i)
+                for c in (ci, best_c):
+                    for x in members[c]:
+                        settled[x] = False
+                        for j, _ in adj[x]:
+                            settled[j] = False
+                members[best_c].add(i)
         if moved == 0:
             return com
+        if members is None and moved < _TRACK_MOVED_FRACTION * n:
+            members = [set() for _ in range(n)]
+            for i, c in enumerate(com):
+                members[c].add(i)
 
 
 def _aggregate(
@@ -188,6 +216,19 @@ def louvain(graph: UndirectedGraph, seed: int) -> Partition:
     visit, and weighs the communities in the order the neighbours first
     touch them; the first best gain ``w - tot[c] * deg[i] / (2m)`` wins.
 
+    Once a sweep moves fewer than a tenth of the level's nodes, the level's
+    later sweeps skip *settled* nodes: those whose last visit left them in
+    place.  Moving node ``i`` from community ``a`` to ``b`` unsettles every
+    node whose visit reads something that changed: ``i``'s neighbours,
+    which read ``com[i]``, and the members of ``a`` and ``b`` and their
+    neighbours, which read ``tot[a]`` or ``tot[b]``.  A skipped visit would
+    read the same communities, totals and weights as the visit that settled
+    the node, and degrees and totals are integer-valued floats, so it would
+    compute the same gains and keep the node in place: skipping changes no
+    partition.  The order is still shuffled every sweep, so the seeded
+    stream is unchanged.  Sweeps that move many nodes are not tracked,
+    because there the bookkeeping costs more than the skips save.
+
     Each level's modularity is that of its assignment mapped back to the
     original graph, by the formula :func:`modularity_of_partition` uses; the
     returned ``modularity`` is the last level's and equals
@@ -207,9 +248,12 @@ def louvain(graph: UndirectedGraph, seed: int) -> Partition:
     q_prev = _modularity(graph.edge_u, graph.edge_v, assignment)
     level_qs: list[float] = []
     while True:
-        com = _local_moving(adj, loops, m, rng)
-        com_dense = np.unique(np.asarray(com, dtype=np.int64), return_inverse=True)[1]
-        n_communities = int(com_dense.max()) + 1
+        com = np.asarray(_local_moving(adj, loops, m, rng))
+        # Community ids are node indices of this level: rank the ones in use.
+        used = np.zeros(len(adj), dtype=bool)
+        used[com] = True
+        com_dense = (np.cumsum(used) - 1)[com]
+        n_communities = int(used.sum())
         assignment = com_dense[assignment]
         q = _modularity(graph.edge_u, graph.edge_v, assignment)
         level_qs.append(q)
@@ -256,10 +300,9 @@ def nmi(labels_a: Sequence[int] | np.ndarray, labels_b: Sequence[int] | np.ndarr
     if n_used == 0:
         raise ValueError("no node carries both labelings")
     a, b = a[mask], b[mask]
-    _, a_codes = np.unique(a, return_inverse=True)
-    _, b_codes = np.unique(b, return_inverse=True)
-    n_a = int(a_codes.max()) + 1
-    n_b = int(b_codes.max()) + 1
+    a_values, b_values = _unique(a), _unique(b)
+    a_codes, b_codes = np.searchsorted(a_values, a), np.searchsorted(b_values, b)
+    n_a, n_b = a_values.size, b_values.size
     joint = np.bincount(a_codes * n_b + b_codes, minlength=n_a * n_b).astype(float)
     joint = joint.reshape(n_a, n_b)
     counts_a = joint.sum(axis=1)

@@ -76,13 +76,14 @@ class RunConfig:
                 raise ValueError(f"community network attribute {attr!r} not among attributes")
         if not self.permutation_tolerances:
             raise ValueError("at least one permutation tolerance is required")
-        if any(not t > 0 for t in self.permutation_tolerances):
-            raise ValueError("permutation tolerances must be positive")
+        # Every comparison with NaN is False, so a NaN setting would silently
+        # empty its tables; an infinite one is written to JSON as null, and
+        # the run's own output could not be summarized.
+        if not all(0 < t < math.inf for t in self.permutation_tolerances):
+            raise ValueError("permutation tolerances must be positive and finite")
         for f in fields(self):
-            # Every comparison with NaN is False, so a NaN cutoff or minimum
-            # would silently empty its tables.
-            if f.type == "float" and math.isnan(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be a number, not NaN")
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be a finite number")
         for key in ("community_node_min", "community_edge_min"):
             # Fractions of nodes and of possible ties: 5 meant as 5% would
             # leave every village without a community network.

@@ -23,7 +23,7 @@ from .attributes import (
     AttributeTable,
     complete_case_mask,
 )
-from .graph import _CHUNK_ELEMENTS, UndirectedGraph, _edges_within
+from .graph import _CHUNK_ELEMENTS, UndirectedGraph, _edges_within, _unique
 
 __all__ = [
     "FeatureEncoding",
@@ -222,7 +222,7 @@ def build_dyad_design(
     size = type_size.astype(float)
     for ta, tb in _type_row_blocks(n_types):
         key = pair_keys(ta, tb)
-        distinct = np.unique(key)
+        distinct = _unique(key)
         row_of = np.searchsorted(distinct, key).ravel()
         del key  # two per-pair arrays, not three, while the pair counts are built
         # Pairs below the diagonal mirror pairs above it: no dyad here.
@@ -233,7 +233,9 @@ def build_dyad_design(
         pairs[diagonal, diagonal] = sa[:, 0] * (sa[:, 0] - 1) / 2
         block_keys.append(distinct)
         block_pairs.append(np.bincount(row_of, weights=pairs.ravel(), minlength=distinct.size))
-    row_key, row_of = np.unique(np.concatenate(block_keys), return_inverse=True)
+    keys = np.concatenate(block_keys)
+    row_key = _unique(keys)
+    row_of = np.searchsorted(row_key, keys)
     row_pairs = np.bincount(row_of, weights=np.concatenate(block_pairs)).astype(np.int64)
     # A type of one node paired with itself holds no dyad, nor does a row
     # that only mirrored pairs below the diagonal carry.

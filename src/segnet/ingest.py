@@ -44,7 +44,7 @@ from .attributes import (
     missing_value,
     parse_cell,
 )
-from .graph import UndirectedGraph, _simple_graph
+from .graph import UndirectedGraph, _simple_graph, _unique
 
 __all__ = [
     "IngestError",
@@ -285,7 +285,7 @@ def load_village(
         us.append(np.fromiter(map(index.__getitem__, a), np.int64, len(a)))
         vs.append(np.fromiter(map(index.__getitem__, b), np.int64, len(b)))
         ru, rv = rank[us[-1]], rank[vs[-1]]
-        keys = np.unique(np.minimum(ru, rv) * n + np.maximum(ru, rv))
+        keys = _unique(np.minimum(ru, rv) * n + np.maximum(ru, rv))
         lo = map(by_text.__getitem__, (keys // n).tolist())
         hi = map(by_text.__getitem__, (keys % n).tolist())
         layers[name] = tuple(zip(lo, hi))

@@ -306,6 +306,12 @@ _SECTIONS: tuple[tuple[str, Callable[[_Village], dict[str, Any]]], ...] = (
 )
 
 
+# Sections holding one JSON object per attribute, tolerance or graph scope.
+_KEYED_SECTIONS = (
+    "network", "degree_missingness_ttests", "sex_permutation", "nmi", "segregation",
+    "community_networks",
+)
+
 # The keys of a bundle as written to disk: analyze_village's, less its two private ones.
 _BUNDLE_KEYS = frozenset(
     ("schema_version", "config_sha256", "config", "village_id", "relation_layers",
@@ -863,6 +869,10 @@ def _check_bundle(path: Path, bundle: Any) -> None:
     for name, _ in _SECTIONS:
         if not isinstance(bundle[name], dict):
             raise ValueError(f"{path}: bundle section {name!r} is not a JSON object")
+    for name in _KEYED_SECTIONS:
+        for key, entry in bundle[name].items():
+            if not isinstance(entry, dict):
+                raise ValueError(f"{path}: bundle entry {name}.{key} is not a JSON object")
     if bundle["config_sha256"] != _hash_config_dict(bundle["config"]):
         raise ValueError(f"{path}: config_sha256 is not the hash of the bundle's config")
 
@@ -873,8 +883,9 @@ def summarize_output_directory(directory: str | Path) -> dict[str, list[dict]]:
     Refuses, naming the file, when the bundles on disk are not exactly the
     villages that ``run_manifest.json`` lists as analyzed, when a file is not
     JSON, or when a bundle is not one that ``analyze_village`` writes at this
-    ``SCHEMA_VERSION``: other top-level keys, a section that is not a JSON
-    object, or a ``config_sha256`` that is not its config's hash.
+    ``SCHEMA_VERSION``: other top-level keys, a section or a section's
+    per-attribute entry that is not a JSON object, or a ``config_sha256``
+    that is not its config's hash.
     """
     out = Path(directory)
     bundle_files = sorted((out / "bundles").glob("*.json"))

@@ -22,7 +22,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .community import Partition, _check_partition, _mixing, _modularity
-from .graph import UndirectedGraph, _edges_within
+from .graph import UndirectedGraph, _edges_within, _unique
 
 __all__ = [
     "SegregationReport",
@@ -251,10 +251,15 @@ def build_community_network(
 
     ends = h0[np.column_stack([graph.edge_u, graph.edge_v])]
     cross = (ends[:, 0] != ends[:, 1]) & is_retained[ends].all(axis=1)
-    pairs, pair_ties = np.unique(np.sort(ends[cross], axis=1), axis=0, return_counts=True)
+    k = partition.n_communities
+    lo, hi = np.sort(ends[cross], axis=1).T
+    key = lo * k + hi
+    pair_key = _unique(key)
+    pair_ties = np.bincount(np.searchsorted(pair_key, key), minlength=pair_key.size)
+    pair_a, pair_b = np.divmod(pair_key, k)
     ties = []
     kept_tie_total = 0
-    for (a, b), count in zip(pairs.tolist(), pair_ties.tolist()):
+    for a, b, count in zip(pair_a.tolist(), pair_b.tolist(), pair_ties.tolist()):
         possible = int(partition.sizes[a]) * int(partition.sizes[b])
         if count >= edge_min_fraction * possible:
             ties.append(

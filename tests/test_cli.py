@@ -234,8 +234,14 @@ def _drop_config_attributes(bundle):
             lambda bundle: bundle.update(nmi=[]),
             "v001.json: bundle section 'nmi' is not a JSON object",
         ),
+        (
+            lambda bundle: bundle["nmi"].update(caste=5),
+            "v001.json: bundle entry nmi.caste is not a JSON object",
+        ),
     ],
-    ids=["schema-version-only", "extra-key", "config-without-attributes", "nmi-list"],
+    ids=[
+        "schema-version-only", "extra-key", "config-without-attributes", "nmi-list", "nmi-entry-int"
+    ],
 )
 def test_summarize_refuses_a_bundle_it_cannot_read(tmp_path, capsys, edit, message):
     out_dir, summaries = finished_synth_run(tmp_path)

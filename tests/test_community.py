@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segnet import (
@@ -13,10 +13,12 @@ from segnet import (
     modularity_of_partition,
     nmi,
 )
-from segnet.community import _modularity
+from segnet import community as community_module
+from segnet.community import _local_moving, _modularity
 
 from .conftest import load_benchmark_villages, random_graph
 from .oracles import (
+    _local_moving_by_dicts,
     entropy_of,
     louvain_by_level_dicts,
     naive_partition_modularity,
@@ -160,6 +162,38 @@ def graphs_with_isolates_and_components(draw):
     return build_graph(edges, node_ids=range(n))[0]
 
 
+@st.composite
+def weighted_levels(draw):
+    """An aggregated level: 1-30 nodes, edge weights 1-4 and self-loop weights 0-29."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    iu, ju = np.triu_indices(n, k=1)
+    hit = rng.random(iu.size) < draw(st.floats(0.05, 0.6))
+    weights = rng.integers(1, 5, iu.size).astype(float)
+    has_loop = rng.random(n) < draw(st.floats(0.0, 1.0))
+    loops = (rng.integers(0, 30, n) * has_loop).astype(float).tolist()
+    adj = [[] for _ in range(n)]
+    for a, b, w in zip(iu[hit].tolist(), ju[hit].tolist(), weights[hit].tolist()):
+        adj[a].append((b, w))
+        adj[b].append((a, w))
+    return adj, loops
+
+
+# A level on which a settled node sits in a community without any of its
+# neighbours, so only its own membership unsettles it when that community's
+# total grows (seed 3, every later sweep tracked).
+_MEMBER_READS_ITS_TOTAL = (
+    [
+        [(1, 1.0), (7, 1.0), (9, 1.0)], [(0, 1.0), (3, 1.0), (10, 1.0)],
+        [(6, 1.0), (8, 1.0), (9, 1.0)], [(1, 1.0), (6, 1.0), (8, 1.0)], [],
+        [(6, 1.0), (9, 1.0), (10, 1.0)], [(2, 1.0), (3, 1.0), (5, 1.0), (9, 1.0)],
+        [(0, 1.0), (10, 1.0)], [(2, 1.0), (3, 1.0), (9, 1.0)],
+        [(0, 1.0), (2, 1.0), (5, 1.0), (6, 1.0), (8, 1.0)], [(1, 1.0), (5, 1.0), (7, 1.0)],
+    ],
+    [0.0, 5.0, 8.0, 7.0, 0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0],
+)
+
+
 class TestLouvainMatchesLevelDicts:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -174,6 +208,35 @@ class TestLouvainMatchesLevelDicts:
                         run(graph, seed)
             else:
                 assert_same_as_level_dict_louvain(graph, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        graphs_with_isolates_and_components(),
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+    )
+    def test_random_graphs_with_every_later_sweep_tracked(self, graph, seeds):
+        # Every sweep moves fewer than 2n nodes, so each sweep after a level's
+        # first skips settled nodes.
+        if graph.edge_count == 0:
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(community_module, "_TRACK_MOVED_FRACTION", 2.0)
+            for seed in seeds:
+                assert_same_as_level_dict_louvain(graph, seed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_levels(), st.integers(0, 2**32 - 1), st.sampled_from([0.1, 2.0]))
+    @example(level=_MEMBER_READS_ITS_TOTAL, seed=3, fraction=2.0)
+    def test_local_moving_on_weighted_levels_with_loops(self, level, seed, fraction):
+        adj, loops = level
+        m = sum(w for nbrs in adj for _, w in nbrs) / 2 + sum(loops)
+        if m == 0:
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(community_module, "_TRACK_MOVED_FRACTION", fraction)
+            com = _local_moving(adj, loops, m, np.random.default_rng(seed))
+        dicts = [dict(nbrs) for nbrs in adj]
+        assert com == _local_moving_by_dicts(dicts, loops, m, np.random.default_rng(seed))
 
     @pytest.mark.parametrize("workload", ["survey", "small_villages"])
     def test_benchmark_corpus_lccs(self, workload, tmp_path, monkeypatch):

@@ -95,6 +95,26 @@ def test_edges_within_matches_a_loop_over_the_edges(pairs, kind, bits):
     assert expected == sorted(expected)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-(2**62), 2**62), max_size=300),
+    st.integers(1, 3),
+)
+def test_sort_based_unique_equals_numpy_unique(values, width):
+    # A small value range repeats keys; ``width`` > 1 checks that 2-D input is flattened.
+    arr = np.array(values[: len(values) // width * width], dtype=np.int64).reshape(-1, width)
+    for keys in (arr, arr % 7 - 3):
+        got = graph_module._unique(keys)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.unique(keys))
+
+
+def test_sort_based_unique_of_empty_and_negative_keys():
+    assert graph_module._unique(np.array([], dtype=np.int64)).tolist() == []
+    keys = np.array([3, -5, 3, 0, -5, -1], dtype=np.int64)
+    assert graph_module._unique(keys).tolist() == [-5, -1, 0, 3]
+
+
 def test_neighbor_lists_are_sorted():
     rng = np.random.default_rng(5)
     graph = random_graph(rng, 30, 0.2)

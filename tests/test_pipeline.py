@@ -170,12 +170,11 @@ class TestParseRunConfig:
         "line, message",
         [
             ("permutation_tolerances = 0.05, nan", "permutation tolerances must be positive"),
-            ("community_node_min = nan", "community_node_min must be a number, not NaN"),
-            ("community_edge_min = nan", "community_edge_min must be a number, not NaN"),
-            ("between_cutoff = nan", "between_cutoff must be a number, not NaN"),
-            ("within_cutoff = NaN", "within_cutoff must be a number, not NaN"),
+            ("community_node_min = nan", "community_node_min must be a finite number"),
+            ("community_edge_min = nan", "community_edge_min must be a finite number"),
+            ("between_cutoff = nan", "between_cutoff must be a finite number"),
+            ("within_cutoff = NaN", "within_cutoff must be a finite number"),
             ("community_node_min = 5", "community_node_min must be between 0 and 1"),
-            ("community_node_min = inf", "community_node_min must be between 0 and 1"),
             ("community_node_min = -0.01", "community_node_min must be between 0 and 1"),
             ("community_edge_min = 1.5", "community_edge_min must be between 0 and 1"),
         ],
@@ -185,6 +184,22 @@ class TestParseRunConfig:
         # the attempt limit in every village, a NaN cutoff would empty its tables.
         # A community threshold above 1 (5, meant as 5%) would leave every
         # village without a community network.
+        with pytest.raises(ValueError, match=message):
+            parse_run_config(f"corpus_dir = c\noutput_dir = o\n{line}\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("within_cutoff = inf", "within_cutoff must be a finite number"),
+            ("between_cutoff = -inf", "between_cutoff must be a finite number"),
+            ("community_node_min = inf", "community_node_min must be a finite number"),
+            ("community_edge_min = -inf", "community_edge_min must be a finite number"),
+            ("permutation_tolerances = 0.05, inf", "tolerances must be positive and finite"),
+        ],
+    )
+    def test_infinite_settings_are_errors(self, line, message):
+        # JSON has no infinity: the bundles and the manifest would hold null,
+        # and the run's own output directory could not be summarized.
         with pytest.raises(ValueError, match=message):
             parse_run_config(f"corpus_dir = c\noutput_dir = o\n{line}\n")
 
