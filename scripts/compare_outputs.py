@@ -48,8 +48,7 @@ with open(sys.argv[3], "w", encoding="utf-8") as fh, contextlib.redirect_stdout(
 
 
 def run_tree(src: Path, config: Path, out: Path, printed: Path) -> None:
-    env = {k: v for k, v in os.environ.items() if k != "SEGNET_WORKERS"}
-    env["PYTHONPATH"] = str(src)
+    env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run(
         [sys.executable, "-c", _CHILD, str(config), str(out), str(printed)], env=env, check=True
     )

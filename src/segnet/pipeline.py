@@ -33,7 +33,6 @@ import numpy as np
 from .attributes import CATEGORICAL_ATTRIBUTES, AttributeTable, complete_case_mask
 from .community import Partition, louvain, modularity_of_partition, nmi
 from .config import (
-    MAX_WORKERS,
     RunConfig,
     _hash_config_dict,
     _substantive_config_dict,
@@ -71,7 +70,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-WORKERS_ENV_VAR = "SEGNET_WORKERS"
 
 _TIE_TYPES = TieTriple._fields
 _TMP_SUFFIX = ".tmp"  # of a file being written; see _atomic_open
@@ -307,10 +305,7 @@ _SECTIONS: tuple[tuple[str, Callable[[_Village], dict[str, Any]]], ...] = (
 
 
 # Sections holding one JSON object per attribute, tolerance or graph scope.
-_KEYED_SECTIONS = (
-    "network", "degree_missingness_ttests", "sex_permutation", "nmi", "segregation",
-    "community_networks",
-)
+_KEYED_SECTIONS = tuple(name for name, _ in _SECTIONS if name not in ("dyadic", "partition"))
 
 # The keys of a bundle as written to disk: analyze_village's, less its two private ones.
 _BUNDLE_KEYS = frozenset(
@@ -351,19 +346,13 @@ def analyze_village(dataset: VillageDataset, cfg: RunConfig) -> dict[str, Any]:
 
 
 def _json_safe(obj: Any) -> Any:
+    """``obj`` with tuples made lists and NaN or infinite floats made ``None``."""
     if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
+        return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        return value if math.isfinite(value) else None
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
@@ -396,30 +385,19 @@ def _meta_line(config_hash: str) -> str:
 def _write_csv(
     path: Path, fieldnames: Sequence[str], rows: Sequence[Mapping[str, Any]], config_hash: str
 ) -> None:
+    """The meta line, a header and each row's ``fieldnames``; absent, None, NaN or inf is blank."""
     with _atomic_open(path, newline="") as fh:
         fh.write(_meta_line(config_hash) + "\n")
-        writer = csv.DictWriter(fh, fieldnames=list(fieldnames))
+        writer = csv.DictWriter(fh, fieldnames=list(fieldnames), extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            out = {}
-            for key in fieldnames:
-                value = row.get(key)
-                if value is None:
-                    out[key] = ""
-                elif isinstance(value, float):
-                    out[key] = "" if not math.isfinite(value) else repr(value)
-                else:
-                    out[key] = value
-            writer.writerow(out)
+        writer.writerows(map(_json_safe, rows))
 
 
 def _discover_villages(cfg: RunConfig) -> list[Path]:
     corpus = Path(cfg.corpus_dir)
     if not corpus.is_dir():
         return []
-    villages = sorted(
-        p for p in corpus.iterdir() if p.is_dir() and (p / "attributes.csv").is_file()
-    )
+    villages = sorted(p for p in corpus.iterdir() if (p / "attributes.csv").is_file())
     if cfg.village_ids:
         wanted = set(cfg.village_ids)
         villages = [p for p in villages if p.name in wanted]
@@ -518,22 +496,6 @@ def _remove_stale_artifacts(out: Path, written: set[Path]) -> None:
                 path.unlink()
 
 
-def _resolve_workers(cfg: RunConfig) -> int:
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            requested = int(env)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-        if requested > MAX_WORKERS:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be at most {MAX_WORKERS}, got {requested}")
-    else:
-        requested = cfg.workers
-    if requested <= 0:
-        return min(os.cpu_count() or 1, 8)
-    return requested
-
-
 def _pooled_outcome(task: tuple[str, RunConfig], future: Future, rerun: bool) -> _Outcome:
     """A pooled village's outcome.
 
@@ -544,13 +506,11 @@ def _pooled_outcome(task: tuple[str, RunConfig], future: Future, rerun: bool) ->
     """
     try:
         return future.result()
-    except BrokenProcessPool as exc:
-        if rerun:
+    except Exception as exc:
+        if rerun and isinstance(exc, BrokenProcessPool):
             with ProcessPoolExecutor(max_workers=1) as pool:
                 alone = pool.submit(_process_village, task)
             return _pooled_outcome(task, alone, rerun=False)
-        return _failed(Path(task[0]).name, exc)
-    except Exception as exc:
         return _failed(Path(task[0]).name, exc)
 
 
@@ -571,7 +531,7 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     villages = _discover_villages(cfg)
     tasks = [(str(p), cfg) for p in villages]
     missing = set(cfg.village_ids) - {p.name for p in villages}
-    workers = min(_resolve_workers(cfg), len(tasks))
+    workers = min(cfg.workers if cfg.workers > 0 else min(os.cpu_count() or 1, 8), len(tasks))
     if workers <= 1:
         outcomes = [_process_village(t) for t in tasks]
     else:
@@ -875,6 +835,10 @@ def _check_bundle(path: Path, bundle: Any) -> None:
                 raise ValueError(f"{path}: bundle entry {name}.{key} is not a JSON object")
     if bundle["config_sha256"] != _hash_config_dict(bundle["config"]):
         raise ValueError(f"{path}: config_sha256 is not the hash of the bundle's config")
+    try:
+        summarize_corpus([bundle])
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{path}: bundle cannot be summarized: {type(exc).__name__}: {exc}") from None
 
 
 def summarize_output_directory(directory: str | Path) -> dict[str, list[dict]]:
@@ -884,8 +848,8 @@ def summarize_output_directory(directory: str | Path) -> dict[str, list[dict]]:
     villages that ``run_manifest.json`` lists as analyzed, when a file is not
     JSON, or when a bundle is not one that ``analyze_village`` writes at this
     ``SCHEMA_VERSION``: other top-level keys, a section or a section's
-    per-attribute entry that is not a JSON object, or a ``config_sha256``
-    that is not its config's hash.
+    per-attribute entry that is not a JSON object, a ``config_sha256`` that
+    is not its config's hash, or any value deeper down the summaries cannot read.
     """
     out = Path(directory)
     bundle_files = sorted((out / "bundles").glob("*.json"))

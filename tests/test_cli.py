@@ -238,9 +238,31 @@ def _drop_config_attributes(bundle):
             lambda bundle: bundle["nmi"].update(caste=5),
             "v001.json: bundle entry nmi.caste is not a JSON object",
         ),
+        (
+            lambda bundle: bundle["nmi"]["caste"].update(value="x"),
+            "v001.json: bundle cannot be summarized: ",
+        ),
+        (
+            lambda bundle: bundle["dyadic"]["per_attribute"].update(caste=5),
+            "v001.json: bundle cannot be summarized: TypeError: ",
+        ),
+        (
+            lambda bundle: bundle["dyadic"].pop("model"),
+            "v001.json: bundle cannot be summarized: KeyError: 'model'",
+        ),
+        (
+            lambda bundle: [e.update(verdicts=5) for e in bundle["sex_permutation"].values()],
+            "v001.json: bundle cannot be summarized: TypeError: ",
+        ),
+        (
+            lambda bundle: bundle["segregation"]["caste"].update(q_within_norm=None),
+            "v001.json: bundle cannot be summarized: TypeError: ",
+        ),
     ],
     ids=[
-        "schema-version-only", "extra-key", "config-without-attributes", "nmi-list", "nmi-entry-int"
+        "schema-version-only", "extra-key", "config-without-attributes", "nmi-list",
+        "nmi-entry-int", "nmi-value-str", "per-attribute-int", "no-model", "verdicts-int",
+        "q-within-norm-null",
     ],
 )
 def test_summarize_refuses_a_bundle_it_cannot_read(tmp_path, capsys, edit, message):

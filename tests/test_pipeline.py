@@ -1,7 +1,6 @@
 import functools
 import importlib.util
 import json
-import math
 import multiprocessing
 import os
 import shutil
@@ -38,10 +37,10 @@ from segnet import (
 from segnet import pipeline
 from segnet.cli import main
 from segnet.config import MAX_WORKERS
-from segnet.pipeline import WORKERS_ENV_VAR, _dropped_features, _json_safe
+from segnet.pipeline import _dropped_features, _json_safe
 from segnet.segregation import community_network_to_dot
 
-from .conftest import make_table
+from .conftest import load_benchmark_villages, make_table
 from .oracles import constant_feature_screen
 
 
@@ -343,22 +342,27 @@ class TestAnalyzeVillage:
         assert len(bundle["_lcc_node_ids"]) == n_lcc
 
     def test_constant_feature_is_reported_as_dropped(self, tmp_path):
-        config = AttributedSbmConfig(
-            block_sizes=(20,),
-            p_in=0.4,
-            p_out=0.0,
-            attribute_rule=("general",),  # caste constant across the village
-            seed=7,
-            extra_attribute_laws={"sex": {"male": 0.5, "female": 0.5}},
-        )
-        dataset, _ = generate_attribute_sbm(config)
         cfg = small_config(tmp_path / "c", tmp_path / "o")
-        bundle = analyze_village(dataset, cfg)
+        bundle = analyze_village(caste_constant_village(), cfg)
         dyadic = bundle["dyadic"]
         assert dyadic["dropped"] == {"caste": "every pair matches (single observed value)"}
         assert set(dyadic["per_attribute"]) == {"sex"}
         # missingness t-test cannot run when nothing is missing
         assert "error" in bundle["degree_missingness_ttests"]["caste"]
+
+
+def caste_constant_village():
+    """One block of 20 nodes, all of caste "general"; sex is drawn half and half."""
+    config = AttributedSbmConfig(
+        block_sizes=(20,),
+        p_in=0.4,
+        p_out=0.0,
+        attribute_rule=("general",),
+        seed=7,
+        extra_attribute_laws={"sex": {"male": 0.5, "female": 0.5}},
+    )
+    dataset, _ = generate_attribute_sbm(config)
+    return dataset
 
 
 # message -> (attribute -> (encoding kind, value per node; None = missing))
@@ -575,7 +579,6 @@ class TestRunPipeline:
             "ProcessPoolExecutor",
             functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")),
         )
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         result = run_pipeline(small_config(corpus, out, workers=2))
         assert result.exit_code == 1
         errors = json.loads((out / "errors.json").read_text())
@@ -590,9 +593,11 @@ class TestRunPipeline:
         for vid in ("v00", "v01", "v02"):
             assert (out / "bundles" / f"{vid}.json").is_file() == (vid != dead)
 
-    def test_empty_corpus_exits_nonzero(self, tmp_path):
+    @pytest.mark.parametrize("exists", [True, False], ids=["empty", "missing"])
+    def test_empty_corpus_exits_nonzero(self, tmp_path, exists):
         corpus = tmp_path / "corpus"
-        corpus.mkdir()
+        if exists:
+            corpus.mkdir()
         out = tmp_path / "out"
         result = run_pipeline(small_config(corpus, out))
         assert result.exit_code == 1
@@ -635,20 +640,12 @@ class TestReproducibility:
         assert run_pipeline(small_config(corpus, out_b)).exit_code == 0
         assert _tree_bytes(out_a) == _tree_bytes(out_b)
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+    def test_worker_count_does_not_change_bytes(self, tmp_path):
         corpus = make_corpus(tmp_path)
         out_serial, out_parallel = tmp_path / "serial", tmp_path / "parallel"
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         assert run_pipeline(small_config(corpus, out_serial, workers=1)).exit_code == 0
-        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        assert run_pipeline(small_config(corpus, out_parallel, workers=1)).exit_code == 0
+        assert run_pipeline(small_config(corpus, out_parallel, workers=2)).exit_code == 0
         assert _tree_bytes(out_serial) == _tree_bytes(out_parallel)
-
-    def test_invalid_worker_env_is_an_error(self, tmp_path, monkeypatch):
-        corpus = make_corpus(tmp_path, n=1)
-        monkeypatch.setenv(WORKERS_ENV_VAR, "several")
-        with pytest.raises(ValueError, match="must be an integer"):
-            run_pipeline(small_config(corpus, tmp_path / "out"))
 
 
 class TestWorkerPool:
@@ -674,7 +671,6 @@ class TestWorkerPool:
                 return future
 
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         return sizes
 
     @pytest.mark.parametrize("workers, expected", [(2, [2]), (3, [3]), (MAX_WORKERS, [3]), (1, [])])
@@ -685,27 +681,11 @@ class TestWorkerPool:
         assert result.exit_code == 0
         assert sizes == expected
 
-    def test_environment_is_bounded_by_the_corpus_too(self, tmp_path, monkeypatch):
-        corpus = make_corpus(tmp_path)
-        sizes = self.record_pools(monkeypatch)
-        monkeypatch.setenv(WORKERS_ENV_VAR, str(MAX_WORKERS))
-        assert run_pipeline(small_config(corpus, tmp_path / "out", workers=1)).exit_code == 0
-        assert sizes == [3]
-
-    def test_workers_above_the_cap_are_refused(self, tmp_path, monkeypatch):
-        corpus = make_corpus(tmp_path, n=1)
-        sizes = self.record_pools(monkeypatch)
+    def test_workers_above_the_cap_are_refused(self):
         with pytest.raises(ValueError, match=f"workers must be at most {MAX_WORKERS}"):
             RunConfig(corpus_dir="c", output_dir="o", workers=MAX_WORKERS + 1)
         with pytest.raises(ValueError, match=f"workers must be at most {MAX_WORKERS}"):
             parse_run_config(f"corpus_dir = c\noutput_dir = o\nworkers = {10**20}\n")
-        monkeypatch.setenv(WORKERS_ENV_VAR, str(10**20))
-        with pytest.raises(
-            ValueError, match=f"{WORKERS_ENV_VAR} must be at most {MAX_WORKERS}, got {10**20}"
-        ):
-            run_pipeline(small_config(corpus, tmp_path / "out"))
-        assert sizes == []
-        assert not (tmp_path / "out" / "bundles").exists()
 
 
 def sex_constant_where_caste_is_observed():
@@ -802,9 +782,8 @@ class TestSingleModel:
             attr: int(attr in fitted) for attr in attributes
         }
 
-    def test_output_is_byte_identical_across_reruns_and_workers(self, tmp_path, monkeypatch):
+    def test_output_is_byte_identical_across_reruns_and_workers(self, tmp_path):
         corpus = make_corpus(tmp_path, missing_rate=0.1)
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         trees = []
         for name, workers in (("first", 1), ("rerun", 1), ("two_workers", 2)):
             cfg = small_config(corpus, tmp_path / name, joint_model=False, workers=workers)
@@ -948,28 +927,66 @@ class TestTableLayouts:
         assert {p.name for p in (out / "community_networks").iterdir()} == expected_files
 
 
-def test_json_safe_scrubs_non_finite_and_numpy_types():
-    payload = {
-        "a": np.float64(1.5),
-        "b": np.int64(3),
-        "c": float("nan"),
-        "d": float("inf"),
-        "e": np.bool_(True),
-        "f": np.array([1, 2]),
-        "g": (1, 2),
-        5: "five",
-    }
+def test_json_safe_scrubs_non_finite_floats_and_tuples():
+    payload = {"a": 1.5, "c": float("nan"), "d": float("-inf"), "g": (1, (2, float("inf")))}
     cleaned = _json_safe(payload)
-    assert cleaned["a"] == 1.5 and isinstance(cleaned["a"], float)
-    assert cleaned["b"] == 3 and isinstance(cleaned["b"], int)
-    assert cleaned["c"] is None
-    assert cleaned["d"] is None
-    assert cleaned["e"] is True
-    assert cleaned["f"] == [1, 2]
-    assert cleaned["g"] == [1, 2]
-    assert cleaned["5"] == "five"
-    assert json.dumps(cleaned)  # round-trips through the stdlib encoder
-    assert math.isfinite(json.loads(json.dumps(cleaned))["a"])
+    assert cleaned == {"a": 1.5, "c": None, "d": None, "g": [1, [2, None]]}
+    assert json.loads(json.dumps(cleaned, allow_nan=False)) == cleaned
+
+
+def assert_json_native(obj, where=""):
+    """Containers are dicts with str keys, lists or tuples; leaves are JSON scalars.
+
+    Types are matched exactly: ``np.float64`` subclasses ``float``, and ``_json_safe``
+    passes numpy values through unconverted.
+    """
+    if type(obj) is dict:
+        for key, value in obj.items():
+            assert type(key) is str, f"{where}: key {key!r}"
+            assert_json_native(value, f"{where}.{key}")
+    elif type(obj) in (list, tuple):
+        for value in obj:
+            assert_json_native(value, f"{where}[]")
+    else:
+        assert type(obj) in (str, int, float, bool, type(None)), f"{where}: {type(obj).__name__}"
+
+
+def json_native_configs():
+    """The default config, and one with per-attribute fits, age differences, three
+    tolerances and three community networks."""
+    default = RunConfig(corpus_dir="c", output_dir="o")
+    return default, replace(
+        default,
+        joint_model=False,
+        age_encoding="difference",
+        permutation_tolerances=(0.02, 0.05, 0.2),
+        community_network_attributes=("caste", "sex", "age"),
+    )
+
+
+@pytest.mark.parametrize("workload", ["survey", "small_villages"])
+def test_benchmark_bundles_are_json_native(workload, tmp_path, monkeypatch):
+    for dataset in load_benchmark_villages(workload, tmp_path, monkeypatch):
+        for cfg in json_native_configs():
+            assert_json_native(analyze_village(dataset, cfg), dataset.village_id)
+
+
+def all_male_village():
+    dataset = synth_village(seed=201)
+    sex = np.zeros(dataset.attributes.n, dtype=np.int64)  # code 0 is male
+    return replace(dataset, attributes=replace(dataset.attributes, sex=sex))
+
+
+@pytest.mark.parametrize(
+    "village", [caste_constant_village, sex_constant_where_caste_is_observed, all_male_village]
+)
+def test_degenerate_bundles_are_json_native(village):
+    dataset = village()
+    for cfg in json_native_configs():
+        bundle = analyze_village(dataset, cfg)
+        assert_json_native(bundle, village.__name__)
+        if village is all_male_village:
+            assert all("error" in entry for entry in bundle["sex_permutation"].values())
 
 
 # segnet's runtime is numpy only.  scipy.special alone added ~21 MB RSS and

@@ -1,5 +1,6 @@
 """The command-line scripts under ``scripts/``, run in process on small inputs."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -10,7 +11,6 @@ import numpy as np
 import pytest
 
 from segnet import IngestConfig, load_run_config, load_village, run_pipeline
-from segnet.pipeline import WORKERS_ENV_VAR
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -126,8 +126,7 @@ def test_adapter_refuses_a_layer_named_like_a_table_file(tmp_path, monkeypatch, 
 def test_synthetic_corpus_runs_without_dyadic_errors(tmp_path, monkeypatch):
     demo = tmp_path / "demo"
     run_script(monkeypatch, "make_synthetic_corpus", "--villages", 2, "--out", demo)
-    monkeypatch.setenv(WORKERS_ENV_VAR, "1")
-    cfg = load_run_config(demo / "run.cfg")
+    cfg = dataclasses.replace(load_run_config(demo / "run.cfg"), workers=1)
     assert "education" not in cfg.attributes and "savings" not in cfg.attributes
     assert run_pipeline(cfg).exit_code == 0
     bundles = sorted((demo / "out" / "bundles").glob("*.json"))
