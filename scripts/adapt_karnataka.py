@@ -36,11 +36,10 @@ import argparse
 import csv
 import re
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 from segnet.attributes import ATTRIBUTE_NAMES, AttributeTable, missing_value, parse_cell
-from segnet.graph import build_graph
 from segnet.ingest import VillageDataset, adapt_adjacency_matrix, save_village
 
 SEX_CODES = {"1": "male", "2": "female"}
@@ -85,25 +84,17 @@ def build_village(
     rows: dict[str, tuple[int | float, ...]],
 ) -> VillageDataset:
     """The village over the key-file ids: one layer per matrix, one attribute row per id."""
-    layer_edges = {}
-    for layer, matrix_path in sorted(matrices.items()):
-        pairs = adapt_adjacency_matrix(matrix_path)  # unique (i, j) with i < j
-        if any(j >= len(pids) for _, j in pairs):
-            raise ValueError(f"layer {layer}: matrix larger than key file")
-        layer_edges[layer] = tuple((pids[i], pids[j]) for i, j in pairs)
-    # save_village never reads the graph; building it refuses a key file with repeated ids.
-    graph, _ = build_graph(
-        (pair for pairs in layer_edges.values() for pair in pairs), node_ids=pids
-    )
+    repeated = [pid for pid, count in Counter(pids).items() if count > 1]
+    if repeated:
+        raise ValueError(f"duplicate node id {repeated[0]!r} in key file")
+    layer_pairs = {layer: adapt_adjacency_matrix(path) for layer, path in sorted(matrices.items())}
     blank = tuple(missing_value(attr) for attr in ATTRIBUTE_NAMES)
     values = [rows.get(pid, blank) for pid in pids]
     table = AttributeTable(
         node_ids=tuple(pids),
         **{attr: [row[k] for row in values] for k, attr in enumerate(ATTRIBUTE_NAMES)},
     )
-    return VillageDataset(
-        village_id=village_id, graph=graph, attributes=table, layer_edges=layer_edges
-    )
+    return VillageDataset(village_id, table, layer_pairs)
 
 
 def main() -> None:

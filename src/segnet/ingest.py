@@ -18,9 +18,9 @@ writes it back.  Bytes that are not UTF-8, a wrong header or field count, an
 empty or duplicate id, an edge endpoint outside ``nodes.csv``, an unknown
 category (unless ``coerce_unknown_categories``) or a bad or negative number
 raise ``IngestError`` naming ``file:line`` of the first offending record, as
-a row-by-row reader would.  Ids become node indices once; each layer and the
-union graph are deduplicated as integer pair keys, and each layer's pairs
-are ordered as strings through the ids' string rank.
+a row-by-row reader would.  Ids become node indices once, and each layer
+is handed to ``VillageDataset`` as node-index pairs; the dataset reduces
+each layer to its distinct unordered pairs and builds the union graph.
 
 An adapter converts square 0/1 adjacency matrices into edge lists.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Container, Iterable, Mapping, Sequence
@@ -80,13 +80,34 @@ class IngestConfig:
 
 @dataclass(frozen=True)
 class VillageDataset:
-    """One village: union graph, covariates, and the per-layer edge lists."""
+    """One village: covariates, its relation layers as node-index pairs, and their union graph.
+
+    Each layer is kept as a read-only int64 ``(m, 2)`` array of its distinct
+    unordered pairs ``(min, max)`` in lexicographic order; a self-pair
+    ``(a, a)`` stays in its layer.  ``graph`` is not passed but built here as
+    the simple union of the layers, so self loops are dropped from it.  An
+    index outside ``0 .. n - 1`` raises ``ValueError`` naming the layer.
+    """
 
     village_id: str
-    graph: UndirectedGraph
     attributes: AttributeTable
-    layer_edges: Mapping[str, tuple[tuple[str, str], ...]]
+    layer_pairs: Mapping[str, np.ndarray]
     unmatched_attribute_ids: tuple[str, ...] = ()
+    graph: UndirectedGraph = field(init=False)
+
+    def __post_init__(self) -> None:
+        n = self.attributes.n
+        layers = {}
+        for name, pairs in self.layer_pairs.items():
+            pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+            if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+                raise ValueError(f"relation layer {name!r} holds a node index outside 0 .. {n - 1}")
+            keys = _unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+            layers[name] = np.column_stack([keys // n, keys % n])
+            layers[name].setflags(write=False)
+        union = np.concatenate([np.empty((0, 2), np.int64), *layers.values()])
+        object.__setattr__(self, "layer_pairs", layers)
+        object.__setattr__(self, "graph", _simple_graph(n, union[:, 0], union[:, 1]))
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -95,14 +116,14 @@ class VillageDataset:
     @property
     def relation_layers(self) -> dict[str, int]:
         """Relation name -> number of distinct undirected pairs in that layer."""
-        return {name: len(pairs) for name, pairs in self.layer_edges.items()}
+        return {name: len(pairs) for name, pairs in self.layer_pairs.items()}
 
     def equals(self, other: "VillageDataset") -> bool:
         return (
             self.village_id == other.village_id
-            and self.graph.equals(other.graph)
             and self.attributes.equals(other.attributes)
-            and dict(self.layer_edges) == dict(other.layer_edges)
+            and self.layer_pairs.keys() == other.layer_pairs.keys()
+            and all(np.array_equal(p, other.layer_pairs[k]) for k, p in self.layer_pairs.items())
             and self.unmatched_attribute_ids == other.unmatched_attribute_ids
         )
 
@@ -273,39 +294,23 @@ def load_village(
 
     if node_ids is None:
         node_ids = tuple(sorted(set().union(*chain.from_iterable(ends.values()))))
-    n = len(node_ids)
-    index = dict(zip(node_ids, range(n)))
-    # Each layer's pairs are ordered and sorted as strings, by the ids' string rank.
-    by_text = sorted(node_ids)
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.fromiter(map(index.__getitem__, by_text), np.int64, n)] = np.arange(n)
-    layers: dict[str, tuple[tuple[str, str], ...]] = {}
-    us, vs = [], []
-    for name, (a, b) in ends.items():
-        us.append(np.fromiter(map(index.__getitem__, a), np.int64, len(a)))
-        vs.append(np.fromiter(map(index.__getitem__, b), np.int64, len(b)))
-        ru, rv = rank[us[-1]], rank[vs[-1]]
-        keys = _unique(np.minimum(ru, rv) * n + np.maximum(ru, rv))
-        lo = map(by_text.__getitem__, (keys // n).tolist())
-        hi = map(by_text.__getitem__, (keys % n).tolist())
-        layers[name] = tuple(zip(lo, hi))
-    graph = _simple_graph(n, np.concatenate(us), np.concatenate(vs))
+    index = dict(zip(node_ids, range(len(node_ids))))
 
+    def indices(ids: list[str]) -> np.ndarray:
+        return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+
+    layer_pairs = {
+        name: np.column_stack([indices(a), indices(b)]) for name, (a, b) in sorted(ends.items())
+    }
     table, unmatched = _read_attribute_file(attribute_path, index, config.coerce_unknown_categories)
     village_id = config.village_id or attribute_path.parent.name or attribute_path.stem
-    return VillageDataset(
-        village_id=village_id,
-        graph=graph,
-        attributes=table,
-        layer_edges=dict(sorted(layers.items())),
-        unmatched_attribute_ids=unmatched,
-    )
+    return VillageDataset(village_id, table, layer_pairs, unmatched)
 
 
 def _refuse_stale_csv(dataset: VillageDataset, directory: Path) -> None:
     """Refuse a ``directory`` holding a ``.csv`` that saving ``dataset`` would not write:
     loading reads every ``.csv`` there, so a stale layer would join the village."""
-    written = {f"{stem}.csv" for stem in (*_RESERVED_FILE_STEMS, *dataset.layer_edges)}
+    written = {f"{stem}.csv" for stem in (*_RESERVED_FILE_STEMS, *dataset.layer_pairs)}
     stale = sorted(p.name for p in directory.glob("*.csv") if p.name not in written)
     if stale:
         raise ValueError(
@@ -317,13 +322,17 @@ def _refuse_stale_csv(dataset: VillageDataset, directory: Path) -> None:
 def save_village(dataset: VillageDataset, directory: str | Path) -> Path:
     """Serialize a dataset to the canonical layout; re-loading round-trips.
 
-    Raises ``ValueError``, before writing anything, on a reserved layer name,
-    a number that is not whole, or a ``.csv`` in ``directory`` that it would
-    not write.
+    Each layer's rows are its pairs in node-index order.  Raises
+    ``ValueError``, before writing anything, on a reserved layer name or one
+    that does not name one file in ``directory`` (empty, ``.``, ``..``, or
+    holding ``/``, ``\\`` or NUL), a number that is not whole, or a ``.csv``
+    in ``directory`` that it would not write.
     """
-    for name in dataset.layer_edges:
+    for name in dataset.layer_pairs:
         if name in _RESERVED_FILE_STEMS:
             raise ValueError(f"relation layer name {name!r} is reserved")
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise ValueError(f"relation layer name {name!r} must name one file")
     out = Path(directory)
     _refuse_stale_csv(dataset, out)
     table = dataset.attributes
@@ -345,12 +354,12 @@ def save_village(dataset: VillageDataset, directory: str | Path) -> Path:
         writer.writerow(_ATTRIBUTE_HEADER)
         writer.writerows(attribute_rows)
 
-    for name, pairs in dataset.layer_edges.items():
+    ids = dataset.node_ids
+    for name, pairs in dataset.layer_pairs.items():
         with open(out / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["source", "target"])
-            for a, b in pairs:
-                writer.writerow([a, b])
+            writer.writerows([ids[u], ids[v]] for u, v in pairs.tolist())
     return out
 
 

@@ -388,9 +388,9 @@ def _write_csv(
     """The meta line, a header and each row's ``fieldnames``; absent, None, NaN or inf is blank."""
     with _atomic_open(path, newline="") as fh:
         fh.write(_meta_line(config_hash) + "\n")
-        writer = csv.DictWriter(fh, fieldnames=list(fieldnames), extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(map(_json_safe, rows))
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
+        writer.writerows(_json_safe([row.get(k) for k in fieldnames]) for row in rows)
 
 
 def _discover_villages(cfg: RunConfig) -> list[Path]:

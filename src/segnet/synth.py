@@ -17,7 +17,6 @@ import numpy as np
 from ._special import expit
 from .attributes import ATTRIBUTE_NAMES, AttributeTable, missing_value, parse_cell
 from .community import Partition
-from .graph import build_graph
 from .ingest import VillageDataset
 
 __all__ = [
@@ -104,20 +103,17 @@ def generate_attribute_sbm(
 
     width = max(1, len(str(n - 1)))
     node_ids = tuple(f"n{i:0{width}d}" for i in range(n))
-    edges: list[tuple[str, str]] = []
+    pairs = [np.empty((0, 2), np.int64)]
     for a in range(sizes.size):
         lo_a, hi_a = int(starts[a]), int(starts[a + 1])
         iu, ju = np.triu_indices(hi_a - lo_a, k=1)
         if iu.size:
             hit = rng.random(iu.size) < config.p_in
-            for i, j in zip((iu[hit] + lo_a).tolist(), (ju[hit] + lo_a).tolist()):
-                edges.append((node_ids[i], node_ids[j]))
+            pairs.append(np.column_stack([iu[hit], ju[hit]]) + lo_a)
         for b in range(a + 1, sizes.size):
             lo_b, hi_b = int(starts[b]), int(starts[b + 1])
             hit = rng.random((hi_a - lo_a, hi_b - lo_b)) < config.p_out
-            ii, jj = np.nonzero(hit)
-            for i, j in zip((ii + lo_a).tolist(), (jj + lo_b).tolist()):
-                edges.append((node_ids[i], node_ids[j]))
+            pairs.append(np.argwhere(hit) + [lo_a, lo_b])
 
     name = config.attribute_name
     columns = {attr: np.full(n, missing_value(attr)) for attr in ATTRIBUTE_NAMES}
@@ -138,15 +134,9 @@ def generate_attribute_sbm(
         for attr in (name, *config.extra_attribute_laws):
             columns[attr][rng.random(n) < config.missing_rate] = missing_value(attr)
 
-    graph, _ = build_graph(edges, node_ids=node_ids)
     table = AttributeTable(node_ids=node_ids, **columns)
-    dataset = VillageDataset(
-        village_id=config.village_id,
-        graph=graph,
-        attributes=table,
-        layer_edges={"sbm": tuple(sorted(set(edges)))},
-    )
-    planted = Partition.from_assignment(graph, block_of + 1)
+    dataset = VillageDataset(config.village_id, table, {"sbm": np.concatenate(pairs)})
+    planted = Partition.from_assignment(dataset.graph, block_of + 1)
     return dataset, planted
 
 
@@ -194,15 +184,4 @@ def generate_dyad_sample(
     if prob.min() <= 0.0 or prob.max() >= 1.0:
         raise ValueError("tie probabilities saturate at 0 or 1; rescale the coefficients")
     hit = rng.random(prob.size) < prob
-    edges = [
-        (node_ids[i], node_ids[j])
-        for i, j in zip(iu[hit].tolist(), ju[hit].tolist())
-    ]
-
-    graph, _ = build_graph(edges, node_ids=node_ids)
-    return VillageDataset(
-        village_id=village_id,
-        graph=graph,
-        attributes=table,
-        layer_edges={"dyads": tuple(sorted(set(edges)))},
-    )
+    return VillageDataset(village_id, table, {"dyads": np.column_stack([iu[hit], ju[hit]])})

@@ -809,7 +809,14 @@ def _read_attribute_file_by_rows(path, coerce):
 
 
 def load_village_by_rows(edge_files, attribute_file, config=IngestConfig()):
-    """``segnet.load_village`` by the row-at-a-time readers above."""
+    """``segnet.load_village`` by the row-at-a-time readers above.
+
+    Returns the dataset together with what it is built from: each layer's
+    sorted distinct id pairs (each pair ordered as strings) and the union
+    graph ``build_graph_by_set`` makes of them, so a caller can check the
+    dataset's layers and graph against these rather than against its own
+    constructor.
+    """
     if not edge_files:
         raise IngestError("at least one edge file is required")
     attribute_path = Path(attribute_file)
@@ -851,13 +858,11 @@ def load_village_by_rows(edge_files, attribute_file, config=IngestConfig()):
     table = AttributeTable(node_ids=tuple(ordered_ids), **columns)
 
     village_id = config.village_id or attribute_path.parent.name or attribute_path.stem
-    return VillageDataset(
-        village_id=village_id,
-        graph=graph,
-        attributes=table,
-        layer_edges=dict(sorted(layers.items())),
-        unmatched_attribute_ids=tuple(sorted(unmatched)),
-    )
+    layer_pairs = {
+        name: [(index[a], index[b]) for a, b in pairs] for name, pairs in sorted(layers.items())
+    }
+    dataset = VillageDataset(village_id, table, layer_pairs, tuple(sorted(unmatched)))
+    return dataset, layers, graph
 
 
 # Louvain on adjacency dicts: level 0 is built by a loop over the edge list,

@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -95,26 +96,14 @@ def test_round_trip_through_save(tmp_path):
 
 
 def test_save_refuses_numbers_that_are_not_whole(tmp_path):
-    graph, index = build_graph([("a", "b")])
-    dataset = VillageDataset(
-        village_id="v1",
-        graph=graph,
-        attributes=make_table(list(index), age=[5.5, 30.0]),
-        layer_edges={"visit": (("a", "b"),)},
-    )
+    dataset = VillageDataset("v1", make_table(["a", "b"], age=[5.5, 30.0]), {"visit": [(0, 1)]})
     with pytest.raises(ValueError, match=r"^invalid age value 5\.5$"):
         save_village(dataset, tmp_path / "saved")
     assert not (tmp_path / "saved").exists()
 
 
 def test_save_refuses_a_directory_with_a_csv_it_would_not_write(tmp_path):
-    graph, index = build_graph([("a", "b")])
-    dataset = VillageDataset(
-        village_id="v1",
-        graph=graph,
-        attributes=make_table(list(index), sex=[0, 1]),
-        layer_edges={"visit": (("a", "b"),)},
-    )
+    dataset = VillageDataset("v1", make_table(["a", "b"], sex=[0, 1]), {"visit": [(0, 1)]})
     out = tmp_path / "saved"
     out.mkdir()
     (out / "visit.csv").write_text("old visit\n", encoding="utf-8")
@@ -126,6 +115,64 @@ def test_save_refuses_a_directory_with_a_csv_it_would_not_write(tmp_path):
     (out / "sbm.csv").unlink()
     save_village(dataset, out)  # the files it writes may already be there
     assert sorted(p.name for p in out.iterdir()) == ["attributes.csv", "nodes.csv", "visit.csv"]
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "sub/layer", "back\\slash", "nul\0"])
+def test_save_refuses_a_layer_name_that_is_not_one_file(tmp_path, name):
+    dataset = VillageDataset("v1", make_table(["a", "b"]), {name: [(0, 1)]})
+    with pytest.raises(ValueError, match="must name one file"):
+        save_village(dataset, tmp_path / "out" / "v1")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reversed_and_repeated_pairs_collapse_to_one():
+    dataset = VillageDataset(
+        "v1", make_table(["a", "b", "c"]), {"visit": [(2, 0), (0, 2), (1, 0), (0, 2), (0, 1)]}
+    )
+    pairs = dataset.layer_pairs["visit"]
+    assert pairs.dtype == np.int64 and not pairs.flags.writeable
+    assert pairs.tolist() == [[0, 1], [0, 2]]
+    assert dataset.relation_layers == {"visit": 2}
+    assert dataset.graph.edge_u.tolist() == [0, 0] and dataset.graph.edge_v.tolist() == [1, 2]
+
+
+def test_a_self_pair_counts_in_its_layer_but_adds_no_edge(tmp_path):
+    built = VillageDataset("v1", make_table(["a", "b"]), {"visit": [(1, 1), (0, 1)], "help": [(0, 0)]})
+    assert built.layer_pairs["visit"].tolist() == [[0, 1], [1, 1]]
+    assert built.relation_layers == {"visit": 2, "help": 1}
+    assert built.graph.edge_count == 1
+    edge_files, attr_path, _ = write_village(
+        tmp_path, {"visit": [("b", "b"), ("a", "b")], "help": [("a", "a")]}, []
+    )
+    loaded = load_village(edge_files, attr_path)
+    assert loaded.relation_layers == {"help": 1, "visit": 2}
+    assert loaded.graph.edge_count == 1
+
+
+@pytest.mark.parametrize("pair", [(0, 3), (-1, 1)])
+def test_a_node_index_outside_the_table_is_refused(pair):
+    with pytest.raises(ValueError, match=r"relation layer 'visit' holds a node index outside 0 \.\. 2"):
+        VillageDataset("v1", make_table(["a", "b", "c"]), {"help": [(0, 1)], "visit": [pair]})
+
+
+def test_replacing_the_attributes_rebuilds_an_equal_graph():
+    dataset = VillageDataset("v1", make_table(["a", "b", "c"]), {"visit": [(0, 1), (2, 1)]})
+    replaced = replace(dataset, attributes=make_table(["a", "b", "c"], sex=[0, 1, 0]))
+    assert replaced.graph is not dataset.graph
+    assert replaced.graph.equals(dataset.graph)
+    assert np.array_equal(replaced.graph.indptr, dataset.graph.indptr)
+    assert np.array_equal(replaced.graph.neighbors, dataset.graph.neighbors)
+
+
+def test_save_writes_each_layer_in_node_index_order(tmp_path):
+    edge_files, attr_path, nodes_path = write_village(
+        tmp_path, {"visit": [("a", "b"), ("z", "a"), ("b", "z")]}, [], nodes=["z", "b", "a"]
+    )
+    dataset = load_village(edge_files, attr_path, IngestConfig(nodes_file=nodes_path))
+    out = save_village(dataset, tmp_path / "saved")
+    assert (out / "visit.csv").read_bytes() == b"source,target\r\nz,b\r\nz,a\r\nb,a\r\n"
+    config = IngestConfig(village_id="v1", nodes_file=out / "nodes.csv")
+    assert load_village([out / "visit.csv"], out / "attributes.csv", config).equals(dataset)
 
 
 def test_byte_order_marks_are_accepted(tmp_path):
@@ -317,16 +364,7 @@ def test_duplicate_layer_stems_rejected(tmp_path):
 
 
 def test_save_village_refuses_reserved_layer_names(tmp_path):
-    table = make_table(["a", "b"], sex=[0, 1])
-    from segnet import build_graph
-
-    graph, _ = build_graph([("a", "b")], node_ids=["a", "b"])
-    dataset = VillageDataset(
-        village_id="v",
-        graph=graph,
-        attributes=table,
-        layer_edges={"attributes": (("a", "b"),)},
-    )
+    dataset = VillageDataset("v", make_table(["a", "b"], sex=[0, 1]), {"attributes": [(0, 1)]})
     with pytest.raises(ValueError, match="reserved"):
         save_village(dataset, tmp_path / "broken")
 
@@ -458,8 +496,18 @@ def test_load_village_matches_row_at_a_time_reader(files):
         old = _outcome(load_village_by_rows, edge_files, attr_path, config)
     if isinstance(new, str) or isinstance(old, str):
         assert new == old
-    else:
-        assert new.equals(old)
+        return
+    dataset, layers, graph = old
+    assert new.equals(dataset)
+    # Each layer is its distinct unordered pairs in index order, the graph their union.
+    index = {nid: k for k, nid in enumerate(new.node_ids)}
+    assert new.layer_pairs.keys() == layers.keys()
+    for name, pairs in layers.items():
+        expected = sorted({tuple(sorted((index[a], index[b]))) for a, b in pairs})
+        assert new.layer_pairs[name].tolist() == [list(pair) for pair in expected]
+    assert new.graph.equals(graph)
+    assert np.array_equal(new.graph.indptr, graph.indptr)
+    assert np.array_equal(new.graph.neighbors, graph.neighbors)
 
 
 def _assert_same_build(edge_list, node_ids=None):

@@ -123,6 +123,14 @@ def test_adapter_refuses_a_layer_named_like_a_table_file(tmp_path, monkeypatch, 
     assert not (tmp_path / "corpus" / "vil001").exists()
 
 
+def test_adapter_refuses_a_key_file_that_repeats_an_id(tmp_path, monkeypatch):
+    write_raw_release(tmp_path / "raw")
+    (tmp_path / "raw" / "key_vilno_1.csv").write_text("101\n102\n103\n104\n101\n", encoding="utf-8")
+    with pytest.raises(SystemExit, match="^village 1: duplicate node id '101'"):
+        run_script(monkeypatch, "adapt_karnataka", "--raw", tmp_path / "raw", "--out", tmp_path / "corpus")
+    assert not (tmp_path / "corpus" / "vil001").exists()
+
+
 def test_synthetic_corpus_runs_without_dyadic_errors(tmp_path, monkeypatch):
     demo = tmp_path / "demo"
     run_script(monkeypatch, "make_synthetic_corpus", "--villages", 2, "--out", demo)

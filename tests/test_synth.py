@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from segnet import (
     generate_dyad_sample,
 )
 from segnet.attributes import CASTE_CATEGORIES
+from segnet.cli import main
 
 from .conftest import design_groups
 from .oracles import dyad_2x2
@@ -232,3 +236,48 @@ def test_law_cells_follow_the_ingest_codec():
     )
     with pytest.raises(ValueError, match="negative age value -3"):
         generate_attribute_sbm(negative)
+
+
+# README's example synth config.  The digests pin the bytes of every file it
+# writes, so a change to a generator, the codec or ``save_village`` that moves
+# a generated corpus fails here, naming the file.  The bytes depend only on
+# seeded draws, per-element ``math.exp`` and one dyad coefficient, so they do
+# not depend on the CPU or the BLAS build.
+README_SYNTH_CONFIG = {
+    "output_dir": "corpus",
+    "seed": 7,
+    "villages": [
+        {"kind": "sbm", "village_id": "v001",
+         "block_sizes": [60, 60], "p_in": 0.25, "p_out": 0.02,
+         "block_rules": ["general", {"obc": 0.5, "scheduled caste": 0.5}],
+         "extra_attributes": {"sex": {"male": 0.5, "female": 0.5}},
+         "missing_rate": 0.05},
+        {"kind": "dyad", "village_id": "v002", "n_nodes": 140,
+         "beta0": -1.4, "betas": {"caste": 1.6},
+         "attribute_law": {"caste": {"general": 0.6, "obc": 0.4}}},
+    ],
+}
+
+README_SYNTH_SHA256 = {
+    "v001/attributes.csv": "24bb4bc1946bd94a08feeb0ab8c3268176da0e1b94f91dedf412dcc33aaffcbf",
+    "v001/nodes.csv": "88c360b0dd07906062b71f20af667a47918590ae12a21e5d05e8fef484742e65",
+    "v001/sbm.csv": "f86c0d892a480016d0a3ac29428cc164717930ca22cabce2b7d89499d6cd33cc",
+    "v002/attributes.csv": "c00cfb8c12b1baa3016c2f4420428147532c6e55f9d4ebda20785048dc055986",
+    "v002/dyads.csv": "757cc3f8c6885917da2267a41117b73cf5654d9b8ebbe9845124038d322a250a",
+    "v002/nodes.csv": "6d631df7e64ff87c6a7c08ed785985ea5e4b8d8ac9830b0724a13660fe297dc4",
+}
+
+
+def test_readme_synth_corpus_bytes_are_pinned(tmp_path, capsys):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(README_SYNTH_CONFIG), encoding="utf-8")
+    assert main(["synth", "--config", str(config)]) == 0
+    corpus = tmp_path / "corpus"
+    digests = {
+        path.relative_to(corpus).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(corpus.rglob("*"))
+        if path.is_file()
+    }
+    assert sorted(digests) == sorted(README_SYNTH_SHA256)
+    for name, digest in README_SYNTH_SHA256.items():
+        assert digests[name] == digest, name
