@@ -4,7 +4,8 @@ Three subcommands:
 
 ``segnet run --config run.cfg``
     Analyze a corpus directory and write bundles, per-village CSVs, and
-    summary tables.  Exits nonzero when any village fails or none is found.
+    summary tables.  Exits nonzero when any village fails or none is found,
+    and refuses an ``output_dir`` that is a village directory.
 
 ``segnet summarize <output-dir>``
     Recompute and print the corpus summary tables from the JSON bundles in
@@ -33,7 +34,8 @@ Three subcommands:
 
     Relative ``output_dir`` resolves against the config file's directory.
     A village without a ``seed`` gets the top-level seed plus its index.
-    Each ``village_id`` names one directory under ``output_dir``.  Every
+    Each ``village_id`` names one directory under ``output_dir``: not empty,
+    ``.`` or ``..``, and without ``/``, ``\\`` or NUL.  Every
     village is generated and every directory checked before any is written,
     so a bad entry or a stale ``.csv`` (see ``save_village``) writes nothing.
 """
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -131,15 +132,8 @@ def _build_sbm(entry: Mapping[str, Any], seed: int) -> AttributedSbmConfig:
     )
 
 
-def _village_id(value: Any) -> str:
-    """``value`` when it names one directory under ``output_dir``; a ``ValueError`` otherwise."""
-    if not isinstance(value, str) or value in ("", ".", "..") or "/" in value or os.sep in value:
-        raise ValueError(f"village_id must name one directory, got {value!r}")
-    return value
-
-
 def _cmd_synth(args: argparse.Namespace) -> int:
-    from .ingest import _refuse_stale_csv, save_village
+    from .ingest import _names_one_file, _refuse_stale_csv, save_village
     from .synth import generate_attribute_sbm, generate_dyad_sample
 
     config_path = Path(args.config)
@@ -161,7 +155,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     for i, entry in enumerate(villages):
         try:
             entry = _json_object(entry, "village entry")
-            village_id = _village_id(entry["village_id"])
+            village_id = entry["village_id"]
+            if not _names_one_file(village_id):
+                raise ValueError(f"village_id must name one directory, got {village_id!r}")
             if village_id in datasets:
                 raise ValueError(f"duplicate village_id {village_id!r}")
             seed = int(entry.get("seed", base_seed + i))

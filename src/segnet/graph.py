@@ -1,4 +1,5 @@
-"""Immutable undirected simple graphs: construction, components, summary statistics.
+"""Immutable undirected simple graphs: construction from node-index pairs,
+components, subgraphs, summary statistics.
 
 Component labels come from numpy root hooking and pointer jumping over the
 edge arrays; local clustering counts each node's triangles exactly from the
@@ -11,7 +12,7 @@ plain graph search and a plain loop over the nodes exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,7 +81,7 @@ class UndirectedGraph:
 
 def _compile(node_count: int, eu: np.ndarray, ev: np.ndarray) -> UndirectedGraph:
     """Assemble a graph from deduplicated ``u < v`` edge arrays in increasing
-    lexicographic order, as both callers pass them: ``_simple_graph`` from sorted
+    lexicographic order, as both callers pass them: ``build_graph`` from sorted
     unique keys, ``induced_subgraph`` by a monotone renumbering of sorted edges."""
     eu = np.asarray(eu, dtype=np.int64)
     ev = np.asarray(ev, dtype=np.int64)
@@ -91,35 +92,6 @@ def _compile(node_count: int, eu: np.ndarray, ev: np.ndarray) -> UndirectedGraph
     counts = np.bincount(src, minlength=node_count)
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     return UndirectedGraph(node_count, eu, ev, indptr, neighbors)
-
-
-def build_graph(
-    edge_list: Iterable[tuple[Hashable, Hashable]],
-    node_ids: Sequence[Hashable] | None = None,
-) -> tuple[UndirectedGraph, dict[Hashable, int]]:
-    """Build a simple graph from raw id pairs.
-
-    Repeated and reversed pairs collapse to a single edge and self loops are
-    dropped.  When ``node_ids`` is given it fixes the node universe and index
-    order, and edges referencing ids outside it are rejected.  Otherwise the
-    universe is the sorted set of endpoint ids (ids must then be mutually
-    orderable).  Returns the graph together with the id -> index mapping,
-    whose keys are in index order.
-    """
-    ends = [nid for a, b in edge_list for nid in (a, b)]
-    if node_ids is not None:
-        index: dict[Hashable, int] = {}
-        for k, nid in enumerate(node_ids):
-            if nid in index:
-                raise ValueError(f"duplicate node id {nid!r} in node list")
-            index[nid] = k
-    else:
-        index = {nid: k for k, nid in enumerate(sorted(set(ends)))}
-    try:
-        flat = np.array([index[nid] for nid in ends], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"edge references unknown node id {exc.args[0]!r}") from None
-    return _simple_graph(len(index), flat[0::2], flat[1::2]), index
 
 
 def _unique(values: np.ndarray) -> np.ndarray:
@@ -134,13 +106,27 @@ def _unique(values: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
-def _simple_graph(node_count: int, u: np.ndarray, v: np.ndarray) -> UndirectedGraph:
-    """The simple graph of the index pairs ``(u, v)``: repeated and reversed
-    pairs collapse to one edge and self loops are dropped."""
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
+def _distinct_pairs(node_count: int, pairs: np.ndarray) -> np.ndarray:
+    """The distinct unordered pairs ``(min, max)`` of an int64 ``(m, 2)`` array of
+    indices below ``node_count``, in lexicographic order; self pairs stay."""
+    # Two columns, not ``min(axis=1)``: numpy's reduction over rows of two is far slower.
+    u, v = pairs.T
+    keys = _unique(np.minimum(u, v) * node_count + np.maximum(u, v))
+    return np.column_stack([keys // node_count, keys % node_count])
+
+
+def build_graph(node_count: int, pairs: Sequence[Sequence[int]] | np.ndarray) -> UndirectedGraph:
+    """The simple graph on nodes ``0 .. node_count - 1`` of the ``(m, 2)`` index pairs ``pairs``.
+
+    Repeated and reversed pairs collapse to one edge and self loops are
+    dropped.  An index outside ``0 .. node_count - 1`` raises ``ValueError``.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= node_count):
+        raise ValueError(f"node index outside 0 .. {node_count - 1}")
+    lo, hi = _distinct_pairs(node_count, pairs).T
     keep = lo < hi
-    keys = _unique(lo[keep] * node_count + hi[keep])
-    return _compile(node_count, keys // node_count, keys % node_count)
+    return _compile(node_count, lo[keep], hi[keep])
 
 
 def component_labels(graph: UndirectedGraph) -> tuple[np.ndarray, int]:
@@ -194,11 +180,11 @@ def _edges_within(graph: UndirectedGraph, mask: np.ndarray) -> tuple[np.ndarray,
 
 def induced_subgraph(
     graph: UndirectedGraph, nodes: Sequence[int] | np.ndarray
-) -> tuple[UndirectedGraph, dict[int, int]]:
+) -> tuple[UndirectedGraph, np.ndarray]:
     """Subgraph induced by ``nodes``, renumbered densely in ascending original order.
 
-    Returns the subgraph and the old-index -> new-index mapping, whose keys
-    ascend, so ``list(mapping)`` lists the original index of each new node.
+    Returns the subgraph and its nodes: the sorted distinct indices of
+    ``nodes`` as a read-only int64 array, so ``nodes[new] == old``.
     """
     nodes = _unique(np.asarray(nodes, dtype=np.int64))
     if nodes.size == 0:
@@ -207,20 +193,15 @@ def induced_subgraph(
         raise ValueError("node index out of range")
     mask = np.zeros(graph.node_count, dtype=bool)
     mask[nodes] = True
-    sub = _compile(int(nodes.size), *_edges_within(graph, mask))
-    mapping = {int(old): new for new, old in enumerate(nodes.tolist())}
-    return sub, mapping
+    nodes.setflags(write=False)
+    return _compile(int(nodes.size), *_edges_within(graph, mask)), nodes
 
 
-def largest_connected_component(
-    graph: UndirectedGraph,
-) -> tuple[UndirectedGraph, dict[int, int]]:
-    """Extract the largest connected component.
+def largest_connected_component(graph: UndirectedGraph) -> tuple[UndirectedGraph, np.ndarray]:
+    """Extract the largest connected component, as :func:`induced_subgraph` does.
 
     Ties between equal-size components resolve to the one containing the
-    smallest original node index.  Raises on an empty graph.  Returns what
-    :func:`induced_subgraph` returns: the mapping's keys ascend, so
-    ``list(mapping)`` lists the original index of each component node.
+    smallest original node index.  Raises on an empty graph.
     """
     if graph.node_count == 0:
         raise ValueError("cannot take the largest component of an empty graph")

@@ -22,7 +22,7 @@ a row-by-row reader would.  Ids become node indices once, and each layer
 is handed to ``VillageDataset`` as node-index pairs; the dataset reduces
 each layer to its distinct unordered pairs and builds the union graph.
 
-An adapter converts square 0/1 adjacency matrices into edge lists.
+An adapter converts square 0/1 adjacency matrices into node-index pairs.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .attributes import (
     missing_value,
     parse_cell,
 )
-from .graph import UndirectedGraph, _simple_graph, _unique
+from .graph import UndirectedGraph, _distinct_pairs, build_graph
 
 __all__ = [
     "IngestError",
@@ -102,12 +102,11 @@ class VillageDataset:
             pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
             if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
                 raise ValueError(f"relation layer {name!r} holds a node index outside 0 .. {n - 1}")
-            keys = _unique(pairs.min(axis=1) * n + pairs.max(axis=1))
-            layers[name] = np.column_stack([keys // n, keys % n])
+            layers[name] = _distinct_pairs(n, pairs)
             layers[name].setflags(write=False)
         union = np.concatenate([np.empty((0, 2), np.int64), *layers.values()])
         object.__setattr__(self, "layer_pairs", layers)
-        object.__setattr__(self, "graph", _simple_graph(n, union[:, 0], union[:, 1]))
+        object.__setattr__(self, "graph", build_graph(n, union))
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -307,6 +306,14 @@ def load_village(
     return VillageDataset(village_id, table, layer_pairs, unmatched)
 
 
+def _names_one_file(name: object) -> bool:
+    """Whether ``name`` is a string naming one entry of a directory: not empty,
+    ``.`` or ``..``, and holding no ``/``, ``\\`` or NUL."""
+    return isinstance(name, str) and name not in ("", ".", "..") and not any(
+        c in name for c in "/\\\0"
+    )
+
+
 def _refuse_stale_csv(dataset: VillageDataset, directory: Path) -> None:
     """Refuse a ``directory`` holding a ``.csv`` that saving ``dataset`` would not write:
     loading reads every ``.csv`` there, so a stale layer would join the village."""
@@ -331,7 +338,7 @@ def save_village(dataset: VillageDataset, directory: str | Path) -> Path:
     for name in dataset.layer_pairs:
         if name in _RESERVED_FILE_STEMS:
             raise ValueError(f"relation layer name {name!r} is reserved")
-        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        if not _names_one_file(name):
             raise ValueError(f"relation layer name {name!r} must name one file")
     out = Path(directory)
     _refuse_stale_csv(dataset, out)
@@ -363,11 +370,12 @@ def save_village(dataset: VillageDataset, directory: str | Path) -> Path:
     return out
 
 
-def adapt_adjacency_matrix(matrix_file: str | Path) -> list[tuple[int, int]]:
-    """Convert a square 0/1 adjacency matrix CSV into an edge list.
+def adapt_adjacency_matrix(matrix_file: str | Path) -> np.ndarray:
+    """Convert a square 0/1 adjacency matrix CSV into node-index pairs.
 
-    The matrix is OR-symmetrized; one edge is emitted per upper-triangle
-    entry.  Row/column indices double as node ids.
+    The matrix is OR-symmetrized.  Returns the ``(m, 2)`` int64 array of the
+    upper triangle's nonzero ``(row, column)`` pairs in lexicographic order,
+    as ``VillageDataset`` and ``build_graph`` take them.
     """
     path = Path(matrix_file)
     try:
@@ -386,6 +394,4 @@ def adapt_adjacency_matrix(matrix_file: str | Path) -> list[tuple[int, int]]:
     if not np.isin(values, (0.0, 1.0)).all():
         bad = values[~np.isin(values, (0.0, 1.0))][0]
         raise IngestError(f"{path}: matrix entry {bad!r} outside {{0, 1}}")
-    sym = np.triu(np.maximum(mat, mat.T), k=1)
-    iu, ju = np.nonzero(sym)
-    return [(int(i), int(j)) for i, j in zip(iu.tolist(), ju.tolist())]
+    return np.argwhere(np.triu(np.maximum(mat, mat.T), k=1)).astype(np.int64, copy=False)

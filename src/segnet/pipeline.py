@@ -321,8 +321,8 @@ def analyze_village(dataset: VillageDataset, cfg: RunConfig) -> dict[str, Any]:
     the bundle: ``_partition_assignment``, the Louvain community of each LCC
     node, and ``_lcc_node_ids``, those nodes' ids in the same order.
     """
-    lcc, mapping = largest_connected_component(dataset.graph)
-    table = dataset.attributes.take(list(mapping))
+    lcc, nodes = largest_connected_component(dataset.graph)
+    table = dataset.attributes.take(nodes)
     spec = _feature_spec(cfg)
     village = _Village(
         dataset=dataset,
@@ -524,8 +524,15 @@ class RunResult:
 
 
 def run_pipeline(cfg: RunConfig) -> RunResult:
-    """Analyze every village in the corpus and write all artifacts."""
+    """Analyze every village in the corpus and write all artifacts.
+
+    Refuses, before writing anything, an ``output_dir`` holding an
+    ``attributes.csv``: its tables would be read as relation layers of that
+    village on the next run.
+    """
     out = Path(cfg.output_dir)
+    if (out / "attributes.csv").is_file():
+        raise ValueError(f"output_dir {out} is a village directory: it holds an attributes.csv")
     out.mkdir(parents=True, exist_ok=True)
     config_hash = config_sha256(cfg)
     villages = _discover_villages(cfg)

@@ -47,7 +47,7 @@ def random_graph(rng, n, p):
     iu, ju = np.triu_indices(n, k=1)
     hit = rng.random(iu.size) < p
     edges = list(zip(iu[hit].tolist(), ju[hit].tolist()))
-    graph, _ = build_graph(edges, node_ids=range(n))
+    graph = build_graph(n, edges)
     return graph
 
 
@@ -77,7 +77,7 @@ def load_benchmark_villages(workload, directory, monkeypatch):
 @pytest.fixture
 def bridged_triangles():
     """Two attribute-pure triangles joined by one bridge, partitioned apart."""
-    graph, _ = build_graph(BRIDGED_TRIANGLE_EDGES, node_ids=range(6))
+    graph = build_graph(6, BRIDGED_TRIANGLE_EDGES)
     labels = np.array([0, 0, 0, 1, 1, 1])
     partition = Partition.from_assignment(graph, np.array([1, 1, 1, 2, 2, 2]))
     return graph, labels, partition
@@ -87,7 +87,7 @@ def bridged_triangles():
 def two_triangles():
     """Two disjoint triangles, males on one, females on the other."""
     edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
-    graph, _ = build_graph(edges, node_ids=range(6))
+    graph = build_graph(6, edges)
     table = make_table(range(6), sex=[0, 0, 0, 1, 1, 1])
     return graph, table
 
@@ -96,7 +96,7 @@ def two_triangles():
 def complete_bipartite_33():
     """K_{3,3} with the parts as attribute groups (fully dissortative)."""
     edges = [(i, j) for i in range(3) for j in range(3, 6)]
-    graph, _ = build_graph(edges, node_ids=range(6))
+    graph = build_graph(6, edges)
     labels = np.array([0, 0, 0, 1, 1, 1])
     return graph, labels
 
@@ -118,7 +118,7 @@ def clique_ring():
     edges += [(3, 4), (7, 8), (11, 12), (15, 0)]
     # bridges between opposite (same-label) cliques
     edges += [(1, 9), (5, 13)]
-    graph, _ = build_graph(edges, node_ids=range(16))
+    graph = build_graph(16, edges)
     labels = np.repeat([0, 1, 0, 1], 4)
     partition = Partition.from_assignment(graph, np.repeat([1, 2, 3, 4], 4))
     return graph, labels, partition

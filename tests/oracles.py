@@ -666,7 +666,14 @@ def community_network_by_dicts(
 
 
 def build_graph_by_set(edge_list, node_ids=None):
-    """``build_graph`` by a set of index pairs and plain neighbor lists."""
+    """The simple graph of id pairs, by a set of index pairs and plain neighbor lists.
+
+    ``node_ids`` fixes the node universe and index order; without it the
+    universe is the sorted endpoint ids.  An unknown or duplicate id raises
+    ``ValueError``.  Returns the graph and the id -> index mapping.  With
+    ``node_ids=range(n)`` it is the reference for ``build_graph(n, pairs)``;
+    ``load_village_by_rows`` builds its union graph and id mapping with it.
+    """
     pairs = list(edge_list)
     if node_ids is not None:
         ids = list(node_ids)

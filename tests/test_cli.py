@@ -123,6 +123,47 @@ def test_run_reports_failed_villages_on_stderr(tmp_path, capsys):
     assert "failed vbad:" in captured.err
 
 
+def corpus_tree(corpus):
+    """Every path under ``corpus`` with its bytes (``None`` for a directory)."""
+    return {
+        p.relative_to(corpus).as_posix(): p.read_bytes() if p.is_file() else None
+        for p in corpus.rglob("*")
+    }
+
+
+def write_run_config(tmp_path, output_dir):
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text(
+        f"corpus_dir = corpus\noutput_dir = {output_dir}\nattributes = caste, sex\n"
+        "permutation_replicates = 20\nworkers = 1\n",
+        encoding="utf-8",
+    )
+    return run_cfg
+
+
+def test_run_refuses_an_output_dir_that_is_a_village_directory(tmp_path, capsys):
+    assert main(["synth", "--config", str(write_synth_config(tmp_path, SBM_VILLAGES[:2]))]) == 0
+    corpus = tmp_path / "corpus"
+    before = corpus_tree(corpus)
+    capsys.readouterr()
+    # Its tables would be read as relation layers of v001 on the next run.
+    assert main(["run", "--config", str(write_run_config(tmp_path, "corpus/v001"))]) == 1
+    assert capsys.readouterr().err == (
+        f"segnet run: output_dir {corpus / 'v001'} is a village directory: "
+        "it holds an attributes.csv\n"
+    )
+    assert corpus_tree(corpus) == before
+
+
+@pytest.mark.parametrize("output_dir", ["corpus", "corpus/v001/out"])
+def test_run_into_the_corpus_outside_village_directories_reruns(tmp_path, capsys, output_dir):
+    assert main(["synth", "--config", str(write_synth_config(tmp_path, SBM_VILLAGES[:2]))]) == 0
+    run_cfg = write_run_config(tmp_path, output_dir)
+    for _ in range(2):
+        assert main(["run", "--config", str(run_cfg)]) == 0
+        assert "analyzed 2 of 2 village(s)" in capsys.readouterr().out
+
+
 def test_run_with_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 1
     assert "segnet run:" in capsys.readouterr().err
@@ -362,7 +403,7 @@ class TestSynthErrors:
                     {"villages": [SBM_VILLAGES[0], dict(SBM_VILLAGES[1], village_id=village_id)]},
                     f"villages[1]: village_id must name one directory, got {village_id!r}",
                 )
-                for village_id in [5, "", ".", "..", "../escape", "a/b"]
+                for village_id in [5, "", ".", "..", "../escape", "a/b", "a\\b", "v2\0x"]
             ),
         ],
         ids=[
@@ -386,6 +427,8 @@ class TestSynthErrors:
             "village_id_dotdot",
             "village_id_escapes",
             "village_id_nested",
+            "village_id_backslash",
+            "village_id_nul",
         ],
     )
     def test_malformed_config_is_reported_not_raised(self, tmp_path, capsys, spec, message):
@@ -424,3 +467,23 @@ def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc_info:
         main([])
     assert exc_info.value.code == 2
+
+
+def readme_block(heading, language):
+    """The first ``language`` code block after ``heading`` in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text[text.index(f"\n{heading}\n") :]
+    start = section.index(f"```{language}\n") + len(f"```{language}\n")
+    return section[start : section.index("```", start)]
+
+
+def test_readme_library_example_runs_as_written(tmp_path, capsys, monkeypatch):
+    village = dict(SBM_VILLAGES[0], village_id="vil001")
+    assert main(["synth", "--config", str(write_synth_config(tmp_path, [village]))]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    exec(compile(readme_block("## Library use", "python"), "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    # q_attr, q_within_norm and q_between_norm, then the NMI
+    assert len(printed) == 4
+    assert all(math.isfinite(float(value)) for value in printed)

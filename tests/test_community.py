@@ -31,35 +31,33 @@ def two_cliques_graph(k=5):
     for base in (0, k):
         edges += [(base + i, base + j) for i in range(k) for j in range(i + 1, k)]
     edges.append((k - 1, k))  # single bridge
-    graph, _ = build_graph(edges, node_ids=range(2 * k))
+    graph = build_graph(2 * k, edges)
     return graph
 
 
 class TestPartition:
     def test_labels_are_contiguous_from_one_by_first_appearance(self):
-        graph, _ = build_graph([(0, 1), (2, 3)], node_ids=range(4))
+        graph = build_graph(4, [(0, 1), (2, 3)])
         part = Partition.from_assignment(graph, np.array([7, 7, 3, 3]))
         assert part.assignment.tolist() == [1, 1, 2, 2]
         assert part.n_communities == 2
         assert part.sizes.tolist() == [2, 2]
 
     def test_edge_and_degree_bookkeeping(self):
-        graph, _ = build_graph(
-            [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)], node_ids=range(5)
-        )
+        graph = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
         part = Partition.from_assignment(graph, np.array([1, 1, 1, 2, 2]))
         assert part.m_within == 4
         assert part.m_between == 1
         assert part.m_within + part.m_between == graph.edge_count
 
     def test_rejects_misaligned_assignment(self):
-        graph, _ = build_graph([(0, 1)], node_ids=range(2))
+        graph = build_graph(2, [(0, 1)])
         with pytest.raises(ValueError):
             Partition.from_assignment(graph, np.array([1, 1, 2]))
 
 
 def test_single_community_modularity_is_exactly_zero():
-    graph, _ = build_graph([(0, 1), (1, 2), (0, 2)], node_ids=range(3))
+    graph = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     part = Partition.from_assignment(graph, np.array([1, 1, 1]))
     assert modularity_of_partition(graph, part) == 0.0
 
@@ -88,9 +86,7 @@ class TestLouvain:
         assert len(set(part.assignment[5:].tolist())) == 1
 
     def test_merges_a_single_clique(self):
-        graph, _ = build_graph(
-            [(i, j) for i in range(6) for j in range(i + 1, 6)], node_ids=range(6)
-        )
+        graph = build_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
         part = louvain(graph, seed=4)
         assert part.n_communities == 1
         assert part.modularity == 0.0
@@ -128,7 +124,7 @@ class TestLouvain:
             )
 
     def test_rejects_empty_graph(self):
-        graph, _ = build_graph([], node_ids=range(3))
+        graph = build_graph(3, [])
         with pytest.raises(ValueError):
             louvain(graph, seed=0)
 
@@ -159,7 +155,7 @@ def graphs_with_isolates_and_components(draw):
     iu, ju = np.triu_indices(n - isolates, k=1)
     hit = (iu % blocks == ju % blocks) & (rng.random(iu.size) < draw(st.floats(0.0, 0.6)))
     edges = list(zip(iu[hit].tolist(), ju[hit].tolist()))
-    return build_graph(edges, node_ids=range(n))[0]
+    return build_graph(n, edges)
 
 
 @st.composite

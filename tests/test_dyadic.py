@@ -42,7 +42,7 @@ from .oracles import (
 
 
 def small_design():
-    graph, _ = build_graph([(0, 1), (1, 2), (2, 3)], node_ids=range(4))
+    graph = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     table = make_table(range(4), caste=[0, 0, 3, 3], age=[20.0, 35.0, 50.0, 50.0])
     spec = FeatureSpec(
         {
@@ -83,7 +83,7 @@ class TestDyadDesign:
         assert design.ties.tolist() == [1, 0, 1, 1]
 
     def test_binned_difference_uses_bin_distance(self):
-        graph, _ = build_graph([(0, 1)], node_ids=range(3))
+        graph = build_graph(3, [(0, 1)])
         table = make_table(range(3), education=[0.0, 12.0, 15.0])
         spec = FeatureSpec(
             {"education": FeatureEncoding("difference", (1.0, 10.0, 14.0, 16.0))}
@@ -96,7 +96,7 @@ class TestDyadDesign:
         }
 
     def test_only_complete_case_nodes_enter(self):
-        graph, _ = build_graph([(0, 1), (1, 2)], node_ids=range(3))
+        graph = build_graph(3, [(0, 1), (1, 2)])
         table = make_table(range(3), caste=[0, -1, 3])
         design = build_dyad_design(graph, table, FeatureSpec({"caste": FeatureEncoding("match")}))
         assert design.n_nodes == 2
@@ -104,7 +104,7 @@ class TestDyadDesign:
         assert design.n_ties == 0  # 0-2 is not an edge
 
     def test_needs_two_complete_case_nodes(self):
-        graph, _ = build_graph([(0, 1)], node_ids=range(2))
+        graph = build_graph(2, [(0, 1)])
         table = make_table(range(2), caste=[0, -1])
         with pytest.raises(ValueError, match="complete-case"):
             build_dyad_design(graph, table, FeatureSpec({"caste": FeatureEncoding("match")}))
@@ -338,7 +338,7 @@ class TestLogisticFit:
             assert abs(fit.beta[k] - truth) < 3 * fit.std_errors[k]
 
     def test_constant_feature_is_an_error_naming_the_attribute(self):
-        graph, _ = build_graph([(0, 1), (2, 3)], node_ids=range(4))
+        graph = build_graph(4, [(0, 1), (2, 3)])
         table = make_table(range(4), caste=[1, 1, 1, 1], sex=[0, 1, 0, 1])
         spec = FeatureSpec(
             {"caste": FeatureEncoding("match"), "sex": FeatureEncoding("match")}
@@ -349,12 +349,10 @@ class TestLogisticFit:
     def test_all_tied_or_none_tied_is_an_error(self):
         table = make_table(range(3), caste=[0, 1, 3])
         spec = FeatureSpec({"caste": FeatureEncoding("match")})
-        complete, _ = build_graph(
-            [(0, 1), (0, 2), (1, 2)], node_ids=range(3)
-        )
+        complete = build_graph(3, [(0, 1), (0, 2), (1, 2)])
         with pytest.raises(ValueError, match="tied and untied"):
             fit_logistic(build_dyad_design(complete, table, spec))
-        empty, _ = build_graph([], node_ids=range(3))
+        empty = build_graph(3, [])
         with pytest.raises(ValueError, match="tied and untied"):
             fit_logistic(build_dyad_design(empty, table, spec))
 
@@ -362,7 +360,7 @@ class TestLogisticFit:
     def separated_design():
         # ties exactly when castes match: the MLE diverges
         edges = [(0, 1), (2, 3), (4, 5)]
-        graph, _ = build_graph(edges, node_ids=range(6))
+        graph = build_graph(6, edges)
         table = make_table(range(6), caste=[0, 0, 1, 1, 2, 2])
         return build_dyad_design(graph, table, FeatureSpec({"caste": FeatureEncoding("match")}))
 
@@ -375,7 +373,7 @@ class TestLogisticFit:
         # ties exactly between equal ages: the age slope runs off to -inf, and
         # the 60-year gaps put the final information matrix's linear
         # predictor below -709.78, where exp(-x) overflows a double
-        graph, _ = build_graph([(0, 1), (2, 3), (4, 5)], node_ids=range(6))
+        graph = build_graph(6, [(0, 1), (2, 3), (4, 5)])
         table = make_table(range(6), caste=[0, 1, 0, 1, 0, 0], age=[30, 30, 31, 31, 90, 90])
         spec = FeatureSpec(
             {"caste": FeatureEncoding("match"), "age": FeatureEncoding("difference")}
@@ -441,7 +439,7 @@ def clique_with_pendants():
     """Male K8 with one female pendant per clique node: group mean degrees 8 and 1."""
     edges = [(i, j) for i in range(8) for j in range(i + 1, 8)]
     edges += [(i, 8 + i) for i in range(8)]
-    graph, _ = build_graph(edges, node_ids=range(16))
+    graph = build_graph(16, edges)
     return graph, np.array([0] * 8 + [1] * 8)
 
 
@@ -461,7 +459,7 @@ class TestSexPermutation:
     def test_every_replicate_respects_the_degree_constraint(self):
         # unequal degrees so the constraint actually bites
         edges = [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (1, 2)]
-        graph, _ = build_graph(edges, node_ids=range(6))
+        graph = build_graph(6, edges)
         table = make_table(range(6), sex=[0, 0, 1, 1, 0, 1])
         result = sex_permutation_test(graph, table, tolerance=0.4, target_replicates=150, seed=3)
         lo_m, hi_m = result.male_degree_bounds
@@ -493,7 +491,7 @@ class TestSexPermutation:
         # two male hubs tied to each other and most females isolated pairs:
         # make mm ties overwhelmingly likely under any valid permutation
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (5, 6), (7, 8)]
-        graph, _ = build_graph(edges, node_ids=range(10))
+        graph = build_graph(10, edges)
         # node 9 has no sex recorded and degree 0
         table = make_table(range(10), sex=[0, 0, 0, 1, 1, 1, 1, 1, 1, -1])
         result = sex_permutation_test(graph, table, tolerance=5.0, target_replicates=400, seed=11)
@@ -536,7 +534,7 @@ class TestSexPermutation:
         np.testing.assert_allclose(result.replicate_male_mean_degrees, expected_md, rtol=1e-12)
 
     def test_single_sex_network_is_an_error(self):
-        graph, _ = build_graph([(0, 1)], node_ids=range(2))
+        graph = build_graph(2, [(0, 1)])
         table = make_table(range(2), sex=[0, 0])
         with pytest.raises(ValueError, match="both sexes"):
             sex_permutation_test(graph, table, tolerance=0.1)
@@ -808,7 +806,7 @@ def survey_scale_village(n=1200, mean_degree=8.0, seed=411):
 
 def star_around_node_zero(n_leaves=3000):
     """Star whose hub, node 0, has ``n_leaves`` leaves and no attributes."""
-    star, _ = build_graph([(0, i) for i in range(1, n_leaves + 1)])
+    star = build_graph(n_leaves + 1, [(0, i) for i in range(1, n_leaves + 1)])
     return star, None
 
 
@@ -862,7 +860,7 @@ class TestDegreeMissingnessTtest:
     def test_matches_closed_form_welch(self):
         rng = np.random.default_rng(51)
         edges = [(i, j) for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.4]
-        graph, _ = build_graph(edges, node_ids=range(12))
+        graph = build_graph(12, edges)
         caste = np.array([3] * 7 + [-1] * 5)
         table = make_table(range(12), caste=caste)
         t, p = degree_missingness_ttest(graph, table, "caste")
@@ -872,26 +870,24 @@ class TestDegreeMissingnessTtest:
         assert p == pytest.approx(p_ref, rel=1e-10)
 
     def test_sign_convention_observed_minus_missing(self):
-        graph, _ = build_graph([(0, 1), (0, 2), (0, 3), (1, 2)], node_ids=range(5))
+        graph = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2)])
         table = make_table(range(5), caste=[3, 3, 3, -1, -1])
         t, _ = degree_missingness_ttest(graph, table, "caste")
         assert t > 0  # observed nodes have higher degrees here
 
     def test_zero_variance_cases(self):
-        graph, _ = build_graph([(0, 1), (2, 3)], node_ids=range(4))
+        graph = build_graph(4, [(0, 1), (2, 3)])
         equal = make_table(range(4), caste=[3, 3, -1, -1])
         assert degree_missingness_ttest(graph, equal, "caste") == (0.0, 1.0)
         # two observed hubs of equal degree vs six missing leaves: both groups
         # have zero variance but different means
-        twin_stars, _ = build_graph(
-            [(0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)], node_ids=range(8)
-        )
+        twin_stars = build_graph(8, [(0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)])
         unequal = make_table(range(8), caste=[3, 3, -1, -1, -1, -1, -1, -1])
         t, p = degree_missingness_ttest(twin_stars, unequal, "caste")
         assert t == math.inf and p == 0.0
 
     def test_requires_both_groups(self):
-        graph, _ = build_graph([(0, 1)], node_ids=range(2))
+        graph = build_graph(2, [(0, 1)])
         table = make_table(range(2), caste=[3, 3])
         with pytest.raises(ValueError):
             degree_missingness_ttest(graph, table, "caste")
@@ -911,7 +907,7 @@ class TestDegreeMissingnessTtest:
             start += size + 1
         n = start
         edges += [(u % n, v % n) for u, v in extra]
-        graph, _ = build_graph(edges, node_ids=range(n))
+        graph = build_graph(n, edges)
         observed = np.array(present[:n])
         table = make_table(range(n), caste=np.where(observed, 3, -1))
         deg = graph.degrees.astype(float)

@@ -22,36 +22,21 @@ from .oracles import (
 
 
 def test_build_collapses_duplicates_reversals_and_self_loops():
-    graph, index = build_graph([("a", "b"), ("b", "a"), ("a", "b"), ("c", "c")])
+    graph = build_graph(3, [(0, 1), (1, 0), (0, 1), (2, 2)])
     assert graph.edge_count == 1
-    # the self loop is dropped but its endpoint still joins the universe
+    # the self loop is dropped but its node stays
     assert graph.node_count == 3
-    assert index == {"a": 0, "b": 1, "c": 2}
     assert graph.degrees.tolist() == [1, 1, 0]
 
 
-def test_build_without_universe_sorts_endpoint_ids():
-    graph, index = build_graph([(5, 2), (9, 2)])
-    assert list(index) == [2, 5, 9]
-    assert graph.has_edge(0, 1) and graph.has_edge(0, 2)
-
-
-def test_explicit_universe_preserves_order_and_isolates():
-    graph, index = build_graph([("x", "y")], node_ids=["z", "y", "x"])
-    assert index == {"z": 0, "y": 1, "x": 2}
+def test_build_keeps_nodes_without_pairs_as_isolates():
+    graph = build_graph(3, np.array([[2, 1]]))
     assert graph.node_count == 3
     assert graph.degrees.tolist() == [0, 1, 1]
 
 
-def test_explicit_universe_rejects_unknown_and_duplicate_ids():
-    with pytest.raises(ValueError, match="unknown node id"):
-        build_graph([("a", "q")], node_ids=["a", "b"])
-    with pytest.raises(ValueError, match="duplicate node id"):
-        build_graph([], node_ids=["a", "a"])
-
-
 def test_edge_arrays_are_lexicographic_and_read_only():
-    graph, _ = build_graph([(3, 1), (0, 2), (0, 1)], node_ids=range(4))
+    graph = build_graph(4, [(3, 1), (0, 2), (0, 1)])
     pairs = list(zip(graph.edge_u.tolist(), graph.edge_v.tolist()))
     assert pairs == sorted(pairs)
     assert all(u < v for u, v in pairs)
@@ -67,7 +52,7 @@ def test_edge_arrays_are_lexicographic_and_read_only():
     nodes=st.lists(st.integers(0, 19), min_size=1, max_size=20),
 )
 def test_both_graph_builders_give_edges_in_increasing_lexicographic_order(pairs, nodes):
-    graph, _ = build_graph(pairs, node_ids=range(20))
+    graph = build_graph(20, pairs)
     sub, _ = induced_subgraph(graph, nodes)
     for built in (graph, sub):
         edges = list(zip(built.edge_u.tolist(), built.edge_v.tolist()))
@@ -82,7 +67,7 @@ def test_both_graph_builders_give_edges_in_increasing_lexicographic_order(pairs,
     bits=st.lists(st.booleans(), min_size=12, max_size=12),
 )
 def test_edges_within_matches_a_loop_over_the_edges(pairs, kind, bits):
-    graph, _ = build_graph(pairs, node_ids=range(12))
+    graph = build_graph(12, pairs)
     mask = np.array({"empty": [False] * 12, "full": [True] * 12, "random": bits}[kind])
     position = {node: k for k, node in enumerate(np.flatnonzero(mask).tolist())}
     expected = [
@@ -133,23 +118,23 @@ def test_neighbor_lists_are_sorted():
     st.randoms(use_true_random=False),
 )
 def test_degree_sum_is_twice_edges_and_order_invariant(pairs, rnd):
-    graph, _ = build_graph(pairs, node_ids=range(20))
+    graph = build_graph(20, pairs)
     assert int(graph.degrees.sum()) == 2 * graph.edge_count
     shuffled = list(pairs)
     rnd.shuffle(shuffled)
-    again, _ = build_graph(shuffled, node_ids=range(20))
+    again = build_graph(20, shuffled)
     assert graph.equals(again)
 
 
 def test_component_labels_follow_discovery_order():
-    graph, _ = build_graph([(2, 3), (0, 1), (5, 6), (6, 7)], node_ids=range(8))
+    graph = build_graph(8, [(2, 3), (0, 1), (5, 6), (6, 7)])
     labels, count = component_labels(graph)
     assert count == 4
     assert labels.tolist() == [0, 0, 1, 1, 2, 3, 3, 3]
 
 
 def test_component_labels_of_the_empty_graph():
-    graph, _ = build_graph([], node_ids=[])
+    graph = build_graph(0, [])
     labels, count = component_labels(graph)
     assert count == 0
     assert labels.dtype == np.int64
@@ -186,7 +171,7 @@ def scattered_components(draw):
         pairs = [(a, b) for i, a in enumerate(block) for b in block[i + 1 :]]
         keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
         edges += [pair for pair, kept in zip(pairs, keep) if kept]
-    graph, _ = build_graph(edges, node_ids=range(n))
+    graph = build_graph(n, edges)
     return graph
 
 
@@ -237,7 +222,7 @@ def _clique_with_pendants(k):
     ids=["star_first", "star_last", "wheel_first", "wheel_last", "clique_pendants"],
 )
 def test_clustering_of_hubs_equals_the_oracles(edges):
-    graph, _ = build_graph(edges)
+    graph = build_graph(int(np.max(edges)) + 1, edges)
     _assert_clustering_equals_oracles(graph)
 
 
@@ -268,48 +253,52 @@ def _path_order(kind, n):
 @pytest.mark.parametrize("kind", ["ascending", "descending", "shuffled", "zigzag"])
 def test_component_labels_of_long_paths_equal_graph_search(kind, n):
     order = _path_order(kind, n)
-    one_path, _ = build_graph(zip(order[:-1].tolist(), order[1:].tolist()), node_ids=range(n))
+    one_path = build_graph(n, np.column_stack([order[:-1], order[1:]]))
     _assert_labels_equal_bfs(one_path)
     # the same path twice over interleaved indices, plus an isolated last node
     evens, odds = 2 * order, 2 * order + 1
     edges = list(zip(evens[:-1].tolist(), evens[1:].tolist()))
     edges += list(zip(odds[:-1].tolist(), odds[1:].tolist()))
-    two_paths, _ = build_graph(edges, node_ids=range(2 * n + 1))
+    two_paths = build_graph(2 * n + 1, edges)
     _assert_labels_equal_bfs(two_paths)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5000])
 def test_component_labels_of_a_star_centred_on_the_last_index(n):
-    star, _ = build_graph([(i, n - 1) for i in range(n - 1)], node_ids=range(n))
+    star = build_graph(n, [(i, n - 1) for i in range(n - 1)])
     _assert_labels_equal_bfs(star)
     assert component_labels(star)[1] == 1
 
 
 def test_lcc_ties_break_toward_smallest_node_index():
-    graph, _ = build_graph([(2, 3), (0, 1)], node_ids=range(4))
-    lcc, mapping = largest_connected_component(graph)
+    graph = build_graph(4, [(2, 3), (0, 1)])
+    lcc, nodes = largest_connected_component(graph)
     assert lcc.node_count == 2
-    assert set(mapping) == {0, 1}
+    assert nodes.tolist() == [0, 1]
 
 
 def test_induced_subgraph_keeps_internal_edges_only():
-    graph, _ = build_graph([(0, 1), (1, 2), (2, 3), (3, 0)], node_ids=range(4))
-    sub, mapping = induced_subgraph(graph, [0, 1, 3])
+    graph = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    sub, nodes = induced_subgraph(graph, [0, 1, 3])
     assert sub.node_count == 3
     assert sub.edge_count == 2
-    assert mapping == {0: 0, 1: 1, 3: 2}
-    assert sub.has_edge(mapping[0], mapping[1])
-    assert sub.has_edge(mapping[0], mapping[3])
+    assert nodes.tolist() == [0, 1, 3]
+    assert sub.has_edge(0, 1)
+    assert sub.has_edge(0, 2)
 
 
-def test_subgraph_mapping_keys_ascend_so_list_gives_the_node_order():
-    graph, _ = build_graph([(4, 1), (1, 3), (0, 2), (3, 4)], node_ids=range(5))
-    sub, mapping = induced_subgraph(graph, [4, 1, 3, 0])
-    assert list(mapping) == [0, 1, 3, 4]
-    assert list(mapping.values()) == list(range(sub.node_count))
-    lcc, mapping = largest_connected_component(graph)
-    assert list(mapping) == [1, 3, 4]
-    assert list(mapping.values()) == [0, 1, 2]
+def test_subgraph_nodes_are_sorted_distinct_read_only_and_map_new_indices_to_old():
+    graph = build_graph(5, [(4, 1), (1, 3), (0, 2), (3, 4)])
+    sub, nodes = induced_subgraph(graph, [4, 1, 3, 4, 0, 1])
+    assert nodes.dtype == np.int64
+    assert nodes.tolist() == [0, 1, 3, 4]
+    with pytest.raises(ValueError):
+        nodes[0] = 2
+    edges = zip(sub.edge_u.tolist(), sub.edge_v.tolist())
+    assert sorted((int(nodes[u]), int(nodes[v])) for u, v in edges) == [(1, 3), (1, 4), (3, 4)]
+    lcc, nodes = largest_connected_component(graph)
+    assert nodes.tolist() == [1, 3, 4]
+    assert lcc.edge_count == 3
 
 
 def test_clustering_matches_triangle_count_oracle():
@@ -334,19 +323,19 @@ def test_clustering_matches_networkx():
 
 
 def test_clustering_analytic_cases():
-    triangle, _ = build_graph([(0, 1), (1, 2), (0, 2)])
+    triangle = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     assert mean_local_clustering(triangle) == 1.0
-    path, _ = build_graph([(0, 1), (1, 2)])
+    path = build_graph(3, [(0, 1), (1, 2)])
     assert mean_local_clustering(path) == 0.0
-    star, _ = build_graph([(0, i) for i in range(1, 5)])
+    star = build_graph(5, [(0, i) for i in range(1, 5)])
     assert mean_local_clustering(star) == 0.0
     # 298 common neighbors per pair: more than a narrow integer type holds
-    clique, _ = build_graph([(i, j) for i in range(300) for j in range(i + 1, 300)])
+    clique = build_graph(300, [(i, j) for i in range(300) for j in range(i + 1, 300)])
     assert mean_local_clustering(clique) == 1.0
 
 
 def test_network_stats_on_known_graph():
-    graph, _ = build_graph([(0, 1), (1, 2), (0, 2), (3, 4)], node_ids=range(6))
+    graph = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
     lcc, _ = largest_connected_component(graph)
     stats = network_stats(graph, lcc)
     assert stats.n_nodes == 6
@@ -359,7 +348,7 @@ def test_network_stats_on_known_graph():
 
 
 def test_network_stats_edgeless_graph():
-    graph, _ = build_graph([], node_ids=range(4))
+    graph = build_graph(4, [])
     lcc, _ = largest_connected_component(graph)
     stats = network_stats(graph, lcc)
     assert stats.n_edges == 0

@@ -371,14 +371,19 @@ def test_save_village_refuses_reserved_layer_names(tmp_path):
 
 def test_adapt_adjacency_matrix_symmetrizes_by_or(tmp_path):
     path = tmp_path / "adj.csv"
-    path.write_text("0,1,0\n0,0,1\n0,0,0\n", encoding="utf-8")
-    assert adapt_adjacency_matrix(path) == [(0, 1), (1, 2)]
+    # (0, 1) is only above the diagonal and (1, 2) only below it
+    path.write_text("0,1,0\n0,0,0\n0,1,0\n", encoding="utf-8")
+    pairs = adapt_adjacency_matrix(path)
+    assert pairs.dtype == np.int64
+    assert pairs.tolist() == [[0, 1], [1, 2]]
+    path.write_text("0,0\n0,0\n", encoding="utf-8")
+    assert adapt_adjacency_matrix(path).shape == (0, 2)
 
 
 def test_adapt_adjacency_matrix_skips_a_byte_order_mark(tmp_path):
     path = tmp_path / "adj.csv"
     path.write_bytes(b"\xef\xbb\xbf0,1\n1,0\n")
-    assert adapt_adjacency_matrix(path) == [(0, 1)]
+    assert adapt_adjacency_matrix(path).tolist() == [[0, 1]]
 
 
 def test_adapt_adjacency_matrix_validates_shape_and_values(tmp_path):
@@ -510,45 +515,45 @@ def test_load_village_matches_row_at_a_time_reader(files):
     assert np.array_equal(new.graph.neighbors, graph.neighbors)
 
 
-def _assert_same_build(edge_list, node_ids=None):
+def _assert_same_build(node_count, pairs):
+    """``build_graph`` against the set-based oracle, which refuses the same indices.
+
+    A key-based build that did not refuse them would read ``(0, 4)`` on 4
+    nodes as the edge ``(1, 0)``.
+    """
     try:
-        graph, index = build_graph(edge_list, node_ids=node_ids)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as old:
-            build_graph_by_set(edge_list, node_ids=node_ids)
-        assert str(exc) == str(old.value)
+        ref_graph, _ = build_graph_by_set(pairs, node_ids=range(node_count))
+    except ValueError:
+        with pytest.raises(ValueError, match=f"node index outside 0 \\.\\. {node_count - 1}$"):
+            build_graph(node_count, pairs)
         return
-    ref_graph, ref_index = build_graph_by_set(edge_list, node_ids=node_ids)
+    graph = build_graph(node_count, pairs)
     assert graph.equals(ref_graph)
     assert np.array_equal(graph.indptr, ref_graph.indptr)
     assert np.array_equal(graph.neighbors, ref_graph.neighbors)
-    assert list(index.items()) == list(ref_index.items())
 
 
 @pytest.mark.parametrize(
-    "edge_list, node_ids",
+    "node_count, pairs",
     [
-        ([(3, 1), (1, 3), (1, 1), (0, 2), (2, 0), (2, 3)], None),
-        ([(3, 1), (1, 3), (1, 1), (0, 2)], [3, 2, 1, 0, 9]),
-        ([("b", "a"), ("a", "b"), ("c", "c"), ("c", "a")], None),
-        ([("b", "a"), ("c", "c")], ["c", "b", "a"]),
-        ([], None),
-        ([], ["a", "b"]),
-        ([("a", "b"), ("b", "z"), ("y", "a")], ["a", "b"]),
-        ([("a", "b")], ["a", "b", "a"]),
+        (4, [(3, 1), (1, 3), (1, 1), (0, 2), (2, 0), (2, 3)]),
+        (9, [(3, 1), (1, 3), (1, 1), (0, 2)]),
+        (0, []),
+        (2, []),
+        (4, [(0, 1), (1, 4)]),
+        (4, [(0, 1), (-1, 2)]),
     ],
-    ids=["int", "int-node-ids", "str", "str-node-ids", "empty", "empty-node-ids",
-         "unknown-id", "duplicate-node-id"],
+    ids=["int", "isolates", "empty", "edgeless", "index-at-n", "negative-index"],
 )
-def test_build_graph_matches_set_based_dedup(edge_list, node_ids):
-    _assert_same_build(edge_list, node_ids)
+def test_build_graph_matches_set_based_dedup(node_count, pairs):
+    _assert_same_build(node_count, pairs)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=40),
-    st.booleans(),
+    st.integers(1, 14),
 )
-def test_build_graph_matches_set_based_dedup_on_random_pairs(edge_list, with_node_ids):
-    # With node ids, 13 is an unknown id.
-    _assert_same_build(edge_list, list(range(12, -1, -1)) if with_node_ids else None)
+def test_build_graph_matches_set_based_dedup_on_random_pairs(pairs, node_count):
+    # Below 14 nodes, an index of node_count or more is refused.
+    _assert_same_build(node_count, pairs)

@@ -397,7 +397,7 @@ def test_constant_feature_screen_matches_per_attribute_screen(message):
             for attr, (_, values) in case.items()
         },
     )
-    graph, _ = build_graph([(0, 1), (1, 2), (2, 3)], node_ids=range(4))
+    graph = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     spec = FeatureSpec({attr: FeatureEncoding(kind) for attr, (kind, _) in case.items()})
     dropped = _dropped_features(build_dyad_design(graph, table, spec), spec)
 
@@ -746,8 +746,8 @@ class TestSingleModel:
         assert list(dyadic) == ["model", "per_attribute"]
         assert dyadic["model"] == "single"
         assert list(dyadic["per_attribute"]) == list(attributes)
-        lcc, mapping = largest_connected_component(dataset.graph)
-        table = dataset.attributes.take(list(mapping))
+        lcc, nodes = largest_connected_component(dataset.graph)
+        table = dataset.attributes.take(nodes)
         fitted = [attr for attr in attributes if attr not in errors]
         for attr in fitted:
             design = build_dyad_design(lcc, table, FeatureSpec({attr: FeatureEncoding("match")}))

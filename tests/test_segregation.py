@@ -29,7 +29,7 @@ from .oracles import (
 
 
 def test_uniform_labels_give_exactly_zero():
-    graph, _ = build_graph([(0, 1), (1, 2), (2, 3)], node_ids=range(4))
+    graph = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     assert attribute_modularity(graph, np.zeros(4, dtype=int)) == 0.0
 
 
@@ -103,16 +103,16 @@ def test_random_graphs_match_double_loop_oracle():
 def test_restriction_recomputes_degrees_on_labeled_subgraph():
     # node 4 is unlabeled; with it removed, the square loses a corner and the
     # remaining path has different degrees than the full graph
-    graph, _ = build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 2)], node_ids=range(5))
+    graph = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 2)])
     labels = np.array([0, 0, 1, 1, -1])
-    on_sub, _ = build_graph([(0, 1), (1, 2), (2, 3), (3, 0)], node_ids=range(4))
+    on_sub = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert attribute_modularity(graph, labels) == pytest.approx(
         attribute_modularity(on_sub, labels[:4]), abs=1e-12
     )
 
 
 def test_error_paths():
-    graph, _ = build_graph([(0, 1), (1, 2)], node_ids=range(3))
+    graph = build_graph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="no node carries"):
         attribute_modularity(graph, np.array([-1, -1, -1]))
     with pytest.raises(ValueError, match="no edges join labeled"):
@@ -124,7 +124,7 @@ def test_error_paths():
     with pytest.raises(ValueError, match="no between-community edges"):
         between_community_modularity(graph, np.array([0, 0, 1]), together)
     short = Partition.from_assignment(graph, np.array([1, 1, 1]))
-    other, _ = build_graph([(0, 1)], node_ids=range(2))
+    other = build_graph(2, [(0, 1)])
     with pytest.raises(ValueError, match="does not cover"):
         within_community_modularity(other, np.array([0, 1]), short)
 
@@ -162,7 +162,7 @@ def partitioned_graphs(draw):
 @example(case=(3, [(0, 1), (1, 2)], [0, 0, 1], [1, 1, 1]))  # no between-community edge
 def test_report_equals_the_induced_subgraph_oracle(case):
     n, edges, labels, communities = case
-    graph, _ = build_graph(edges, node_ids=range(n))
+    graph = build_graph(n, edges)
     partition = Partition.from_assignment(graph, communities)
     try:
         expected = segregation_report_by_subgraph(graph, labels, partition)
@@ -188,7 +188,7 @@ def test_attribute_modularity_of_the_partition_is_its_modularity(case):
     """With every node labelled by its community, both scores are one formula
     over the same edges and groups, so they agree to the last bit."""
     n, edges, _, communities = case
-    graph, _ = build_graph(edges, node_ids=range(n))
+    graph = build_graph(n, edges)
     assume(graph.edge_count > 0)
     partition = Partition.from_assignment(graph, communities)
     assert attribute_modularity(graph, partition.assignment - 1) == modularity_of_partition(
@@ -205,7 +205,7 @@ def test_attribute_modularity_of_the_partition_is_its_modularity(case):
 )
 def test_community_network_equals_the_dict_oracle(case, node_min, edge_min, category_names):
     n, edges, labels, communities = case
-    graph, _ = build_graph(edges, node_ids=range(n))
+    graph = build_graph(n, edges)
     partition = Partition.from_assignment(graph, communities)
     args = (graph, partition, labels, node_min, edge_min, category_names)
     try:
@@ -230,7 +230,7 @@ class TestCommunityNetwork:
             edges += [(base + i, base + j) for i in range(5) for j in range(i + 1, 5)]
         edges += [(0, 5), (1, 6), (2, 7)]  # clique-to-clique ties
         edges += [(10, 11), (9, 10)]  # small appendage off the second clique
-        graph, _ = build_graph(edges, node_ids=range(12))
+        graph = build_graph(12, edges)
         assignment = np.array([1] * 5 + [2] * 5 + [3, 3])
         partition = Partition.from_assignment(graph, assignment)
         labels = np.array([3, 3, 3, 3, 2, 0, 0, 0, 0, -1, 3, 3])
