@@ -73,12 +73,9 @@ _EXPORTS = {
         "CommunityNode",
         "CommunityTie",
         "SegregationReport",
-        "attribute_modularity",
-        "between_community_modularity",
         "build_community_network",
         "community_network_to_dot",
         "segregation_report",
-        "within_community_modularity",
     ),
     "synth": ("AttributedSbmConfig", "generate_attribute_sbm", "generate_dyad_sample"),
     "vocabulary": ("ATTRIBUTE_NAMES",),

@@ -115,15 +115,36 @@ def _distinct_pairs(node_count: int, pairs: np.ndarray) -> np.ndarray:
     return np.column_stack([keys // node_count, keys % node_count])
 
 
+def _node_indices(
+    values: Sequence | np.ndarray, node_count: int, what: str, pairs: bool = False
+) -> np.ndarray:
+    """``values`` as int64 node indices: an ``(m, 2)`` array if ``pairs``, else 1-D.
+
+    Raises ``ValueError``, naming the input ``what``, on another shape, a
+    dtype that is not integer or an index outside ``0 .. node_count - 1``.
+    An empty input is valid whatever its shape or dtype.
+    """
+    array = np.asarray(values)
+    if array.size == 0:
+        return np.empty((0, 2) if pairs else 0, dtype=np.int64)
+    if array.ndim != 1 + pairs or (pairs and array.shape[1] != 2):
+        shape = "an (m, 2) array" if pairs else "one-dimensional"
+        raise ValueError(f"{what} must be {shape}, not of shape {array.shape}")
+    if not np.issubdtype(array.dtype, np.integer):
+        raise ValueError(f"{what} must hold integer node indices, not {array.dtype}")
+    if array.min() < 0 or array.max() >= node_count:
+        raise ValueError(f"{what} holds a node index outside 0 .. {node_count - 1}")
+    return array.astype(np.int64, copy=False)
+
+
 def build_graph(node_count: int, pairs: Sequence[Sequence[int]] | np.ndarray) -> UndirectedGraph:
     """The simple graph on nodes ``0 .. node_count - 1`` of the ``(m, 2)`` index pairs ``pairs``.
 
     Repeated and reversed pairs collapse to one edge and self loops are
-    dropped.  An index outside ``0 .. node_count - 1`` raises ``ValueError``.
+    dropped.  Pairs of another shape or not of integers, or an index outside
+    ``0 .. node_count - 1``, raise ``ValueError``.
     """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= node_count):
-        raise ValueError(f"node index outside 0 .. {node_count - 1}")
+    pairs = _node_indices(pairs, node_count, "pair array", pairs=True)
     lo, hi = _distinct_pairs(node_count, pairs).T
     keep = lo < hi
     return _compile(node_count, lo[keep], hi[keep])
@@ -184,13 +205,13 @@ def induced_subgraph(
     """Subgraph induced by ``nodes``, renumbered densely in ascending original order.
 
     Returns the subgraph and its nodes: the sorted distinct indices of
-    ``nodes`` as a read-only int64 array, so ``nodes[new] == old``.
+    ``nodes`` as a read-only int64 array, so ``nodes[new] == old``.  A
+    selection that is empty, not 1-D or not of integers, or an index outside
+    the graph, raises ``ValueError``.
     """
-    nodes = _unique(np.asarray(nodes, dtype=np.int64))
+    nodes = _unique(_node_indices(nodes, graph.node_count, "node selection"))
     if nodes.size == 0:
         raise ValueError("empty node selection")
-    if nodes[0] < 0 or nodes[-1] >= graph.node_count:
-        raise ValueError("node index out of range")
     mask = np.zeros(graph.node_count, dtype=bool)
     mask[nodes] = True
     nodes.setflags(write=False)

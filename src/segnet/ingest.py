@@ -44,7 +44,7 @@ from .attributes import (
     missing_value,
     parse_cell,
 )
-from .graph import UndirectedGraph, _distinct_pairs, build_graph
+from .graph import UndirectedGraph, _distinct_pairs, _node_indices, build_graph
 
 __all__ = [
     "IngestError",
@@ -85,8 +85,9 @@ class VillageDataset:
     Each layer is kept as a read-only int64 ``(m, 2)`` array of its distinct
     unordered pairs ``(min, max)`` in lexicographic order; a self-pair
     ``(a, a)`` stays in its layer.  ``graph`` is not passed but built here as
-    the simple union of the layers, so self loops are dropped from it.  An
-    index outside ``0 .. n - 1`` raises ``ValueError`` naming the layer.
+    the simple union of the layers, so self loops are dropped from it.  A
+    layer that is not an ``(m, 2)`` array of integers, or holds an index
+    outside ``0 .. n - 1``, raises ``ValueError`` naming the layer.
     """
 
     village_id: str
@@ -99,9 +100,7 @@ class VillageDataset:
         n = self.attributes.n
         layers = {}
         for name, pairs in self.layer_pairs.items():
-            pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-            if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-                raise ValueError(f"relation layer {name!r} holds a node index outside 0 .. {n - 1}")
+            pairs = _node_indices(pairs, n, f"relation layer {name!r}", pairs=True)
             layers[name] = _distinct_pairs(n, pairs)
             layers[name].setflags(write=False)
         union = np.concatenate([np.empty((0, 2), np.int64), *layers.values()])

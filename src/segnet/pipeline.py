@@ -473,13 +473,15 @@ def _process_village(args: tuple[str, RunConfig]) -> _Outcome:
         return _failed(path.name, exc)
 
 
+_ARTIFACT_DIRS = ("bundles", "partitions", "community_networks")
 _RUN_ARTIFACT_GLOBS = (
     "bundles/*.json",
     "partitions/*.csv",
     "community_networks/*.dot",
     "community_networks/*.json",
     "summary_*.csv",
-    *(f"{d}*{_TMP_SUFFIX}" for d in ("", "bundles/", "partitions/", "community_networks/")),
+    f"*{_TMP_SUFFIX}",
+    *(f"{d}/*{_TMP_SUFFIX}" for d in _ARTIFACT_DIRS),
 )
 
 
@@ -528,11 +530,19 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
 
     Refuses, before writing anything, an ``output_dir`` holding an
     ``attributes.csv``: its tables would be read as relation layers of that
-    village on the next run.
+    village on the next run.  So too one whose ``bundles``, ``partitions``
+    or ``community_networks`` directory holds one: the run would write into
+    that village and delete its tables.
     """
     out = Path(cfg.output_dir)
     if (out / "attributes.csv").is_file():
         raise ValueError(f"output_dir {out} is a village directory: it holds an attributes.csv")
+    for name in _ARTIFACT_DIRS:
+        if (out / name / "attributes.csv").is_file():
+            raise ValueError(
+                f"output_dir {out} writes into {out / name}, a village directory: "
+                "it holds an attributes.csv"
+            )
     out.mkdir(parents=True, exist_ok=True)
     config_hash = config_sha256(cfg)
     villages = _discover_villages(cfg)

@@ -1,11 +1,13 @@
 """Attribute mixing measures on a partitioned graph.
 
-All attribute-dependent quantities are computed on the subgraph induced by
-the nodes whose attribute is observed, with degrees and edge totals
-recomputed there.  The structural partition is taken as given (found on the
-full graph) and restricted to the same nodes.  The modularity formula and
-its edge and degree terms are ``segnet.community``'s ``_modularity`` and
-``_mixing``; this module only picks their edges and groups and normalizes.
+``segregation_report`` is the one entry point: it computes the attribute
+modularity ``q_attr`` and its within/between split in one pass over the
+edges.  Every term is computed on the subgraph induced by the nodes whose
+attribute is observed, with degrees and edge totals recomputed there.  The
+structural partition is taken as given (found on the full graph) and
+restricted to the same nodes.  The modularity formula and its edge and
+degree terms are ``segnet.community``'s ``_modularity`` and ``_mixing``;
+this module only picks their edges and groups and normalizes.
 
 The within/between decomposition splits every edge by whether its endpoints
 share a community, then measures attribute assortativity separately inside
@@ -29,48 +31,23 @@ __all__ = [
     "CommunityNetwork",
     "CommunityNode",
     "CommunityTie",
-    "attribute_modularity",
-    "within_community_modularity",
-    "between_community_modularity",
     "segregation_report",
     "build_community_network",
     "community_network_to_dot",
 ]
 
 
-def _labeled_edges(graph: UndirectedGraph, labels: Sequence[int] | np.ndarray) -> tuple:
-    """The labeled nodes, their labels, and the edges joining them (``_edges_within``)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (graph.node_count,):
-        raise ValueError("labels must cover every node (use negative codes for missing)")
-    labeled = labels >= 0
-    nodes = np.flatnonzero(labeled)
-    if nodes.size == 0:
-        raise ValueError("no node carries the attribute")
-    return (nodes, labels[nodes], *_edges_within(graph, labeled))
+def _split_q(
+    u: np.ndarray, v: np.ndarray, cells: np.ndarray, labels: np.ndarray | None = None
+) -> tuple[float, float, float]:
+    """Attribute assortativity of the within-community edges ``(u, v)``, or of
+    the between-community ones when the node ``labels`` are given.
 
-
-def _attribute_q(edges: tuple) -> float:
-    _, labels, u, v = edges
-    if u.size == 0:
-        raise ValueError("no edges join labeled nodes")
-    return _modularity(u, v, labels)
-
-
-def _split_q(edges: tuple, partition: Partition, within: bool) -> tuple[float, float, float]:
-    """Attribute assortativity of the within- or the between-community edges."""
-    nodes, labels, u, v = edges
-    comm = partition.assignment[nodes]
-    same_comm = comm[u] == comm[v]
-    side = same_comm if within else ~same_comm
-    u, v = u[side], v[side]
-    if u.size == 0:
-        kind = "within" if within else "between"
-        raise ValueError(f"no {kind}-community edges join labeled nodes")
-    # Edges and degree totals per (community, label) cell.
-    same, totals = _mixing(u, v, comm * (int(labels.max()) + 1) + labels)
+    ``cells`` codes each node's (community, label) cell.
+    """
+    same, totals = _mixing(u, v, cells)
     null_sq = float((totals.astype(float) ** 2).sum())
-    if not within:
+    if labels is not None:
         # No between edge joins one cell, and
         # sum_ij k_i k_j [x_i = x_j][h_i != h_j]
         #   = sum_a (sum_{x=a} k)^2 - sum_{c,a} (sum_{x=a,h=c} k)^2
@@ -83,44 +60,6 @@ def _split_q(edges: tuple, partition: Partition, within: bool) -> tuple[float, f
     # q_max == 0 forces q == 0 (all relevant degree mass in one cell); the
     # natural limit of q/q_max is 0 there.
     return q, q_max, q / q_max if q_max > 0.0 else 0.0
-
-
-def attribute_modularity(graph: UndirectedGraph, labels: Sequence[int] | np.ndarray) -> float:
-    """Modularity of the attribute labeling itself (all ordered pairs convention).
-
-    Restricted to the subgraph induced by labeled nodes; raises if that
-    subgraph has no edges.
-    """
-    return _attribute_q(_labeled_edges(graph, labels))
-
-
-def within_community_modularity(
-    graph: UndirectedGraph,
-    labels: Sequence[int] | np.ndarray,
-    partition: Partition,
-) -> tuple[float, float, float]:
-    """Attribute assortativity of within-community edges.
-
-    Returns ``(q_within, q_within_max, q_within_norm)``.  Degrees count only
-    within-community edges of the labeled subgraph; raises if there are none.
-    """
-    _check_partition(graph, partition)
-    return _split_q(_labeled_edges(graph, labels), partition, within=True)
-
-
-def between_community_modularity(
-    graph: UndirectedGraph,
-    labels: Sequence[int] | np.ndarray,
-    partition: Partition,
-) -> tuple[float, float, float]:
-    """Attribute assortativity of between-community edges.
-
-    Returns ``(q_between, q_between_max, q_between_norm)``.  Degrees count
-    only community-crossing edges of the labeled subgraph; raises if there
-    are none.
-    """
-    _check_partition(graph, partition)
-    return _split_q(_labeled_edges(graph, labels), partition, within=False)
 
 
 @dataclass(frozen=True)
@@ -142,12 +81,42 @@ def segregation_report(
     labels: Sequence[int] | np.ndarray,
     partition: Partition,
 ) -> SegregationReport:
-    """Attribute, within and between modularity from one pass over the edges."""
-    edges = _labeled_edges(graph, labels)
-    q_attr = _attribute_q(edges)
+    """Attribute, within and between modularity from one pass over the edges.
+
+    ``labels`` holds one code per node, negative where it is missing.  On the
+    subgraph of labeled nodes, ``q_attr`` is the modularity of the labeling
+    (all ordered pairs); ``q_within`` and ``q_between`` are the attribute
+    assortativity of the within- and the between-community edges, degrees
+    counting only those edges.  Each ``_max`` is the largest value under the
+    same degree null, ``_norm`` the term over it (0 where it is 0), and
+    ``n_used`` the number of labeled nodes.  Raises ``ValueError``, in this
+    order, if ``labels`` does not cover every node, no node is labeled, no
+    edge joins two labeled nodes, ``partition`` does not cover the graph,
+    or no labeled edge lies within a community or none crosses one.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (graph.node_count,):
+        raise ValueError("labels must cover every node (use negative codes for missing)")
+    labeled = labels >= 0
+    nodes = np.flatnonzero(labeled)
+    if nodes.size == 0:
+        raise ValueError("no node carries the attribute")
+    labels = labels[nodes]
+    u, v = _edges_within(graph, labeled)
+    if u.size == 0:
+        raise ValueError("no edges join labeled nodes")
+    q_attr = _modularity(u, v, labels)
     _check_partition(graph, partition)
-    q_w, q_w_max, q_w_norm = _split_q(edges, partition, within=True)
-    q_b, q_b_max, q_b_norm = _split_q(edges, partition, within=False)
+    comm = partition.assignment[nodes]
+    within = comm[u] == comm[v]
+    if not within.any():
+        raise ValueError("no within-community edges join labeled nodes")
+    if within.all():
+        raise ValueError("no between-community edges join labeled nodes")
+    # Edges and degree totals are counted per (community, label) cell.
+    cells = comm * (int(labels.max()) + 1) + labels
+    q_w, q_w_max, q_w_norm = _split_q(u[within], v[within], cells)
+    q_b, q_b_max, q_b_norm = _split_q(u[~within], v[~within], cells, labels)
     return SegregationReport(
         q_attr=q_attr,
         q_within=q_w,
@@ -156,7 +125,7 @@ def segregation_report(
         q_between_max=q_b_max,
         q_within_norm=q_w_norm,
         q_between_norm=q_b_norm,
-        n_used=int(edges[0].size),
+        n_used=int(nodes.size),
     )
 
 

@@ -20,8 +20,6 @@ from segnet import (
     FeatureSpec,
     Partition,
     RunConfig,
-    attribute_modularity,
-    between_community_modularity,
     build_dyad_design,
     fit_logistic,
     generate_attribute_sbm,
@@ -30,9 +28,9 @@ from segnet import (
     modularity_of_partition,
     nmi,
     run_pipeline,
+    segregation_report,
     sex_permutation_test,
     summarize_corpus,
-    within_community_modularity,
 )
 
 from .conftest import design_groups, random_graph
@@ -79,21 +77,17 @@ def test_fast_estimators_match_exhaustive_oracles():
         )
         labels = rng.integers(-1, 4, size=n)
         try:
-            fast_attr = attribute_modularity(graph, labels)
+            report = segregation_report(graph, labels, partition)
         except ValueError:
-            continue  # no labeled edge on this draw
+            continue  # no labeled edge, or none within or across communities, on this draw
         diffs["attribute"].append(
-            abs(fast_attr - naive_attribute_modularity(graph, labels))
+            abs(report.q_attr - naive_attribute_modularity(graph, labels))
         )
         slow = naive_within_between(graph, labels, partition.assignment)
-        if "q_within" in slow:
-            q, _, q_norm = within_community_modularity(graph, labels, partition)
-            diffs["within"].append(abs(q - slow["q_within"]))
-            diffs["within"].append(abs(q_norm - slow["q_within_norm"]))
-        if "q_between" in slow:
-            qb, _, qb_norm = between_community_modularity(graph, labels, partition)
-            diffs["between"].append(abs(qb - slow["q_between"]))
-            diffs["between"].append(abs(qb_norm - slow["q_between_norm"]))
+        diffs["within"].append(abs(report.q_within - slow["q_within"]))
+        diffs["within"].append(abs(report.q_within_norm - slow["q_within_norm"]))
+        diffs["between"].append(abs(report.q_between - slow["q_between"]))
+        diffs["between"].append(abs(report.q_between_norm - slow["q_between_norm"]))
     worst = {name: max(values) for name, values in diffs.items()}
     coverage_ok = all(len(values) >= 100 for values in diffs.values())
     _criterion(
@@ -106,10 +100,9 @@ def test_fast_estimators_match_exhaustive_oracles():
 
 def test_analytic_fixture_values_are_exact(bridged_triangles):
     graph, labels, partition = bridged_triangles
-    uniform_exact = attribute_modularity(graph, np.zeros(6, dtype=int)) == 0.0
-    q_attr = attribute_modularity(graph, labels)
-    _, _, q_within_norm = within_community_modularity(graph, labels, partition)
-    q_between, _, _ = between_community_modularity(graph, labels, partition)
+    uniform_exact = segregation_report(graph, np.zeros(6, dtype=int), partition).q_attr == 0.0
+    report = segregation_report(graph, labels, partition)
+    q_attr, q_within_norm, q_between = report.q_attr, report.q_within_norm, report.q_between
     _criterion(
         2,
         uniform_exact

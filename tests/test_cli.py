@@ -141,17 +141,23 @@ def write_run_config(tmp_path, output_dir):
     return run_cfg
 
 
-def test_run_refuses_an_output_dir_that_is_a_village_directory(tmp_path, capsys):
-    assert main(["synth", "--config", str(write_synth_config(tmp_path, SBM_VILLAGES[:2]))]) == 0
+@pytest.mark.parametrize("village_id", ["v001", "bundles", "partitions", "community_networks"])
+def test_run_refuses_an_output_dir_that_is_a_village_directory(tmp_path, capsys, village_id):
+    villages = [dict(SBM_VILLAGES[0], village_id=village_id), SBM_VILLAGES[1]]
+    assert main(["synth", "--config", str(write_synth_config(tmp_path, villages))]) == 0
     corpus = tmp_path / "corpus"
     before = corpus_tree(corpus)
     capsys.readouterr()
-    # Its tables would be read as relation layers of v001 on the next run.
-    assert main(["run", "--config", str(write_run_config(tmp_path, "corpus/v001"))]) == 1
-    assert capsys.readouterr().err == (
-        f"segnet run: output_dir {corpus / 'v001'} is a village directory: "
-        "it holds an attributes.csv\n"
-    )
+    if village_id == "v001":
+        # Its tables would be read as relation layers of v001 on the next run.
+        run_cfg = write_run_config(tmp_path, "corpus/v001")
+        refusal = f"output_dir {corpus / 'v001'} is a village directory"
+    else:
+        # The run would write its files into that village and delete its tables.
+        run_cfg = write_run_config(tmp_path, "corpus")
+        refusal = f"output_dir {corpus} writes into {corpus / village_id}, a village directory"
+    assert main(["run", "--config", str(run_cfg)]) == 1
+    assert capsys.readouterr().err == f"segnet run: {refusal}: it holds an attributes.csv\n"
     assert corpus_tree(corpus) == before
 
 

@@ -35,6 +35,39 @@ def test_build_keeps_nodes_without_pairs_as_isolates():
     assert graph.degrees.tolist() == [0, 1, 1]
 
 
+@pytest.mark.parametrize(
+    "pairs, fault",
+    [
+        ([(0, 1, 2), (3, 4, 5)], r"must be an \(m, 2\) array, not of shape \(2, 3\)"),
+        ([0, 1, 2, 3], r"must be an \(m, 2\) array, not of shape \(4,\)"),
+        ([(0, 1.7)], "must hold integer node indices, not float64"),
+        (np.array([[True, False]]), "must hold integer node indices, not bool"),
+        ([(0, 6)], r"holds a node index outside 0 \.\. 5"),
+    ],
+    ids=["three-columns", "flat", "float", "bool", "index-at-n"],
+)
+def test_build_refuses_pairs_that_are_not_an_integer_index_array(pairs, fault):
+    with pytest.raises(ValueError, match=f"^pair array {fault}$"):
+        build_graph(6, pairs)
+
+
+@pytest.mark.parametrize(
+    "nodes, fault",
+    [
+        ([0.5, 1.7], "node selection must hold integer node indices, not float64"),
+        ([[0, 1], [2, 3]], r"node selection must be one-dimensional, not of shape \(2, 2\)"),
+        ([0, 4], r"node selection holds a node index outside 0 \.\. 3"),
+        ([-1, 2], r"node selection holds a node index outside 0 \.\. 3"),
+        ([], "empty node selection"),
+    ],
+    ids=["float", "two-dimensional", "index-at-n", "negative", "empty"],
+)
+def test_induced_subgraph_refuses_a_selection_that_is_not_node_indices(nodes, fault):
+    graph = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match=f"^{fault}$"):
+        induced_subgraph(graph, nodes)
+
+
 def test_edge_arrays_are_lexicographic_and_read_only():
     graph = build_graph(4, [(3, 1), (0, 2), (0, 1)])
     pairs = list(zip(graph.edge_u.tolist(), graph.edge_v.tolist()))

@@ -149,10 +149,19 @@ def test_a_self_pair_counts_in_its_layer_but_adds_no_edge(tmp_path):
     assert loaded.graph.edge_count == 1
 
 
-@pytest.mark.parametrize("pair", [(0, 3), (-1, 1)])
-def test_a_node_index_outside_the_table_is_refused(pair):
-    with pytest.raises(ValueError, match=r"relation layer 'visit' holds a node index outside 0 \.\. 2"):
-        VillageDataset("v1", make_table(["a", "b", "c"]), {"help": [(0, 1)], "visit": [pair]})
+@pytest.mark.parametrize(
+    "pairs, fault",
+    [
+        ([(0, 3)], r"holds a node index outside 0 \.\. 2"),
+        ([(-1, 1)], r"holds a node index outside 0 \.\. 2"),
+        ([(0, 1, 2), (0, 1, 2)], r"must be an \(m, 2\) array, not of shape \(2, 3\)"),
+        ([(0, 1.7)], "must hold integer node indices, not float64"),
+    ],
+    ids=["index-at-n", "negative", "three-columns", "float"],
+)
+def test_a_node_index_outside_the_table_is_refused(pairs, fault):
+    with pytest.raises(ValueError, match=f"^relation layer 'visit' {fault}$"):
+        VillageDataset("v1", make_table(["a", "b", "c"]), {"help": [(0, 1)], "visit": pairs})
 
 
 def test_replacing_the_attributes_rebuilds_an_equal_graph():

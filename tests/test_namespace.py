@@ -1,8 +1,10 @@
 """The lazy ``segnet`` namespace: every public name resolves to its home module's object."""
 
+import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 import segnet
 
 SRC = Path(segnet.__file__).resolve().parents[1]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def fresh_interpreter(script: str, *args: str) -> subprocess.CompletedProcess:
@@ -61,3 +64,52 @@ def test_loading_a_run_config_imports_no_numpy_and_no_other_layer(tmp_path):
     done = fresh_interpreter(CONFIG_PROBE, str(config))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == ["segnet", "segnet.config", "segnet.vocabulary"]
+
+
+def names_without_a_user(names: list[str], texts: list[str], modules: list[str]) -> list[str]:
+    """The ``names`` used as a whole word in none of ``texts`` or ``modules``.
+
+    A module's ``__all__`` entries and a name's own ``def``/``class`` line do
+    not count as a use.
+    """
+    lines = []
+    for source in modules:
+        skipped = set()
+        for node in ast.parse(source).body:
+            bound = [getattr(target, "id", None) for target in getattr(node, "targets", ())]
+            if "__all__" in bound:
+                skipped.update(range(node.lineno, node.end_lineno + 1))
+        lines += [line for k, line in enumerate(source.splitlines(), 1) if k not in skipped]
+    for text in texts:
+        lines += text.splitlines()
+    unused = []
+    for name in names:
+        use = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf"\s*(?:async\s+)?(?:def|class)\s+{re.escape(name)}\b")
+        if not any(use.search(line) and not own.match(line) for line in lines):
+            unused.append(name)
+    return unused
+
+
+def test_names_without_a_user_are_found():
+    module = (
+        '__all__ = [\n    "f",\n    "g",\n    "C",\n]\n\n'
+        "def f(x):\n    return g(x)\n\n"
+        "def g(x):\n    return x\n\n"
+        "class C:\n    pass\n"
+    )
+    assert names_without_a_user(["f", "g", "C"], ["call f(1)"], [module]) == ["C"]
+    assert names_without_a_user(["f", "g", "C"], [], [module]) == ["f", "C"]
+
+
+def test_every_public_name_has_a_user():
+    """Each name in ``segnet.__all__`` is used by README.md, a script or another
+    module of the package, so the public surface carries no dead wrappers."""
+    texts = [(ROOT / "README.md").read_text(encoding="utf-8")]
+    texts += [path.read_text(encoding="utf-8") for path in sorted((ROOT / "scripts").glob("*.py"))]
+    modules = [
+        path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "src" / "segnet").glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    assert names_without_a_user(segnet.__all__, texts, modules) == []

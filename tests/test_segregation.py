@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 
 from segnet import (
     Partition,
-    attribute_modularity,
-    between_community_modularity,
     build_community_network,
     build_graph,
     community_network_to_dot,
     louvain,
     modularity_of_partition,
     segregation_report,
-    within_community_modularity,
 )
 
 from .conftest import random_graph
@@ -30,46 +27,48 @@ from .oracles import (
 
 def test_uniform_labels_give_exactly_zero():
     graph = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert attribute_modularity(graph, np.zeros(4, dtype=int)) == 0.0
+    partition = Partition.from_assignment(graph, [1, 1, 2, 2])
+    assert segregation_report(graph, np.zeros(4, dtype=int), partition).q_attr == 0.0
 
 
 def test_bridged_triangles_analytic_values(bridged_triangles):
     graph, labels, partition = bridged_triangles
-    assert attribute_modularity(graph, labels) == pytest.approx(5 / 14, abs=1e-12)
-    q, q_max, q_norm = within_community_modularity(graph, labels, partition)
-    assert q == pytest.approx(0.5, abs=1e-12)
-    assert q_max == pytest.approx(0.5, abs=1e-12)
-    assert q_norm == 1.0  # perfectly sorted within communities
-    qb, qb_max, qb_norm = between_community_modularity(graph, labels, partition)
-    assert qb == 0.0
-    assert qb_max == 1.0
-    assert qb_norm == 0.0
+    report = segregation_report(graph, labels, partition)
+    assert report.q_attr == pytest.approx(5 / 14, abs=1e-12)
+    assert report.q_within == pytest.approx(0.5, abs=1e-12)
+    assert report.q_within_max == pytest.approx(0.5, abs=1e-12)
+    assert report.q_within_norm == 1.0  # perfectly sorted within communities
+    assert report.q_between == 0.0
+    assert report.q_between_max == 1.0
+    assert report.q_between_norm == 0.0
+    assert report.n_used == 6
 
 
 def test_complete_bipartite_is_maximally_dissortative(complete_bipartite_33):
     graph, labels = complete_bipartite_33
-    assert attribute_modularity(graph, labels) == pytest.approx(-0.5, abs=1e-12)
+    partition = Partition.from_assignment(graph, [1, 1, 1, 1, 2, 2])
+    report = segregation_report(graph, labels, partition)
+    assert report.q_attr == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_clique_ring_between_values(clique_ring):
     # 6 between-community edges, 2 of them label-pure: worked out by hand,
     # q_b = (4 - 3) / 12 and the degree null leaves q_max at 3/4.
     graph, labels, partition = clique_ring
-    qb, qb_max, qb_norm = between_community_modularity(graph, labels, partition)
-    assert qb == pytest.approx(1 / 12, abs=1e-12)
-    assert qb_max == pytest.approx(3 / 4, abs=1e-12)
-    assert qb_norm == pytest.approx(1 / 9, abs=1e-12)
+    report = segregation_report(graph, labels, partition)
+    assert report.q_between == pytest.approx(1 / 12, abs=1e-12)
+    assert report.q_between_max == pytest.approx(3 / 4, abs=1e-12)
+    assert report.q_between_norm == pytest.approx(1 / 9, abs=1e-12)
 
 
 def test_fixture_values_agree_with_oracle(bridged_triangles, clique_ring):
     for graph, labels, partition in (bridged_triangles, clique_ring):
         slow = naive_within_between(graph, labels, partition.assignment)
-        q, q_max, q_norm = within_community_modularity(graph, labels, partition)
-        assert q == pytest.approx(slow["q_within"], abs=1e-12)
-        assert q_max == pytest.approx(slow["q_within_max"], abs=1e-12)
-        qb, qb_max, qb_norm = between_community_modularity(graph, labels, partition)
-        assert qb == pytest.approx(slow["q_between"], abs=1e-12)
-        assert qb_norm == pytest.approx(slow["q_between_norm"], abs=1e-12)
+        report = segregation_report(graph, labels, partition)
+        assert report.q_within == pytest.approx(slow["q_within"], abs=1e-12)
+        assert report.q_within_max == pytest.approx(slow["q_within_max"], abs=1e-12)
+        assert report.q_between == pytest.approx(slow["q_between"], abs=1e-12)
+        assert report.q_between_norm == pytest.approx(slow["q_between_norm"], abs=1e-12)
 
 
 def test_random_graphs_match_double_loop_oracle():
@@ -84,19 +83,15 @@ def test_random_graphs_match_double_loop_oracle():
             continue
         partition = louvain(graph, seed=compared)
         try:
-            fast_q = attribute_modularity(graph, labels)
+            report = segregation_report(graph, labels, partition)
         except ValueError:
             continue
-        assert fast_q == pytest.approx(naive_attribute_modularity(graph, labels), abs=1e-12)
+        assert report.q_attr == pytest.approx(naive_attribute_modularity(graph, labels), abs=1e-12)
         slow = naive_within_between(graph, labels, partition.assignment)
-        if "q_within" in slow:
-            q, q_max, q_norm = within_community_modularity(graph, labels, partition)
-            assert q == pytest.approx(slow["q_within"], abs=1e-12)
-            assert q_norm == pytest.approx(slow["q_within_norm"], abs=1e-12)
-        if "q_between" in slow:
-            qb, _, qb_norm = between_community_modularity(graph, labels, partition)
-            assert qb == pytest.approx(slow["q_between"], abs=1e-12)
-            assert qb_norm == pytest.approx(slow["q_between_norm"], abs=1e-12)
+        assert report.q_within == pytest.approx(slow["q_within"], abs=1e-12)
+        assert report.q_within_norm == pytest.approx(slow["q_within_norm"], abs=1e-12)
+        assert report.q_between == pytest.approx(slow["q_between"], abs=1e-12)
+        assert report.q_between_norm == pytest.approx(slow["q_between_norm"], abs=1e-12)
         compared += 1
 
 
@@ -105,41 +100,33 @@ def test_restriction_recomputes_degrees_on_labeled_subgraph():
     # remaining path has different degrees than the full graph
     graph = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 2)])
     labels = np.array([0, 0, 1, 1, -1])
+    communities = [1, 1, 2, 2, 1]
     on_sub = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert attribute_modularity(graph, labels) == pytest.approx(
-        attribute_modularity(on_sub, labels[:4]), abs=1e-12
+    report = segregation_report(graph, labels, Partition.from_assignment(graph, communities))
+    on_sub_report = segregation_report(
+        on_sub, labels[:4], Partition.from_assignment(on_sub, communities[:4])
     )
+    for field, value in asdict(on_sub_report).items():
+        assert getattr(report, field) == pytest.approx(value, abs=1e-12), field
 
 
 def test_error_paths():
     graph = build_graph(3, [(0, 1), (1, 2)])
+    split = Partition.from_assignment(graph, np.array([1, 1, 2]))
     with pytest.raises(ValueError, match="no node carries"):
-        attribute_modularity(graph, np.array([-1, -1, -1]))
+        segregation_report(graph, np.array([-1, -1, -1]), split)
     with pytest.raises(ValueError, match="no edges join labeled"):
-        attribute_modularity(graph, np.array([0, -1, 1]))
+        segregation_report(graph, np.array([0, -1, 1]), split)
     singletons = Partition.from_assignment(graph, np.array([1, 2, 3]))
     with pytest.raises(ValueError, match="no within-community edges"):
-        within_community_modularity(graph, np.array([0, 0, 1]), singletons)
+        segregation_report(graph, np.array([0, 0, 1]), singletons)
     together = Partition.from_assignment(graph, np.array([1, 1, 1]))
     with pytest.raises(ValueError, match="no between-community edges"):
-        between_community_modularity(graph, np.array([0, 0, 1]), together)
+        segregation_report(graph, np.array([0, 0, 1]), together)
     short = Partition.from_assignment(graph, np.array([1, 1, 1]))
     other = build_graph(2, [(0, 1)])
     with pytest.raises(ValueError, match="does not cover"):
-        within_community_modularity(other, np.array([0, 1]), short)
-
-
-def test_report_is_consistent_with_components(bridged_triangles):
-    graph, labels, partition = bridged_triangles
-    report = segregation_report(graph, labels, partition)
-    assert report.q_attr == attribute_modularity(graph, labels)
-    assert (report.q_within, report.q_within_max, report.q_within_norm) == (
-        within_community_modularity(graph, labels, partition)
-    )
-    assert (report.q_between, report.q_between_max, report.q_between_norm) == (
-        between_community_modularity(graph, labels, partition)
-    )
-    assert report.n_used == 6
+        segregation_report(other, np.array([0, 1]), short)
 
 
 @st.composite
@@ -173,13 +160,6 @@ def test_report_equals_the_induced_subgraph_oracle(case):
         return
     report = asdict(segregation_report(graph, labels, partition))
     assert report == expected
-    assert attribute_modularity(graph, labels) == expected["q_attr"]
-    assert within_community_modularity(graph, labels, partition) == (
-        expected["q_within"], expected["q_within_max"], expected["q_within_norm"]
-    )
-    assert between_community_modularity(graph, labels, partition) == (
-        expected["q_between"], expected["q_between_max"], expected["q_between_norm"]
-    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -189,11 +169,11 @@ def test_attribute_modularity_of_the_partition_is_its_modularity(case):
     over the same edges and groups, so they agree to the last bit."""
     n, edges, _, communities = case
     graph = build_graph(n, edges)
-    assume(graph.edge_count > 0)
     partition = Partition.from_assignment(graph, communities)
-    assert attribute_modularity(graph, partition.assignment - 1) == modularity_of_partition(
-        graph, partition
-    )
+    # The report needs an edge within a community and one across.
+    assume(0 < partition.m_within < graph.edge_count)
+    report = segregation_report(graph, partition.assignment - 1, partition)
+    assert report.q_attr == modularity_of_partition(graph, partition)
 
 
 @settings(max_examples=300, deadline=None)
