@@ -207,8 +207,9 @@ def louvain(graph: UndirectedGraph, seed: int) -> Partition:
     improves modularity, then communities are collapsed into supernodes and
     the procedure repeats.  The hierarchy stops once a level improves
     modularity by no more than 1e-10; the coarsest assignment is mapped back
-    to the original nodes.  Level 0 reads the graph's CSR arrays, so each
-    node's neighbours are visited in ascending index order.
+    to the original nodes.  Level 0 groups the graph's edge arrays by node
+    with a stable sort; as the edges are in lexicographic order, each node's
+    neighbours are visited in ascending index order.
 
     Each level holds one ``(neighbour, weight)`` list per node.  A visit sums
     the node's weights per neighbouring community into one marker list
@@ -240,8 +241,11 @@ def louvain(graph: UndirectedGraph, seed: int) -> Partition:
         raise ValueError("graph has no edges")
     rng = np.random.default_rng(seed)
     m = float(graph.edge_count)
-    bounds = graph.indptr.tolist()
-    neighbors = graph.neighbors.tolist()
+    # Group both ends of every edge by node, stably: node x's neighbours u < x
+    # (edges ending at x) come first, then its v > x, each run ascending.
+    order = np.argsort(np.concatenate([graph.edge_v, graph.edge_u]), kind="stable")
+    neighbors = np.concatenate([graph.edge_u, graph.edge_v])[order].tolist()
+    bounds = [0] + np.cumsum(graph.degrees).tolist()
     adj = [[(j, 1.0) for j in neighbors[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
     loops = [0.0] * graph.node_count
     assignment = np.arange(graph.node_count)

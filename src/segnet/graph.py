@@ -1,6 +1,8 @@
 """Immutable undirected simple graphs: construction from node-index pairs,
 components, subgraphs, summary statistics.
 
+A graph is stored in one form, its edge arrays: int64 pairs ``u < v`` in
+lexicographic order.  Degrees and everything below are computed from them.
 Component labels come from numpy root hooking and pointer jumping over the
 edge arrays; local clustering counts each node's triangles exactly from the
 edge arrays, with edges oriented by degree rank.  Both use numpy alone.
@@ -38,20 +40,19 @@ _CHUNK_ELEMENTS = 1 << 16
 class UndirectedGraph:
     """Simple undirected graph over dense node indices ``0 .. node_count - 1``.
 
-    Edges are stored once as index pairs with ``edge_u < edge_v``, ordered
-    lexicographically.  ``indptr``/``neighbors`` hold a CSR adjacency layout
-    with every neighbor list sorted.  All arrays are frozen after
+    Its one stored form is the edge arrays: each edge once, as int64 index
+    pairs with ``edge_u < edge_v`` in increasing lexicographic order.
+    ``build_graph`` and ``induced_subgraph`` give that form, and a direct
+    constructor must too: nothing checks it.  The arrays are frozen after
     construction so instances can be shared freely across workers.
     """
 
     node_count: int
     edge_u: np.ndarray
     edge_v: np.ndarray
-    indptr: np.ndarray
-    neighbors: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.edge_u, self.edge_v, self.indptr, self.neighbors):
+        for arr in (self.edge_u, self.edge_v):
             arr.setflags(write=False)
 
     @property
@@ -60,16 +61,7 @@ class UndirectedGraph:
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    def adjacency(self, node: int) -> np.ndarray:
-        """Sorted neighbor indices of ``node``."""
-        return self.neighbors[self.indptr[node] : self.indptr[node + 1]]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        nbrs = self.adjacency(i)
-        pos = int(np.searchsorted(nbrs, j))
-        return pos < nbrs.size and int(nbrs[pos]) == j
+        return np.bincount(np.concatenate([self.edge_u, self.edge_v]), minlength=self.node_count)
 
     def equals(self, other: "UndirectedGraph") -> bool:
         return (
@@ -77,21 +69,6 @@ class UndirectedGraph:
             and np.array_equal(self.edge_u, other.edge_u)
             and np.array_equal(self.edge_v, other.edge_v)
         )
-
-
-def _compile(node_count: int, eu: np.ndarray, ev: np.ndarray) -> UndirectedGraph:
-    """Assemble a graph from deduplicated ``u < v`` edge arrays in increasing
-    lexicographic order, as both callers pass them: ``build_graph`` from sorted
-    unique keys, ``induced_subgraph`` by a monotone renumbering of sorted edges."""
-    eu = np.asarray(eu, dtype=np.int64)
-    ev = np.asarray(ev, dtype=np.int64)
-    src = np.concatenate([eu, ev])
-    dst = np.concatenate([ev, eu])
-    perm = np.lexsort((dst, src))
-    neighbors = dst[perm]
-    counts = np.bincount(src, minlength=node_count)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return UndirectedGraph(node_count, eu, ev, indptr, neighbors)
 
 
 def _unique(values: np.ndarray) -> np.ndarray:
@@ -147,7 +124,7 @@ def build_graph(node_count: int, pairs: Sequence[Sequence[int]] | np.ndarray) ->
     pairs = _node_indices(pairs, node_count, "pair array", pairs=True)
     lo, hi = _distinct_pairs(node_count, pairs).T
     keep = lo < hi
-    return _compile(node_count, lo[keep], hi[keep])
+    return UndirectedGraph(node_count, lo[keep], hi[keep])
 
 
 def component_labels(graph: UndirectedGraph) -> tuple[np.ndarray, int]:
@@ -215,7 +192,7 @@ def induced_subgraph(
     mask = np.zeros(graph.node_count, dtype=bool)
     mask[nodes] = True
     nodes.setflags(write=False)
-    return _compile(int(nodes.size), *_edges_within(graph, mask)), nodes
+    return UndirectedGraph(int(nodes.size), *_edges_within(graph, mask)), nodes
 
 
 def largest_connected_component(graph: UndirectedGraph) -> tuple[UndirectedGraph, np.ndarray]:

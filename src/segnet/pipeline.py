@@ -490,11 +490,13 @@ def _remove_stale_artifacts(out: Path, written: set[Path]) -> None:
 
     Covers the per-village files, the summaries, which a run without any
     analyzed village does not write, and temporary files an interrupted
-    write left behind.
+    write left behind.  Only regular files go: a directory whose name
+    matches, such as a village ``x.tmp`` in a corpus that is also the
+    output_dir, stays.
     """
     for pattern in _RUN_ARTIFACT_GLOBS:
         for path in out.glob(pattern):
-            if path not in written:
+            if path not in written and path.is_file():
                 path.unlink()
 
 
@@ -532,7 +534,10 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
     ``attributes.csv``: its tables would be read as relation layers of that
     village on the next run.  So too one whose ``bundles``, ``partitions``
     or ``community_networks`` directory holds one: the run would write into
-    that village and delete its tables.
+    that village and delete its tables.  So too one where a file the run
+    writes at the top (a corpus table, a summary, ``errors.json``,
+    ``run_manifest.json`` or the temporary file of one) is a directory,
+    such as a village of that name: the run would fail after analyzing.
     """
     out = Path(cfg.output_dir)
     if (out / "attributes.csv").is_file():
@@ -543,6 +548,12 @@ def run_pipeline(cfg: RunConfig) -> RunResult:
                 f"output_dir {out} writes into {out / name}, a village directory: "
                 "it holds an attributes.csv"
             )
+    top_files = [f"{table.name}.csv" for table in _corpus_tables(())]
+    top_files += [f"summary_{table.name}.csv" for table in _SUMMARY_TABLES]
+    for name in (*top_files, "errors.json", "run_manifest.json"):
+        for path in (out / name, out / f"{name}{_TMP_SUFFIX}"):
+            if path.is_dir():
+                raise ValueError(f"output_dir {out} writes the file {path}, which is a directory")
     out.mkdir(parents=True, exist_ok=True)
     config_hash = config_sha256(cfg)
     villages = _discover_villages(cfg)

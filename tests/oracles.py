@@ -390,8 +390,9 @@ def local_clustering_by_sparse_product(graph):
     """
     n = graph.node_count
     # int64 entries: the product counts common neighbours.
-    data = np.ones(graph.neighbors.size, dtype=np.int64)
-    adj = sparse.csr_matrix((data, graph.neighbors, graph.indptr), shape=(n, n))
+    rows = np.concatenate([graph.edge_u, graph.edge_v])
+    cols = np.concatenate([graph.edge_v, graph.edge_u])
+    adj = sparse.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=(n, n))
     links = np.asarray((adj @ adj).multiply(adj).sum(axis=1)).ravel() // 2
     k = graph.degrees
     terms = np.zeros(n)
@@ -400,9 +401,22 @@ def local_clustering_by_sparse_product(graph):
     return float(np.cumsum(terms)[-1]) / n
 
 
+def degrees_by_loop(graph):
+    """Each node's degree as a list, counted by a loop over the edges."""
+    degrees = [0] * graph.node_count
+    for u, v in zip(graph.edge_u.tolist(), graph.edge_v.tolist()):
+        degrees[u] += 1
+        degrees[v] += 1
+    return degrees
+
+
 def component_labels_by_bfs(graph):
     """Component labels 0, 1, ... in order of first discovery by node index, by graph search."""
     n = graph.node_count
+    adjacency = [[] for _ in range(n)]
+    for u, v in zip(graph.edge_u.tolist(), graph.edge_v.tolist()):
+        adjacency[u].append(v)
+        adjacency[v].append(u)
     labels = np.full(n, -1, dtype=np.int64)
     current = 0
     for start in range(n):
@@ -412,7 +426,7 @@ def component_labels_by_bfs(graph):
         stack = [start]
         while stack:
             node = stack.pop()
-            for nb in graph.adjacency(node).tolist():
+            for nb in adjacency[node]:
                 if labels[nb] < 0:
                     labels[nb] = current
                     stack.append(nb)
@@ -696,16 +710,10 @@ def build_graph_by_set(edge_list, node_ids=None):
         if ia != ib:
             dedup.add((min(ia, ib), max(ia, ib)))
     edges = sorted(dedup)
-    adjacency = [[] for _ in ids]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
     graph = UndirectedGraph(
         len(ids),
         np.array([u for u, _ in edges], dtype=np.int64),
         np.array([v for _, v in edges], dtype=np.int64),
-        np.cumsum([0] + [len(nbrs) for nbrs in adjacency]).astype(np.int64),
-        np.array([v for nbrs in adjacency for v in sorted(nbrs)], dtype=np.int64),
     )
     return graph, index
 

@@ -141,7 +141,19 @@ def write_run_config(tmp_path, output_dir):
     return run_cfg
 
 
-@pytest.mark.parametrize("village_id", ["v001", "bundles", "partitions", "community_networks"])
+@pytest.mark.parametrize(
+    "village_id",
+    [
+        "v001",
+        "bundles",
+        "partitions",
+        "community_networks",
+        "errors.json",
+        "run_manifest.json",
+        "network_stats.csv",
+        "summary_network.csv",
+    ],
+)
 def test_run_refuses_an_output_dir_that_is_a_village_directory(tmp_path, capsys, village_id):
     villages = [dict(SBM_VILLAGES[0], village_id=village_id), SBM_VILLAGES[1]]
     assert main(["synth", "--config", str(write_synth_config(tmp_path, villages))]) == 0
@@ -151,23 +163,44 @@ def test_run_refuses_an_output_dir_that_is_a_village_directory(tmp_path, capsys,
     if village_id == "v001":
         # Its tables would be read as relation layers of v001 on the next run.
         run_cfg = write_run_config(tmp_path, "corpus/v001")
-        refusal = f"output_dir {corpus / 'v001'} is a village directory"
+        refusal = f"output_dir {corpus / 'v001'} is a village directory: it holds an attributes.csv"
+    elif "." in village_id:
+        # The run would fail to write its own file of that name, after analyzing.
+        run_cfg = write_run_config(tmp_path, "corpus")
+        refusal = f"output_dir {corpus} writes the file {corpus / village_id}, which is a directory"
     else:
         # The run would write its files into that village and delete its tables.
         run_cfg = write_run_config(tmp_path, "corpus")
-        refusal = f"output_dir {corpus} writes into {corpus / village_id}, a village directory"
+        refusal = f"output_dir {corpus} writes into {corpus / village_id}, a village directory: "
+        refusal += "it holds an attributes.csv"
     assert main(["run", "--config", str(run_cfg)]) == 1
-    assert capsys.readouterr().err == f"segnet run: {refusal}: it holds an attributes.csv\n"
+    assert capsys.readouterr().err == f"segnet run: {refusal}\n"
     assert corpus_tree(corpus) == before
 
 
-@pytest.mark.parametrize("output_dir", ["corpus", "corpus/v001/out"])
-def test_run_into_the_corpus_outside_village_directories_reruns(tmp_path, capsys, output_dir):
-    assert main(["synth", "--config", str(write_synth_config(tmp_path, SBM_VILLAGES[:2]))]) == 0
+@pytest.mark.parametrize(
+    "output_dir, village_ids",
+    [
+        ("corpus", ("v001", "v002")),
+        ("corpus/v001/out", ("v001", "v002")),
+        # Village names that match the run's stale-file globs ``*.tmp`` and ``summary_*.csv``.
+        ("corpus", ("x.tmp", "summary_extra.csv")),
+    ],
+    ids=["corpus", "corpus/v001/out", "names-matching-globs"],
+)
+def test_run_into_the_corpus_outside_village_directories_reruns(
+    tmp_path, capsys, output_dir, village_ids
+):
+    villages = [dict(v, village_id=vid) for v, vid in zip(SBM_VILLAGES, village_ids)]
+    assert main(["synth", "--config", str(write_synth_config(tmp_path, villages))]) == 0
+    corpus = tmp_path / "corpus"
+    before = {vid: corpus_tree(corpus / vid) for vid in village_ids}
     run_cfg = write_run_config(tmp_path, output_dir)
     for _ in range(2):
         assert main(["run", "--config", str(run_cfg)]) == 0
         assert "analyzed 2 of 2 village(s)" in capsys.readouterr().out
+        if output_dir == "corpus":
+            assert {vid: corpus_tree(corpus / vid) for vid in village_ids} == before
 
 
 def test_run_with_missing_config_file(tmp_path, capsys):
@@ -398,6 +431,22 @@ class TestSynthErrors:
                 "villages[0]: float() argument must be a string or a real number, not 'list'",
             ),
             (
+                {"villages": [dict(SBM_VILLAGES[1], missing_rate=1.0)]},
+                "villages[0]: missing_rate must be in [0, 1)",
+            ),
+            (
+                {"villages": [dict(SBM_VILLAGES[2], attribute_law={"caste": {"obc": 0.7}})]},
+                "villages[0]: category probabilities must be non-negative and sum to 1",
+            ),
+            (
+                {"villages": [dict(SBM_VILLAGES[2], n_nodes=1)]},
+                "villages[0]: need at least 2 nodes",
+            ),
+            (
+                {"villages": [dict(SBM_VILLAGES[2], betas={"caste": 1.0, "sex": 0.5})]},
+                "villages[0]: no feature law for attribute(s): sex",
+            ),
+            (
                 {"villages": [dict(SBM_VILLAGES[0], block_sizes=[[30], 30])]},
                 "villages[0]: int() argument must be a string, a bytes-like object or a real"
                 " number, not 'list'",
@@ -424,6 +473,10 @@ class TestSynthErrors:
             "block_rule_number",
             "second_village_invalid",
             "p_in_list",
+            "missing_rate_one",
+            "law_sums_below_one",
+            "dyad_one_node",
+            "beta_without_law",
             "block_size_list",
             "seed_list",
             "output_dir_number",

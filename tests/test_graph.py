@@ -16,6 +16,7 @@ from segnet import graph as graph_module
 from .conftest import load_benchmark_villages, random_graph
 from .oracles import (
     component_labels_by_bfs,
+    degrees_by_loop,
     local_clustering_by_loop,
     local_clustering_by_sparse_product,
 )
@@ -76,7 +77,7 @@ def test_edge_arrays_are_lexicographic_and_read_only():
     with pytest.raises(ValueError):
         graph.edge_u[0] = 7
     with pytest.raises(ValueError):
-        graph.neighbors[0] = 7
+        graph.edge_v[0] = 7
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,15 +134,6 @@ def test_sort_based_unique_of_empty_and_negative_keys():
     assert graph_module._unique(keys).tolist() == [-5, -1, 0, 3]
 
 
-def test_neighbor_lists_are_sorted():
-    rng = np.random.default_rng(5)
-    graph = random_graph(rng, 30, 0.2)
-    for i in range(graph.node_count):
-        nbrs = graph.adjacency(i).tolist()
-        assert nbrs == sorted(nbrs)
-        assert i not in nbrs
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
@@ -152,6 +144,8 @@ def test_neighbor_lists_are_sorted():
 )
 def test_degree_sum_is_twice_edges_and_order_invariant(pairs, rnd):
     graph = build_graph(20, pairs)
+    assert graph.degrees.dtype == np.int64
+    assert graph.degrees.tolist() == degrees_by_loop(graph)
     assert int(graph.degrees.sum()) == 2 * graph.edge_count
     shuffled = list(pairs)
     rnd.shuffle(shuffled)
@@ -316,8 +310,7 @@ def test_induced_subgraph_keeps_internal_edges_only():
     assert sub.node_count == 3
     assert sub.edge_count == 2
     assert nodes.tolist() == [0, 1, 3]
-    assert sub.has_edge(0, 1)
-    assert sub.has_edge(0, 2)
+    assert list(zip(sub.edge_u.tolist(), sub.edge_v.tolist())) == [(0, 1), (0, 2)]
 
 
 def test_subgraph_nodes_are_sorted_distinct_read_only_and_map_new_indices_to_old():

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +20,7 @@ from segnet import (
 )
 
 from .conftest import make_table
-from .oracles import build_graph_by_set, load_village_by_rows
+from .oracles import build_graph_by_set, degrees_by_loop, load_village_by_rows
 
 
 def write_village(tmp_path, layers, attribute_rows, nodes=None):
@@ -169,8 +170,7 @@ def test_replacing_the_attributes_rebuilds_an_equal_graph():
     replaced = replace(dataset, attributes=make_table(["a", "b", "c"], sex=[0, 1, 0]))
     assert replaced.graph is not dataset.graph
     assert replaced.graph.equals(dataset.graph)
-    assert np.array_equal(replaced.graph.indptr, dataset.graph.indptr)
-    assert np.array_equal(replaced.graph.neighbors, dataset.graph.neighbors)
+    assert replaced.graph.degrees.tolist() == degrees_by_loop(dataset.graph)
 
 
 def test_save_writes_each_layer_in_node_index_order(tmp_path):
@@ -327,6 +327,17 @@ def test_malformed_rows_carry_file_and_line(tmp_path):
     edge.write_text("source,target\na,b\n", encoding="utf-8")
     with pytest.raises(IngestError, match=r"attributes\.csv:2.*age"):
         load_village([edge], attrs)
+    # A cell beyond the csv module's field size limit.
+    edge.write_text(f"source,target\na,b\na,{'b' * 131_073}\n", encoding="utf-8")
+    message = f"{edge}:3: field larger than field limit (131072)"
+    with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+        load_village([edge], attrs)
+
+
+def test_at_least_one_edge_file_is_required(tmp_path):
+    _, attr_path, _ = write_village(tmp_path, {}, ["a,male,30,,,,,"])
+    with pytest.raises(IngestError, match="^at least one edge file is required$"):
+        load_village([], attr_path)
 
 
 @pytest.mark.parametrize(
@@ -404,6 +415,15 @@ def test_adapt_adjacency_matrix_validates_shape_and_values(tmp_path):
     bad_values.write_text("0,2\n2,0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"outside \{0, 1\}"):
         adapt_adjacency_matrix(bad_values)
+    unparsable = tmp_path / "words.csv"
+    unparsable.write_text("0,x\n1,0\n", encoding="utf-8")
+    message = f"{unparsable}: cannot parse as a numeric matrix"
+    with pytest.raises(IngestError, match=f"^{re.escape(message)}"):
+        adapt_adjacency_matrix(unparsable)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("", encoding="utf-8")
+    with pytest.warns(UserWarning), pytest.raises(IngestError, match="empty matrix$"):
+        adapt_adjacency_matrix(empty)
 
 
 def test_ingest_error_is_a_value_error():
@@ -520,8 +540,7 @@ def test_load_village_matches_row_at_a_time_reader(files):
         expected = sorted({tuple(sorted((index[a], index[b]))) for a, b in pairs})
         assert new.layer_pairs[name].tolist() == [list(pair) for pair in expected]
     assert new.graph.equals(graph)
-    assert np.array_equal(new.graph.indptr, graph.indptr)
-    assert np.array_equal(new.graph.neighbors, graph.neighbors)
+    assert new.graph.degrees.tolist() == degrees_by_loop(graph)
 
 
 def _assert_same_build(node_count, pairs):
@@ -538,8 +557,7 @@ def _assert_same_build(node_count, pairs):
         return
     graph = build_graph(node_count, pairs)
     assert graph.equals(ref_graph)
-    assert np.array_equal(graph.indptr, ref_graph.indptr)
-    assert np.array_equal(graph.neighbors, ref_graph.neighbors)
+    assert graph.degrees.tolist() == degrees_by_loop(ref_graph)
 
 
 @pytest.mark.parametrize(

@@ -69,8 +69,8 @@ def test_loading_a_run_config_imports_no_numpy_and_no_other_layer(tmp_path):
 def names_without_a_user(names: list[str], texts: list[str], modules: list[str]) -> list[str]:
     """The ``names`` used as a whole word in none of ``texts`` or ``modules``.
 
-    A module's ``__all__`` entries and a name's own ``def``/``class`` line do
-    not count as a use.
+    A module's ``__all__`` entries and a name's own ``def``/``class`` line or
+    module-level assignment do not count as a use.
     """
     lines = []
     for source in modules:
@@ -84,8 +84,9 @@ def names_without_a_user(names: list[str], texts: list[str], modules: list[str])
         lines += text.splitlines()
     unused = []
     for name in names:
-        use = re.compile(rf"\b{re.escape(name)}\b")
-        own = re.compile(rf"\s*(?:async\s+)?(?:def|class)\s+{re.escape(name)}\b")
+        word = re.escape(name)
+        use = re.compile(rf"\b{word}\b")
+        own = re.compile(rf"\s*(?:async\s+)?(?:def|class)\s+{word}\b|{word}\s*(?::[^=]*)?=[^=]")
         if not any(use.search(line) and not own.match(line) for line in lines):
             unused.append(name)
     return unused
@@ -100,6 +101,9 @@ def test_names_without_a_user_are_found():
     )
     assert names_without_a_user(["f", "g", "C"], ["call f(1)"], [module]) == ["C"]
     assert names_without_a_user(["f", "g", "C"], [], [module]) == ["f", "C"]
+    constants = "_K = 3\n_J: int = 4\n_L = (\n    1,\n)\n\ndef f(x):\n    return x + _J\n"
+    assert private_module_names(constants) == ["_K", "_J", "_L"]
+    assert names_without_a_user(["_K", "_J", "_L"], [], [constants]) == ["_K", "_L"]
 
 
 def test_every_public_name_has_a_user():
@@ -113,3 +117,25 @@ def test_every_public_name_has_a_user():
         if path.name != "__init__.py"
     ]
     assert names_without_a_user(segnet.__all__, texts, modules) == []
+
+
+def private_module_names(source: str) -> list[str]:
+    """The module-level ``_name`` functions, classes and constants ``source`` defines."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [target.id for target in targets if isinstance(target, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_module_name_has_a_user():
+    """Each module-level ``_name`` of ``src/segnet`` is used there beyond its
+    definition, so no private helper outlives its last caller."""
+    modules = [
+        path.read_text(encoding="utf-8") for path in sorted((ROOT / "src" / "segnet").glob("*.py"))
+    ]
+    names = sorted({name for source in modules for name in private_module_names(source)})
+    assert names_without_a_user(names, [], modules) == []

@@ -146,11 +146,31 @@ class TestParseRunConfig:
                 "corpus_dir = c\noutput_dir = o\npermutation_replicates = many\n"
             )
 
-    def test_validation_errors_surface(self):
-        with pytest.raises(ValueError, match="at least one permutation tolerance"):
-            parse_run_config("corpus_dir = c\noutput_dir = o\npermutation_tolerances =\n")
-        with pytest.raises(ValueError, match="unknown attribute"):
-            parse_run_config("corpus_dir = c\noutput_dir = o\nattributes = height\n")
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("permutation_tolerances =", "at least one permutation tolerance"),
+            ("attributes = height", "unknown attribute"),
+            (
+                "attributes = caste\ncommunity_network_attributes = sex",
+                "community network attribute 'sex' not among attributes",
+            ),
+            ("permutation_replicates = 0", "permutation_replicates must be at least 1"),
+            ("age_encoding = diff", "age_encoding must be 'match' or 'difference'"),
+            ("education_encoding = bins", "education_encoding must be 'match' or 'difference'"),
+        ],
+        ids=[
+            "no-tolerance",
+            "unknown-attribute",
+            "community-attribute-not-analyzed",
+            "no-replicates",
+            "age-encoding",
+            "education-encoding",
+        ],
+    )
+    def test_validation_errors_surface(self, lines, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            parse_run_config(f"corpus_dir = c\noutput_dir = o\n{lines}\n")
 
     @pytest.mark.parametrize(
         "line, key",
