@@ -48,7 +48,7 @@ BINARY_CODES = {"1": "1", "0": "0", "2": "0"}  # some releases code "no" as 2
 RECODES = {"sex": SEX_CODES, "workflag": BINARY_CODES, "savings": BINARY_CODES}
 
 
-def column_value(attr: str, raw: str) -> int | float:
+def column_value(attr: str, raw: str) -> int:
     """The codec's value of one raw cell, or the missing value where it rejects the cell."""
     text = raw.strip()
     if attr in RECODES:
@@ -61,10 +61,10 @@ def column_value(attr: str, raw: str) -> int | float:
 
 def load_characteristics(
     path: Path, args: argparse.Namespace
-) -> dict[str, dict[str, tuple[int | float, ...]]]:
+) -> dict[str, dict[str, tuple[int, ...]]]:
     """village -> person id -> column values in ``ATTRIBUTE_NAMES`` order."""
     columns = [getattr(args, f"col_{attr}") for attr in ATTRIBUTE_NAMES]
-    by_village: dict[str, dict[str, tuple[int | float, ...]]] = defaultdict(dict)
+    by_village: dict[str, dict[str, tuple[int, ...]]] = defaultdict(dict)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         for row in csv.DictReader(fh):
             village = row.get(args.col_village, "").strip()
@@ -81,7 +81,7 @@ def build_village(
     village_id: str,
     pids: list[str],
     matrices: dict[str, Path],
-    rows: dict[str, tuple[int | float, ...]],
+    rows: dict[str, tuple[int, ...]],
 ) -> VillageDataset:
     """The village over the key-file ids: one layer per matrix, one attribute row per id."""
     repeated = [pid for pid, count in Counter(pids).items() if count > 1]

@@ -1,7 +1,8 @@
 """Per-node covariates with explicit missingness, category coding, and binning.
 
-Categorical columns are stored as integer codes into the declared category
-tuples (-1 = missing); numeric columns are float arrays with NaN = missing.
+Every column is one read-only int64 array with -1 for missing: a category
+code into the declared category tuple, or a whole non-negative number for
+``age`` and ``education``.
 
 Every reader and writer of covariate cells shares one codec: ``parse_cell``,
 ``format_cell`` and ``missing_value``.  An empty cell is missing, categories
@@ -10,7 +11,6 @@ match case-insensitively, and numbers are whole and non-negative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -49,22 +49,21 @@ CATEGORICAL_ATTRIBUTES: dict[str, tuple[str, ...]] = {
 NUMERIC_ATTRIBUTES = ("age", "education")
 
 _CATEGORY_CODES = {a: {c: k for k, c in enumerate(cs)} for a, cs in CATEGORICAL_ATTRIBUTES.items()}
-_MISSING = {attr: -1 if attr in CATEGORICAL_ATTRIBUTES else math.nan for attr in ATTRIBUTE_NAMES}
+_MAX_NUMBER = int(np.iinfo(np.int64).max)  # the largest value an int64 column holds
 
 
-def missing_value(attr: str) -> int | float:
-    """The column value of a missing ``attr``: -1 for a category, NaN for a number."""
-    try:
-        return _MISSING[attr]
-    except KeyError:
-        raise ValueError(f"unknown attribute {attr!r}") from None
+def missing_value(attr: str) -> int:
+    """The column value of a missing ``attr``: -1 for every attribute."""
+    if attr not in ATTRIBUTE_NAMES:
+        raise ValueError(f"unknown attribute {attr!r}")
+    return -1
 
 
-def parse_cell(attr: str, text: str) -> int | float:
+def parse_cell(attr: str, text: str) -> int:
     """Column value of one stripped cell of ``attr``; an empty cell is missing.
 
     Raises ``ValueError`` naming an unknown category, a cell that is not a
-    whole number, or a negative number.
+    whole number, or a number outside ``0 .. 2**63 - 1``.
     """
     if not text:
         return missing_value(attr)
@@ -82,49 +81,52 @@ def parse_cell(attr: str, text: str) -> int | float:
         raise ValueError(f"invalid {attr} value {text!r}") from None
     if value < 0:
         raise ValueError(f"negative {attr} value {value}")
-    return float(value)
+    if value > _MAX_NUMBER:
+        raise ValueError(f"{attr} value {value} exceeds {_MAX_NUMBER}")
+    return value
 
 
-def format_cell(attr: str, value: int | float) -> str:
-    """Cell text of one column value of ``attr``; ``parse_cell`` reads it back.
-
-    Raises ``ValueError`` on a number that is not whole, which no cell can hold.
-    """
-    categories = CATEGORICAL_ATTRIBUTES.get(attr)
-    if categories is not None:
-        return "" if value < 0 else categories[value]
-    if math.isnan(value):
+def format_cell(attr: str, value: int) -> str:
+    """Cell text of one column value of ``attr``; ``parse_cell`` reads it back."""
+    if value < 0:
         return ""
-    if not float(value).is_integer():
-        raise ValueError(f"invalid {attr} value {value!r}")
-    return str(int(value))
+    categories = CATEGORICAL_ATTRIBUTES.get(attr)
+    return str(value) if categories is None else categories[value]
 
 
 def bin_codes(values: np.ndarray, bins: Sequence[float]) -> np.ndarray:
-    """Ordinal bin index for each value; NaN maps to -1."""
-    v = np.asarray(values, dtype=float)
+    """Ordinal bin index for each value; a negative (missing) value maps to -1."""
+    v = np.asarray(values)
     codes = np.digitize(v, np.asarray(bins, dtype=float))
-    return np.where(np.isnan(v), -1, codes).astype(np.int64)
+    return np.where(v < 0, -1, codes).astype(np.int64)
 
 
-def _as_code_array(values: Iterable[int], attr: str) -> np.ndarray:
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=np.int64)
-    if arr.size and (arr.min() < -1 or arr.max() >= len(CATEGORICAL_ATTRIBUTES[attr])):
+def _as_column(values: Iterable[int], attr: str, n: int) -> np.ndarray:
+    """``values`` as a read-only int64 column of ``n`` entries, checked as in ``AttributeTable``."""
+    arr = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    if arr.size and not (arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64)):
+        raise ValueError(f"{attr} column must hold integers (-1 = missing), got {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
+    if arr.shape != (n,):
+        raise ValueError(f"{attr} column length {arr.shape} != {n} nodes")
+    if n and arr.min() < -1:
+        raise ValueError(f"{attr} values must be non-negative, or -1 for missing")
+    categories = CATEGORICAL_ATTRIBUTES.get(attr)
+    if n and categories is not None and arr.max() >= len(categories):
         raise ValueError(f"{attr} codes out of range")
-    return arr
-
-
-def _as_value_array(values: Iterable[float], attr: str) -> np.ndarray:
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
-    finite = arr[~np.isnan(arr)]
-    if finite.size and finite.min() < 0:
-        raise ValueError(f"{attr} values must be non-negative")
+    arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True)
 class AttributeTable:
-    """Covariate columns aligned with graph node indices."""
+    """Covariate columns aligned with graph node indices.
+
+    Each column is a read-only int64 array with -1 for missing: a category
+    code, or a whole non-negative number for ``age`` and ``education``.
+    Raises ``ValueError`` naming the attribute of a column that is not of an
+    integer dtype or holds a value out of range.
+    """
 
     node_ids: tuple[str, ...]
     sex: np.ndarray
@@ -138,20 +140,12 @@ class AttributeTable:
     def __post_init__(self) -> None:
         n = len(self.node_ids)
         for name in ATTRIBUTE_NAMES:
-            as_array = _as_code_array if name in CATEGORICAL_ATTRIBUTES else _as_value_array
-            col = as_array(getattr(self, name), name)
-            if col.shape != (n,):
-                raise ValueError(f"{name} column length {col.shape} != {n} nodes")
-            col.setflags(write=False)
-            object.__setattr__(self, name, col)
+            object.__setattr__(self, name, _as_column(getattr(self, name), name, n))
 
     @classmethod
     def empty(cls, node_ids: Sequence[str]) -> "AttributeTable":
         n = len(node_ids)
-        return cls(
-            node_ids=tuple(node_ids),
-            **{name: np.full(n, missing_value(name)) for name in ATTRIBUTE_NAMES},
-        )
+        return cls(node_ids=tuple(node_ids), **{name: np.full(n, -1) for name in ATTRIBUTE_NAMES})
 
     @property
     def n(self) -> int:
@@ -159,35 +153,22 @@ class AttributeTable:
 
     def is_present(self, attr: str) -> np.ndarray:
         """Boolean mask of nodes where ``attr`` is observed."""
-        if attr in CATEGORICAL_ATTRIBUTES:
-            return getattr(self, attr) >= 0
-        if attr in NUMERIC_ATTRIBUTES:
-            return ~np.isnan(getattr(self, attr))
-        raise ValueError(f"unknown attribute {attr!r}")
-
-    def values(self, attr: str) -> np.ndarray:
-        """Numeric values (float, NaN = missing); only valid for numeric attributes."""
-        if attr not in NUMERIC_ATTRIBUTES:
-            raise ValueError(f"{attr!r} is not a numeric attribute")
-        return getattr(self, attr)
+        return self.labels(attr) >= 0
 
     def labels(self, attr: str, bins: Sequence[float] | None = None) -> np.ndarray:
-        """Integer label codes with -1 = missing.
+        """Integer labels with -1 = missing.
 
         Categorical attributes return their category codes (``bins`` must be
         None).  Numeric attributes return bin indices when ``bins`` is given,
-        otherwise the rounded integer values themselves serve as labels.
+        otherwise the stored column of whole numbers itself.
         """
-        if attr in CATEGORICAL_ATTRIBUTES:
-            if bins is not None:
-                raise ValueError(f"bins not applicable to categorical attribute {attr!r}")
+        if attr not in ATTRIBUTE_NAMES:
+            raise ValueError(f"unknown attribute {attr!r}")
+        if bins is None:
             return getattr(self, attr)
-        if attr in NUMERIC_ATTRIBUTES:
-            v = getattr(self, attr)
-            if bins is not None:
-                return bin_codes(v, bins)
-            return np.where(np.isnan(v), -1, np.round(v)).astype(np.int64)
-        raise ValueError(f"unknown attribute {attr!r}")
+        if attr in CATEGORICAL_ATTRIBUTES:
+            raise ValueError(f"bins not applicable to categorical attribute {attr!r}")
+        return bin_codes(getattr(self, attr), bins)
 
     def take(self, indices: Sequence[int] | np.ndarray) -> "AttributeTable":
         """Row subset/reorder aligned with a new node indexing."""
@@ -198,16 +179,9 @@ class AttributeTable:
         )
 
     def equals(self, other: "AttributeTable") -> bool:
-        if self.node_ids != other.node_ids:
-            return False
-        for name in ATTRIBUTE_NAMES:
-            a, b = getattr(self, name), getattr(other, name)
-            if a.dtype.kind == "f":
-                if not np.array_equal(a, b, equal_nan=True):
-                    return False
-            elif not np.array_equal(a, b):
-                return False
-        return True
+        return self.node_ids == other.node_ids and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in ATTRIBUTE_NAMES
+        )
 
 
 def complete_case_mask(table: AttributeTable, attrs: Sequence[str]) -> np.ndarray:

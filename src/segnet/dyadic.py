@@ -129,13 +129,6 @@ class DyadDesign:
         }
 
 
-def _feature_values(table: AttributeTable, attr: str, enc: FeatureEncoding) -> np.ndarray:
-    """Per-node values a feature compares: labels, or raw numbers for an unbinned difference."""
-    if enc.kind == "match" or enc.bins is not None:
-        return table.labels(attr, enc.bins).astype(float)
-    return table.values(attr)
-
-
 def _pair_feature(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Match indicator (bool) or absolute difference of paired values."""
     return a == b if kind == "match" else np.abs(a - b)
@@ -185,7 +178,7 @@ def build_dyad_design(
         raise ValueError(f"need at least 2 complete-case nodes, found {k}")
 
     kinds = [spec.encodings[attr].kind for attr in names]
-    columns = [_feature_values(table, attr, spec.encodings[attr])[node_index] for attr in names]
+    columns = [table.labels(attr, spec.encodings[attr].bins)[node_index] for attr in names]
     types, node_type, type_size = np.unique(
         np.column_stack(columns), axis=0, return_inverse=True, return_counts=True
     )

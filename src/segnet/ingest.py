@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
@@ -236,7 +237,7 @@ def _read_attribute_file(
     values = {}
     for attr, cells in zip(ATTRIBUTE_NAMES, texts):
         # Each distinct cell is parsed once; a coerced category is missing.
-        parsed: dict[str, int | float] = {}
+        parsed: dict[str, int] = {}
         errors: dict[str, str] = {}
         for text in dict.fromkeys(cells):
             try:
@@ -245,7 +246,7 @@ def _read_attribute_file(
                 parsed[text] = missing_value(attr)
                 if not (coerce and attr in CATEGORICAL_ATTRIBUTES):
                     errors[text] = str(exc)
-        values[attr] = np.array(list(map(parsed.__getitem__, cells)))
+        values[attr] = np.fromiter(map(parsed.__getitem__, cells), np.int64, size)
         faults.append((
             _flags(map(errors.__contains__, cells), size),
             lambda k, cells=cells, errors=errors: errors[cells[k]],
@@ -329,11 +330,20 @@ def save_village(dataset: VillageDataset, directory: str | Path) -> Path:
     """Serialize a dataset to the canonical layout; re-loading round-trips.
 
     Each layer's rows are its pairs in node-index order.  Raises
-    ``ValueError``, before writing anything, on a reserved layer name or one
-    that does not name one file in ``directory`` (empty, ``.``, ``..``, or
-    holding ``/``, ``\\`` or NUL), a number that is not whole, or a ``.csv``
-    in ``directory`` that it would not write.
+    ``ValueError``, before writing anything, on a node id that would not load
+    back as itself (empty, repeated, or with leading or trailing whitespace),
+    a reserved layer name or one that does not name one file in
+    ``directory`` (empty, ``.``, ``..``, or holding ``/``, ``\\`` or NUL), or a
+    ``.csv`` in ``directory`` that it would not write.
     """
+    seen: set[str] = set()
+    for nid in dataset.node_ids:
+        if not nid or nid != nid.strip() or nid in seen:
+            raise ValueError(
+                f"node id {nid!r} would not load back as itself: "
+                "ids must be non-empty, distinct and without surrounding whitespace"
+            )
+        seen.add(nid)
     for name in dataset.layer_pairs:
         if name in _RESERVED_FILE_STEMS:
             raise ValueError(f"relation layer name {name!r} is reserved")
@@ -378,7 +388,10 @@ def adapt_adjacency_matrix(matrix_file: str | Path) -> np.ndarray:
     """
     path = Path(matrix_file)
     try:
-        mat = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
+        with warnings.catch_warnings():
+            # An empty or blank file is refused below, as an empty matrix.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            mat = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
     except ValueError as exc:
         raise IngestError(f"{path}: cannot parse as a numeric matrix: {exc}") from None
     except OSError as exc:

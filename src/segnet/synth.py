@@ -64,7 +64,7 @@ class AttributedSbmConfig:
 
 def _draw_column(
     rng: np.random.Generator, attr: str, law: Mapping[str, float], size: int
-) -> list[int | float]:
+) -> list[int]:
     """``size`` iid draws from ``law`` (cell text -> probability) as ``attr`` column values."""
     texts = list(law)
     probs = np.asarray([law[k] for k in texts], dtype=float)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from segnet import AttributeTable, IngestConfig, Partition, build_graph, load_village
+from segnet.attributes import ATTRIBUTE_NAMES
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 BRIDGED_TRIANGLE_EDGES = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]
 
@@ -15,23 +17,19 @@ BRIDGED_TRIANGLE_EDGES = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)
 def make_table(node_ids, **columns):
     """AttributeTable with the given columns set and everything else missing.
 
-    Categorical columns take integer codes, numeric columns floats; use -1
-    and NaN for missing entries.
+    Columns take integers: category codes or whole numbers, -1 for missing.
     """
-    n = len(node_ids)
-    base = {
-        "sex": np.full(n, -1, dtype=np.int64),
-        "age": np.full(n, np.nan),
-        "religion": np.full(n, -1, dtype=np.int64),
-        "caste": np.full(n, -1, dtype=np.int64),
-        "education": np.full(n, np.nan),
-        "workflag": np.full(n, -1, dtype=np.int64),
-        "savings": np.full(n, -1, dtype=np.int64),
-    }
-    for name, values in columns.items():
-        dtype = float if name in ("age", "education") else np.int64
-        base[name] = np.asarray(values, dtype=dtype)
+    base = {name: np.full(len(node_ids), -1) for name in ATTRIBUTE_NAMES}
+    base.update(columns)
     return AttributeTable(node_ids=tuple(str(v) for v in node_ids), **base)
+
+
+def load_script(name):
+    """The module of ``scripts/<name>.py``, loaded without running its ``main``."""
+    spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def design_groups(design):

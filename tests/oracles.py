@@ -258,18 +258,15 @@ def enumerate_dyads(n, edges, columns):
     ``columns`` lists ``(kind, values, bins)`` per feature, where ``values``
     holds one entry per node with None for missing, ``kind`` is "match" or
     "difference", and ``bins`` (or None) are left edges of the upper bins.
-    A match on unbinned values compares them rounded to integers.
     """
     tied = {(min(u, v), max(u, v)) for u, v in edges}
     complete = [i for i in range(n) if all(values[i] is not None for _, values, _ in columns)]
     coded = []
-    for kind, values, bins in columns:
+    for _, values, bins in columns:
         if bins is not None:
             coded.append([None if v is None else _bin_index(v, bins) for v in values])
-        elif kind == "match":
-            coded.append([None if v is None else round(v) for v in values])
         else:
-            coded.append([None if v is None else float(v) for v in values])
+            coded.append(list(values))
     rows = []
     for a, i in enumerate(complete):
         for j in complete[a + 1 :]:
@@ -775,14 +772,14 @@ def _read_nodes_file_by_rows(path):
 
 def _parse_numeric_cell(text, attr, path, lineno):
     if text == "":
-        return float("nan")
+        return -1
     try:
         value = int(text)
     except ValueError:
         raise IngestError(f"{path}:{lineno}: invalid {attr} value {text!r}") from None
     if value < 0:
         raise IngestError(f"{path}:{lineno}: negative {attr} value {value}")
-    return float(value)
+    return value
 
 
 def _parse_categorical_cell(text, attr, path, lineno, coerce):

@@ -537,12 +537,25 @@ def readme_block(heading, language):
 
 
 def test_readme_library_example_runs_as_written(tmp_path, capsys, monkeypatch):
-    village = dict(SBM_VILLAGES[0], village_id="vil001")
-    assert main(["synth", "--config", str(write_synth_config(tmp_path, [village]))]) == 0
-    capsys.readouterr()
+    sbm, _ = segnet.generate_attribute_sbm(
+        segnet.AttributedSbmConfig(
+            block_sizes=(15, 15),
+            p_in=0.5,
+            p_out=0.06,
+            attribute_rule=("general", {"obc": 0.7, "scheduled caste": 0.3}),
+            seed=5,
+            extra_attribute_laws={"sex": {"male": 0.5, "female": 0.5}},
+        )
+    )
+    # Node 0 loses its ties: an isolated respondent, kept only by nodes.csv.
+    layers = {name: p[(p != 0).all(axis=1)] for name, p in sbm.layer_pairs.items()}
+    village = segnet.VillageDataset("vil001", sbm.attributes, layers)
+    segnet.save_village(village, tmp_path / "corpus" / "vil001")
     monkeypatch.chdir(tmp_path)
-    exec(compile(readme_block("## Library use", "python"), "README.md", "exec"), {})
+    namespace = {}
+    exec(compile(readme_block("## Library use", "python"), "README.md", "exec"), namespace)
     printed = capsys.readouterr().out.split()
     # q_attr, q_within_norm and q_between_norm, then the NMI
     assert len(printed) == 4
     assert all(math.isfinite(float(value)) for value in printed)
+    assert namespace["data"].equals(village)

@@ -43,7 +43,7 @@ from .oracles import (
 
 def small_design():
     graph = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    table = make_table(range(4), caste=[0, 0, 3, 3], age=[20.0, 35.0, 50.0, 50.0])
+    table = make_table(range(4), caste=[0, 0, 3, 3], age=[20, 35, 50, 50])
     spec = FeatureSpec(
         {
             "caste": FeatureEncoding("match"),
@@ -57,11 +57,7 @@ def oracle_dyads(graph, table, spec):
     """Enumerated dyads of ``graph`` from plain per-node values of ``table``."""
     columns = []
     for attr, enc in spec.encodings.items():
-        raw = getattr(table, attr).tolist()
-        if attr in ("age", "education"):
-            values = [None if math.isnan(v) else v for v in raw]
-        else:
-            values = [None if v < 0 else v for v in raw]
+        values = [None if v < 0 else v for v in getattr(table, attr).tolist()]
         columns.append((enc.kind, values, enc.bins))
     edges = zip(graph.edge_u.tolist(), graph.edge_v.tolist())
     return enumerate_dyads(graph.node_count, list(edges), columns)
@@ -84,7 +80,7 @@ class TestDyadDesign:
 
     def test_binned_difference_uses_bin_distance(self):
         graph = build_graph(3, [(0, 1)])
-        table = make_table(range(3), education=[0.0, 12.0, 15.0])
+        table = make_table(range(3), education=[0, 12, 15])
         spec = FeatureSpec(
             {"education": FeatureEncoding("difference", (1.0, 10.0, 14.0, 16.0))}
         )
@@ -142,15 +138,15 @@ def random_table(rng, n, missing):
         return np.where(rng.random(n) < missing, -1, rng.integers(0, k, n))
 
     def numbers(values):
-        return np.where(rng.random(n) < missing, np.nan, rng.choice(values, n))
+        return np.where(rng.random(n) < missing, -1, rng.choice(values, n))
 
     return make_table(
         range(n),
         sex=codes(2),
         religion=codes(3),
         caste=codes(4),
-        age=numbers([16.0, 18.0, 25.5, 30.0, 31.0, 47.0, 70.0]),
-        education=numbers([0.0, 0.5, 4.0, 10.0, 12.0, 17.0]),
+        age=numbers([16, 18, 26, 30, 31, 47, 70]),
+        education=numbers([0, 1, 4, 10, 12, 17]),
     )
 
 
@@ -789,7 +785,7 @@ def survey_scale_village(n=1200, mean_degree=8.0, seed=411):
         return np.where(rng.random(n) < 0.04, -1, rng.integers(0, k, n))
 
     def numbers(lo, hi):
-        return np.where(rng.random(n) < 0.04, np.nan, rng.integers(lo, hi, n).astype(float))
+        return np.where(rng.random(n) < 0.04, -1, rng.integers(lo, hi, n))
 
     table = make_table(
         range(n),

@@ -1,5 +1,6 @@
 import re
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -56,7 +57,7 @@ def test_load_basic_village(tmp_path):
     assert sorted(dataset.relation_layers) == ["borrow", "visit"]
     assert dataset.attributes.labels("sex").tolist() == [0, 1, -1]
     assert dataset.attributes.labels("caste").tolist() == [2, 3, -1]
-    assert dataset.attributes.values("age").tolist()[:2] == [30.0, 25.0]
+    assert dataset.attributes.labels("age").tolist() == [30, 25, -1]
     assert dataset.unmatched_attribute_ids == ()
 
 
@@ -96,11 +97,28 @@ def test_round_trip_through_save(tmp_path):
     assert dataset.equals(reloaded)
 
 
-def test_save_refuses_numbers_that_are_not_whole(tmp_path):
-    dataset = VillageDataset("v1", make_table(["a", "b"], age=[5.5, 30.0]), {"visit": [(0, 1)]})
-    with pytest.raises(ValueError, match=r"^invalid age value 5\.5$"):
+def test_save_refuses_numbers_that_are_not_whole():
+    # A number that is not whole cannot reach save_village: the table refuses it.
+    with pytest.raises(ValueError, match="^age column must hold integers"):
+        make_table(["a", "b"], age=[5.5, 30.0])
+
+
+@pytest.mark.parametrize(
+    "ids, bad", [((" a", "b", "c"), " a"), (("a", "a", "c"), "a"), (("a", "b", ""), "")]
+)
+def test_save_refuses_an_id_that_would_not_load_back(tmp_path, ids, bad):
+    dataset = VillageDataset("v1", make_table(ids), {"L": [(0, 1), (1, 2)]})
+    with pytest.raises(ValueError, match=f"^node id {re.escape(repr(bad))} would not load back"):
         save_village(dataset, tmp_path / "saved")
     assert not (tmp_path / "saved").exists()
+
+
+def test_save_round_trips_ids_holding_csv_syntax(tmp_path):
+    ids = ("a,b", "line\nbreak", 'say "hi"', "nul\x00", "bom\ufeff")
+    dataset = VillageDataset("v1", make_table(ids, sex=[0, 1, -1, 0, 1]), {"L": [(0, 1), (2, 4)]})
+    out = save_village(dataset, tmp_path / "saved")
+    config = IngestConfig(village_id="v1", nodes_file=out / "nodes.csv")
+    assert load_village([out / "L.csv"], out / "attributes.csv", config).equals(dataset)
 
 
 def test_save_refuses_a_directory_with_a_csv_it_would_not_write(tmp_path):
@@ -420,10 +438,13 @@ def test_adapt_adjacency_matrix_validates_shape_and_values(tmp_path):
     message = f"{unparsable}: cannot parse as a numeric matrix"
     with pytest.raises(IngestError, match=f"^{re.escape(message)}"):
         adapt_adjacency_matrix(unparsable)
-    empty = tmp_path / "empty.csv"
-    empty.write_text("", encoding="utf-8")
-    with pytest.warns(UserWarning), pytest.raises(IngestError, match="empty matrix$"):
-        adapt_adjacency_matrix(empty)
+    for name, text in (("empty.csv", ""), ("blank.csv", "\n\r\n\n")):
+        empty = tmp_path / name
+        empty.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IngestError, match=f"^{re.escape(str(empty))}: empty matrix$"):
+                adapt_adjacency_matrix(empty)
 
 
 def test_ingest_error_is_a_value_error():

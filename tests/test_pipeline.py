@@ -396,11 +396,11 @@ SCREEN_CASES = {
         "sex": ("match", [0, 0, 1, 1]),
     },
     "all values equal": {
-        "age": ("difference", [30.0, 30.0, 30.0, 30.0]),
+        "age": ("difference", [30, 30, 30, 30]),
         "sex": ("match", [0, 1, 1, 0]),
     },
     "only one dyad; feature is constant": {
-        "age": ("difference", [20.0, 45.0, None, 50.0]),
+        "age": ("difference", [20, 45, None, 50]),
         "caste": ("match", [0, 3, 3, None]),
     },
 }
@@ -409,13 +409,9 @@ SCREEN_CASES = {
 @pytest.mark.parametrize("message", sorted(SCREEN_CASES))
 def test_constant_feature_screen_matches_per_attribute_screen(message):
     case = SCREEN_CASES[message]
-    missing = {"age": np.nan, "education": np.nan}
     table = make_table(
         range(4),
-        **{
-            attr: [missing.get(attr, -1) if v is None else v for v in values]
-            for attr, (_, values) in case.items()
-        },
+        **{attr: [-1 if v is None else v for v in values] for attr, (_, values) in case.items()},
     )
     graph = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     spec = FeatureSpec({attr: FeatureEncoding(kind) for attr, (kind, _) in case.items()})
@@ -972,15 +968,26 @@ def assert_json_native(obj, where=""):
 
 
 def json_native_configs():
-    """The default config, and one with per-attribute fits, age differences, three
-    tolerances and three community networks."""
+    """The default config; one with per-attribute fits, age differences, three
+    tolerances and three community networks; and one with unbinned ages and
+    education, education differences and community networks over both."""
     default = RunConfig(corpus_dir="c", output_dir="o")
-    return default, replace(
+    return (
         default,
-        joint_model=False,
-        age_encoding="difference",
-        permutation_tolerances=(0.02, 0.05, 0.2),
-        community_network_attributes=("caste", "sex", "age"),
+        replace(
+            default,
+            joint_model=False,
+            age_encoding="difference",
+            permutation_tolerances=(0.02, 0.05, 0.2),
+            community_network_attributes=("caste", "sex", "age"),
+        ),
+        replace(
+            default,
+            age_bins=(),
+            education_bins=(),
+            education_encoding="difference",
+            community_network_attributes=("caste", "age", "education"),
+        ),
     )
 
 

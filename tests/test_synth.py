@@ -78,11 +78,10 @@ def test_extra_attribute_laws_and_missing_rate():
     )
     dataset, _ = generate_attribute_sbm(config)
     sex = dataset.attributes.labels("sex")
-    age = dataset.attributes.values("age")
+    age = dataset.attributes.labels("age")
     assert (sex == -1).sum() > 0
-    assert np.isnan(age).sum() > 0
-    observed_ages = set(age[~np.isnan(age)].tolist())
-    assert observed_ages <= {20.0, 40.0}
+    assert (age == -1).sum() > 0
+    assert set(age[age >= 0].tolist()) <= {20, 40}
     # caste is also thinned by the same rate
     assert (dataset.attributes.labels("caste") == -1).sum() > 0
 
