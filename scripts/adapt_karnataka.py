@@ -39,7 +39,7 @@ import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 
-from segnet.attributes import ATTRIBUTE_NAMES, AttributeTable, missing_value, parse_cell
+from segnet.attributes import ATTRIBUTE_NAMES, MISSING, AttributeTable, parse_cell
 from segnet.ingest import VillageDataset, adapt_adjacency_matrix, save_village
 
 SEX_CODES = {"1": "male", "2": "female"}
@@ -56,7 +56,7 @@ def column_value(attr: str, raw: str) -> int:
     try:
         return parse_cell(attr, text)
     except ValueError:
-        return missing_value(attr)
+        return MISSING
 
 
 def load_characteristics(
@@ -88,7 +88,7 @@ def build_village(
     if repeated:
         raise ValueError(f"duplicate node id {repeated[0]!r} in key file")
     layer_pairs = {layer: adapt_adjacency_matrix(path) for layer, path in sorted(matrices.items())}
-    blank = tuple(missing_value(attr) for attr in ATTRIBUTE_NAMES)
+    blank = (MISSING,) * len(ATTRIBUTE_NAMES)
     values = [rows.get(pid, blank) for pid in pids]
     table = AttributeTable(
         node_ids=tuple(pids),

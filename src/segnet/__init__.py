@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 # home module -> the public names it defines
 _EXPORTS = {
-    "attributes": ("CATEGORICAL_ATTRIBUTES", "NUMERIC_ATTRIBUTES", "AttributeTable", "complete_case_mask"),
+    "attributes": ("CATEGORICAL_ATTRIBUTES", "NUMERIC_ATTRIBUTES", "AttributeTable"),
     "community": ("NmiResult", "Partition", "louvain", "modularity_of_partition", "nmi"),
     "config": (
         "DEFAULT_AGE_BINS",
@@ -32,7 +32,6 @@ _EXPORTS = {
     ),
     "dyadic": (
         "DyadDesign",
-        "FeatureEncoding",
         "FeatureSpec",
         "LogisticFit",
         "SexPermutationResult",

@@ -5,8 +5,11 @@ code into the declared category tuple, or a whole non-negative number for
 ``age`` and ``education``.
 
 Every reader and writer of covariate cells shares one codec: ``parse_cell``,
-``format_cell`` and ``missing_value``.  An empty cell is missing, categories
-match case-insensitively, and numbers are whole and non-negative.
+``format_cell`` and ``MISSING``.  An empty cell is missing, categories match
+case-insensitively, and numbers are whole and non-negative.
+
+``AttributeTable.labels`` is the one place a numeric column is binned; the
+analyses take the labels it gives.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .vocabulary import ATTRIBUTE_NAMES
 __all__ = [
     "ATTRIBUTE_NAMES",
     "CATEGORICAL_ATTRIBUTES",
+    "MISSING",
     "NUMERIC_ATTRIBUTES",
     "SEX_CATEGORIES",
     "RELIGION_CATEGORIES",
@@ -28,9 +32,7 @@ __all__ = [
     "BINARY_CATEGORIES",
     "AttributeTable",
     "bin_codes",
-    "complete_case_mask",
     "format_cell",
-    "missing_value",
     "parse_cell",
 ]
 
@@ -47,16 +49,10 @@ CATEGORICAL_ATTRIBUTES: dict[str, tuple[str, ...]] = {
     "savings": BINARY_CATEGORIES,
 }
 NUMERIC_ATTRIBUTES = ("age", "education")
+MISSING = -1  # the column value of a missing cell, for every attribute
 
 _CATEGORY_CODES = {a: {c: k for k, c in enumerate(cs)} for a, cs in CATEGORICAL_ATTRIBUTES.items()}
 _MAX_NUMBER = int(np.iinfo(np.int64).max)  # the largest value an int64 column holds
-
-
-def missing_value(attr: str) -> int:
-    """The column value of a missing ``attr``: -1 for every attribute."""
-    if attr not in ATTRIBUTE_NAMES:
-        raise ValueError(f"unknown attribute {attr!r}")
-    return -1
 
 
 def parse_cell(attr: str, text: str) -> int:
@@ -66,7 +62,7 @@ def parse_cell(attr: str, text: str) -> int:
     whole number, or a number outside ``0 .. 2**63 - 1``.
     """
     if not text:
-        return missing_value(attr)
+        return MISSING
     codes = _CATEGORY_CODES.get(attr)
     if codes is not None:
         code = codes.get(text.lower())
@@ -95,8 +91,13 @@ def format_cell(attr: str, value: int) -> str:
 
 
 def bin_codes(values: np.ndarray, bins: Sequence[float]) -> np.ndarray:
-    """Ordinal bin index for each value; a negative (missing) value maps to -1."""
+    """Ordinal bin index for each integer value; a negative (missing) value maps to -1.
+
+    Floats raise ``ValueError``: a NaN would land in the top bin.
+    """
     v = np.asarray(values)
+    if v.dtype.kind not in "iu":
+        raise ValueError(f"values to bin must be integers (-1 = missing), got {v.dtype}")
     codes = np.digitize(v, np.asarray(bins, dtype=float))
     return np.where(v < 0, -1, codes).astype(np.int64)
 
@@ -151,16 +152,13 @@ class AttributeTable:
     def n(self) -> int:
         return len(self.node_ids)
 
-    def is_present(self, attr: str) -> np.ndarray:
-        """Boolean mask of nodes where ``attr`` is observed."""
-        return self.labels(attr) >= 0
-
     def labels(self, attr: str, bins: Sequence[float] | None = None) -> np.ndarray:
-        """Integer labels with -1 = missing.
+        """Integer labels with -1 = missing, the form every analysis takes.
 
         Categorical attributes return their category codes (``bins`` must be
         None).  Numeric attributes return bin indices when ``bins`` is given,
-        otherwise the stored column of whole numbers itself.
+        otherwise the stored column of whole numbers itself.  This is the
+        only place a column is binned.
         """
         if attr not in ATTRIBUTE_NAMES:
             raise ValueError(f"unknown attribute {attr!r}")
@@ -182,14 +180,3 @@ class AttributeTable:
         return self.node_ids == other.node_ids and all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name in ATTRIBUTE_NAMES
         )
-
-
-def complete_case_mask(table: AttributeTable, attrs: Sequence[str]) -> np.ndarray:
-    """Mask of nodes observed on every attribute in ``attrs``."""
-    names = tuple(attrs)
-    if not names:
-        raise ValueError("attrs must be non-empty")
-    mask = np.ones(table.n, dtype=bool)
-    for name in names:
-        mask &= table.is_present(name)
-    return mask

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import UndirectedGraph, _unique
+from .graph import UndirectedGraph, _node_labels, _unique
 
 __all__ = [
     "Partition",
@@ -60,14 +60,12 @@ class Partition:
     def from_assignment(
         cls, graph: UndirectedGraph, labels: Sequence[int] | np.ndarray
     ) -> "Partition":
-        """Build a partition from arbitrary integer labels.
+        """Build a partition from one integer label per node (``ValueError`` otherwise).
 
         Labels are renumbered to contiguous 1-based ids in order of first
         appearance by node index.
         """
-        raw = np.asarray(labels, dtype=np.int64)
-        if raw.shape != (graph.node_count,):
-            raise ValueError("assignment must cover every node exactly once")
+        raw = _node_labels(labels, graph.node_count, "assignment")
         uniques, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
         appearance_rank = np.argsort(np.argsort(first))
         assignment = appearance_rank[inverse] + 1
@@ -292,13 +290,11 @@ def _entropy_from_counts(counts: np.ndarray, n: float) -> float:
 def nmi(labels_a: Sequence[int] | np.ndarray, labels_b: Sequence[int] | np.ndarray) -> NmiResult:
     """Max-entropy-normalized mutual information; negative codes mean missing.
 
-    Nodes missing either label are excluded pairwise; raises if no node has
-    both labels.
+    Nodes missing either label are excluded pairwise.  Raises ``ValueError``
+    unless both are 1-D integers of one length, or if no node has both.
     """
-    a = np.asarray(labels_a, dtype=np.int64)
-    b = np.asarray(labels_b, dtype=np.int64)
-    if a.shape != b.shape:
-        raise ValueError("labelings must have equal length")
+    a = _node_labels(labels_a, np.size(labels_a), "labels_a")
+    b = _node_labels(labels_b, a.size, "labels_b")
     mask = (a >= 0) & (b >= 0)
     n_used = int(mask.sum())
     if n_used == 0:

@@ -1,11 +1,13 @@
 """Dyad-level assortativity: similarity features, logistic fits, permutation nulls.
 
-Every unordered pair of complete-case nodes becomes one observation whose
-outcome is tie presence.  Discrete attributes contribute match indicators,
-numeric ones absolute differences (optionally on binned values).  Pairs with
-the same feature row are grouped into one binomial count (dyads, ties), so
-the logistic fit runs on at most 2^p rows for p match features instead of
-on every pair, with the same likelihood.
+Each attribute arrives as one int64 label per node, negative where missing,
+already binned by the caller.  Every unordered pair of complete-case nodes
+becomes one observation whose outcome is tie presence, with the match
+indicator of each attribute's labels or, for a numeric one, their absolute
+difference as features.  Pairs with the same feature row are grouped into
+one binomial count (dyads, ties), so the logistic fit runs on at most 2^p
+rows for p match features instead of on every pair, with the same
+likelihood.
 """
 
 from __future__ import annotations
@@ -17,16 +19,10 @@ from typing import Any, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from ._special import expit, stdtr
-from .attributes import (
-    CATEGORICAL_ATTRIBUTES,
-    NUMERIC_ATTRIBUTES,
-    AttributeTable,
-    complete_case_mask,
-)
-from .graph import _CHUNK_ELEMENTS, UndirectedGraph, _edges_within, _unique
+from .attributes import CATEGORICAL_ATTRIBUTES, NUMERIC_ATTRIBUTES
+from .graph import _CHUNK_ELEMENTS, UndirectedGraph, _edges_within, _node_labels, _unique
 
 __all__ = [
-    "FeatureEncoding",
     "FeatureSpec",
     "DyadDesign",
     "LogisticFit",
@@ -54,43 +50,30 @@ _BATCH_SIZE = 512
 _MAX_ATTEMPTS = 1_000_000
 
 @dataclass(frozen=True)
-class FeatureEncoding:
-    """How one attribute turns into a dyad feature.
+class FeatureSpec:
+    """Ordered attribute -> feature kind mapping defining the dyad design columns.
 
-    ``match`` yields 1 when both endpoints carry the same (possibly binned)
-    value; ``difference`` yields |v_i - v_j| and is only meaningful for
-    numeric attributes.
+    ``"match"`` yields 1 when both endpoints carry the same label;
+    ``"difference"`` yields |label_i - label_j| and needs a numeric attribute.
     """
 
-    kind: str = "match"
-    bins: tuple[float, ...] | None = None
+    kinds: Mapping[str, str]
 
     def __post_init__(self) -> None:
-        if self.kind not in ("match", "difference"):
-            raise ValueError(f"unknown encoding kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class FeatureSpec:
-    """Ordered attribute -> encoding mapping defining the dyad design columns."""
-
-    encodings: Mapping[str, FeatureEncoding]
-
-    def __post_init__(self) -> None:
-        for attr, enc in self.encodings.items():
+        for attr, kind in self.kinds.items():
             if attr not in CATEGORICAL_ATTRIBUTES and attr not in NUMERIC_ATTRIBUTES:
                 raise ValueError(f"unknown attribute {attr!r}")
-            if enc.kind == "difference" and attr not in NUMERIC_ATTRIBUTES:
+            if kind not in ("match", "difference"):
+                raise ValueError(f"unknown feature kind {kind!r}")
+            if kind == "difference" and attr not in NUMERIC_ATTRIBUTES:
                 raise ValueError(f"difference encoding requires a numeric attribute, got {attr!r}")
-            if enc.bins is not None and attr not in NUMERIC_ATTRIBUTES:
-                raise ValueError(f"bins only apply to numeric attributes, got {attr!r}")
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(self.encodings)
+        return tuple(self.kinds)
 
     def restrict(self, attrs: Sequence[str]) -> "FeatureSpec":
-        return FeatureSpec({a: self.encodings[a] for a in attrs})
+        return FeatureSpec({a: self.kinds[a] for a in attrs})
 
 
 @dataclass(frozen=True)
@@ -151,10 +134,12 @@ def _type_row_blocks(n_types: int):
 
 
 def build_dyad_design(
-    graph: UndirectedGraph, table: AttributeTable, spec: FeatureSpec
+    graph: UndirectedGraph, labels: Mapping[str, np.ndarray], spec: FeatureSpec
 ) -> DyadDesign:
     """Assemble the grouped dyad design over complete-case nodes of ``graph``.
 
+    ``labels`` maps each attribute of ``spec``, and maybe others, to its node
+    labels; a complete case is a node labelled >= 0 on every feature.
     Nodes with identical feature values form a type.  Each unordered pair of
     types (a type with itself included) holds n_a * n_b dyads, or
     C(n_a, 2) within one type, and all of them share one feature row; type
@@ -162,23 +147,23 @@ def build_dyad_design(
     blocks of whole rows (see ``_type_row_blocks``), each reduced to its
     distinct rows before the next, so the working set beyond the graph, the
     types and the grouped rows does not grow with the number of types.
-    Ties are counted in one pass over the edges.  Raises if fewer than two
+    Ties are counted in one pass over the edges.  Raises ``ValueError`` on
+    a feature's labels that are not one integer per node, if fewer than two
     nodes are observed on every attribute in the spec, or if the feature
     rows take too many distinct values to be keyed in 62 bits.
     """
-    if table.n != graph.node_count:
-        raise ValueError("attribute table does not align with the graph")
     names = spec.names
     if not names:
         raise ValueError("feature spec is empty")
-    mask = complete_case_mask(table, names)
+    node_labels = [_node_labels(labels[a], graph.node_count, f"{a} labels") for a in names]
+    mask = np.logical_and.reduce([column >= 0 for column in node_labels])
     node_index = np.flatnonzero(mask)
     k = int(node_index.size)
     if k < 2:
         raise ValueError(f"need at least 2 complete-case nodes, found {k}")
 
-    kinds = [spec.encodings[attr].kind for attr in names]
-    columns = [table.labels(attr, spec.encodings[attr].bins)[node_index] for attr in names]
+    kinds = [spec.kinds[attr] for attr in names]
+    columns = [column[node_index] for column in node_labels]
     types, node_type, type_size = np.unique(
         np.column_stack(columns), axis=0, return_inverse=True, return_counts=True
     )
@@ -462,13 +447,14 @@ def _permuted_males(
 
 def sex_permutation_tests(
     graph: UndirectedGraph,
-    table: AttributeTable,
+    sex: np.ndarray,
     tolerances: Sequence[float],
     target_replicates: int = 1000,
     seed: int = 0,
 ) -> list[SexPermutationResult | ValueError]:
     """Mean-degree-constrained permutation tests of sex-typed tie counts, one per tolerance.
 
+    ``sex`` holds each node's code: 0 male, 1 female, negative missing.
     Sex labels are permuted among sex-observed nodes only; a replicate
     counts at a tolerance when both permuted group mean degrees satisfy
     ``|mean*/mean - 1| <= tolerance``.  Every tolerance filters the same
@@ -490,16 +476,17 @@ def sex_permutation_tests(
 
     Returns one entry per tolerance, in order: its result, or the
     ``ValueError`` when its valid-replicate acceptance rate is below 0.1%
-    after ``_MAX_ATTEMPTS`` attempts.  Raises on a tolerance that is not
-    positive (NaN included) and on a single-sex network.
+    after ``_MAX_ATTEMPTS`` attempts.  Raises ``ValueError`` on a tolerance
+    that is not positive (NaN included), on ``sex`` codes that are not one
+    integer per node or include one above 1, and on a single-sex network.
     """
     if any(not t > 0 for t in tolerances):
         raise ValueError("tolerance must be positive")
     if target_replicates < 1:
         raise ValueError("target_replicates must be at least 1")
-    sex = table.labels("sex")
-    if sex.shape != (graph.node_count,):
-        raise ValueError("attribute table does not align with the graph")
+    sex = _node_labels(sex, graph.node_count, "sex")
+    if (sex > 1).any():
+        raise ValueError("sex codes must be 0 (male), 1 (female) or negative (missing)")
     observed_mask = sex >= 0
     observed_idx = np.flatnonzero(observed_mask)
     male = sex[observed_idx] == 0
@@ -602,13 +589,13 @@ def sex_permutation_tests(
 
 def sex_permutation_test(
     graph: UndirectedGraph,
-    table: AttributeTable,
+    sex: np.ndarray,
     tolerance: float,
     target_replicates: int = 1000,
     seed: int = 0,
 ) -> SexPermutationResult:
     """``sex_permutation_tests`` at one tolerance, raising its acceptance-rate error."""
-    (outcome,) = sex_permutation_tests(graph, table, (tolerance,), target_replicates, seed)
+    (outcome,) = sex_permutation_tests(graph, sex, (tolerance,), target_replicates, seed)
     if isinstance(outcome, ValueError):
         raise outcome
     return outcome
@@ -621,11 +608,10 @@ def _mean_and_variance(x: np.ndarray) -> tuple[float, float]:
     return mean, ((x - mean) ** 2).mean() * (n / (n - 1.0))
 
 
-def degree_missingness_ttest(
-    graph: UndirectedGraph, table: AttributeTable, attr: str
-) -> tuple[float, float]:
-    """Welch two-sample t-test of degrees, attribute-observed vs missing nodes.
+def degree_missingness_ttest(graph: UndirectedGraph, labels: np.ndarray) -> tuple[float, float]:
+    """Welch two-sample t-test of degrees, nodes with a label >= 0 vs missing ones.
 
+    ``labels`` holds one integer per node, negative where it is missing.
     Positive statistic means the observed group has the higher mean degree.
     Both groups must have at least 2 members.  The statistic is computed
     in closed form by the steps of
@@ -634,9 +620,7 @@ def degree_missingness_ttest(
     (``_special.stdtr``), so it differs from scipy's in the last digits
     (by at most ~3e-14 relative for df up to 62).
     """
-    present = table.is_present(attr)
-    if present.shape != (graph.node_count,):
-        raise ValueError("attribute table does not align with the graph")
+    present = _node_labels(labels, graph.node_count, "labels") >= 0
     deg = graph.degrees.astype(float)
     a = deg[present]
     b = deg[~present]

@@ -114,6 +114,20 @@ def _node_indices(
     return array.astype(np.int64, copy=False)
 
 
+def _node_labels(values: Sequence[int] | np.ndarray, node_count: int, what: str) -> np.ndarray:
+    """``values`` as one int64 label per node, a negative label meaning missing.
+
+    Raises ``ValueError`` naming ``what`` unless ``values`` has shape
+    ``(node_count,)`` and, if not empty, an integer dtype int64 holds (not bool).
+    """
+    array = np.asarray(values)
+    if array.shape != (node_count,):
+        raise ValueError(f"{what} must be of shape ({node_count},), not {array.shape}")
+    if array.size and not (array.dtype.kind in "iu" and np.can_cast(array.dtype, np.int64)):
+        raise ValueError(f"{what} must hold integer labels, not {array.dtype}")
+    return array.astype(np.int64, copy=False)
+
+
 def build_graph(node_count: int, pairs: Sequence[Sequence[int]] | np.ndarray) -> UndirectedGraph:
     """The simple graph on nodes ``0 .. node_count - 1`` of the ``(m, 2)`` index pairs ``pairs``.
 

@@ -40,9 +40,9 @@ import numpy as np
 from .attributes import (
     ATTRIBUTE_NAMES,
     CATEGORICAL_ATTRIBUTES,
+    MISSING,
     AttributeTable,
     format_cell,
-    missing_value,
     parse_cell,
 )
 from .graph import UndirectedGraph, _distinct_pairs, _node_indices, build_graph
@@ -243,7 +243,7 @@ def _read_attribute_file(
             try:
                 parsed[text] = parse_cell(attr, text)
             except ValueError as exc:
-                parsed[text] = missing_value(attr)
+                parsed[text] = MISSING
                 if not (coerce and attr in CATEGORICAL_ATTRIBUTES):
                     errors[text] = str(exc)
         values[attr] = np.fromiter(map(parsed.__getitem__, cells), np.int64, size)
@@ -258,7 +258,7 @@ def _read_attribute_file(
     pos = np.fromiter(map(index.get, ids, repeat(n, size)), np.int64, size)
     columns = {}
     for attr in ATTRIBUTE_NAMES:
-        columns[attr] = np.full(n + 1, missing_value(attr))
+        columns[attr] = np.full(n + 1, MISSING)
         if size:
             columns[attr][pos] = values[attr]
     unmatched = sorted(ids[k] for k in np.flatnonzero(pos == n).tolist())

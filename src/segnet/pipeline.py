@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .attributes import CATEGORICAL_ATTRIBUTES, AttributeTable, complete_case_mask
+from .attributes import CATEGORICAL_ATTRIBUTES, AttributeTable
 from .community import Partition, louvain, modularity_of_partition, nmi
 from .config import (
     RunConfig,
@@ -40,7 +40,6 @@ from .config import (
     load_run_config,  # not called here; perfbench/runner.py reads it by this name
 )
 from .dyadic import (
-    FeatureEncoding,
     FeatureSpec,
     LogisticFit,
     SexPermutationResult,
@@ -76,17 +75,8 @@ _TMP_SUFFIX = ".tmp"  # of a file being written; see _atomic_open
 
 
 def _feature_spec(cfg: RunConfig) -> FeatureSpec:
-    encodings: dict[str, FeatureEncoding] = {}
-    for attr in cfg.attributes:
-        if attr == "age":
-            encodings[attr] = FeatureEncoding(cfg.age_encoding, tuple(cfg.age_bins) or None)
-        elif attr == "education":
-            encodings[attr] = FeatureEncoding(
-                cfg.education_encoding, tuple(cfg.education_bins) or None
-            )
-        else:
-            encodings[attr] = FeatureEncoding("match")
-    return FeatureSpec(encodings)
+    kinds = {"age": cfg.age_encoding, "education": cfg.education_encoding}
+    return FeatureSpec({attr: kinds.get(attr, "match") for attr in cfg.attributes})
 
 
 def _derived_seed(base: int, village_id: str, salt: int) -> int:
@@ -100,7 +90,7 @@ def _dropped_features(design, spec: FeatureSpec) -> dict[str, str]:
     """Why each constant dyad feature of ``design`` cannot be fitted."""
     dropped: dict[str, str] = {}
     for attr, value in design.constant_features().items():
-        if spec.encodings[attr].kind == "match":
+        if spec.kinds[attr] == "match":
             dropped[attr] = (
                 "every pair matches (single observed value)"
                 if value == 1.0
@@ -165,7 +155,7 @@ class _Village:
     cfg: RunConfig
     lcc: UndirectedGraph
     table: AttributeTable  # rows aligned with the LCC's nodes
-    labels: dict[str, np.ndarray]  # per attribute, binned as in the dyad features
+    labels: dict[str, np.ndarray]  # per attribute, binned once for every analysis
     partition: Partition
 
 
@@ -188,7 +178,7 @@ def _network_section(v: _Village) -> dict[str, Any]:
 
 def _ttests_section(v: _Village) -> dict[str, Any]:
     def entry(attr: str) -> dict[str, Any]:
-        t, p = degree_missingness_ttest(v.lcc, v.table, attr)
+        t, p = degree_missingness_ttest(v.lcc, v.labels[attr])
         return {"t": t, "p_value": p}
 
     return {attr: _or_error(entry, attr) for attr in v.cfg.attributes}
@@ -204,14 +194,15 @@ def _fit_record(v: _Village, spec: FeatureSpec) -> dict[str, Any]:
     record: dict[str, Any] = {}
 
     def fit() -> dict[str, Any]:
-        record["n_complete_case_nodes"] = int(complete_case_mask(v.table, spec.names).sum())
-        design = build_dyad_design(v.lcc, v.table, spec)
+        complete = np.logical_and.reduce([v.labels[attr] >= 0 for attr in spec.names])
+        record["n_complete_case_nodes"] = int(complete.sum())
+        design = build_dyad_design(v.lcc, v.labels, spec)
         dropped = record["dropped"] = _dropped_features(design, spec)
         kept = [attr for attr in spec.names if attr not in dropped]
         if not kept:
             raise ValueError("every dyad feature is constant")
         if dropped:
-            design = build_dyad_design(v.lcc, v.table, spec.restrict(kept))
+            design = build_dyad_design(v.lcc, v.labels, spec.restrict(kept))
         return {**record, **_fit_to_dict(fit_logistic(design))}
 
     return _or_error(fit, partial=record)
@@ -234,7 +225,7 @@ def _permutation_section(v: _Village) -> dict[str, Any]:
     try:
         outcomes = sex_permutation_tests(
             v.lcc,
-            v.table,
+            v.table.labels("sex"),
             tolerances,
             target_replicates=v.cfg.permutation_replicates,
             seed=_derived_seed(v.cfg.permutation_seed, v.dataset.village_id, 1),
@@ -323,13 +314,13 @@ def analyze_village(dataset: VillageDataset, cfg: RunConfig) -> dict[str, Any]:
     """
     lcc, nodes = largest_connected_component(dataset.graph)
     table = dataset.attributes.take(nodes)
-    spec = _feature_spec(cfg)
+    bins = {"age": cfg.age_bins or None, "education": cfg.education_bins or None}
     village = _Village(
         dataset=dataset,
         cfg=cfg,
         lcc=lcc,
         table=table,
-        labels={attr: table.labels(attr, spec.encodings[attr].bins) for attr in cfg.attributes},
+        labels={attr: table.labels(attr, bins.get(attr)) for attr in cfg.attributes},
         partition=louvain(lcc, _derived_seed(cfg.louvain_seed, dataset.village_id, 0)),
     )
     return {

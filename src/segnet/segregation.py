@@ -24,7 +24,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .community import Partition, _check_partition, _mixing, _modularity
-from .graph import UndirectedGraph, _edges_within, _unique
+from .graph import UndirectedGraph, _edges_within, _node_labels, _unique
 
 __all__ = [
     "SegregationReport",
@@ -90,13 +90,11 @@ def segregation_report(
     counting only those edges.  Each ``_max`` is the largest value under the
     same degree null, ``_norm`` the term over it (0 where it is 0), and
     ``n_used`` the number of labeled nodes.  Raises ``ValueError``, in this
-    order, if ``labels`` does not cover every node, no node is labeled, no
+    order, if ``labels`` is not one integer per node, no node is labeled, no
     edge joins two labeled nodes, ``partition`` does not cover the graph,
     or no labeled edge lies within a community or none crosses one.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (graph.node_count,):
-        raise ValueError("labels must cover every node (use negative codes for missing)")
+    labels = _node_labels(labels, graph.node_count, "labels")
     labeled = labels >= 0
     nodes = np.flatnonzero(labeled)
     if nodes.size == 0:
@@ -178,13 +176,13 @@ def build_community_network(
     Communities keep a node if their size is at least ``node_min_fraction``
     of the graph's nodes; a tie between two retained communities is kept if
     the number of cross edges is at least ``edge_min_fraction`` of the
-    possible pairs between them.  Raises if no community passes the size
-    threshold.
+    possible pairs between them.  ``labels`` holds one integer code per
+    node, negative where it is missing.  Raises ``ValueError`` if
+    ``partition`` does not cover the graph, ``labels`` is not one integer
+    per node, or no community passes the size threshold.
     """
     _check_partition(graph, partition)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (graph.node_count,):
-        raise ValueError("labels must cover every node (use negative codes for missing)")
+    labels = _node_labels(labels, graph.node_count, "labels")
     n = graph.node_count
     h0 = partition.assignment - 1
     is_retained = partition.sizes >= node_min_fraction * n

@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from ._special import expit
-from .attributes import ATTRIBUTE_NAMES, AttributeTable, missing_value, parse_cell
+from .attributes import ATTRIBUTE_NAMES, MISSING, AttributeTable, parse_cell
 from .community import Partition
 from .ingest import VillageDataset
 
@@ -116,7 +116,7 @@ def generate_attribute_sbm(
             pairs.append(np.argwhere(hit) + [lo_a, lo_b])
 
     name = config.attribute_name
-    columns = {attr: np.full(n, missing_value(attr)) for attr in ATTRIBUTE_NAMES}
+    columns = {attr: np.full(n, MISSING) for attr in ATTRIBUTE_NAMES}
     for b, rule in enumerate(config.attribute_rule):
         size = int(sizes[b])
         if isinstance(rule, str):
@@ -132,7 +132,7 @@ def generate_attribute_sbm(
         columns[attr][:] = _draw_column(rng, attr, law, n)
     if config.missing_rate > 0.0:
         for attr in (name, *config.extra_attribute_laws):
-            columns[attr][rng.random(n) < config.missing_rate] = missing_value(attr)
+            columns[attr][rng.random(n) < config.missing_rate] = MISSING
 
     table = AttributeTable(node_ids=node_ids, **columns)
     dataset = VillageDataset(config.village_id, table, {"sbm": np.concatenate(pairs)})
@@ -168,7 +168,7 @@ def generate_dyad_sample(
     width = max(1, len(str(n_nodes - 1)))
     node_ids = tuple(f"n{i:0{width}d}" for i in range(n_nodes))
 
-    columns = {attr: np.full(n_nodes, missing_value(attr)) for attr in ATTRIBUTE_NAMES}
+    columns = {attr: np.full(n_nodes, MISSING) for attr in ATTRIBUTE_NAMES}
     for attr, law in feature_law.items():
         columns[attr][:] = _draw_column(rng, attr, law, n_nodes)
     table = AttributeTable(node_ids=node_ids, **columns)

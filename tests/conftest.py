@@ -24,6 +24,12 @@ def make_table(node_ids, **columns):
     return AttributeTable(node_ids=tuple(str(v) for v in node_ids), **base)
 
 
+def labels_of(table, bins=None):
+    """Each attribute's labels in ``table``, numeric ones binned by ``bins[attr]`` if given."""
+    bins = bins or {}
+    return {attr: table.labels(attr, bins.get(attr)) for attr in ATTRIBUTE_NAMES}
+
+
 def load_script(name):
     """The module of ``scripts/<name>.py``, loaded without running its ``main``."""
     spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")

@@ -16,7 +16,6 @@ from scipy.stats import binom
 
 from segnet import (
     AttributedSbmConfig,
-    FeatureEncoding,
     FeatureSpec,
     Partition,
     RunConfig,
@@ -33,7 +32,7 @@ from segnet import (
     summarize_corpus,
 )
 
-from .conftest import design_groups, random_graph
+from .conftest import design_groups, labels_of, random_graph
 from .oracles import (
     cross_product_odds_ratio,
     dyad_2x2,
@@ -117,7 +116,7 @@ def test_analytic_fixture_values_are_exact(bridged_triangles):
 def test_logistic_recovery_within_three_standard_errors():
     true_intercept = math.log(0.25)
     true_slope = math.log(16.0)
-    spec = FeatureSpec({"caste": FeatureEncoding("match")})
+    spec = FeatureSpec({"caste": "match"})
     hits = 0
     for seed in range(100):
         dataset = generate_dyad_sample(
@@ -127,7 +126,7 @@ def test_logistic_recovery_within_three_standard_errors():
             n_nodes=142,
             seed=seed,
         )
-        design = build_dyad_design(dataset.graph, dataset.attributes, spec)
+        design = build_dyad_design(dataset.graph, labels_of(dataset.attributes), spec)
         assert design.n_dyads == 142 * 141 // 2
         fit = fit_logistic(design)
         if fit.converged and abs(fit.beta[0] - true_slope) <= 3.0 * fit.std_errors[0]:
@@ -158,7 +157,7 @@ def test_permutation_pvalues_track_exhaustive_enumeration(two_triangles):
     successes = 0
     for seed in range(100):
         result = sex_permutation_test(
-            graph, table, tolerance=0.05, target_replicates=1000, seed=seed
+            graph, table.labels("sex"), tolerance=0.05, target_replicates=1000, seed=seed
         )
         assert result.n_replicates == 1000
         lo_m, hi_m = result.male_degree_bounds

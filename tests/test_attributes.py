@@ -4,16 +4,15 @@ import pytest
 from segnet import (
     AttributedSbmConfig,
     AttributeTable,
-    complete_case_mask,
     generate_attribute_sbm,
     generate_dyad_sample,
     load_village,
 )
 from segnet.attributes import (
     ATTRIBUTE_NAMES,
+    MISSING,
     bin_codes,
     format_cell,
-    missing_value,
     parse_cell,
 )
 
@@ -27,14 +26,12 @@ def test_cell_codec_parses_and_formats_each_kind():
     assert parse_cell("caste", "OBC") == 2
     assert parse_cell("religion", "christianity") == 2
     assert parse_cell("age", "42") == 42 and type(parse_cell("age", "42")) is int
+    assert MISSING == -1
     for attr in ATTRIBUTE_NAMES:
-        assert missing_value(attr) == -1
-        assert format_cell(attr, -1) == ""
-        assert parse_cell(attr, "") == -1
+        assert format_cell(attr, MISSING) == ""
+        assert parse_cell(attr, "") == MISSING
     assert format_cell("caste", 1) == "scheduled tribe"
     assert format_cell("age", 42) == "42"
-    with pytest.raises(ValueError, match="unknown attribute 'height'"):
-        missing_value("height")
 
 
 @pytest.mark.parametrize(
@@ -58,6 +55,9 @@ def test_bin_codes_edges_and_missing():
     bins = (18.0, 31.0, 41.0)
     values = np.array([3, 17, 18, 30, 31, 99, -1])
     assert bin_codes(values, bins).tolist() == [0, 0, 1, 1, 2, 3, -1]
+    # A float NaN would compare above every edge and land in the top bin.
+    with pytest.raises(ValueError, match="^values to bin must be integers"):
+        bin_codes(np.array([np.nan, 25.5, -1.0]), (18.0, 31.0))
 
 
 def test_labels_for_categorical_and_binned_numeric():
@@ -96,24 +96,6 @@ def test_empty_table_is_all_missing():
     table = AttributeTable.empty(["a", "b"])
     for attr in ATTRIBUTE_NAMES:
         assert table.labels(attr).tolist() == [-1, -1]
-        assert not table.is_present(attr).any()
-
-
-def test_complete_case_mask_requires_every_listed_attribute():
-    table = make_table(
-        range(4),
-        sex=[0, 1, -1, 0],
-        caste=[3, -1, 2, 0],
-        age=[20, 30, 40, -1],
-    )
-    assert complete_case_mask(table, ["sex"]).tolist() == [True, True, False, True]
-    assert complete_case_mask(table, ["sex", "caste"]).tolist() == [True, False, False, True]
-    assert complete_case_mask(table, ["sex", "caste", "age"]).tolist() == [
-        True,
-        False,
-        False,
-        False,
-    ]
 
 
 def test_take_reorders_rows_and_equals_detects_changes():

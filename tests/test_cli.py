@@ -555,7 +555,8 @@ def test_readme_library_example_runs_as_written(tmp_path, capsys, monkeypatch):
     namespace = {}
     exec(compile(readme_block("## Library use", "python"), "README.md", "exec"), namespace)
     printed = capsys.readouterr().out.split()
-    # q_attr, q_within_norm and q_between_norm, then the NMI
-    assert len(printed) == 4
+    # q_attr, q_within_norm and q_between_norm, the NMI, the caste and sex
+    # odds ratios, then the mm, mf and ff permutation p-values
+    assert len(printed) == 9
     assert all(math.isfinite(float(value)) for value in printed)
     assert namespace["data"].equals(village)

@@ -10,7 +10,8 @@ from scipy import stats
 
 from segnet import (
     ATTRIBUTE_NAMES,
-    FeatureEncoding,
+    DEFAULT_AGE_BINS,
+    DEFAULT_EDUCATION_BINS,
     FeatureSpec,
     RunConfig,
     build_dyad_design,
@@ -26,7 +27,7 @@ from segnet import dyadic
 from segnet.dyadic import _wald_p_values
 from segnet.pipeline import _feature_spec
 
-from .conftest import design_groups, make_table, random_graph
+from .conftest import design_groups, labels_of, make_table, random_graph
 from .oracles import (
     cross_product_odds_ratio,
     dyad_2x2,
@@ -44,21 +45,17 @@ from .oracles import (
 def small_design():
     graph = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     table = make_table(range(4), caste=[0, 0, 3, 3], age=[20, 35, 50, 50])
-    spec = FeatureSpec(
-        {
-            "caste": FeatureEncoding("match"),
-            "age": FeatureEncoding("difference"),
-        }
-    )
-    return build_dyad_design(graph, table, spec)
+    spec = FeatureSpec({"caste": "match", "age": "difference"})
+    return build_dyad_design(graph, labels_of(table), spec)
 
 
-def oracle_dyads(graph, table, spec):
-    """Enumerated dyads of ``graph`` from plain per-node values of ``table``."""
+def oracle_dyads(graph, table, spec, bins=None):
+    """Enumerated dyads of ``graph`` from plain per-node values of ``table``,
+    numeric ones binned by ``bins[attr]`` if given."""
     columns = []
-    for attr, enc in spec.encodings.items():
+    for attr, kind in spec.kinds.items():
         values = [None if v < 0 else v for v in getattr(table, attr).tolist()]
-        columns.append((enc.kind, values, enc.bins))
+        columns.append((kind, values, (bins or {}).get(attr)))
     edges = zip(graph.edge_u.tolist(), graph.edge_v.tolist())
     return enumerate_dyads(graph.node_count, list(edges), columns)
 
@@ -81,11 +78,10 @@ class TestDyadDesign:
     def test_binned_difference_uses_bin_distance(self):
         graph = build_graph(3, [(0, 1)])
         table = make_table(range(3), education=[0, 12, 15])
-        spec = FeatureSpec(
-            {"education": FeatureEncoding("difference", (1.0, 10.0, 14.0, 16.0))}
-        )
+        labels = labels_of(table, {"education": (1.0, 10.0, 14.0, 16.0)})
+        spec = FeatureSpec({"education": "difference"})
         # bins: 0 -> 0, 12 -> 2, 15 -> 3; pairs (1,2), (0,1) tied, (0,2)
-        assert design_groups(build_dyad_design(graph, table, spec)) == {
+        assert design_groups(build_dyad_design(graph, labels, spec)) == {
             (1.0,): (1, 0),
             (2.0,): (1, 1),
             (3.0,): (1, 0),
@@ -94,7 +90,7 @@ class TestDyadDesign:
     def test_only_complete_case_nodes_enter(self):
         graph = build_graph(3, [(0, 1), (1, 2)])
         table = make_table(range(3), caste=[0, -1, 3])
-        design = build_dyad_design(graph, table, FeatureSpec({"caste": FeatureEncoding("match")}))
+        design = build_dyad_design(graph, labels_of(table), FeatureSpec({"caste": "match"}))
         assert design.n_nodes == 2
         assert design.node_index.tolist() == [0, 2]
         assert design.n_ties == 0  # 0-2 is not an edge
@@ -103,31 +99,47 @@ class TestDyadDesign:
         graph = build_graph(2, [(0, 1)])
         table = make_table(range(2), caste=[0, -1])
         with pytest.raises(ValueError, match="complete-case"):
-            build_dyad_design(graph, table, FeatureSpec({"caste": FeatureEncoding("match")}))
+            build_dyad_design(graph, labels_of(table), FeatureSpec({"caste": "match"}))
+
+    def test_complete_cases_need_every_feature_label(self):
+        graph = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        table = make_table(
+            range(4), sex=[0, 1, -1, 0], caste=[3, -1, 2, 0], age=[20, 30, 40, -1]
+        )
+        labels = labels_of(table)
+        for kinds, complete in (
+            ({"sex": "match"}, [0, 1, 3]),
+            ({"sex": "match", "caste": "match"}, [0, 3]),
+        ):
+            design = build_dyad_design(graph, labels, FeatureSpec(kinds))
+            assert design.node_index.tolist() == complete
+        spec = FeatureSpec({"sex": "match", "caste": "match", "age": "match"})
+        with pytest.raises(ValueError, match="found 1"):
+            build_dyad_design(graph, labels, spec)
+
+    def test_labels_of_attributes_outside_the_spec_are_ignored(self):
+        graph = build_graph(3, [(0, 1), (1, 2)])
+        labels = {"caste": np.array([0, 0, 3]), "sex": np.array([-1, -1, -1])}
+        design = build_dyad_design(graph, labels, FeatureSpec({"caste": "match"}))
+        assert design.n_nodes == 3
+        assert design_groups(design) == {(0.0,): (2, 1), (1.0,): (1, 1)}
 
 
+# name -> (feature spec, bins of its binned numeric attributes)
 SPECS = {
-    "match": FeatureSpec(
-        {
-            "caste": FeatureEncoding("match"),
-            "sex": FeatureEncoding("match"),
-            "age": FeatureEncoding("match", (18.0, 31.0, 41.0)),
-        }
+    "match": (
+        FeatureSpec({"caste": "match", "sex": "match", "age": "match"}),
+        {"age": (18.0, 31.0, 41.0)},
     ),
-    "binned_difference": FeatureSpec(
-        {
-            "religion": FeatureEncoding("match"),
-            "education": FeatureEncoding("difference", (1.0, 10.0, 14.0)),
-        }
+    "binned_difference": (
+        FeatureSpec({"religion": "match", "education": "difference"}),
+        {"education": (1.0, 10.0, 14.0)},
     ),
-    "raw_difference": FeatureSpec(
-        {
-            "caste": FeatureEncoding("match"),
-            "age": FeatureEncoding("difference"),
-            "education": FeatureEncoding("difference"),
-        }
+    "raw_difference": (
+        FeatureSpec({"caste": "match", "age": "difference", "education": "difference"}),
+        {},
     ),
-    "unbinned_match": FeatureSpec({"age": FeatureEncoding("match")}),
+    "unbinned_match": (FeatureSpec({"age": "match"}), {}),
 }
 
 
@@ -177,13 +189,13 @@ class TestGroupedDesignAgainstPairEnumeration:
         graph = random_graph(rng, 40, 0.04)
         assert (graph.degrees == 0).any()
         table = random_table(rng, 40, missing)
-        spec = SPECS[name]
+        spec, bins = SPECS[name]
         blocks = count_design_blocks(monkeypatch)
         if budget is not None:
             monkeypatch.setattr(dyadic, "_CHUNK_ELEMENTS", budget)
-        design = build_dyad_design(graph, table, spec)
+        design = build_dyad_design(graph, labels_of(table, bins), spec)
         assert blocks[0] == 1 if budget is None else blocks[0] >= 3
-        rows = oracle_dyads(graph, table, spec)
+        rows = oracle_dyads(graph, table, spec, bins)
         assert design_groups(design) == group_dyads(rows)
         assert design.n_dyads == len(rows)
         assert design.X.tolist() == sorted(design.X.tolist())
@@ -201,22 +213,23 @@ class TestGroupedDesignAgainstPairEnumeration:
         rng = np.random.default_rng(seed)
         graph = random_graph(rng, n, p)
         table = random_table(rng, n, missing)
-        spec = SPECS[name]
-        rows = oracle_dyads(graph, table, spec)
+        spec, bins = SPECS[name]
+        labels = labels_of(table, bins)
+        rows = oracle_dyads(graph, table, spec, bins)
         with pytest.MonkeyPatch.context() as patch:
             if budget is not None:
                 patch.setattr(dyadic, "_CHUNK_ELEMENTS", budget)
             if not rows:  # fewer than two complete-case nodes
                 with pytest.raises(ValueError, match="complete-case"):
-                    build_dyad_design(graph, table, spec)
+                    build_dyad_design(graph, labels, spec)
                 return
-            assert design_groups(build_dyad_design(graph, table, spec)) == group_dyads(rows)
+            assert design_groups(build_dyad_design(graph, labels, spec)) == group_dyads(rows)
 
     def test_row_key_overflow_is_an_error(self, monkeypatch):
         rng = np.random.default_rng(61)
         graph = random_graph(rng, 40, 0.04)
         table = random_table(rng, 40, 0.0)
-        spec = SPECS["raw_difference"]
+        spec, _ = SPECS["raw_difference"]
         # caste match (2 levels) times the distinct |x - y| of age and education
         n_levels = 2
         for attr in ("age", "education"):
@@ -224,14 +237,14 @@ class TestGroupedDesignAgainstPairEnumeration:
             n_levels *= len({abs(x - y) for x in values for y in values})
         monkeypatch.setattr(dyadic, "_MAX_ROW_KEY", n_levels + 1)
         rows = oracle_dyads(graph, table, spec)
-        assert design_groups(build_dyad_design(graph, table, spec)) == group_dyads(rows)
+        assert design_groups(build_dyad_design(graph, labels_of(table), spec)) == group_dyads(rows)
         monkeypatch.setattr(dyadic, "_MAX_ROW_KEY", n_levels)
         with pytest.raises(ValueError, match="too many distinct values"):
-            build_dyad_design(graph, table, spec)
+            build_dyad_design(graph, labels_of(table), spec)
 
     @pytest.mark.parametrize("name", ["match", "binned_difference", "raw_difference"])
     def test_grouped_fit_matches_irls_on_enumerated_pairs(self, name):
-        spec = SPECS[name]
+        spec, bins = SPECS[name]
         dataset = generate_dyad_sample(
             beta0=-1.5,
             betas={"caste": 0.9, "sex": 0.4},
@@ -252,29 +265,34 @@ class TestGroupedDesignAgainstPairEnumeration:
             age=filler.age,
             education=filler.education,
         )
-        fit = fit_logistic(build_dyad_design(dataset.graph, table, spec))
+        fit = fit_logistic(build_dyad_design(dataset.graph, labels_of(table, bins), spec))
         assert fit.converged
-        beta, se = logistic_irls(oracle_dyads(dataset.graph, table, spec))
+        beta, se = logistic_irls(oracle_dyads(dataset.graph, table, spec, bins))
         got_beta = np.concatenate([[fit.beta0], fit.beta])
         got_se = np.concatenate([[fit.intercept_se], fit.std_errors])
         np.testing.assert_allclose(got_beta, beta, rtol=1e-9, atol=0)
         np.testing.assert_allclose(got_se, se, rtol=1e-9, atol=0)
 
 
-def test_default_spec_covers_all_attributes_with_binned_numerics():
+def test_default_spec_matches_every_attribute():
     cfg = RunConfig(corpus_dir="corpus", output_dir="out")
     spec = _feature_spec(cfg)
     assert spec.names == cfg.attributes
     assert sorted(spec.names) == sorted(ATTRIBUTE_NAMES)
-    assert spec.encodings["age"].bins == cfg.age_bins
-    assert spec.encodings["education"].bins == cfg.education_bins
-    assert spec.encodings["sex"].bins is None
-    assert all(enc.kind == "match" for enc in spec.encodings.values())
+    assert set(spec.kinds.values()) == {"match"}
 
 
-def test_difference_encoding_rejected_for_categoricals():
-    with pytest.raises(ValueError):
-        FeatureSpec({"caste": FeatureEncoding("difference")})
+@pytest.mark.parametrize(
+    "kinds, message",
+    [
+        ({"caste": "difference"}, "difference encoding requires a numeric attribute"),
+        ({"age": "ratio"}, "unknown feature kind 'ratio'"),
+        ({"height": "match"}, "unknown attribute 'height'"),
+    ],
+)
+def test_feature_spec_refuses_a_bad_entry(kinds, message):
+    with pytest.raises(ValueError, match=message):
+        FeatureSpec(kinds)
 
 
 class TestLogisticFit:
@@ -286,14 +304,15 @@ class TestLogisticFit:
             n_nodes=n,
             seed=seed,
         )
-        return dataset.graph, dataset.attributes, FeatureSpec({"caste": FeatureEncoding("match")})
+        return dataset.graph, dataset.attributes, FeatureSpec({"caste": "match"})
 
     def sample_design(self):
-        return build_dyad_design(*self.sample())
+        graph, table, spec = self.sample()
+        return build_dyad_design(graph, labels_of(table), spec)
 
     def test_single_predictor_matches_closed_form(self):
         graph, table, spec = self.sample()
-        fit = fit_logistic(build_dyad_design(graph, table, spec))
+        fit = fit_logistic(build_dyad_design(graph, labels_of(table), spec))
         assert fit.converged
         stats_2x2 = dyad_2x2(group_dyads(oracle_dyads(graph, table, spec)))
         beta0, beta1, se1 = logistic_2x2(*stats_2x2)
@@ -325,10 +344,8 @@ class TestLogisticFit:
             n_nodes=120,
             seed=21,
         )
-        spec = FeatureSpec(
-            {"caste": FeatureEncoding("match"), "sex": FeatureEncoding("match")}
-        )
-        fit = fit_logistic(build_dyad_design(dataset.graph, dataset.attributes, spec))
+        spec = FeatureSpec({"caste": "match", "sex": "match"})
+        fit = fit_logistic(build_dyad_design(dataset.graph, labels_of(dataset.attributes), spec))
         assert fit.converged
         for k, truth in enumerate([1.1, 0.5]):
             assert abs(fit.beta[k] - truth) < 3 * fit.std_errors[k]
@@ -336,21 +353,19 @@ class TestLogisticFit:
     def test_constant_feature_is_an_error_naming_the_attribute(self):
         graph = build_graph(4, [(0, 1), (2, 3)])
         table = make_table(range(4), caste=[1, 1, 1, 1], sex=[0, 1, 0, 1])
-        spec = FeatureSpec(
-            {"caste": FeatureEncoding("match"), "sex": FeatureEncoding("match")}
-        )
+        spec = FeatureSpec({"caste": "match", "sex": "match"})
         with pytest.raises(ValueError, match="caste"):
-            fit_logistic(build_dyad_design(graph, table, spec))
+            fit_logistic(build_dyad_design(graph, labels_of(table), spec))
 
     def test_all_tied_or_none_tied_is_an_error(self):
-        table = make_table(range(3), caste=[0, 1, 3])
-        spec = FeatureSpec({"caste": FeatureEncoding("match")})
+        labels = labels_of(make_table(range(3), caste=[0, 1, 3]))
+        spec = FeatureSpec({"caste": "match"})
         complete = build_graph(3, [(0, 1), (0, 2), (1, 2)])
         with pytest.raises(ValueError, match="tied and untied"):
-            fit_logistic(build_dyad_design(complete, table, spec))
+            fit_logistic(build_dyad_design(complete, labels, spec))
         empty = build_graph(3, [])
         with pytest.raises(ValueError, match="tied and untied"):
-            fit_logistic(build_dyad_design(empty, table, spec))
+            fit_logistic(build_dyad_design(empty, labels, spec))
 
     @staticmethod
     def separated_design():
@@ -358,7 +373,7 @@ class TestLogisticFit:
         edges = [(0, 1), (2, 3), (4, 5)]
         graph = build_graph(6, edges)
         table = make_table(range(6), caste=[0, 0, 1, 1, 2, 2])
-        return build_dyad_design(graph, table, FeatureSpec({"caste": FeatureEncoding("match")}))
+        return build_dyad_design(graph, labels_of(table), FeatureSpec({"caste": "match"}))
 
     def test_complete_separation_is_flagged_not_raised(self):
         fit = fit_logistic(self.separated_design())
@@ -371,10 +386,8 @@ class TestLogisticFit:
         # predictor below -709.78, where exp(-x) overflows a double
         graph = build_graph(6, [(0, 1), (2, 3), (4, 5)])
         table = make_table(range(6), caste=[0, 1, 0, 1, 0, 0], age=[30, 30, 31, 31, 90, 90])
-        spec = FeatureSpec(
-            {"caste": FeatureEncoding("match"), "age": FeatureEncoding("difference")}
-        )
-        design = build_dyad_design(graph, table, spec)
+        spec = FeatureSpec({"caste": "match", "age": "difference"})
+        design = build_dyad_design(graph, labels_of(table), spec)
         fit = fit_logistic(design)
         assert not fit.converged
         assert "separated" in fit.diagnostic
@@ -448,16 +461,17 @@ def random_sexed_graph():
 class TestSexPermutation:
     def test_observed_counts_match_loop_oracle(self, two_triangles):
         graph, table = two_triangles
-        result = sex_permutation_test(graph, table, tolerance=0.05, target_replicates=20, seed=1)
-        assert tuple(result.observed) == tie_triple_by_loop(graph, table.labels("sex"))
+        sex = table.labels("sex")
+        result = sex_permutation_test(graph, sex, tolerance=0.05, target_replicates=20, seed=1)
+        assert tuple(result.observed) == tie_triple_by_loop(graph, sex)
         assert tuple(result.observed) == (3, 0, 3)
 
     def test_every_replicate_respects_the_degree_constraint(self):
         # unequal degrees so the constraint actually bites
         edges = [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (1, 2)]
         graph = build_graph(6, edges)
-        table = make_table(range(6), sex=[0, 0, 1, 1, 0, 1])
-        result = sex_permutation_test(graph, table, tolerance=0.4, target_replicates=150, seed=3)
+        sex = np.array([0, 0, 1, 1, 0, 1])
+        result = sex_permutation_test(graph, sex, tolerance=0.4, target_replicates=150, seed=3)
         lo_m, hi_m = result.male_degree_bounds
         lo_f, hi_f = result.female_degree_bounds
         assert (result.replicate_male_mean_degrees >= lo_m).all()
@@ -469,15 +483,12 @@ class TestSexPermutation:
 
     def test_expected_counts_approach_exhaustive_enumeration(self, two_triangles):
         graph, table = two_triangles
-        counts, p_exact, expected = exhaustive_sex_permutation(
-            graph, table.labels("sex"), tolerance=0.05
-        )
+        sex = table.labels("sex")
+        counts, p_exact, expected = exhaustive_sex_permutation(graph, sex, tolerance=0.05)
         assert len(counts["mm"]) == 20  # every assignment is valid here
         assert p_exact == {"mm": 0.2, "mf": 0.2, "ff": 0.2}
         assert expected == {"mm": 1.2, "mf": 3.6, "ff": 1.2}
-        result = sex_permutation_test(
-            graph, table, tolerance=0.05, target_replicates=2000, seed=7
-        )
+        result = sex_permutation_test(graph, sex, tolerance=0.05, target_replicates=2000, seed=7)
         assert result.expected_mean.mm == pytest.approx(1.2, abs=0.1)
         assert result.expected_mean.mf == pytest.approx(3.6, abs=0.2)
         assert result.p_values.mm == pytest.approx(0.2, abs=0.05)
@@ -489,8 +500,8 @@ class TestSexPermutation:
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (5, 6), (7, 8)]
         graph = build_graph(10, edges)
         # node 9 has no sex recorded and degree 0
-        table = make_table(range(10), sex=[0, 0, 0, 1, 1, 1, 1, 1, 1, -1])
-        result = sex_permutation_test(graph, table, tolerance=5.0, target_replicates=400, seed=11)
+        sex = np.array([0, 0, 0, 1, 1, 1, 1, 1, 1, -1])
+        result = sex_permutation_test(graph, sex, tolerance=5.0, target_replicates=400, seed=11)
         assert result.observed.mm == 3
         if result.p_values.mm < 0.05:
             assert result.verdicts.mm == "assortative"
@@ -498,11 +509,10 @@ class TestSexPermutation:
 
     def test_replicate_counts_match_per_row_computation(self, monkeypatch):
         graph, sex = random_sexed_graph()
-        table = make_table(range(30), sex=sex)
         seed, batch, target = 19, 64, 150
         monkeypatch.setattr(dyadic, "_BATCH_SIZE", batch)
         result = sex_permutation_test(
-            graph, table, tolerance=0.1, target_replicates=target, seed=seed
+            graph, sex, tolerance=0.1, target_replicates=target, seed=seed
         )
         assert result.n_attempts > batch  # the replicates span several batches
         # Replay the candidate stream: batch b permutes the sex-observed nodes
@@ -531,22 +541,21 @@ class TestSexPermutation:
 
     def test_single_sex_network_is_an_error(self):
         graph = build_graph(2, [(0, 1)])
-        table = make_table(range(2), sex=[0, 0])
         with pytest.raises(ValueError, match="both sexes"):
-            sex_permutation_test(graph, table, tolerance=0.1)
+            sex_permutation_test(graph, np.array([0, 0]), tolerance=0.1)
 
     def test_hopeless_acceptance_rate_raises(self, monkeypatch):
         # group mean degrees differ so much that almost no permutation is
         # valid at 5% tolerance
         graph, sex = clique_with_pendants()
-        table = make_table(range(16), sex=sex)
         monkeypatch.setattr(dyadic, "_MAX_ATTEMPTS", 2048)
         with pytest.raises(ValueError, match="acceptance rate"):
-            sex_permutation_test(graph, table, tolerance=0.05, target_replicates=50, seed=13)
+            sex_permutation_test(graph, sex, tolerance=0.05, target_replicates=50, seed=13)
 
     def test_two_sided_p_never_exceeds_one(self, two_triangles):
         graph, table = two_triangles
-        result = sex_permutation_test(graph, table, tolerance=1.0, target_replicates=99, seed=17)
+        sex = table.labels("sex")
+        result = sex_permutation_test(graph, sex, tolerance=1.0, target_replicates=99, seed=17)
         for p in result.p_values:
             assert 0.0 < p <= 1.0
 
@@ -593,8 +602,7 @@ def set_chunk_rows(monkeypatch, sex, chunk_rows):
 def assert_equals_one_stream_per_tolerance(graph, sex, tolerances, options, stream):
     """Each ``sex_permutation_tests`` outcome equals the one-tolerance oracle, bit for
     bit; returns the outcomes."""
-    table = make_table(range(graph.node_count), sex=sex)
-    outcomes = sex_permutation_tests(graph, table, tolerances, **options)
+    outcomes = sex_permutation_tests(graph, sex, tolerances, **options)
     for tolerance, outcome in zip(tolerances, outcomes):
         try:
             expected = sex_permutation_at_one_tolerance(graph, sex, tolerance, **options, **stream)
@@ -643,13 +651,12 @@ class TestSharedPermutationStream:
     @pytest.mark.parametrize("chunk_rows", [5, 1])
     def test_batch_stops_once_every_open_tolerance_is_complete(self, chunk_rows, monkeypatch):
         graph, sex = random_sexed_graph()
-        table = make_table(range(30), sex=sex)
         options = dict(target_replicates=150, seed=19)
         stream = dict(max_attempts=1_000_000, batch_size=64)
         set_stream(monkeypatch, **stream)
         set_chunk_rows(monkeypatch, sex, chunk_rows)
         drawn_rows = record_draws(monkeypatch)
-        (alone,) = sex_permutation_tests(graph, table, (0.3,), **options)
+        (alone,) = sex_permutation_tests(graph, sex, (0.3,), **options)
         # 0.3 completes mid-batch: its last batch is cut short, the others are whole
         assert [sum(rows) for rows in drawn_rows[:-1]] == [64] * (len(drawn_rows) - 1)
         assert sum(drawn_rows[-1]) < 64
@@ -657,7 +664,7 @@ class TestSharedPermutationStream:
         assert drawn_rows[:-1] == [whole] * (len(drawn_rows) - 1)
         assert alone.n_attempts == 64 * len(drawn_rows)
         drawn_rows.clear()
-        narrow, wide = sex_permutation_tests(graph, table, (0.02, 0.3), **options)
+        narrow, wide = sex_permutation_tests(graph, sex, (0.02, 0.3), **options)
         # 0.3 completed mid-batch while 0.02 kept drawing whole batches
         assert wide.n_attempts == alone.n_attempts < narrow.n_attempts
         assert [sum(rows) for rows in drawn_rows[:-1]] == [64] * (len(drawn_rows) - 1)
@@ -669,12 +676,11 @@ class TestSharedPermutationStream:
 
     def test_single_tolerance_call_raises_the_tolerance_error(self, monkeypatch):
         graph, sex = clique_with_pendants()
-        table = make_table(range(16), sex=sex)
         set_stream(monkeypatch, max_attempts=2048, batch_size=256)
         options = dict(target_replicates=20, seed=13)
-        (failed, _) = sex_permutation_tests(graph, table, (0.05, 1.0), **options)
+        (failed, _) = sex_permutation_tests(graph, sex, (0.05, 1.0), **options)
         with pytest.raises(ValueError) as info:
-            sex_permutation_test(graph, table, 0.05, **options)
+            sex_permutation_test(graph, sex, 0.05, **options)
         assert str(info.value) == str(failed)
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan])
@@ -682,7 +688,7 @@ class TestSharedPermutationStream:
         graph, table = two_triangles
         drawn_rows = record_draws(monkeypatch)
         with pytest.raises(ValueError, match="tolerance must be positive"):
-            sex_permutation_tests(graph, table, (0.1, bad))
+            sex_permutation_tests(graph, table.labels("sex"), (0.1, bad))
         assert drawn_rows == []  # raised before drawing a candidate
 
 
@@ -771,7 +777,7 @@ def test_tied_keys_fall_back_to_the_argsort(chunk_rows, monkeypatch):
     draws = coarse_keys(monkeypatch, kept_bits=15)
     options = dict(target_replicates=150, seed=19)
     tolerances = (0.02, 0.1, 0.3)
-    sex_permutation_tests(graph, make_table(range(30), sex=sex), tolerances, **options)
+    sex_permutation_tests(graph, sex, tolerances, **options)
     assert 0 < draws.count("float") < draws.count("raw")
     assert_equals_one_stream_per_tolerance(graph, sex, tolerances, options, stream)
 
@@ -811,14 +817,18 @@ def star_around_node_zero(n_leaves=3000):
     [
         pytest.param(
             lambda graph, table: build_dyad_design(
-                graph, table, _feature_spec(RunConfig(corpus_dir="corpus", output_dir="out"))
+                graph,
+                labels_of(table, {"age": DEFAULT_AGE_BINS, "education": DEFAULT_EDUCATION_BINS}),
+                _feature_spec(RunConfig(corpus_dir="corpus", output_dir="out")),
             ),
             survey_scale_village,
             1,
             id="build_dyad_design",
         ),
         pytest.param(
-            lambda graph, table: sex_permutation_tests(graph, table, (0.05, 0.2), seed=411),
+            lambda graph, table: sex_permutation_tests(
+                graph, table.labels("sex"), (0.05, 0.2), seed=411
+            ),
             survey_scale_village,
             6,
             id="sex_permutation_tests",
@@ -858,8 +868,7 @@ class TestDegreeMissingnessTtest:
         edges = [(i, j) for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.4]
         graph = build_graph(12, edges)
         caste = np.array([3] * 7 + [-1] * 5)
-        table = make_table(range(12), caste=caste)
-        t, p = degree_missingness_ttest(graph, table, "caste")
+        t, p = degree_missingness_ttest(graph, caste)
         deg = graph.degrees
         t_ref, p_ref = welch_t_closed_form(deg[caste >= 0], deg[caste < 0])
         assert t == pytest.approx(t_ref, rel=1e-12)
@@ -867,26 +876,22 @@ class TestDegreeMissingnessTtest:
 
     def test_sign_convention_observed_minus_missing(self):
         graph = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2)])
-        table = make_table(range(5), caste=[3, 3, 3, -1, -1])
-        t, _ = degree_missingness_ttest(graph, table, "caste")
+        t, _ = degree_missingness_ttest(graph, np.array([3, 3, 3, -1, -1]))
         assert t > 0  # observed nodes have higher degrees here
 
     def test_zero_variance_cases(self):
         graph = build_graph(4, [(0, 1), (2, 3)])
-        equal = make_table(range(4), caste=[3, 3, -1, -1])
-        assert degree_missingness_ttest(graph, equal, "caste") == (0.0, 1.0)
+        assert degree_missingness_ttest(graph, np.array([3, 3, -1, -1])) == (0.0, 1.0)
         # two observed hubs of equal degree vs six missing leaves: both groups
         # have zero variance but different means
         twin_stars = build_graph(8, [(0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)])
-        unequal = make_table(range(8), caste=[3, 3, -1, -1, -1, -1, -1, -1])
-        t, p = degree_missingness_ttest(twin_stars, unequal, "caste")
+        t, p = degree_missingness_ttest(twin_stars, np.array([3, 3, -1, -1, -1, -1, -1, -1]))
         assert t == math.inf and p == 0.0
 
     def test_requires_both_groups(self):
         graph = build_graph(2, [(0, 1)])
-        table = make_table(range(2), caste=[3, 3])
-        with pytest.raises(ValueError):
-            degree_missingness_ttest(graph, table, "caste")
+        with pytest.raises(ValueError, match="both groups need at least 2 nodes"):
+            degree_missingness_ttest(graph, np.array([3, 3]))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -905,16 +910,16 @@ class TestDegreeMissingnessTtest:
         edges += [(u % n, v % n) for u, v in extra]
         graph = build_graph(n, edges)
         observed = np.array(present[:n])
-        table = make_table(range(n), caste=np.where(observed, 3, -1))
+        caste = np.where(observed, 3, -1)
         deg = graph.degrees.astype(float)
         a, b = deg[observed], deg[~observed]
         if a.size < 2 or b.size < 2:
             with pytest.raises(ValueError, match="both groups need at least 2 nodes"):
-                degree_missingness_ttest(graph, table, "caste")
+                degree_missingness_ttest(graph, caste)
             return
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = degree_missingness_ttest(graph, table, "caste")
+            result = degree_missingness_ttest(graph, caste)
         if a.min() == a.max() and b.min() == b.max():
             if a[0] == b[0]:
                 assert result == (0.0, 1.0)

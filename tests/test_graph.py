@@ -4,12 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segnet import (
+    FeatureSpec,
+    Partition,
+    build_community_network,
+    build_dyad_design,
     build_graph,
     component_labels,
+    degree_missingness_ttest,
     induced_subgraph,
     largest_connected_component,
     mean_local_clustering,
     network_stats,
+    nmi,
+    segregation_report,
+    sex_permutation_tests,
 )
 from segnet import graph as graph_module
 
@@ -67,6 +75,52 @@ def test_induced_subgraph_refuses_a_selection_that_is_not_node_indices(nodes, fa
     graph = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ValueError, match=f"^{fault}$"):
         induced_subgraph(graph, nodes)
+
+
+# Every function that takes node labels, called on a 4-node path with the
+# labels under test, and the input its error names.
+LABEL_TAKERS = {
+    "nmi": (lambda g, x: nmi([0, 0, 1, 1], x), "labels_b"),
+    "Partition.from_assignment": (Partition.from_assignment, "assignment"),
+    "segregation_report": (
+        lambda g, x: segregation_report(g, x, Partition.from_assignment(g, [1, 1, 2, 2])),
+        "labels",
+    ),
+    "build_community_network": (
+        lambda g, x: build_community_network(g, Partition.from_assignment(g, [1, 1, 2, 2]), x),
+        "labels",
+    ),
+    "build_dyad_design": (
+        lambda g, x: build_dyad_design(g, {"caste": x}, FeatureSpec({"caste": "match"})),
+        "caste labels",
+    ),
+    "sex_permutation_tests": (lambda g, x: sex_permutation_tests(g, x, (0.1,)), "sex"),
+    "degree_missingness_ttest": (degree_missingness_ttest, "labels"),
+}
+
+
+@pytest.mark.parametrize("taker", sorted(LABEL_TAKERS))
+@pytest.mark.parametrize(
+    "labels, fault",
+    [
+        ([0.9, 0.2, 1.7, 1.1], "must hold integer labels"),
+        (np.array([True, False, True, False]), "must hold integer labels"),
+        ([[0, 1], [1, 0]], r"must be of shape \(4,\), not \(2, 2\)"),
+        ([0, 1, 1], r"must be of shape \(4,\), not \(3,\)"),
+    ],
+    ids=["float", "bool", "two-dimensional", "wrong-length"],
+)
+def test_every_label_taker_refuses_malformed_labels(taker, labels, fault):
+    call, what = LABEL_TAKERS[taker]
+    graph = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match=f"^{what} {fault}"):
+        call(graph, labels)
+
+
+def test_sex_permutation_refuses_a_code_above_female():
+    graph = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match=r"^sex codes must be 0 \(male\), 1 \(female\)"):
+        sex_permutation_tests(graph, np.array([0, 1, 2, 1]), (0.1,))
 
 
 def test_edge_arrays_are_lexicographic_and_read_only():

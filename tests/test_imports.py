@@ -1,4 +1,5 @@
-"""Every module of ``src/segnet`` and ``scripts/`` uses each name it imports.
+"""Every module of ``src/segnet`` and ``scripts/`` uses each name it imports,
+and the analysis layers take attribute labels, never the attribute table.
 
 ``__init__.py`` only re-exports names, so it is not checked.
 """
@@ -60,3 +61,43 @@ def test_module_uses_every_name_it_imports(path):
         if (path.name, name) not in ALLOWED
     }
     assert unused == {}, f"{path.name}: unused imports (name: line) {unused}"
+
+
+# The analysis layers take each attribute as node labels that the pipeline
+# binned once (``AttributeTable.labels``); none of them reads the table or bins.
+ANALYSIS_LAYERS = ("graph.py", "community.py", "segregation.py", "dyadic.py")
+TABLE_NAMES = {"AttributeTable", "complete_case_mask"}
+
+
+def table_uses(source: str) -> list[str]:
+    """Each import of a ``TABLE_NAMES`` name and each read of a ``.bins`` attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [
+                f"{node.lineno}: imports {alias.name}"
+                for alias in node.names
+                if alias.name.rpartition(".")[2] in TABLE_NAMES
+            ]
+        elif isinstance(node, ast.Attribute) and node.attr == "bins":
+            found.append(f"{node.lineno}: reads .bins")
+    return found
+
+
+def test_table_uses_are_found():
+    source = (
+        "from .attributes import AttributeTable, NUMERIC_ATTRIBUTES\n"
+        "import segnet.attributes.complete_case_mask\n"
+        "codes = table.labels(attr, spec.encodings[attr].bins)\n"
+    )
+    assert table_uses(source) == [
+        "1: imports AttributeTable",
+        "2: imports segnet.attributes.complete_case_mask",
+        "3: reads .bins",
+    ]
+
+
+@pytest.mark.parametrize("name", ANALYSIS_LAYERS)
+def test_analysis_layers_take_labels_not_the_attribute_table(name):
+    source = (ROOT / "src" / "segnet" / name).read_text(encoding="utf-8")
+    assert table_uses(source) == [], name

@@ -87,7 +87,7 @@ def test_round_trip_through_save(tmp_path):
     )
     dataset = load_village(edge_files, attr_path, IngestConfig(nodes_file=nodes_path))
     assert dataset.attributes.labels("caste").tolist() == [2, 3, -1, 1, -1, 0]
-    assert not any(dataset.attributes.is_present(attr)[4] for attr in ATTRIBUTE_NAMES)
+    assert all(dataset.attributes.labels(attr)[4] == -1 for attr in ATTRIBUTE_NAMES)
     out = save_village(dataset, tmp_path / "saved")
     reloaded = load_village(
         sorted(p for p in out.glob("*.csv") if p.stem not in ("attributes", "nodes")),

@@ -7,7 +7,7 @@ import shutil
 import subprocess
 import sys
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,18 +16,19 @@ import pytest
 import segnet
 from segnet import (
     AttributedSbmConfig,
-    FeatureEncoding,
     FeatureSpec,
     RunConfig,
     analyze_village,
     build_dyad_design,
     build_graph,
     config_sha256,
+    degree_missingness_ttest,
     default_config_text,
     fit_logistic,
     generate_attribute_sbm,
     largest_connected_component,
     load_run_config,
+    nmi,
     parse_run_config,
     run_pipeline,
     save_village,
@@ -40,7 +41,7 @@ from segnet.config import MAX_WORKERS
 from segnet.pipeline import _dropped_features, _json_safe
 from segnet.segregation import community_network_to_dot
 
-from .conftest import load_benchmark_villages, make_table
+from .conftest import labels_of, load_benchmark_villages, make_table
 from .oracles import constant_feature_screen
 
 
@@ -414,8 +415,8 @@ def test_constant_feature_screen_matches_per_attribute_screen(message):
         **{attr: [-1 if v is None else v for v in values] for attr, (_, values) in case.items()},
     )
     graph = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    spec = FeatureSpec({attr: FeatureEncoding(kind) for attr, (kind, _) in case.items()})
-    dropped = _dropped_features(build_dyad_design(graph, table, spec), spec)
+    spec = FeatureSpec({attr: kind for attr, (kind, _) in case.items()})
+    dropped = _dropped_features(build_dyad_design(graph, labels_of(table), spec), spec)
 
     complete = [i for i in range(4) if all(v[i] is not None for _, v in case.values())]
     expected = constant_feature_screen(
@@ -748,6 +749,38 @@ SINGLE_MODEL_CASES = {
 }
 
 
+def test_dyadic_and_community_sections_read_the_labels_binned_once():
+    # Ages 20 and 25 share the bin [18, 31), so a binned and a raw age match differ.
+    config = AttributedSbmConfig(
+        block_sizes=(20, 20),
+        p_in=0.5,
+        p_out=0.08,
+        attribute_rule=("general", "obc"),
+        seed=7,
+        extra_attribute_laws={
+            "age": {"20": 0.3, "25": 0.3, "45": 0.4},
+            "education": {"0": 0.4, "12": 0.3, "16": 0.3},
+        },
+        missing_rate=0.1,
+    )
+    dataset, _ = generate_attribute_sbm(config)
+    cfg = RunConfig(corpus_dir="c", output_dir="o", attributes=("caste", "age", "education"))
+    bundle = analyze_village(dataset, cfg)
+    lcc, nodes = largest_connected_component(dataset.graph)
+    labels = labels_of(
+        dataset.attributes.take(nodes), {"age": cfg.age_bins, "education": cfg.education_bins}
+    )
+    fit = fit_logistic(build_dyad_design(lcc, labels, pipeline._feature_spec(cfg)))
+    assert bundle["dyadic"]["per_attribute"] == pipeline._fit_to_dict(fit)["per_attribute"]
+    assignment = bundle["_partition_assignment"]
+    for attr in ("age", "education"):
+        assert bundle["nmi"][attr] == asdict(nmi(labels[attr], assignment))
+        t, p = degree_missingness_ttest(lcc, labels[attr])
+        assert bundle["degree_missingness_ttests"][attr] == {"t": t, "p_value": p}
+    raw_age = labels_of(dataset.attributes.take(nodes))["age"]
+    assert bundle["nmi"]["age"] != asdict(nmi(raw_age, assignment))
+
+
 class TestSingleModel:
     """``joint_model = false``: one logistic fit per attribute instead of a joint one."""
 
@@ -766,7 +799,7 @@ class TestSingleModel:
         table = dataset.attributes.take(nodes)
         fitted = [attr for attr in attributes if attr not in errors]
         for attr in fitted:
-            design = build_dyad_design(lcc, table, FeatureSpec({attr: FeatureEncoding("match")}))
+            design = build_dyad_design(lcc, labels_of(table), FeatureSpec({attr: "match"}))
             fit = fit_logistic(design)
             assert dyadic["per_attribute"][attr] == {
                 "n_complete_case_nodes": design.n_nodes,

@@ -6,7 +6,6 @@ import pytest
 
 from segnet import (
     AttributedSbmConfig,
-    FeatureEncoding,
     FeatureSpec,
     build_dyad_design,
     generate_attribute_sbm,
@@ -15,7 +14,7 @@ from segnet import (
 from segnet.attributes import CASTE_CATEGORIES
 from segnet.cli import main
 
-from .conftest import design_groups
+from .conftest import design_groups, labels_of
 from .oracles import dyad_2x2
 
 
@@ -166,9 +165,7 @@ class TestDyadSample:
             seed=23,
         )
         design = build_dyad_design(
-            dataset.graph,
-            dataset.attributes,
-            FeatureSpec({"caste": FeatureEncoding("match")}),
+            dataset.graph, labels_of(dataset.attributes), FeatureSpec({"caste": "match"})
         )
         match_ties, match_total, diff_ties, diff_total = dyad_2x2(design_groups(design))
         # non-match odds 0.25 -> p = 0.2; match odds 0.75 -> p = 3/7
