@@ -8,10 +8,10 @@ every artifact byte for byte; the worker count never influences content.
 
 ``analyze_village`` computes a village's largest connected component,
 attribute labels and Louvain partition once, then fills the bundle from the
-ordered section list ``_SECTIONS`` (network, degree_missingness_ttests,
-dyadic, sex_permutation, partition, nmi, segregation, community_networks).
-An analysis that cannot run becomes an ``"error"`` entry in its section.
-Each corpus CSV and summary table is one ``_Table``: name, columns, rows.
+ordered table ``_BUNDLE``, which also declares each key's spec: the schema
+that ``segnet summarize`` checks every bundle against.  An analysis that
+cannot run becomes an ``"error"`` entry in its section.  Each corpus CSV and
+summary table is one ``_Table``: name, columns, rows.
 """
 
 from __future__ import annotations
@@ -21,23 +21,27 @@ import hashlib
 import json
 import math
 import os
+from collections import abc
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .attributes import CATEGORICAL_ATTRIBUTES, AttributeTable
-from .community import Partition, louvain, modularity_of_partition, nmi
+from .community import NmiResult, Partition, louvain, modularity_of_partition, nmi
 from .config import (
     RunConfig,
+    _format_value,
     _hash_config_dict,
     _substantive_config_dict,
     config_sha256,
     load_run_config,  # not called here; perfbench/runner.py reads it by this name
+    parse_run_config,
 )
 from .dyadic import (
     FeatureSpec,
@@ -53,6 +57,8 @@ from .dyadic import (
 from .graph import NetworkStats, UndirectedGraph, largest_connected_component, network_stats
 from .ingest import _RESERVED_FILE_STEMS, IngestConfig, VillageDataset, load_village
 from .segregation import (
+    CommunityNetwork,
+    SegregationReport,
     build_community_network,
     community_network_to_dot,
     segregation_report,
@@ -71,6 +77,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _TIE_TYPES = TieTriple._fields
+_SCOPES = ("full", "lcc")  # the graphs a bundle's network statistics describe
 _TMP_SUFFIX = ".tmp"  # of a file being written; see _atomic_open
 
 
@@ -101,50 +108,118 @@ def _dropped_features(design, spec: FeatureSpec) -> dict[str, str]:
     return dropped
 
 
-_FIT_SCALARS = ("converged", "n_iterations", "n_dyads", "n_ties", "diagnostic")
+def _tolerance_key(tolerance: float) -> str:
+    return repr(float(tolerance))  # of the tolerance's sex_permutation entry
+
+
+# The bundle schema, which ``_check`` walks.  A spec is one of:
+# - a JSON kind: its name, then the Python types ``json.loads`` gives for it;
+# - a frozenset: the words a string may be;
+# - a dict: an object with exactly its keys; an ``_Entry`` may instead hold an
+#   "error" message and any of its keys, as an analysis that failed leaves it;
+# - a one-spec list: a list of that spec;
+# - a function of the bundle's config and the value that returns the spec.
+# A result record's spec comes from its dataclass's field annotations.
+_STRING, _BOOL, _OBJECT = ("a string", str), ("a boolean", bool), ("an object", dict)
+_COUNT = ("a count", int)  # every integer in a bundle counts or numbers something, so is >= 0
+_FLOAT = ("a number or null", int, float, type(None))  # NaN and infinities are written as null
+_HINTS = {str: _STRING, bool: _BOOL, int: _COUNT, float: _FLOAT,
+          str | None: ("a string or null", str, type(None))}
+
+
+class _Entry(dict):
+    """An object spec whose value may instead be an error entry."""
+
+
+def _map(item: Any) -> Callable:
+    """An object with any keys, each holding ``item``."""
+    return lambda config, value: dict.fromkeys(value if isinstance(value, dict) else (), item)
+
+
+def _record(cls: type, names: Iterable[str] | None = None) -> dict[str, Any]:
+    """The spec of the dataclass ``cls``, or of its fields ``names``, from their annotations."""
+    hints = get_type_hints(cls)
+    return {name: _spec(hints[name]) for name in (hints if names is None else names)}
+
+
+def _spec(hint: Any) -> Any:
+    """The spec of a field annotated ``hint``: a JSON kind, a record, or a list or map of one."""
+    if hint in _HINTS:
+        return _HINTS[hint]
+    if get_origin(hint) is tuple:  # tuple[Record, ...]
+        return [_spec(get_args(hint)[0])]
+    return _map(_spec(get_args(hint)[1])) if get_origin(hint) is abc.Mapping else _record(hint)
+
+
+def _scalars(cls: type, exclude: Iterable[str] = ()) -> tuple[str, ...]:
+    """The fields of the dataclass ``cls`` that hold one JSON value, less ``exclude``."""
+    return tuple(n for n, h in get_type_hints(cls).items() if h in _HINTS and n not in exclude)
+
+
+# A fit record's keys besides LogisticFit's scalars, and the dyadic section's.
+_N_COMPLETE, _DROPPED, _INTERCEPT, _PER_ATTRIBUTE, _MODEL = (
+    "n_complete_case_nodes", "dropped", "intercept", "per_attribute", "model"
+)
+_MODELS = ("single", "joint")  # indexed by joint_model
+# A coefficient's record; the intercept's holds the first two, from these LogisticFit fields.
+_COEFFICIENTS = ("beta", "se", "odds_ratio", "ci_low", "ci_high", "p_value")
+_INTERCEPT_FIELDS = ("beta0", "intercept_se")
+_FIT_SCALARS = _scalars(LogisticFit, exclude=_INTERCEPT_FIELDS)
+_FIT = {_N_COMPLETE: _COUNT, _DROPPED: _map(_STRING),
+        _INTERCEPT: dict.fromkeys(_COEFFICIENTS[:2], _FLOAT), **_record(LogisticFit, _FIT_SCALARS)}
 
 
 def _fit_to_dict(fit: LogisticFit) -> dict[str, Any]:
-    columns = {
-        "beta": fit.beta,
-        "se": fit.std_errors,
-        "odds_ratio": fit.odds_ratios,
-        "ci_low": fit.ci95[:, 0],
-        "ci_high": fit.ci95[:, 1],
-        "p_value": fit.p_values,
-    }
+    columns = (fit.beta, fit.std_errors, fit.odds_ratios, *fit.ci95.T, fit.p_values)
     return {
-        "intercept": {"beta": fit.beta0, "se": fit.intercept_se},
+        _INTERCEPT: {key: getattr(fit, f) for key, f in zip(_COEFFICIENTS, _INTERCEPT_FIELDS)},
         **{name: getattr(fit, name) for name in _FIT_SCALARS},
-        "per_attribute": {
-            attr: {key: float(column[i]) for key, column in columns.items()}
+        _PER_ATTRIBUTE: {
+            attr: {key: float(column[i]) for key, column in zip(_COEFFICIENTS, columns)}
             for i, attr in enumerate(fit.feature_names)
         },
     }
 
 
-# bundle key -> SexPermutationResult field holding one value per tie type
+def _dyadic_spec(config: Mapping[str, Any], section: Any) -> dict[str, Any]:
+    """One joint fit with coefficients for each attribute it kept, or one fit per attribute."""
+    model = {_MODEL: frozenset({_MODELS[config["joint_model"]]})}
+    coefficients = dict.fromkeys(_COEFFICIENTS, _FLOAT)
+    if not config["joint_model"]:
+        fits = {a: _Entry(_FIT, **coefficients) for a in config["attributes"]}
+        return {**model, _PER_ATTRIBUTE: fits}
+    dropped = section.get(_DROPPED) if isinstance(section, dict) else None
+    kept = [a for a in config["attributes"] if not isinstance(dropped, dict) or a not in dropped]
+    return _Entry(model, **_FIT, **{_PER_ATTRIBUTE: dict.fromkeys(kept, coefficients)})
+
+
+# bundle key -> (SexPermutationResult field, permutation_results.csv column,
+# kind) of the values per tie type
 _PERMUTATION_TRIPLES = {
-    "observed": "observed",
-    "expected": "expected_mean",
-    "ratio": "ratio",
-    "p_values": "p_values",
-    "verdicts": "verdicts",
+    "observed": ("observed", "observed", _FLOAT),
+    "expected": ("expected_mean", "expected", _FLOAT),
+    "ratio": ("ratio", "ratio", _FLOAT),
+    "p_values": ("p_values", "p_value", _FLOAT),
+    "verdicts": ("verdicts", "verdict", frozenset(("assortative", "dissortative", "ns"))),
 }
-_PERMUTATION_SCALARS = (
-    "n_replicates",
-    "n_attempts",
-    "tolerance",
-    "male_mean_degree",
-    "female_mean_degree",
-)
+_PERMUTATION_SCALARS = _scalars(SexPermutationResult)
+_PERMUTATION = {
+    **{key: dict.fromkeys(_TIE_TYPES, kind) for key, (_, _, kind) in _PERMUTATION_TRIPLES.items()},
+    **_record(SexPermutationResult, _PERMUTATION_SCALARS),
+}
 
 
 def _permutation_to_dict(result: SexPermutationResult) -> dict[str, Any]:
     return {
-        **{key: getattr(result, name)._asdict() for key, name in _PERMUTATION_TRIPLES.items()},
+        **{key: getattr(result, f)._asdict() for key, (f, _, _) in _PERMUTATION_TRIPLES.items()},
         **{name: getattr(result, name) for name in _PERMUTATION_SCALARS},
     }
+
+
+_TTEST = ("t", "p_value")  # a degree_missingness_ttests entry, in degree_missingness_ttest's order
+# The partition section, in the order _partition_section lists its values.
+_PARTITION = {"n_communities": _COUNT, "sizes": [_COUNT], "modularity": _FLOAT,
+              "m_within": _COUNT, "m_between": _COUNT}
 
 
 @dataclass(frozen=True)
@@ -170,18 +245,21 @@ def _or_error(
 
 
 def _network_section(v: _Village) -> dict[str, Any]:
-    return {
-        "full": asdict(network_stats(v.dataset.graph, v.lcc)),
-        "lcc": asdict(network_stats(v.lcc, v.lcc)),
-    }
+    graphs = (v.dataset.graph, v.lcc)  # in _SCOPES order
+    return {scope: asdict(network_stats(g, v.lcc)) for scope, g in zip(_SCOPES, graphs)}
 
 
-def _ttests_section(v: _Village) -> dict[str, Any]:
-    def entry(attr: str) -> dict[str, Any]:
-        t, p = degree_missingness_ttest(v.lcc, v.labels[attr])
-        return {"t": t, "p_value": p}
+def _keyed(setting: str, spec: dict, entry: Callable[[_Village, str], dict]) -> tuple:
+    """A section with an ``entry(village, item)`` per item of the config list ``setting``.
 
-    return {attr: _or_error(entry, attr) for attr in v.cfg.attributes}
+    Returns the function that computes the section and the section's spec;
+    an item whose analysis raises ``ValueError`` gets an error entry.
+    """
+
+    def compute(v: _Village) -> dict[str, Any]:
+        return {item: _or_error(entry, v, item) for item in getattr(v.cfg, setting)}
+
+    return compute, lambda config, value: {item: _Entry(spec) for item in config[setting]}
 
 
 def _fit_record(v: _Village, spec: FeatureSpec) -> dict[str, Any]:
@@ -195,9 +273,9 @@ def _fit_record(v: _Village, spec: FeatureSpec) -> dict[str, Any]:
 
     def fit() -> dict[str, Any]:
         complete = np.logical_and.reduce([v.labels[attr] >= 0 for attr in spec.names])
-        record["n_complete_case_nodes"] = int(complete.sum())
+        record[_N_COMPLETE] = int(complete.sum())
         design = build_dyad_design(v.lcc, v.labels, spec)
-        dropped = record["dropped"] = _dropped_features(design, spec)
+        dropped = record[_DROPPED] = _dropped_features(design, spec)
         kept = [attr for attr in spec.names if attr not in dropped]
         if not kept:
             raise ValueError("every dyad feature is constant")
@@ -210,14 +288,15 @@ def _fit_record(v: _Village, spec: FeatureSpec) -> dict[str, Any]:
 
 def _dyadic_section(v: _Village) -> dict[str, Any]:
     spec = _feature_spec(v.cfg)
+    model = {_MODEL: _MODELS[v.cfg.joint_model]}
     if v.cfg.joint_model:
-        return {"model": "joint", **_fit_record(v, spec)}
+        return {**model, **_fit_record(v, spec)}
     per_attribute: dict[str, Any] = {}
     for attr in spec.names:
         record = per_attribute[attr] = _fit_record(v, spec.restrict([attr]))
         # The attribute's coefficients join the rest of its own fit's record.
-        record.update(record.pop("per_attribute", {}).get(attr, {}))
-    return {"model": "single", "per_attribute": per_attribute}
+        record.update(record.pop(_PER_ATTRIBUTE, {}).get(attr, {}))
+    return {**model, _PER_ATTRIBUTE: per_attribute}
 
 
 def _permutation_section(v: _Village) -> dict[str, Any]:
@@ -233,7 +312,7 @@ def _permutation_section(v: _Village) -> dict[str, Any]:
     except ValueError as exc:
         outcomes = [exc] * len(tolerances)
     return {
-        repr(float(t)): (
+        _tolerance_key(t): (
             {"tolerance": t, "error": str(outcome)}
             if isinstance(outcome, ValueError)
             else _permutation_to_dict(outcome)
@@ -243,74 +322,74 @@ def _permutation_section(v: _Village) -> dict[str, Any]:
 
 
 def _partition_section(v: _Village) -> dict[str, Any]:
-    return {
-        "n_communities": v.partition.n_communities,
-        "sizes": v.partition.sizes.tolist(),
-        "modularity": modularity_of_partition(v.lcc, v.partition),
-        "m_within": v.partition.m_within,
-        "m_between": v.partition.m_between,
-    }
+    p = v.partition
+    modularity = modularity_of_partition(v.lcc, p)
+    values = (p.n_communities, p.sizes.tolist(), modularity, p.m_within, p.m_between)
+    return dict(zip(_PARTITION, values))
 
 
-def _nmi_section(v: _Village) -> dict[str, Any]:
-    def entry(attr: str) -> dict[str, Any]:
-        return asdict(nmi(v.labels[attr], v.partition.assignment))
-
-    return {attr: _or_error(entry, attr) for attr in v.cfg.attributes}
-
-
-def _segregation_section(v: _Village) -> dict[str, Any]:
-    def entry(attr: str) -> dict[str, Any]:
-        return asdict(segregation_report(v.lcc, v.labels[attr], v.partition))
-
-    return {attr: _or_error(entry, attr) for attr in v.cfg.attributes}
+def _community_network_entry(v: _Village, attr: str) -> dict[str, Any]:
+    net = build_community_network(
+        v.lcc,
+        v.partition,
+        v.labels[attr],
+        node_min_fraction=v.cfg.community_node_min,
+        edge_min_fraction=v.cfg.community_edge_min,
+        category_names=CATEGORICAL_ATTRIBUTES.get(attr),
+    )
+    return asdict(net)
 
 
-def _community_networks_section(v: _Village) -> dict[str, Any]:
-    def entry(attr: str) -> dict[str, Any]:
-        net = build_community_network(
-            v.lcc,
-            v.partition,
-            v.labels[attr],
-            node_min_fraction=v.cfg.community_node_min,
-            edge_min_fraction=v.cfg.community_edge_min,
-            category_names=CATEGORICAL_ATTRIBUTES.get(attr),
-        )
-        return asdict(net)
+def _config_spec(config: Any, value: Any) -> tuple[type, ...]:
+    """The config's spec: an object, or ``ValueError`` unless a run with valid settings writes it.
 
-    return {attr: _or_error(entry, attr) for attr in v.cfg.community_network_attributes}
+    The config is rebuilt through the run-config file format, whose parser
+    checks each setting's type and ``RunConfig`` their values.
+    """
+    if isinstance(value, dict):
+        settings = {k: tuple(v) if isinstance(v, list) else v for k, v in value.items()}
+        text = "".join(f"{k} = {_format_value(v)}\n" for k, v in settings.items())
+        rebuilt = parse_run_config(text + "corpus_dir = .\noutput_dir = .")
+        if _substantive_config_dict(rebuilt) != value:
+            raise ValueError("config: not the settings of a valid run")
+    return _OBJECT
 
 
-# Bundle sections in the order they are computed.  Each maps the village to
-# its entry; an analysis that cannot run records an "error" entry instead.
-_SECTIONS: tuple[tuple[str, Callable[[_Village], dict[str, Any]]], ...] = (
-    ("network", _network_section),
-    ("degree_missingness_ttests", _ttests_section),
-    ("dyadic", _dyadic_section),
-    ("sex_permutation", _permutation_section),
-    ("partition", _partition_section),
-    ("nmi", _nmi_section),
-    ("segregation", _segregation_section),
-    ("community_networks", _community_networks_section),
+# The bundle, key by key in the order it is computed: the function that
+# computes its value from the village, and its spec.  An analysis that cannot
+# run records an error entry instead.
+_BUNDLE: tuple[tuple[str, Callable[[_Village], Any], Any], ...] = (
+    ("schema_version", lambda v: SCHEMA_VERSION, _COUNT),
+    ("config_sha256", lambda v: config_sha256(v.cfg), _STRING),
+    ("config", lambda v: _substantive_config_dict(v.cfg), _config_spec),
+    ("village_id", lambda v: v.dataset.village_id, _STRING),
+    ("relation_layers", lambda v: dict(v.dataset.relation_layers), _map(_COUNT)),
+    ("n_unmatched_attribute_rows", lambda v: len(v.dataset.unmatched_attribute_ids), _COUNT),
+    ("network", _network_section, dict.fromkeys(_SCOPES, _record(NetworkStats))),
+    ("degree_missingness_ttests",
+     *_keyed("attributes", dict.fromkeys(_TTEST, _FLOAT),
+             lambda v, a: dict(zip(_TTEST, degree_missingness_ttest(v.lcc, v.labels[a]))))),
+    ("dyadic", _dyadic_section, _dyadic_spec),
+    ("sex_permutation", _permutation_section, lambda config, value: {
+        _tolerance_key(t): _Entry(_PERMUTATION) for t in config["permutation_tolerances"]
+    }),
+    ("partition", _partition_section, _PARTITION),
+    ("nmi", *_keyed("attributes", _record(NmiResult),
+                    lambda v, a: asdict(nmi(v.labels[a], v.partition.assignment)))),
+    ("segregation",
+     *_keyed("attributes", _record(SegregationReport),
+             lambda v, a: asdict(segregation_report(v.lcc, v.labels[a], v.partition)))),
+    ("community_networks",
+     *_keyed("community_network_attributes", _record(CommunityNetwork), _community_network_entry)),
 )
 
 
-# Sections holding one JSON object per attribute, tolerance or graph scope.
-_KEYED_SECTIONS = tuple(name for name, _ in _SECTIONS if name not in ("dyadic", "partition"))
+def analyze_village(dataset: VillageDataset, cfg: RunConfig) -> tuple[dict[str, Any], list]:
+    """Full single-village analysis: the JSON-ready bundle and the partition rows.
 
-# The keys of a bundle as written to disk: analyze_village's, less its two private ones.
-_BUNDLE_KEYS = frozenset(
-    ("schema_version", "config_sha256", "config", "village_id", "relation_layers",
-     "n_unmatched_attribute_rows", *(name for name, _ in _SECTIONS))
-)
-
-
-def analyze_village(dataset: VillageDataset, cfg: RunConfig) -> dict[str, Any]:
-    """Full single-village analysis; returns the JSON-ready bundle.
-
-    Two keys starting with ``_`` carry what the artifact writer needs besides
-    the bundle: ``_partition_assignment``, the Louvain community of each LCC
-    node, and ``_lcc_node_ids``, those nodes' ids in the same order.
+    The bundle is what a run writes to ``bundles/<village_id>.json``; the
+    rows pair each LCC node's id with its Louvain community, as a run writes
+    them to ``partitions/<village_id>.csv``.
     """
     lcc, nodes = largest_connected_component(dataset.graph)
     table = dataset.attributes.take(nodes)
@@ -323,17 +402,8 @@ def analyze_village(dataset: VillageDataset, cfg: RunConfig) -> dict[str, Any]:
         labels={attr: table.labels(attr, bins.get(attr)) for attr in cfg.attributes},
         partition=louvain(lcc, _derived_seed(cfg.louvain_seed, dataset.village_id, 0)),
     )
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config_sha256": config_sha256(cfg),
-        "config": _substantive_config_dict(cfg),
-        "village_id": dataset.village_id,
-        "relation_layers": dict(dataset.relation_layers),
-        "n_unmatched_attribute_rows": len(dataset.unmatched_attribute_ids),
-        **{name: section(village) for name, section in _SECTIONS},
-        "_partition_assignment": village.partition.assignment.tolist(),
-        "_lcc_node_ids": list(table.node_ids),
-    }
+    bundle = {key: compute(village) for key, compute, _ in _BUNDLE}
+    return bundle, list(zip(table.node_ids, village.partition.assignment.tolist()))
 
 
 def _json_safe(obj: Any) -> Any:
@@ -411,23 +481,22 @@ def _load_village_dir(village_dir: Path, cfg: RunConfig) -> VillageDataset:
     )
 
 
-def _write_village_artifacts(bundle: dict[str, Any], cfg: RunConfig, config_hash: str) -> list[Path]:
+def _write_village_artifacts(
+    bundle: dict[str, Any], partition_rows: list[tuple[str, int]], cfg: RunConfig, config_hash: str
+) -> list[Path]:
     """Write one village's bundle, partition and community networks; return their paths.
 
     Each community-network entry without an ``"error"`` is saved as JSON and rendered to DOT.
     """
     out = Path(cfg.output_dir)
     village_id = bundle["village_id"]
-    assignment = bundle.pop("_partition_assignment")
-    node_ids = bundle.pop("_lcc_node_ids")
     bundle_path = out / "bundles" / f"{village_id}.json"
     _write_json(bundle_path, bundle)
 
     partition_path = out / "partitions" / f"{village_id}.csv"
-    rows = [
-        {"node_id": nid, "community": comm} for nid, comm in zip(node_ids, assignment)
-    ]
-    _write_csv(partition_path, ("node_id", "community"), rows, config_hash)
+    columns = ("node_id", "community")
+    rows = [dict(zip(columns, row)) for row in partition_rows]
+    _write_csv(partition_path, columns, rows, config_hash)
     written = [bundle_path, partition_path]
 
     for attr, network in bundle["community_networks"].items():
@@ -457,8 +526,8 @@ def _process_village(args: tuple[str, RunConfig]) -> _Outcome:
     path = Path(village_dir)
     try:
         dataset = _load_village_dir(path, cfg)
-        bundle = analyze_village(dataset, cfg)
-        written = _write_village_artifacts(bundle, cfg, bundle["config_sha256"])
+        bundle, partition_rows = analyze_village(dataset, cfg)
+        written = _write_village_artifacts(bundle, partition_rows, cfg, bundle["config_sha256"])
         return path.name, bundle, None, written
     except Exception as exc:
         return _failed(path.name, exc)
@@ -605,24 +674,14 @@ _NETWORK_FIELDS = tuple(f.name for f in fields(NetworkStats))
 
 
 def _network_rows(bundle: Mapping[str, Any]) -> Iterable[dict]:
-    for scope in ("full", "lcc"):
+    for scope in _SCOPES:
         yield {"scope": scope, **bundle["network"][scope]}
 
 
 def _dyadic_rows(bundle: Mapping[str, Any]) -> Iterable[dict]:
-    for attr, entry in bundle["dyadic"].get("per_attribute", {}).items():
+    for attr, entry in bundle["dyadic"].get(_PER_ATTRIBUTE, {}).items():
         if "error" not in entry:
             yield {"attribute": attr, **entry}
-
-
-# permutation_results.csv column -> bundle key of the per-tie-type values
-_PERMUTATION_COLUMNS = {
-    "observed": "observed",
-    "expected": "expected",
-    "ratio": "ratio",
-    "p_value": "p_values",
-    "verdict": "verdicts",
-}
 
 
 def _permutation_rows(bundle: Mapping[str, Any]) -> Iterable[dict]:
@@ -633,7 +692,7 @@ def _permutation_rows(bundle: Mapping[str, Any]) -> Iterable[dict]:
             yield {
                 "tolerance": entry["tolerance"],
                 "tie_type": tie,
-                **{column: entry[key][tie] for column, key in _PERMUTATION_COLUMNS.items()},
+                **{column: entry[key][tie] for key, (_, column, _) in _PERMUTATION_TRIPLES.items()},
             }
 
 
@@ -651,21 +710,18 @@ def _corpus_tables(attributes: tuple[str, ...]) -> tuple[_Table, ...]:
     """The per-village CSVs; rows come from one bundle and gain its ``village`` column."""
     return (
         _Table("network_stats", ("village", "scope", *_NETWORK_FIELDS), _network_rows),
-        _Table(
-            "dyadic_results",
-            ("village", "attribute", "odds_ratio", "ci_low", "ci_high", "p_value"),
-            _dyadic_rows,
-        ),
+        _Table("dyadic_results", ("village", "attribute", *_COEFFICIENTS[2:]), _dyadic_rows),
         _Table(
             "permutation_results",
-            ("village", "tolerance", "tie_type", *_PERMUTATION_COLUMNS),
+            ("village", "tolerance", "tie_type", *(c for _, c, _ in _PERMUTATION_TRIPLES.values())),
             _permutation_rows,
         ),
         _Table("nmi_matrix", ("village", *attributes), _nmi_rows),
         _Table(
             "segregation_results",
-            ("village", "attribute", "q_attr", "q_within", "q_between", "q_within_norm",
-             "q_between_norm", "n_used"),
+            # the terms and their normalized values, without the maxima
+            ("village", "attribute",
+             *(name for name in _scalars(SegregationReport) if not name.endswith("_max"))),
             _segregation_rows,
         ),
     )
@@ -678,23 +734,27 @@ def _write_corpus_tables(bundles: Sequence[dict], out: Path, config_hash: str) -
         _write_csv(out / f"{table.name}.csv", table.columns, rows, config_hash)
 
 
-def _spread(values: Sequence[float]) -> tuple[float | None, float | None, float | None]:
-    if not values:
+def _column(entries: Iterable[Mapping[str, Any]], key: str) -> np.ndarray:
+    """The entries' ``key`` values as floats; null, a NaN or infinity in a bundle file, is NaN."""
+    return np.asarray([e[key] for e in entries], dtype=float)
+
+
+def _spread(values: np.ndarray) -> tuple[float | None, float | None, float | None]:
+    if not len(values):
         return None, None, None
-    arr = np.asarray(values, dtype=float)
-    return float(arr.min()), float(np.median(arr)), float(arr.max())
+    return float(values.min()), float(np.median(values)), float(values.max())
 
 
-def _mean(values: Sequence[float]) -> float | None:
-    return float(np.mean(values)) if values else None
+def _mean(values: np.ndarray) -> float | None:
+    return float(np.mean(values)) if len(values) else None
 
 
-def _sd(values: Sequence[float]) -> float | None:
+def _sd(values: np.ndarray) -> float | None:
     return float(np.std(values, ddof=1)) if len(values) > 1 else None
 
 
-def _pct(flags: Sequence[bool]) -> float | None:
-    return 100.0 * float(np.mean(flags)) if flags else None
+def _pct(flags: np.ndarray) -> float | None:
+    return 100.0 * float(np.mean(flags)) if len(flags) else None
 
 
 def _entries(bundles: Sequence[Mapping[str, Any]], section: str, key: str) -> list[dict]:
@@ -704,10 +764,10 @@ def _entries(bundles: Sequence[Mapping[str, Any]], section: str, key: str) -> li
 
 
 def _summary_network(bundles: _Bundles, config: Mapping[str, Any]) -> Iterable[tuple]:
-    for scope in ("full", "lcc"):
+    for scope in _SCOPES:
         # n_components and the LCC fractions are trivially 1 within the LCC.
-        for metric in _NETWORK_FIELDS if scope == "full" else _NETWORK_FIELDS[:5]:
-            values = [b["network"][scope][metric] for b in bundles]
+        for metric in _NETWORK_FIELDS if scope == _SCOPES[0] else _NETWORK_FIELDS[:5]:
+            values = _column((b["network"][scope] for b in bundles), metric)
             yield scope, metric, len(values), *_spread(values)
 
 
@@ -716,18 +776,19 @@ def _summary_dyadic(bundles: _Bundles, config: Mapping[str, Any]) -> Iterable[tu
         fits = []
         for b in bundles:
             dyadic = b["dyadic"]
-            entry = dyadic.get("per_attribute", {}).get(attr)
+            entry = dyadic.get(_PER_ATTRIBUTE, {}).get(attr)
             # A single-model entry is its own fit's record; joint entries share the section's.
-            fit = entry if dyadic["model"] == "single" else dyadic
-            if entry is not None and fit.get("converged"):
+            fit = dyadic if config["joint_model"] else entry
+            if entry is not None and fit.get("converged") and "error" not in fit:
                 fits.append(entry)
-        nmi_values = [e["value"] for e in _entries(bundles, "nmi", attr)]
+        p_values, odds_ratios = _column(fits, "p_value"), _column(fits, "odds_ratio")
+        nmi_values = _column(_entries(bundles, "nmi", attr), "value")
         yield (
             attr,
             len(fits),
-            _pct([e["p_value"] < 0.05 for e in fits]),
-            _pct([e["p_value"] < 0.05 and e["odds_ratio"] > 1.0 for e in fits]),
-            *_spread([e["odds_ratio"] for e in fits]),
+            _pct(p_values < 0.05),
+            _pct((p_values < 0.05) & (odds_ratios > 1.0)),
+            *_spread(odds_ratios),
             _mean(nmi_values),
             _sd(nmi_values),
         )
@@ -735,7 +796,7 @@ def _summary_dyadic(bundles: _Bundles, config: Mapping[str, Any]) -> Iterable[tu
 
 def _summary_permutation(bundles: _Bundles, config: Mapping[str, Any]) -> Iterable[tuple]:
     for tolerance in (float(t) for t in config["permutation_tolerances"]):
-        entries = _entries(bundles, "sex_permutation", repr(tolerance))
+        entries = _entries(bundles, "sex_permutation", _tolerance_key(tolerance))
         for tie in _TIE_TYPES:
             verdicts = [e["verdicts"][tie] for e in entries]
             n = len(verdicts)
@@ -751,19 +812,19 @@ def _summary_permutation(bundles: _Bundles, config: Mapping[str, Any]) -> Iterab
 def _summary_segregation(bundles: _Bundles, config: Mapping[str, Any]) -> Iterable[tuple]:
     for attr in config["attributes"]:
         entries = _entries(bundles, "segregation", attr)
-        within = [e["q_within_norm"] for e in entries]
-        between = [e["q_between_norm"] for e in entries]
+        within = _column(entries, "q_within_norm")
+        between = _column(entries, "q_between_norm")
         yield (
             attr,
             len(entries),
-            _mean([e["q_attr"] for e in entries]),
+            _mean(_column(entries, "q_attr")),
             _mean(within),
             _sd(within),
-            _pct([q > float(config["within_cutoff"]) for q in within]),
+            _pct(within > float(config["within_cutoff"])),
             _mean(between),
             _sd(between),
-            _pct([q > 0.0 for q in between]),
-            _pct([q > float(config["between_cutoff"]) for q in between]),
+            _pct(between > 0.0),
+            _pct(between > float(config["between_cutoff"])),
         )
 
 
@@ -773,8 +834,8 @@ def _summary_community_networks(bundles: _Bundles, config: Mapping[str, Any]) ->
         yield (
             attr,
             len(entries),
-            _mean([e["node_fraction_retained"] for e in entries]),
-            _mean([e["tie_fraction_retained"] for e in entries]),
+            _mean(_column(entries, "node_fraction_retained")),
+            _mean(_column(entries, "tie_fraction_retained")),
         )
 
 
@@ -836,28 +897,48 @@ def _read_json(path: Path) -> Any:
         raise ValueError(f"{path}: not a JSON file: {exc}") from None
 
 
+def _check(value: Any, spec: Any, config: Any, where: str) -> None:
+    """Raise ``ValueError`` naming the key path ``where`` unless ``value`` fits ``spec``."""
+    if callable(spec):
+        spec = spec(config, value)
+    at, refuse = (f"{where}.", f"{where}: ") if where else ("", "")
+    if isinstance(spec, dict) and isinstance(value, dict):
+        failed = isinstance(spec, _Entry) and "error" in value
+        declared = {**spec, "error": _STRING} if failed else spec
+        if missing := [] if failed else sorted(spec.keys() - value.keys()):
+            raise ValueError(f"{refuse}missing {missing}")
+        if unexpected := sorted(value.keys() - declared.keys()):
+            raise ValueError(f"{refuse}unexpected {unexpected}")
+        for key, item in declared.items():
+            if key in value:
+                _check(value[key], item, config, at + key)
+    elif isinstance(spec, list) and isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _check(item, spec[0], config, f"{where}[{i}]")
+    elif isinstance(spec, frozenset):
+        if not (isinstance(value, str) and value in spec):
+            raise ValueError(f"{refuse}expected one of {sorted(spec)}, not {value!r:.60}")
+    elif isinstance(spec, (dict, list)):
+        expected = "an object" if isinstance(spec, dict) else "a list"
+        raise ValueError(f"{refuse}expected {expected}, not {value!r:.60}")
+    elif isinstance(value, bool) != (spec == _BOOL) or not isinstance(value, spec[1:]) or (
+        spec == _COUNT and value < 0
+    ):
+        raise ValueError(f"{refuse}expected {spec[0]}, not {value!r:.60}")
+
+
 def _check_bundle(path: Path, bundle: Any) -> None:
-    """Refuse a bundle that ``summarize_corpus`` cannot read, naming its file."""
+    """Refuse a bundle that ``analyze_village`` does not write, naming its file and key path."""
     if not isinstance(bundle, dict) or bundle.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{path}: not a bundle of schema version {SCHEMA_VERSION}")
-    if bundle.keys() != _BUNDLE_KEYS:
-        raise ValueError(
-            f"{path}: bundle keys missing {sorted(_BUNDLE_KEYS - bundle.keys())}, "
-            f"unexpected {sorted(bundle.keys() - _BUNDLE_KEYS)}"
-        )
-    for name, _ in _SECTIONS:
-        if not isinstance(bundle[name], dict):
-            raise ValueError(f"{path}: bundle section {name!r} is not a JSON object")
-    for name in _KEYED_SECTIONS:
-        for key, entry in bundle[name].items():
-            if not isinstance(entry, dict):
-                raise ValueError(f"{path}: bundle entry {name}.{key} is not a JSON object")
-    if bundle["config_sha256"] != _hash_config_dict(bundle["config"]):
+    if bundle.get("config_sha256") != _hash_config_dict(bundle.get("config")):
         raise ValueError(f"{path}: config_sha256 is not the hash of the bundle's config")
     try:
-        summarize_corpus([bundle])
-    except (LookupError, TypeError, AttributeError, ValueError) as exc:
-        raise ValueError(f"{path}: bundle cannot be summarized: {type(exc).__name__}: {exc}") from None
+        _check(bundle, {key: spec for key, _, spec in _BUNDLE}, bundle.get("config"), "")
+        if bundle["village_id"] != path.stem:
+            raise ValueError(f"village_id: expected {path.stem!r}, not {bundle['village_id']!r}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def summarize_output_directory(directory: str | Path) -> dict[str, list[dict]]:
@@ -866,9 +947,11 @@ def summarize_output_directory(directory: str | Path) -> dict[str, list[dict]]:
     Refuses, naming the file, when the bundles on disk are not exactly the
     villages that ``run_manifest.json`` lists as analyzed, when a file is not
     JSON, or when a bundle is not one that ``analyze_village`` writes at this
-    ``SCHEMA_VERSION``: other top-level keys, a section or a section's
-    per-attribute entry that is not a JSON object, a ``config_sha256`` that
-    is not its config's hash, or any value deeper down the summaries cannot read.
+    ``SCHEMA_VERSION``: a ``config_sha256`` that is not its config's hash, a
+    config that a run with valid settings does not write, a ``village_id``
+    other than the file's name, or, named by its key path, any key or value
+    that the bundle schema does not declare.  A null number, a NaN or
+    infinity the run wrote, is read as NaN.
     """
     out = Path(directory)
     bundle_files = sorted((out / "bundles").glob("*.json"))

@@ -13,6 +13,7 @@ import bisect
 import csv
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -348,6 +349,85 @@ def entropy_of(labels):
     _, counts = np.unique(arr, return_counts=True)
     p = counts / counts.sum()
     return float(-(p * np.log(p)).sum())
+
+
+def nmi_by_counts(labels_a, labels_b):
+    """Max-entropy normalized mutual information from the contingency table.
+
+    Only nodes carrying both labels (non-negative codes) count.  Returns
+    ``(value, mutual_information, entropy_a, entropy_b, n_used)`` in nats;
+    the value is 0 when both entropies are 0.
+    """
+    pairs = [(a, b) for a, b in zip(labels_a, labels_b) if a >= 0 and b >= 0]
+    n = len(pairs)
+    cells = Counter(pairs)
+    rows = Counter(a for a, _ in pairs)
+    cols = Counter(b for _, b in pairs)
+    mutual_information = sum(
+        c / n * math.log(c * n / (rows[a] * cols[b])) for (a, b), c in cells.items()
+    )
+    entropy_a = -sum(c / n * math.log(c / n) for c in rows.values())
+    entropy_b = -sum(c / n * math.log(c / n) for c in cols.values())
+    h_max = max(entropy_a, entropy_b)
+    value = mutual_information / h_max if h_max > 0 else 0.0
+    return value, mutual_information, entropy_a, entropy_b, n
+
+
+class RawStream:
+    """The draws a PCG64 ``Generator`` makes, replayed from its bit generator's raw stream.
+
+    Starts from a copy of ``generator``'s state and leaves the generator
+    alone.  A 32-bit draw takes the low half of a raw 64-bit value and keeps
+    the high half for the next one, as PCG64's ``has_uint32``/``uinteger``
+    state does; a double is the top 53 bits of a raw value.
+    """
+
+    def __init__(self, generator):
+        state = generator.bit_generator.state
+        self.bits = type(generator.bit_generator)()
+        self.bits.state = state
+        self.has_uint32, self.uinteger = state["has_uint32"], state["uinteger"]
+
+    def next_uint64(self):
+        return int(self.bits.random_raw())
+
+    def next_uint32(self):
+        if self.has_uint32:
+            self.has_uint32 = 0
+            return self.uinteger
+        raw = self.next_uint64()
+        self.has_uint32, self.uinteger = 1, raw >> 32
+        return raw & 0xFFFFFFFF
+
+    def next_double(self):
+        return (self.next_uint64() >> 11) * (1.0 / 9007199254740992.0)
+
+    def interval(self, high):
+        """Uniform on 0..high: masked draws, rejected until one is at most ``high``."""
+        if high == 0:
+            return 0
+        mask = (1 << high.bit_length()) - 1
+        draw = self.next_uint32 if high <= 0xFFFFFFFF else self.next_uint64
+        while True:
+            value = draw() & mask
+            if value <= high:
+                return value
+
+
+def shuffle_by_raw_stream(stream, values):
+    """``values`` shuffled as ``Generator.shuffle`` does: Fisher-Yates from the last item down."""
+    out = list(values)
+    for i in range(len(out) - 1, 0, -1):
+        j = stream.interval(i)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def choice_by_raw_stream(stream, size, p):
+    """``Generator.choice(len(p), size, p=p)``: a uniform double per draw, found in the CDF."""
+    sums = [float(x) for x in itertools.accumulate(p)]
+    cdf = [s / sums[-1] for s in sums]
+    return [bisect.bisect_right(cdf, stream.next_double()) for _ in range(size)]
 
 
 def pairwise_complete(a, b):

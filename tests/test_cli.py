@@ -9,7 +9,8 @@ import pytest
 
 import segnet
 from segnet.cli import main
-from segnet.config import default_config_text
+from segnet.config import _hash_config_dict, default_config_text
+from segnet.pipeline import summarize_corpus
 
 
 def write_synth_config(tmp_path, villages, seed=5):
@@ -295,54 +296,124 @@ def _drop_config_attributes(bundle):
     del bundle["config"]["attributes"]
 
 
+def _set_config(**settings):
+    """An edit that changes config settings and, so the hash still matches, config_sha256."""
+
+    def edit(bundle):
+        bundle["config"].update(settings)
+        bundle["config_sha256"] = _hash_config_dict(bundle["config"])
+
+    return edit
+
+
+VERDICT_WORDS = "['assortative', 'dissortative', 'ns']"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (
             _keep_only_the_schema_version,
-            "v001.json: bundle keys missing ['community_networks', 'config', 'config_sha256',",
+            "v001.json: config_sha256 is not the hash of the bundle's config",
         ),
-        (
-            lambda bundle: bundle.update(extra=1),
-            "v001.json: bundle keys missing [], unexpected ['extra']",
-        ),
+        (lambda bundle: bundle.update(extra=1), "v001.json: unexpected ['extra']"),
         (
             _drop_config_attributes,
             "v001.json: config_sha256 is not the hash of the bundle's config",
         ),
-        (
-            lambda bundle: bundle.update(nmi=[]),
-            "v001.json: bundle section 'nmi' is not a JSON object",
-        ),
+        (lambda bundle: bundle.update(nmi=[]), "v001.json: nmi: expected an object, not []"),
         (
             lambda bundle: bundle["nmi"].update(caste=5),
-            "v001.json: bundle entry nmi.caste is not a JSON object",
+            "v001.json: nmi.caste: expected an object, not 5",
         ),
         (
             lambda bundle: bundle["nmi"]["caste"].update(value="x"),
-            "v001.json: bundle cannot be summarized: ",
+            "v001.json: nmi.caste.value: expected a number or null, not 'x'",
         ),
         (
             lambda bundle: bundle["dyadic"]["per_attribute"].update(caste=5),
-            "v001.json: bundle cannot be summarized: TypeError: ",
+            "v001.json: dyadic.per_attribute.caste: expected an object, not 5",
         ),
         (
             lambda bundle: bundle["dyadic"].pop("model"),
-            "v001.json: bundle cannot be summarized: KeyError: 'model'",
+            "v001.json: dyadic: missing ['model']",
         ),
         (
             lambda bundle: [e.update(verdicts=5) for e in bundle["sex_permutation"].values()],
-            "v001.json: bundle cannot be summarized: TypeError: ",
+            "v001.json: sex_permutation.0.05.verdicts: expected an object, not 5",
         ),
         (
-            lambda bundle: bundle["segregation"]["caste"].update(q_within_norm=None),
-            "v001.json: bundle cannot be summarized: TypeError: ",
+            lambda bundle: bundle["segregation"]["caste"].pop("q_within"),
+            "v001.json: segregation.caste: missing ['q_within']",
         ),
+        (
+            lambda bundle: bundle["nmi"]["caste"].pop("mutual_information"),
+            "v001.json: nmi.caste: missing ['mutual_information']",
+        ),
+        (
+            lambda bundle: bundle["partition"].update(extra=1),
+            "v001.json: partition: unexpected ['extra']",
+        ),
+        (
+            lambda bundle: bundle["sex_permutation"]["0.2"]["verdicts"].update(mm="maybe"),
+            f"v001.json: sex_permutation.0.2.verdicts.mm: expected one of {VERDICT_WORDS}, "
+            "not 'maybe'",
+        ),
+        (
+            lambda bundle: bundle["segregation"]["caste"].update(q_within_norm="0.5"),
+            "v001.json: segregation.caste.q_within_norm: expected a number or null, not '0.5'",
+        ),
+        (
+            lambda bundle: bundle.update(village_id="v039"),
+            "v001.json: village_id: expected 'v001', not 'v039'",
+        ),
+        (
+            lambda bundle: bundle["relation_layers"].update(sbm="122"),
+            "v001.json: relation_layers.sbm: expected a count, not '122'",
+        ),
+        (
+            lambda bundle: bundle.update(n_unmatched_attribute_rows=-3),
+            "v001.json: n_unmatched_attribute_rows: expected a count, not -3",
+        ),
+        (
+            lambda bundle: bundle["partition"].update(sizes="15, 15"),
+            "v001.json: partition.sizes: expected a list, not '15, 15'",
+        ),
+        (
+            lambda bundle: bundle["community_networks"]["caste"]["nodes"][0].update(size=1.5),
+            "v001.json: community_networks.caste.nodes[0].size: expected a count, not 1.5",
+        ),
+        (
+            lambda bundle: bundle["degree_missingness_ttests"]["caste"].update(foo=1),
+            "v001.json: degree_missingness_ttests.caste: unexpected ['foo']",
+        ),
+        (
+            lambda bundle: bundle["degree_missingness_ttests"]["caste"].update(error=1),
+            "v001.json: degree_missingness_ttests.caste.error: expected a string, not 1",
+        ),
+        (
+            lambda bundle: bundle["dyadic"].update(model="single"),
+            "v001.json: dyadic.model: expected one of ['joint'], not 'single'",
+        ),
+        (
+            _set_config(joint_model=False),
+            "v001.json: dyadic: unexpected ['converged', 'diagnostic', 'dropped', 'intercept',",
+        ),
+        (
+            _set_config(joint_model="yes"),
+            "v001.json: config line 11: bad value for 'joint_model': expected true or false",
+        ),
+        (_set_config(attributes=5), "v001.json: unknown attribute '5'"),
+        (_set_config(workers=2), "v001.json: config: not the settings of a valid run"),
     ],
     ids=[
         "schema-version-only", "extra-key", "config-without-attributes", "nmi-list",
         "nmi-entry-int", "nmi-value-str", "per-attribute-int", "no-model", "verdicts-int",
-        "q-within-norm-null",
+        "no-q-within", "no-mutual-information", "partition-extra-key", "verdict-maybe",
+        "q-within-norm-str", "other-village-id", "layer-count-str", "unmatched-negative",
+        "sizes-str", "node-size-float", "ttest-error-entry-extra-key", "error-not-str",
+        "model-single", "config-single", "config-bool-str", "config-attributes-int",
+        "config-workers",
     ],
 )
 def test_summarize_refuses_a_bundle_it_cannot_read(tmp_path, capsys, edit, message):
@@ -352,6 +423,22 @@ def test_summarize_refuses_a_bundle_it_cannot_read(tmp_path, capsys, edit, messa
     edit(bundle)
     path.write_text(json.dumps(bundle), encoding="utf-8")
     assert_summarize_refuses(out_dir, summaries, capsys, message)
+
+
+def test_summarize_reads_a_null_number_as_the_nan_it_stands_for(tmp_path, capsys):
+    # NaN and infinities are written to bundles as null, so every float field
+    # may be null; the summaries treat it as the run's NaN did.
+    out_dir, _ = finished_synth_run(tmp_path)
+    path = out_dir / "bundles" / "v001.json"
+    bundle = json.loads(path.read_text(encoding="utf-8"))
+    bundle["segregation"]["caste"]["q_within_norm"] = None
+    path.write_text(json.dumps(bundle), encoding="utf-8")
+    assert main(["summarize", str(out_dir)]) == 0
+    bundle["segregation"]["caste"]["q_within_norm"] = math.nan
+    row = summarize_corpus([bundle])["segregation"][0]
+    assert math.isnan(row["q_within_norm_mean"]) and row["pct_within_above_cutoff"] == 0.0
+    summary = (out_dir / "summary_segregation.csv").read_text(encoding="utf-8").splitlines()
+    assert summary[2].split(",")[3:6] == ["", "", "0.0"]
 
 
 @pytest.mark.parametrize("target", ["run_manifest.json", "bundles/v001.json"])

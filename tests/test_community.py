@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from segnet import (
@@ -22,6 +22,7 @@ from .oracles import (
     entropy_of,
     louvain_by_level_dicts,
     naive_partition_modularity,
+    nmi_by_counts,
     pairwise_complete,
 )
 
@@ -289,6 +290,23 @@ class TestNmi:
             backward = nmi(b, a)
         assert forward.value == pytest.approx(backward.value, abs=1e-12)
         assert -1e-12 <= forward.value <= 1.0 + 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-1, 5), st.integers(-1, 2)), min_size=2, max_size=80)
+    )
+    @example([(0, 0), (1, 0), (2, 1), (3, 1), (-1, 0), (4, -1)])
+    def test_matches_the_contingency_table_oracle(self, pairs):
+        a, b = (np.array(codes) for codes in zip(*pairs))
+        value, mutual_information, entropy_a, entropy_b, n_used = nmi_by_counts(a, b)
+        # Unequal entropies tell max-entropy normalization from other means.
+        assume(n_used > 0 and abs(entropy_a - entropy_b) > 1e-6)
+        result = nmi(a, b)
+        assert result.n_used == n_used
+        assert result.entropy_attr == pytest.approx(entropy_a, abs=1e-12)
+        assert result.entropy_comm == pytest.approx(entropy_b, abs=1e-12)
+        assert result.mutual_information == pytest.approx(mutual_information, abs=1e-12)
+        assert result.value == pytest.approx(value, abs=1e-12)
 
     def test_matches_sklearn_on_random_pairs(self):
         sk = pytest.importorskip("sklearn.metrics")

@@ -1,6 +1,8 @@
+import copy
 import functools
 import importlib.util
 import json
+import math
 import multiprocessing
 import os
 import shutil
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import segnet
 from segnet import (
@@ -276,7 +280,7 @@ class TestConfigHash:
     def test_embedded_config_omits_machine_fields(self, tmp_path):
         corpus = make_corpus(tmp_path, n=1)
         cfg = small_config(corpus, tmp_path / "out")
-        bundle = analyze_village(synth_village(seed=100), cfg)
+        bundle, _ = analyze_village(synth_village(seed=100), cfg)
         for key in ("corpus_dir", "output_dir", "workers"):
             assert key not in bundle["config"]
 
@@ -286,12 +290,13 @@ def bundle_and_config(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("analyze")
     cfg = small_config(tmp / "corpus", tmp / "out")
     dataset = synth_village(seed=200)
-    return analyze_village(dataset, cfg), cfg, dataset
+    bundle, partition_rows = analyze_village(dataset, cfg)
+    return bundle, cfg, dataset, partition_rows
 
 
 class TestAnalyzeVillage:
     def test_identity_and_network_sections(self, bundle_and_config):
-        bundle, cfg, dataset = bundle_and_config
+        bundle, cfg, dataset, _ = bundle_and_config
         assert bundle["schema_version"] == 1
         assert bundle["config_sha256"] == config_sha256(cfg)
         assert bundle["village_id"] == dataset.village_id
@@ -311,7 +316,7 @@ class TestAnalyzeVillage:
         assert bundle["network"]["lcc"]["n_components"] == 1
 
     def test_dyadic_section(self, bundle_and_config):
-        bundle, _, _ = bundle_and_config
+        bundle, _, _, _ = bundle_and_config
         dyadic = bundle["dyadic"]
         assert dyadic["model"] == "joint"
         assert dyadic["converged"] is True
@@ -322,14 +327,14 @@ class TestAnalyzeVillage:
             assert 0 <= entry["p_value"] <= 1
 
     def test_permutation_keys_are_tolerance_reprs(self, bundle_and_config):
-        bundle, _, _ = bundle_and_config
+        bundle, _, _, _ = bundle_and_config
         assert set(bundle["sex_permutation"]) == {"0.05", "0.2"}
         for entry in bundle["sex_permutation"].values():
             assert set(entry["verdicts"]) == {"mm", "mf", "ff"}
             assert entry["n_replicates"] == 100
 
     def test_partition_and_per_attribute_sections(self, bundle_and_config):
-        bundle, _, _ = bundle_and_config
+        bundle, _, _, _ = bundle_and_config
         part = bundle["partition"]
         assert part["n_communities"] == len(part["sizes"])
         assert part["m_within"] + part["m_between"] == bundle["network"]["lcc"]["n_edges"]
@@ -351,20 +356,25 @@ class TestAnalyzeVillage:
         cfg = small_config(
             tmp_path / "corpus", tmp_path / "out", permutation_tolerances=(0.01, 0.2)
         )
-        entries = analyze_village(synth_village(seed=200), cfg)["sex_permutation"]
+        entries = analyze_village(synth_village(seed=200), cfg)[0]["sex_permutation"]
         assert entries["0.01"] == {"tolerance": 0.01, "error": "acceptance rate too low"}
         assert entries["0.2"]["tolerance"] == 0.2
         assert entries["0.2"]["n_replicates"] == 100
 
-    def test_working_keys_present_for_direct_callers(self, bundle_and_config):
-        bundle, _, _ = bundle_and_config
-        n_lcc = bundle["network"]["lcc"]["n_nodes"]
-        assert len(bundle["_partition_assignment"]) == n_lcc
-        assert len(bundle["_lcc_node_ids"]) == n_lcc
+    def test_partition_rows_pair_each_lcc_node_with_its_community(self, bundle_and_config):
+        bundle, _, dataset, partition_rows = bundle_and_config
+        lcc, nodes = largest_connected_component(dataset.graph)
+        node_ids, communities = zip(*partition_rows)
+        assert node_ids == dataset.attributes.take(nodes).node_ids
+        assert all(type(c) is int for c in communities)
+        sizes = np.bincount(communities)[1:].tolist()
+        assert sizes == bundle["partition"]["sizes"]
+        assert len(sizes) == bundle["partition"]["n_communities"]
+        assert len(node_ids) == lcc.node_count == bundle["network"]["lcc"]["n_nodes"]
 
     def test_constant_feature_is_reported_as_dropped(self, tmp_path):
         cfg = small_config(tmp_path / "c", tmp_path / "o")
-        bundle = analyze_village(caste_constant_village(), cfg)
+        bundle, _ = analyze_village(caste_constant_village(), cfg)
         dyadic = bundle["dyadic"]
         assert dyadic["dropped"] == {"caste": "every pair matches (single observed value)"}
         assert set(dyadic["per_attribute"]) == {"sex"}
@@ -468,9 +478,13 @@ class TestRunPipeline:
         assert manifest["villages_failed"] == []
         assert manifest["config_sha256"] == config_hash
 
+        # The files are what analyze_village returns.
+        dataset = pipeline._load_village_dir(corpus / "v00", cfg)
+        bundle, partition_rows = analyze_village(dataset, cfg)
         saved = json.loads((out / "bundles" / "v00.json").read_text())
-        assert "_partition_assignment" not in saved
-        assert "_lcc_node_ids" not in saved
+        assert saved == json.loads(json.dumps(_json_safe(bundle)))
+        partition_lines = (out / "partitions" / "v00.csv").read_text().splitlines()
+        assert partition_lines[2:] == [f"{node_id},{c}" for node_id, c in partition_rows]
 
     def test_failed_village_is_recorded_and_others_survive(self, tmp_path):
         corpus = make_corpus(tmp_path, n=2)
@@ -765,14 +779,14 @@ def test_dyadic_and_community_sections_read_the_labels_binned_once():
     )
     dataset, _ = generate_attribute_sbm(config)
     cfg = RunConfig(corpus_dir="c", output_dir="o", attributes=("caste", "age", "education"))
-    bundle = analyze_village(dataset, cfg)
+    bundle, partition_rows = analyze_village(dataset, cfg)
     lcc, nodes = largest_connected_component(dataset.graph)
     labels = labels_of(
         dataset.attributes.take(nodes), {"age": cfg.age_bins, "education": cfg.education_bins}
     )
     fit = fit_logistic(build_dyad_design(lcc, labels, pipeline._feature_spec(cfg)))
     assert bundle["dyadic"]["per_attribute"] == pipeline._fit_to_dict(fit)["per_attribute"]
-    assignment = bundle["_partition_assignment"]
+    assignment = [community for _, community in partition_rows]
     for attr in ("age", "education"):
         assert bundle["nmi"][attr] == asdict(nmi(labels[attr], assignment))
         t, p = degree_missingness_ttest(lcc, labels[attr])
@@ -791,7 +805,7 @@ class TestSingleModel:
         cfg = small_config(
             tmp_path / "corpus", tmp_path / "out", attributes=attributes, joint_model=False
         )
-        dyadic = analyze_village(dataset, cfg)["dyadic"]
+        dyadic = analyze_village(dataset, cfg)[0]["dyadic"]
         assert list(dyadic) == ["model", "per_attribute"]
         assert dyadic["model"] == "single"
         assert list(dyadic["per_attribute"]) == list(attributes)
@@ -876,6 +890,83 @@ class TestSummaries:
         assert [r["attribute"] for r in tables["dyadic"]] == ["caste", "sex"]
         assert len(tables["permutation"]) == 2 * 3  # tolerances x tie types
         assert [r["attribute"] for r in tables["community_networks"]] == ["caste"]
+
+    def test_summary_numbers_by_hand(self, finished_run, tmp_path):
+        # Three villages whose values tell the median from the mean and the
+        # sample standard deviation (ddof=1) from the population one.
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        network = {"count": (1, 2, 6), "float": (0.1, 0.2, 0.6)}
+        edits = {
+            "odds_ratio": (1.5, 2.0, 4.5),
+            "p_value": (0.01, 0.2, 0.03),
+            "nmi": (0.1, 0.2, 0.6),
+            "q_attr": (0.1, 0.2, 0.3),
+            "q_within_norm": (0.1, 0.2, 0.6),
+            "q_between_norm": (-0.1, 0.25, 0.4),
+            "verdict": ("assortative", "dissortative", "ns"),
+            "node_fraction_retained": (0.5, 1.0, 0.75),
+            "tie_fraction_retained": (0.1, 0.2, 0.3),
+        }
+        for i, path in enumerate(sorted((out / "bundles").glob("*.json"))):
+            bundle = json.loads(path.read_text())
+            for stats in bundle["network"].values():
+                for metric, value in stats.items():
+                    stats[metric] = network["count" if type(value) is int else "float"][i]
+            assert bundle["dyadic"]["converged"]
+            caste_fit = bundle["dyadic"]["per_attribute"]["caste"]
+            caste_fit["odds_ratio"] = edits["odds_ratio"][i]
+            caste_fit["p_value"] = edits["p_value"][i]
+            bundle["nmi"]["caste"]["value"] = edits["nmi"][i]
+            for key in ("q_attr", "q_within_norm", "q_between_norm"):
+                bundle["segregation"]["caste"][key] = edits[key][i]
+            bundle["sex_permutation"]["0.05"]["verdicts"]["mm"] = edits["verdict"][i]
+            for key in ("node_fraction_retained", "tie_fraction_retained"):
+                bundle["community_networks"]["caste"][key] = edits[key][i]
+            path.write_text(json.dumps(bundle))
+        tables = summarize_output_directory(out)
+
+        int_range, float_range = (3, 1.0, 2.0, 6.0), (3, 0.1, 0.2, 0.6)
+        rows = {
+            ("full", "n_nodes"): int_range,
+            ("full", "n_edges"): int_range,
+            ("full", "density"): float_range,
+            ("full", "mean_degree"): float_range,
+            ("full", "mean_clustering"): float_range,
+            ("full", "n_components"): int_range,
+            ("full", "lcc_node_fraction"): float_range,
+            ("full", "lcc_edge_fraction"): float_range,
+            ("lcc", "n_nodes"): int_range,
+            ("lcc", "n_edges"): int_range,
+            ("lcc", "density"): float_range,
+            ("lcc", "mean_degree"): float_range,
+            ("lcc", "mean_clustering"): float_range,
+        }
+        found = {(r["scope"], r["metric"]): tuple(r.values())[2:] for r in tables["network"]}
+        assert found == {key: pytest.approx(value, rel=1e-12) for key, value in rows.items()}
+        third, two_thirds = 100.0 / 3.0, 200.0 / 3.0
+        sd = math.sqrt(0.07)  # of (0.1, 0.2, 0.6) with ddof=1; ddof=0 gives sqrt(0.14 / 3)
+        dyadic = tables["dyadic"][0]
+        assert dyadic == pytest.approx({
+            "attribute": "caste", "n_fits": 3, "pct_significant": two_thirds,
+            "pct_assortative": two_thirds, "or_min": 1.5, "or_median": 2.0, "or_max": 4.5,
+            "nmi_mean": 0.3, "nmi_sd": sd,
+        }, rel=1e-12)
+        segregation = tables["segregation"][0]
+        assert segregation == pytest.approx({
+            "attribute": "caste", "n_villages": 3, "q_attr_mean": 0.2,
+            "q_within_norm_mean": 0.3, "q_within_norm_sd": sd, "pct_within_above_cutoff": third,
+            "q_between_norm_mean": 0.55 / 3.0, "q_between_norm_sd": math.sqrt(0.395 / 6),
+            "pct_between_positive": two_thirds, "pct_between_above_cutoff": two_thirds,
+        }, rel=1e-12)
+        assert tables["permutation"][0] == pytest.approx({
+            "tolerance": 0.05, "tie_type": "mm", "n_villages": 3, "pct_assortative": third,
+            "pct_dissortative": third,
+        }, rel=1e-12)
+        assert tables["community_networks"] == [
+            pytest.approx({"attribute": "caste", "n_villages": 3, "node_fraction_mean": 0.75,
+                           "tie_fraction_mean": 0.2}, rel=1e-12)
+        ]
 
     def test_refuses_mixed_configurations(self, finished_run):
         out, _ = finished_run
@@ -1028,7 +1119,7 @@ def json_native_configs():
 def test_benchmark_bundles_are_json_native(workload, tmp_path, monkeypatch):
     for dataset in load_benchmark_villages(workload, tmp_path, monkeypatch):
         for cfg in json_native_configs():
-            assert_json_native(analyze_village(dataset, cfg), dataset.village_id)
+            assert_json_native(analyze_village(dataset, cfg)[0], dataset.village_id)
 
 
 def all_male_village():
@@ -1043,10 +1134,117 @@ def all_male_village():
 def test_degenerate_bundles_are_json_native(village):
     dataset = village()
     for cfg in json_native_configs():
-        bundle = analyze_village(dataset, cfg)
+        bundle, _ = analyze_village(dataset, cfg)
         assert_json_native(bundle, village.__name__)
         if village is all_male_village:
             assert all("error" in entry for entry in bundle["sex_permutation"].values())
+
+
+def schema_configs():
+    """Joint and single fits, match and difference encodings, one to three
+    tolerances and one to three community networks, the last with a size
+    threshold no community passes."""
+    base = RunConfig(corpus_dir="c", output_dir="o", permutation_replicates=50)
+    return (
+        replace(base, permutation_tolerances=(0.2,)),
+        replace(
+            base,
+            joint_model=False,
+            age_encoding="difference",
+            permutation_tolerances=(0.05, 0.2),
+            community_network_attributes=("caste", "sex"),
+        ),
+        replace(
+            base,
+            education_encoding="difference",
+            permutation_tolerances=(0.02, 0.05, 0.2),
+            community_network_attributes=("caste", "sex", "age"),
+            community_node_min=1.0,
+        ),
+    )
+
+
+def sections_with_an_error_entry(bundle):
+    def holds_error(value):
+        return isinstance(value, dict) and (
+            "error" in value or any(holds_error(v) for v in value.values())
+        )
+
+    return {key for key, value in bundle.items() if holds_error(value)}
+
+
+def test_every_bundle_analyze_village_returns_fits_the_schema(monkeypatch):
+    shared_stream = pipeline.sex_permutation_tests
+
+    def first_fails(*args, **kwargs):
+        return [ValueError("acceptance rate too low"), *shared_stream(*args, **kwargs)[1:]]
+
+    monkeypatch.setattr(pipeline, "sex_permutation_tests", first_fails)
+    villages = (
+        lambda: synth_village(seed=200, missing_rate=0.1),
+        caste_constant_village,
+        sex_constant_where_caste_is_observed,
+        religion_constant,
+        all_male_village,
+    )
+    with_errors = set()
+    for cfg in schema_configs():
+        on_disk = []
+        for make_village in villages:
+            dataset = make_village()
+            bundle, _ = analyze_village(dataset, cfg)
+            path = Path(f"{dataset.village_id}.json")
+            pipeline._check_bundle(path, bundle)
+            on_disk.append(json.loads(json.dumps(_json_safe(bundle))))
+            pipeline._check_bundle(path, on_disk[-1])
+            with_errors |= sections_with_an_error_entry(bundle)
+        summarize_corpus(on_disk)
+    assert with_errors == {
+        "degree_missingness_ttests", "dyadic", "sex_permutation", "nmi", "segregation",
+        "community_networks",
+    }
+
+
+@pytest.fixture(scope="module")
+def bundle_on_disk():
+    cfg = RunConfig(
+        corpus_dir="c",
+        output_dir="o",
+        attributes=("caste", "sex", "religion"),
+        permutation_replicates=50,
+        community_network_attributes=("caste", "sex"),
+    )
+    bundle, _ = analyze_village(synth_village(seed=200, missing_rate=0.1), cfg)
+    return json.loads(json.dumps(_json_safe(bundle)))
+
+
+REPLACEMENTS = (None, -1, 0, 2.5, float("nan"), True, "x", "ns", [], [1], {}, {"error": "x"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_bundle_the_schema_accepts_can_be_summarized(bundle_on_disk, data):
+    """Edit one place of a valid bundle; ``_check_bundle`` raises ``ValueError`` or the
+    summaries read the bundle without raising."""
+    bundle = copy.deepcopy(bundle_on_disk)
+    parent, key = None, None
+    node = bundle
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        parent, key = node, data.draw(st.sampled_from(keys))
+        node = parent[key]
+    if parent is None:
+        return
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(REPLACEMENTS)))
+    bundle["config_sha256"] = pipeline._hash_config_dict(bundle.get("config"))
+    try:
+        pipeline._check_bundle(Path(f"{bundle_on_disk['village_id']}.json"), bundle)
+    except ValueError:
+        return
+    summarize_corpus([bundle])
 
 
 # segnet's runtime is numpy only.  scipy.special alone added ~21 MB RSS and
