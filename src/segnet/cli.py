@@ -48,7 +48,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from .config import load_run_config
+from .config import _checked, load_run_config
 
 if TYPE_CHECKING:
     from .ingest import VillageDataset
@@ -120,15 +120,17 @@ def _build_sbm(entry: Mapping[str, Any], seed: int) -> AttributedSbmConfig:
     for j, rule in enumerate(entry["block_rules"]):
         rules.append(rule if isinstance(rule, str) else _json_object(rule, f"block_rules[{j}]"))
     return AttributedSbmConfig(
-        block_sizes=tuple(int(s) for s in entry["block_sizes"]),
-        p_in=float(entry["p_in"]),
-        p_out=float(entry["p_out"]),
+        block_sizes=tuple(
+            _checked(f"block_sizes[{j}]", s, "int") for j, s in enumerate(entry["block_sizes"])
+        ),
+        p_in=_checked("p_in", entry["p_in"], "float"),
+        p_out=_checked("p_out", entry["p_out"], "float"),
         attribute_rule=tuple(rules),
         seed=seed,
         attribute_name=entry.get("attribute", "caste"),
         village_id=entry["village_id"],
         extra_attribute_laws=_laws(entry.get("extra_attributes", {}), "extra_attributes"),
-        missing_rate=float(entry.get("missing_rate", 0.0)),
+        missing_rate=_checked("missing_rate", entry.get("missing_rate", 0.0), "float"),
     )
 
 
@@ -141,16 +143,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     villages = spec.get("villages")
     if not villages or not isinstance(villages, list):
         raise ValueError("synth config needs a non-empty 'villages' list")
-    output_dir = spec.get("output_dir", "corpus")
-    if not isinstance(output_dir, str):
-        raise ValueError(f"output_dir must be a string, got {output_dir!r}")
-    out_dir = Path(output_dir)
+    out_dir = Path(_checked("output_dir", spec.get("output_dir", "corpus"), "str"))
     if not out_dir.is_absolute():
         out_dir = config_path.parent / out_dir
-    try:
-        base_seed = int(spec.get("seed", 0))
-    except (TypeError, ValueError):
-        raise ValueError(f"seed must be an integer, got {spec['seed']!r}") from None
+    base_seed = _checked("seed", spec.get("seed", 0), "int")
     datasets: dict[str, VillageDataset] = {}
     for i, entry in enumerate(villages):
         try:
@@ -160,16 +156,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
                 raise ValueError(f"village_id must name one directory, got {village_id!r}")
             if village_id in datasets:
                 raise ValueError(f"duplicate village_id {village_id!r}")
-            seed = int(entry.get("seed", base_seed + i))
+            seed = _checked("seed", entry.get("seed", base_seed + i), "int")
             kind = entry.get("kind")
             if kind == "sbm":
                 datasets[village_id], _ = generate_attribute_sbm(_build_sbm(entry, seed))
             elif kind == "dyad":
+                betas = _json_object(entry["betas"], "betas")
                 datasets[village_id] = generate_dyad_sample(
-                    beta0=float(entry["beta0"]),
-                    betas={k: float(v) for k, v in _json_object(entry["betas"], "betas").items()},
+                    beta0=_checked("beta0", entry["beta0"], "float"),
+                    betas={k: _checked(f"betas[{k!r}]", v, "float") for k, v in betas.items()},
                     feature_law=_laws(entry["attribute_law"], "attribute_law"),
-                    n_nodes=int(entry["n_nodes"]),
+                    n_nodes=_checked("n_nodes", entry["n_nodes"], "int"),
                     seed=seed,
                     village_id=village_id,
                 )

@@ -1,17 +1,16 @@
 """Corpus run configuration: the ``key = value`` file format and its hash.
 
-``RunConfig`` holds every run setting and checks them when built;
-``parse_run_config``/``load_run_config`` read the file format that
-``default_config_text`` renders, and ``config_sha256`` hashes the settings
-that influence artifact content.  The module needs no numpy, so a job can
-load and validate its configuration before any numeric layer is imported.
+``RunConfig`` holds every run setting and checks each one's kind and value
+when built; ``parse_run_config``/``load_run_config`` read the file format
+that ``default_config_text`` renders, and ``config_sha256`` hashes the
+settings that influence artifact content.  The module needs no numpy, so a
+job can load and validate its configuration before any numeric layer is
+imported.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
@@ -63,6 +62,8 @@ class RunConfig:
     coerce_unknown_categories: bool = False
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            _checked(f.name, getattr(self, f.name), f.type)
         for key in ("attributes", "community_network_attributes", "permutation_tolerances"):
             values = getattr(self, key)
             repeated = sorted({v for v in values if values.count(v) > 1})
@@ -76,14 +77,8 @@ class RunConfig:
                 raise ValueError(f"community network attribute {attr!r} not among attributes")
         if not self.permutation_tolerances:
             raise ValueError("at least one permutation tolerance is required")
-        # Every comparison with NaN is False, so a NaN setting would silently
-        # empty its tables; an infinite one is written to JSON as null, and
-        # the run's own output could not be summarized.
-        if not all(0 < t < math.inf for t in self.permutation_tolerances):
-            raise ValueError("permutation tolerances must be positive and finite")
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be a finite number")
+        if not all(t > 0 for t in self.permutation_tolerances):
+            raise ValueError("permutation tolerances must be positive")
         for key in ("community_node_min", "community_edge_min"):
             # Fractions of nodes and of possible ties: 5 meant as 5% would
             # leave every village without a community network.
@@ -98,10 +93,8 @@ class RunConfig:
         if self.education_encoding not in ("match", "difference"):
             raise ValueError("education_encoding must be 'match' or 'difference'")
         for key in ("age_bins", "education_bins"):
-            # np.digitize needs increasing edges, and a NaN edge misorders every bin.
+            # np.digitize needs increasing edges.
             edges = getattr(self, key)
-            if not all(math.isfinite(e) for e in edges):
-                raise ValueError(f"{key} entries must be finite numbers")
             if any(b <= a for a, b in zip(edges, edges[1:])):
                 raise ValueError(f"{key} must be strictly increasing")
 
@@ -117,19 +110,48 @@ def _as_is(value: Any) -> Any:
 
 
 # RunConfig annotation -> (parser of a config-file value, canonical form for
-# the hash).  Floats are canonicalized so the hash does not depend on
-# whether the config came from a file or was built with int literals.
-_SETTING_TYPES: dict[str, tuple[Callable[[str], Any], Callable[[Any], Any]]] = {
-    "str": (str, _as_is),
-    "int": (int, _as_is),
-    "float": (float, float),
-    "bool": (_parse_bool, _as_is),
-    "tuple[str, ...]": (lambda v: tuple(s.strip() for s in v.split(",") if s.strip()), list),
+# the hash, the Python types of a value or of a tuple's entries, and what a
+# value must be).  A bool is not an int nor an int a bool, a float may be an
+# int, and a list is not a tuple.  Floats are canonicalized so the hash does
+# not depend on whether the config came from a file or used int literals.
+# They must be finite: every comparison with NaN is False, so a NaN setting
+# would silently empty its tables or misorder every bin, and an infinite one
+# is written to JSON as null, so the run's own output could not be summarized.
+_SETTING_TYPES: dict[str, tuple[Callable[[str], Any], Callable[[Any], Any], tuple, str]] = {
+    "str": (str, _as_is, (str,), "a string"),
+    "int": (int, _as_is, (int,), "an integer"),
+    "float": (float, float, (int, float), "a finite number"),
+    "bool": (_parse_bool, _as_is, (bool,), "true or false"),
+    "tuple[str, ...]": (
+        lambda v: tuple(s.strip() for s in v.split(",") if s.strip()),
+        list,
+        (str,),
+        "a tuple of strings",
+    ),
     "tuple[float, ...]": (
         lambda v: tuple(float(s) for s in v.split(",") if s.strip()),
         lambda t: [float(x) for x in t],
+        (int, float),
+        "a tuple of finite numbers",
     ),
 }
+
+
+def _checked(name: str, value: Any, kind: str) -> Any:
+    """``value`` in the hash's canonical form if it is of type ``kind``, else ``ValueError``."""
+    _, canonical, types, must_be = _SETTING_TYPES[kind]
+    entries = value if isinstance(value, tuple) else (value,)
+    if isinstance(value, tuple) != kind.startswith("tuple") or not all(
+        isinstance(v, types)
+        and isinstance(v, bool) == (bool in types)
+        # False for a NaN, an infinity and an int too large for a float:
+        and (float not in types or abs(v) <= sys.float_info.max)
+        for v in entries
+    ):
+        raise ValueError(f"{name} must be {must_be}, got {value!r:.60}")
+    return canonical(value)
+
+
 # Fields that never influence artifact content and stay out of the config hash:
 # machine-local paths and the worker count.
 _NON_SUBSTANTIVE_KEYS = {"corpus_dir", "output_dir", "workers"}
@@ -156,7 +178,7 @@ def parse_run_config(text: str, base_dir: str | Path = ".") -> RunConfig:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        parse, _ = _SETTING_TYPES[known[key]]
+        parse = _SETTING_TYPES[known[key]][0]
         try:
             values[key] = parse(value)
         except ValueError as exc:
@@ -206,6 +228,9 @@ def _substantive_config_dict(cfg: RunConfig) -> dict[str, Any]:
 def _hash_config_dict(config: Any) -> str:
     """SHA-256 of the canonical JSON of a ``_substantive_config_dict``, as
     written into bundles, manifests and CSV headers."""
+    import hashlib
+    import json
+
     canonical = json.dumps(config, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -36,12 +36,10 @@ from .attributes import CATEGORICAL_ATTRIBUTES, AttributeTable
 from .community import NmiResult, Partition, louvain, modularity_of_partition, nmi
 from .config import (
     RunConfig,
-    _format_value,
     _hash_config_dict,
     _substantive_config_dict,
     config_sha256,
     load_run_config,  # not called here; perfbench/runner.py reads it by this name
-    parse_run_config,
 )
 from .dyadic import (
     FeatureSpec,
@@ -89,7 +87,7 @@ def _feature_spec(cfg: RunConfig) -> FeatureSpec:
 def _derived_seed(base: int, village_id: str, salt: int) -> int:
     digest = hashlib.sha256(village_id.encode("utf-8")).digest()
     village_hash = int.from_bytes(digest[:8], "big")
-    seq = np.random.SeedSequence([int(base) % (2**63), village_hash, salt])
+    seq = np.random.SeedSequence([base % (2**63), village_hash, salt])
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -343,13 +341,13 @@ def _community_network_entry(v: _Village, attr: str) -> dict[str, Any]:
 def _config_spec(config: Any, value: Any) -> tuple[type, ...]:
     """The config's spec: an object, or ``ValueError`` unless a run with valid settings writes it.
 
-    The config is rebuilt through the run-config file format, whose parser
-    checks each setting's type and ``RunConfig`` their values.
+    ``RunConfig`` checks each setting's type and value; JSON lists stand for its tuples.
     """
     if isinstance(value, dict):
+        if unexpected := sorted(value.keys() - {f.name for f in fields(RunConfig)}):
+            raise ValueError(f"config: unexpected {unexpected}")
         settings = {k: tuple(v) if isinstance(v, list) else v for k, v in value.items()}
-        text = "".join(f"{k} = {_format_value(v)}\n" for k, v in settings.items())
-        rebuilt = parse_run_config(text + "corpus_dir = .\noutput_dir = .")
+        rebuilt = RunConfig(**{"corpus_dir": "", "output_dir": "", **settings})
         if _substantive_config_dict(rebuilt) != value:
             raise ValueError("config: not the settings of a valid run")
     return _OBJECT

@@ -399,12 +399,16 @@ VERDICT_WORDS = "['assortative', 'dissortative', 'ns']"
             _set_config(joint_model=False),
             "v001.json: dyadic: unexpected ['converged', 'diagnostic', 'dropped', 'intercept',",
         ),
-        (
-            _set_config(joint_model="yes"),
-            "v001.json: config line 11: bad value for 'joint_model': expected true or false",
-        ),
-        (_set_config(attributes=5), "v001.json: unknown attribute '5'"),
+        (_set_config(joint_model="yes"), "v001.json: joint_model must be true or false, got 'yes'"),
+        (_set_config(attributes=5), "v001.json: attributes must be a tuple of strings, got 5"),
         (_set_config(workers=2), "v001.json: config: not the settings of a valid run"),
+        (_set_config(colour="red"), "v001.json: config: unexpected ['colour']"),
+        (_set_config(louvain_seed=1.5), "v001.json: louvain_seed must be an integer, got 1.5"),
+        (_set_config(corpus_dir="c"), "v001.json: config: not the settings of a valid run"),
+        (
+            _set_config(within_cutoff=10**400),
+            "v001.json: within_cutoff must be a finite number, got 10000",
+        ),
     ],
     ids=[
         "schema-version-only", "extra-key", "config-without-attributes", "nmi-list",
@@ -413,7 +417,8 @@ VERDICT_WORDS = "['assortative', 'dissortative', 'ns']"
         "q-within-norm-str", "other-village-id", "layer-count-str", "unmatched-negative",
         "sizes-str", "node-size-float", "ttest-error-entry-extra-key", "error-not-str",
         "model-single", "config-single", "config-bool-str", "config-attributes-int",
-        "config-workers",
+        "config-workers", "config-unknown-key", "config-seed-float", "config-corpus-dir",
+        "config-cutoff-beyond-float",
     ],
 )
 def test_summarize_refuses_a_bundle_it_cannot_read(tmp_path, capsys, edit, message):
@@ -515,7 +520,7 @@ class TestSynthErrors:
             ),
             (
                 {"villages": [dict(SBM_VILLAGES[0], p_in=[0.5])]},
-                "villages[0]: float() argument must be a string or a real number, not 'list'",
+                "villages[0]: p_in must be a finite number, got [0.5]",
             ),
             (
                 {"villages": [dict(SBM_VILLAGES[1], missing_rate=1.0)]},
@@ -535,10 +540,40 @@ class TestSynthErrors:
             ),
             (
                 {"villages": [dict(SBM_VILLAGES[0], block_sizes=[[30], 30])]},
-                "villages[0]: int() argument must be a string, a bytes-like object or a real"
-                " number, not 'list'",
+                "villages[0]: block_sizes[0] must be an integer, got [30]",
             ),
             ({"seed": [1], "villages": SBM_VILLAGES}, "seed must be an integer, got [1]"),
+            ({"seed": 3.7, "villages": SBM_VILLAGES}, "seed must be an integer, got 3.7"),
+            ({"seed": True, "villages": SBM_VILLAGES}, "seed must be an integer, got True"),
+            ({"seed": "7", "villages": SBM_VILLAGES}, "seed must be an integer, got '7'"),
+            (
+                {"villages": [SBM_VILLAGES[0], dict(SBM_VILLAGES[1], seed=3.7)]},
+                "villages[1]: seed must be an integer, got 3.7",
+            ),
+            (
+                {"villages": [dict(SBM_VILLAGES[2], n_nodes=30.0)]},
+                "villages[0]: n_nodes must be an integer, got 30.0",
+            ),
+            (
+                {"villages": [dict(SBM_VILLAGES[0], block_sizes=[15, True])]},
+                "villages[0]: block_sizes[1] must be an integer, got True",
+            ),
+            (
+                {"villages": [dict(SBM_VILLAGES[2], beta0="-1.4")]},
+                "villages[0]: beta0 must be a finite number, got '-1.4'",
+            ),
+            (
+                {"villages": [dict(SBM_VILLAGES[2], betas={"caste": False})]},
+                "villages[0]: betas['caste'] must be a finite number, got False",
+            ),
+            (
+                {"villages": [dict(SBM_VILLAGES[0], p_out=math.inf)]},
+                "villages[0]: p_out must be a finite number, got inf",
+            ),
+            (
+                {"villages": [dict(SBM_VILLAGES[1], missing_rate=math.nan)]},
+                "villages[0]: missing_rate must be a finite number, got nan",
+            ),
             ({"output_dir": 5, "villages": SBM_VILLAGES}, "output_dir must be a string, got 5"),
             *(
                 (
@@ -566,6 +601,16 @@ class TestSynthErrors:
             "beta_without_law",
             "block_size_list",
             "seed_list",
+            "seed_float",
+            "seed_bool",
+            "seed_str",
+            "village_seed_float",
+            "n_nodes_float",
+            "block_size_bool",
+            "beta0_str",
+            "beta_bool",
+            "p_out_inf",
+            "missing_rate_nan",
             "output_dir_number",
             "village_id_number",
             "village_id_empty",

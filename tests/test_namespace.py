@@ -66,6 +66,28 @@ def test_loading_a_run_config_imports_no_numpy_and_no_other_layer(tmp_path):
     assert json.loads(done.stdout) == ["segnet", "segnet.config", "segnet.vocabulary"]
 
 
+# The modules that loading a run config adds, listed without importing json:
+# hashing a config needs hashlib and json, reading one does not.
+LOAD_PATH_PROBE = """
+import sys
+before = set(sys.modules)
+import segnet
+segnet.load_run_config(sys.argv[1])
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_loading_a_run_config_imports_no_numpy_hashlib_or_json(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(segnet.default_config_text(), encoding="utf-8")
+    done = fresh_interpreter(LOAD_PATH_PROBE, str(config))
+    assert done.returncode == 0, done.stderr
+    added = done.stdout.split()
+    assert "segnet.config" in added
+    heavy = [m for m in added if m.partition(".")[0].lstrip("_") in ("numpy", "hashlib", "json")]
+    assert heavy == []
+
+
 def names_without_a_user(names: list[str], texts: list[str], modules: list[str]) -> list[str]:
     """The ``names`` used as a whole word in none of ``texts`` or ``modules``.
 

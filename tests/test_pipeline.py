@@ -6,15 +6,16 @@ import math
 import multiprocessing
 import os
 import shutil
+import string
 import subprocess
 import sys
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import segnet
@@ -41,9 +42,10 @@ from segnet import (
 )
 from segnet import pipeline
 from segnet.cli import main
-from segnet.config import MAX_WORKERS
+from segnet.config import MAX_WORKERS, _format_value
 from segnet.pipeline import _dropped_features, _json_safe
 from segnet.segregation import community_network_to_dot
+from segnet.vocabulary import ATTRIBUTE_NAMES
 
 from .conftest import labels_of, load_benchmark_villages, make_table
 from .oracles import constant_feature_screen
@@ -160,6 +162,7 @@ class TestParseRunConfig:
                 "attributes = caste\ncommunity_network_attributes = sex",
                 "community network attribute 'sex' not among attributes",
             ),
+            ("permutation_tolerances = 0.05, 0", "permutation tolerances must be positive"),
             ("permutation_replicates = 0", "permutation_replicates must be at least 1"),
             ("age_encoding = diff", "age_encoding must be 'match' or 'difference'"),
             ("education_encoding = bins", "education_encoding must be 'match' or 'difference'"),
@@ -168,6 +171,7 @@ class TestParseRunConfig:
             "no-tolerance",
             "unknown-attribute",
             "community-attribute-not-analyzed",
+            "zero-tolerance",
             "no-replicates",
             "age-encoding",
             "education-encoding",
@@ -193,7 +197,10 @@ class TestParseRunConfig:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("permutation_tolerances = 0.05, nan", "permutation tolerances must be positive"),
+            (
+                "permutation_tolerances = 0.05, nan",
+                "permutation_tolerances must be a tuple of finite numbers",
+            ),
             ("community_node_min = nan", "community_node_min must be a finite number"),
             ("community_edge_min = nan", "community_edge_min must be a finite number"),
             ("between_cutoff = nan", "between_cutoff must be a finite number"),
@@ -218,7 +225,10 @@ class TestParseRunConfig:
             ("between_cutoff = -inf", "between_cutoff must be a finite number"),
             ("community_node_min = inf", "community_node_min must be a finite number"),
             ("community_edge_min = -inf", "community_edge_min must be a finite number"),
-            ("permutation_tolerances = 0.05, inf", "tolerances must be positive and finite"),
+            (
+                "permutation_tolerances = 0.05, inf",
+                "permutation_tolerances must be a tuple of finite numbers",
+            ),
         ],
     )
     def test_infinite_settings_are_errors(self, line, message):
@@ -230,9 +240,9 @@ class TestParseRunConfig:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("age_bins = 18, nan, 41", "age_bins entries must be finite numbers"),
-            ("education_bins = 1, inf", "education_bins entries must be finite numbers"),
-            ("age_bins = -inf, 18", "age_bins entries must be finite numbers"),
+            ("age_bins = 18, nan, 41", "age_bins must be a tuple of finite numbers"),
+            ("education_bins = 1, inf", "education_bins must be a tuple of finite numbers"),
+            ("age_bins = -inf, 18", "age_bins must be a tuple of finite numbers"),
             ("age_bins = 18, 41, 31", "age_bins must be strictly increasing"),
             ("education_bins = 1, 10, 10, 14", "education_bins must be strictly increasing"),
         ],
@@ -283,6 +293,148 @@ class TestConfigHash:
         bundle, _ = analyze_village(synth_village(seed=100), cfg)
         for key in ("corpus_dir", "output_dir", "workers"):
             assert key not in bundle["config"]
+
+
+# Values of each kind a setting might be given; a tuple's kind is its entries'.
+KIND_VALUES = {
+    "bool": st.booleans(),
+    "int": st.integers(-(10**6), 10**6),
+    "int beyond float": st.integers(2**1024, 2**1100) | st.integers(-(2**1100), -(2**1024)),
+    "float": st.floats(-1e6, 1e6),
+    "non-finite": st.sampled_from([math.nan, math.inf, -math.inf]),
+    "str": st.text(max_size=5),
+    "None": st.none(),
+    "list": st.lists(st.integers(0, 5) | st.text(max_size=2), max_size=3),
+    "dict": st.dictionaries(st.text(max_size=2), st.integers(0, 5), max_size=2),
+    "()": st.just(()),
+    "tuple[str]": st.lists(st.text(max_size=3), min_size=1, max_size=3).map(tuple),
+    "tuple[int]": st.lists(st.integers(0, 50), min_size=1, max_size=3).map(tuple),
+    "tuple[float]": st.lists(st.floats(0, 50), min_size=1, max_size=3).map(tuple),
+    "tuple[non-finite]": st.sampled_from([(0.05, math.inf), (math.nan,), (18, -math.inf)]),
+    "tuple[bool]": st.lists(st.booleans(), min_size=1, max_size=3).map(tuple),
+    "tuple[list]": st.lists(st.lists(st.integers(0, 5)), min_size=1, max_size=2).map(tuple),
+}
+# A setting's annotation -> the kinds it takes: a bool is not an int nor an
+# int a bool, a float may be an int but must be finite, and a list is not a tuple.
+ACCEPTED_KINDS = {
+    "str": {"str"},
+    "int": {"int", "int beyond float"},
+    "float": {"int", "float"},
+    "bool": {"bool"},
+    "tuple[str, ...]": {"()", "tuple[str]"},
+    "tuple[float, ...]": {"()", "tuple[int]", "tuple[float]"},
+}
+
+
+@st.composite
+def wrong_kind_settings(draw):
+    """A ``RunConfig`` field name and a value of a kind that field does not take."""
+    field = draw(st.sampled_from(fields(RunConfig)))
+    kind = draw(st.sampled_from(sorted(KIND_VALUES.keys() - ACCEPTED_KINDS[field.type])))
+    return field.name, draw(KIND_VALUES[kind])
+
+
+# Names the key = value format holds unchanged: no comma, "#", "=" or blank.
+PLAIN_NAMES = st.text(string.ascii_letters + string.digits + "_-.", min_size=1, max_size=8)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def accepted_settings(draw):
+    """The content-affecting settings of a ``RunConfig`` that builds."""
+    attributes = draw(st.lists(st.sampled_from(ATTRIBUTE_NAMES), unique=True))
+    edges = st.lists(st.integers(-100, 100) | FINITE, unique=True, max_size=4).map(
+        lambda e: tuple(sorted(e))
+    )
+    fraction = st.floats(0, 1) | st.integers(0, 1)
+    return dict(
+        attributes=tuple(attributes),
+        age_bins=draw(edges),
+        education_bins=draw(edges),
+        age_encoding=draw(st.sampled_from(("match", "difference"))),
+        education_encoding=draw(st.sampled_from(("match", "difference"))),
+        joint_model=draw(st.booleans()),
+        permutation_tolerances=tuple(
+            draw(
+                st.lists(
+                    st.floats(0, 10, exclude_min=True) | st.integers(1, 3),
+                    min_size=1,
+                    max_size=3,
+                    unique=True,
+                )
+            )
+        ),
+        permutation_replicates=draw(st.integers(1, 20)),
+        permutation_seed=draw(st.integers(-(2**70), 2**70)),
+        louvain_seed=draw(st.integers(-(2**70), 2**70)),
+        community_network_attributes=tuple(
+            draw(st.lists(st.sampled_from(attributes), unique=True)) if attributes else ()
+        ),
+        community_node_min=draw(fraction),
+        community_edge_min=draw(fraction),
+        between_cutoff=draw(FINITE | st.integers(-5, 5)),
+        within_cutoff=draw(FINITE | st.integers(-5, 5)),
+        coerce_unknown_categories=draw(st.booleans()),
+    )
+
+
+@pytest.fixture(scope="module")
+def one_village_corpus(tmp_path_factory):
+    return make_corpus(tmp_path_factory.mktemp("kinds"), n=1)
+
+
+class TestSettingKinds:
+    @settings(deadline=None)
+    @given(wrong_kind_settings())
+    @example(("louvain_seed", 1.5))
+    @example(("coerce_unknown_categories", 1))
+    @example(("joint_model", "yes"))
+    @example(("village_ids", "v001"))
+    @example(("permutation_replicates", 10.5))
+    @example(("attributes", 5))
+    @example(("within_cutoff", "0.3"))
+    @example(("permutation_tolerances", "ab"))
+    @example(("workers", 1.5))
+    @example(("workers", True))
+    @example(("age_bins", [18, 30]))
+    def test_a_wrong_kind_is_a_value_error_naming_the_setting(self, setting):
+        name, value = setting
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            RunConfig(**{"corpus_dir": "c", "output_dir": "o", name: value})
+
+    @settings(deadline=None)
+    @given(
+        accepted_settings(),
+        st.lists(PLAIN_NAMES, unique=True, max_size=3),
+        PLAIN_NAMES,
+        st.integers(-3, MAX_WORKERS),
+    )
+    @example(dict(age_bins=(18, 30.5), within_cutoff=1), [], "c", 0)
+    def test_the_file_format_holds_every_accepted_config(
+        self, chosen, village_ids, corpus_dir, workers
+    ):
+        cfg = RunConfig(corpus_dir, "out", workers=workers, village_ids=tuple(village_ids), **chosen)
+        text = "".join(f"{f.name} = {_format_value(getattr(cfg, f.name))}\n" for f in fields(cfg))
+        parsed = parse_run_config(text)
+        assert parsed == cfg
+        assert config_sha256(parsed) == config_sha256(cfg)
+
+    @settings(max_examples=10, deadline=None)
+    @given(accepted_settings())
+    @example({"louvain_seed": 1.5})
+    @example({"coerce_unknown_categories": 1})
+    def test_a_library_run_writes_output_summarize_accepts(
+        self, one_village_corpus, tmp_path_factory, chosen
+    ):
+        out = tmp_path_factory.mktemp("out")
+        try:
+            cfg = RunConfig(str(one_village_corpus), str(out), workers=1, **chosen)
+        except ValueError as exc:
+            # A setting of the wrong kind is refused before anything runs.
+            assert any(str(exc).startswith(f"{name} must be ") for name in chosen)
+            return
+        assert run_pipeline(cfg).exit_code == 0
+        assert summarize_output_directory(out)["network"]
 
 
 @pytest.fixture(scope="module")
